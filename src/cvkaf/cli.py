@@ -198,7 +198,7 @@ def _train_one(cache_path, model_name, seed, c, args, out_dir: Path):
         f"({trace.stop_reason}), best val acc {trace.best_val_accuracy:.4f} "
         f"at iteration {trace.best_iteration}"
     )
-    val_acc = optim.evaluate(model, *ds.val_xy())
+    val_acc = trace.best_val_accuracy  # train left the model at this checkpoint
     test_acc = optim.evaluate(model, *ds.test_xy())
     log.write(f"final checkpoint: val {val_acc:.4f}, test {test_acc:.4f}")
 
@@ -289,7 +289,6 @@ def cmd_compare(args) -> int:
 
 def _compare_one_model(cache, model_name, seeds, c_grid, args, out_dir: Path) -> dict:
     """Grid-search C on the first seed, then rerun the remaining seeds at it."""
-    ds = data_mod.load_cached(cache)
     accuracies: list[float] = []
     grid_accs: dict[str, float] = {}
     best_c = c_grid[0]

@@ -61,23 +61,18 @@ class Adagrad:
         A non-finite gradient aborts the step before any state is touched.
         """
         for name, g in grads.items():
-            finite = np.all(np.isfinite(g.view(np.float64))) if np.iscomplexobj(g) \
-                else np.all(np.isfinite(g))
-            if not finite:
+            if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for {name!r}; step aborted")
         for name, arr in params.items():
-            g = grads[name]
             acc = self.acc[name]
-            if np.iscomplexobj(arr):
-                acc[..., 0] += g.real**2
-                acc[..., 1] += g.imag**2
-                arr -= self.lr * (
-                    g.real / (np.sqrt(acc[..., 0]) + self.epsilon)
-                    + 1j * (g.imag / (np.sqrt(acc[..., 1]) + self.epsilon))
-                )
-            else:
-                acc += g**2
-                arr -= self.lr * g / (np.sqrt(acc) + self.epsilon)
+            w, g = _components(arr), _components(grads[name])
+            acc += g**2
+            w -= self.lr * (g / (np.sqrt(acc) + self.epsilon))
+
+
+def _components(a: np.ndarray) -> np.ndarray:
+    """Writable float64 view of ``a``; complex entries become (..., 2) (re, im) pairs."""
+    return a[..., None].view(np.float64) if np.iscomplexobj(a) else a
 
 
 @dataclass(frozen=True)

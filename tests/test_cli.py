@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from cvkaf.cli import main
-from cvkaf.data import build_complex_dataset, cache_dataset
-from cvkaf.optim import read_trace_csv
+from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
+from cvkaf.network import load_model
+from cvkaf.optim import evaluate, read_trace_csv
 
 from test_data import synthetic_raw
 
@@ -86,6 +87,15 @@ class TestTrain:
             drop_elapsed((dirs[1] / "trace.csv").read_text())
         assert (dirs[0] / "summary.json").read_text() == (dirs[1] / "summary.json").read_text()
         assert (dirs[0] / "config.txt").read_text() == (dirs[1] / "config.txt").read_text()
+
+    def test_summary_val_accuracy_is_the_saved_models(self, tiny_cache, tmp_path):
+        run_dir = tmp_path / "run"
+        rc = main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case2",
+                   "--seed", "4", "--out", str(run_dir), *TRAIN_FLAGS])
+        assert rc == 0
+        summary = json.loads((run_dir / "summary.json").read_text())
+        model = load_model(run_dir / "model.cvkm")
+        assert summary["val_accuracy"] == evaluate(model, *load_cached(tiny_cache).val_xy())
 
     def test_missing_cache_flag(self):
         assert main(["train", "--model", "wlkaf_case1"]) == 2

@@ -7,6 +7,7 @@ from cvkaf.cnum import complex_affine, finite_diff_cogradient
 from cvkaf.errors import CacheError, DimensionError, ParameterError, StateError
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
+    _PREDICT_BLOCK_ELEMENTS,
     ComplexNetwork,
     NetworkConfig,
     RealBaselineNetwork,
@@ -153,6 +154,25 @@ class TestNetworkForward:
         assert set(a) == set(b)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+
+class TestBlockedPredict:
+    @pytest.mark.parametrize("variant", ["kaf_independent", "wlkaf_case1", "wlkaf_case2"])
+    def test_matches_one_unblocked_forward(self, variant, rng, dict8):
+        net = build_model(variant, input_dim=5, class_count=4, seed=2,
+                          hidden_widths=(30, 100), dictionary=dict8)
+        block = max(1, _PREDICT_BLOCK_ELEMENTS // (100 * dict8.points_per_axis))
+        assert block == 64  # the paper's width 100 and 8x8 dictionary
+        x = random_complex(rng, (1031, 5))
+        for n in (0, 1, block - 1, block, block + 1, 1031):
+            expected = complex_softmax(net.forward(x[:n])[0])
+            p = net.predict_proba(x[:n])
+            assert p.shape == (n, 4)
+            np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(net.predict(x[:n]), np.argmax(expected, axis=-1))
+        p1 = net.predict_proba(x[0])
+        assert p1.shape == (4,)
+        np.testing.assert_allclose(p1, complex_softmax(net.forward(x[0])[0]), rtol=0, atol=1e-12)
 
 
 class TestObjectiveAndBackward:

@@ -16,6 +16,8 @@ from cvkaf.optim import (
     write_trace_csv,
 )
 
+from conftest import random_complex
+
 
 def toy_separable(n=120, seed=0):
     """Two complex features; class decides the sign of the real parts."""
@@ -92,6 +94,49 @@ class TestAdagrad:
             opt.step(params, {"w": np.array([np.nan]), "v": np.zeros(1, dtype=complex)})
         np.testing.assert_array_equal(params["w"], [1.0])
         assert not opt.acc["w"].any()
+
+    def test_matches_separate_real_and_imaginary_updates(self, rng):
+        def reference_step(params, acc, grads, lr, eps):
+            for name, arr in params.items():
+                g = grads[name]
+                if np.iscomplexobj(arr):
+                    acc[name][..., 0] += g.real**2
+                    acc[name][..., 1] += g.imag**2
+                    arr -= lr * (
+                        g.real / (np.sqrt(acc[name][..., 0]) + eps)
+                        + 1j * (g.imag / (np.sqrt(acc[name][..., 1]) + eps))
+                    )
+                else:
+                    acc[name] += g**2
+                    arr -= lr * g / (np.sqrt(acc[name]) + eps)
+
+        params = {
+            "layer0.W": rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3)),
+            "layer0.b": rng.normal(size=5) + 1j * rng.normal(size=5),
+            "layer0.log_gamma_rr": rng.normal(size=5),
+            "layer0.log_gamma": rng.normal(size=(5, 2)),
+        }
+        opt = Adagrad(params, lr=0.03, epsilon=1e-8)
+        shapes = {name: a.shape for name, a in opt.acc.items()}
+        for _ in range(20):
+            grads = {name: (random_complex(rng, a.shape) if np.iscomplexobj(a)
+                            else rng.normal(size=a.shape)) for name, a in params.items()}
+            grads["layer0.W"] = np.asfortranarray(grads["layer0.W"])  # any memory layout
+            for name in ("layer0.log_gamma_rr", "layer0.log_gamma"):
+                # a step does not depend on the weights; from zero the new
+                # weight is exactly minus the step, so the ulp bound is on it
+                params[name][...] = 0.0
+            ref = {name: a.copy() for name, a in params.items()}
+            ref_acc = {name: a.copy() for name, a in opt.acc.items()}
+            reference_step(ref, ref_acc, grads, opt.lr, opt.epsilon)
+            opt.step(params, grads)
+            for name, arr in params.items():
+                np.testing.assert_array_equal(opt.acc[name], ref_acc[name])
+                if np.iscomplexobj(arr):
+                    np.testing.assert_array_equal(arr, ref[name])
+                else:
+                    np.testing.assert_array_max_ulp(arr, ref[name], maxulp=1)
+        assert {name: a.shape for name, a in opt.acc.items()} == shapes
 
 
 class TestTrain:
