@@ -11,8 +11,23 @@ Four families are implemented:
   pseudo-kernel ``kt``, in the case-1 (separate real/imaginary bandwidths)
   and case-2 (separable kernels, fixed imaginary mixing) constructions.
 
-Layer classes vectorize over a (batch, width) activation matrix with
-per-neuron parameters; the module-level functions are the scalar/vector
+Over the square dictionary grid every KAF-family layer is a sum of
+separable Gaussian terms ``scale * e_b^T A e_a``: ``A`` is the (m, m) grid
+of ``Re alpha`` or ``Im alpha``, ``e_b`` and ``e_a`` are per-axis Gaussians
+of ``Im z`` and ``Re z`` (or all ones), and each term adds to the real or
+the imaginary output. The term tables are:
+
+* ``kaf_real_gaussian``: 2 terms on one bandwidth;
+* ``kaf_independent``: 8 one-sided terms, each summing one grid axis out;
+* ``wlkaf_case1``: ``Re alpha`` on ``gamma_rr`` to the real part and
+  ``Im alpha`` on ``gamma_ii`` to the imaginary part;
+* ``wlkaf_case2``: 2Q kernel terms plus 2Q pseudo-kernel terms scaled by
+  ``2*omega_q`` with the routing crossed.
+
+One forward and one backward (:class:`_KafBase`) serve every table; the
+backward follows from the real partial derivatives of the per-axis
+Gaussians. Layer classes vectorize over a (batch, width) activation matrix
+with per-neuron parameters; the module-level functions are the dense
 reference forms the tests compare against. Backward passes return
 cogradients in the package-wide convention (see :mod:`cvkaf.cnum`) and are
 all validated against finite differences.
@@ -27,7 +42,7 @@ import numpy as np
 
 from . import kernels
 from .errors import NumericError, ParameterError
-from .kernels import Dictionary, sq_distance
+from .kernels import Dictionary
 
 __all__ = [
     "split_activation",
@@ -46,8 +61,6 @@ __all__ = [
     "activation_from_spec",
     "ACTIVATION_VARIANTS",
 ]
-
-_EXP_LIMIT = 700.0
 
 _SPLIT_FUNCS: dict[str, tuple[Callable, Callable]] = {
     # name -> (g_R, derivative of g_R)
@@ -175,86 +188,12 @@ def _ridge_solve(big_k: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
     return np.linalg.solve(kh @ big_k + ridge * np.eye(big_k.shape[0]), kh @ t)
 
 
-def _dot_bh(kmat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``einsum('bhd,hd->bh', kmat, vec)`` via batched matmul (much faster)."""
-    out = np.matmul(kmat.transpose(1, 0, 2), vec[:, :, None])  # (H, B, 1)
-    return np.ascontiguousarray(out[:, :, 0].T)
-
-
-def _dot_hd(g: np.ndarray, kmat: np.ndarray) -> np.ndarray:
-    """``einsum('bh,bhd->hd', g, kmat)`` via batched matmul."""
-    out = np.matmul(g.T[:, None, :], kmat.transpose(1, 0, 2))  # (H, 1, D)
-    return out[:, 0, :]
-
-
 def _complex_assemble(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """``re + 1j*im`` without the slow complex-multiply path."""
     out = np.empty(re.shape, dtype=np.complex128)
     out.real = re
     out.imag = im
     return out
-
-
-def _cdot_bh(kmat: np.ndarray, vec_c: np.ndarray) -> np.ndarray:
-    """Real kernel matrix against complex coefficients, as two real gemms.
-
-    Materializing a complex kernel matrix (or letting matmul promote the
-    real one) costs far more than the contraction itself; two real products
-    recombined keep everything in the fast dgemm path.
-    """
-    return _complex_assemble(_dot_bh(kmat, vec_c.real), _dot_bh(kmat, vec_c.imag))
-
-
-def _pair_dot_bh(k_re: np.ndarray, k_im: np.ndarray, vec_c: np.ndarray) -> np.ndarray:
-    """Complex kernel matrix held as a (re, im) pair of real arrays."""
-    ur, ui = _dot_bh(k_re, vec_c.real), _dot_bh(k_re, vec_c.imag)
-    vr, vi = _dot_bh(k_im, vec_c.real), _dot_bh(k_im, vec_c.imag)
-    return _complex_assemble(ur - vi, ui + vr)
-
-
-def _grid_maps(dictionary: Dictionary):
-    """Axis values and flat-index maps of the dictionary grid.
-
-    Points enumerate the grid row-major (imaginary outer, real inner), so
-    ``points[j].real == axis[j % m]`` and ``points[j].imag == axis[j // m]``
-    exactly; per-axis kernel evaluations can be computed m-wide and
-    gathered, cutting the transcendental work by a factor of m.
-    """
-    m = dictionary.points_per_axis
-    axis = dictionary.points.real[:m].copy()
-    idx_re = np.tile(np.arange(m), m)
-    idx_im = np.repeat(np.arange(m), m)
-    return axis, idx_re, idx_im
-
-
-def _axis_offsets(z, dictionary: Dictionary):
-    """Per-axis offsets ``Re(z) - axis`` and ``Im(z) - axis``, (B, H, m)."""
-    axis, _, _ = _grid_maps(dictionary)
-    return z.real[:, :, None] - axis, z.imag[:, :, None] - axis
-
-
-def _bilinear(eb: np.ndarray, agrid: np.ndarray, ea: np.ndarray) -> np.ndarray:
-    """``sum_{i,j} eb[b,h,i] * agrid[h,i,j] * ea[b,h,j]`` as (B, H).
-
-    The separable Gaussian over the grid factorizes into per-axis kernels,
-    so the full expansion is a bilinear form in the (H, m, m) coefficient
-    grid; this is the workhorse replacing all dense (B, H, D) contractions.
-    """
-    m1 = np.matmul(agrid, ea.transpose(1, 2, 0))  # (H,m,m)@(H,m,B) -> (H,m,B)
-    return np.sum(eb.transpose(1, 2, 0) * m1, axis=1).T
-
-
-def _bilinear_c(eb: np.ndarray, agrid_c: np.ndarray, ea: np.ndarray) -> np.ndarray:
-    """Bilinear form with a complex coefficient grid."""
-    return _complex_assemble(
-        _bilinear(eb, np.ascontiguousarray(agrid_c.real), ea),
-        _bilinear(eb, np.ascontiguousarray(agrid_c.imag), ea),
-    )
-
-
-def _outer_hd(w: np.ndarray, ea: np.ndarray) -> np.ndarray:
-    """``sum_b w[b,h,i] * ea[b,h,j]`` as (H, m, m): coefficient-grid gradients."""
-    return np.matmul(w.transpose(1, 2, 0), ea.transpose(1, 0, 2))
 
 
 def _tanh_over_r(r: np.ndarray) -> np.ndarray:
@@ -334,8 +273,161 @@ class PhaseAmplitudeActivation:
         return gz, {}
 
 
+# ---------------------------------------------------------------------------
+# Kernel-expansion activations: one separable-Gaussian term engine.
+# ---------------------------------------------------------------------------
+
+_PARTS = ("real", "imag")
+
+
+@dataclass(frozen=True)
+class _Term:
+    """``scale * sum_ij L[b,h,i] * A[h,i,j] * R[b,h,j]``, added to the ``out`` part.
+
+    ``A`` is the (H, m, m) grid of the ``coef`` part of alpha; its rows
+    follow the imaginary axis and its columns the real axis, in dictionary
+    point order. ``left`` and ``right`` name the part of z whose per-axis
+    Gaussian ``exp(-gamma * (x - axis)^2)`` forms L and R, or None for all
+    ones. ``gamma`` names the log-bandwidth parameter; ``col`` is its column
+    when that parameter is (H, Q).
+    """
+
+    gamma: str
+    left: str | None
+    coef: str
+    right: str | None
+    out: str
+    scale: float = 1.0
+    col: int | None = None
+
+
+def _kernel_terms(gamma, col=None, scale=1.0, cross=False):
+    """Two-sided terms ``scale * e_imag^T A e_real`` for both alpha parts.
+
+    ``cross`` routes ``Im alpha`` to the real output and ``Re alpha`` to the
+    imaginary one, as the case-2 pseudo-kernel does.
+    """
+    return tuple(
+        _Term(gamma, "imag", coef, "real", out, scale, col)
+        for coef, out in zip(_PARTS, _PARTS[::-1] if cross else _PARTS)
+    )
+
+
+# sum_ij alpha_ij (ka[j] + kb[i] + i*(ka[i] - kb[j])) with ka, kb the
+# per-axis Gaussians of Re z and Im z: every term sums one grid axis out
+_INDEPENDENT_TERMS = (
+    _Term("log_gamma", None, "real", "real", "real"),
+    _Term("log_gamma", None, "imag", "real", "imag"),
+    _Term("log_gamma", "imag", "real", None, "real"),
+    _Term("log_gamma", "imag", "imag", None, "imag"),
+    _Term("log_gamma", "real", "imag", None, "real", -1.0),
+    _Term("log_gamma", "real", "real", None, "imag"),
+    _Term("log_gamma", None, "imag", "imag", "real"),
+    _Term("log_gamma", None, "real", "imag", "imag", -1.0),
+)
+
+_KAF_TERMS = {
+    "real_gaussian": _kernel_terms("log_gamma"),
+    "independent": _INDEPENDENT_TERMS,
+}
+
+
+def _accumulate(sums: dict, key, value: np.ndarray) -> None:
+    if key in sums:
+        sums[key] += value
+    else:
+        sums[key] = value
+
+
 class _KafBase:
-    """Shared parameter plumbing for the kernel-expansion activations."""
+    """Forward and backward of a sum of :class:`_Term` over a square grid.
+
+    Subclasses set ``terms`` and own ``init_params`` and ``spec_dict``. They
+    also bind ``forward`` and ``backward`` as their own attributes, so
+    per-class instrumentation (``perfbench/harness.py``) can wrap one
+    variant at a time. Arrays are laid out (H, m, B): neuron, grid axis,
+    batch row.
+    """
+
+    terms: tuple[_Term, ...]
+
+    def forward(self, z, params, dictionary):
+        m = dictionary.points_per_axis
+        axis = dictionary.points.real[:m, None]
+        zt = np.ascontiguousarray(z.T)
+        offsets = {p: getattr(zt, p)[:, None, :] - axis for p in _PARTS}
+        squares = {p: o * o for p, o in offsets.items()}
+        grids = {p: np.ascontiguousarray(getattr(params["alpha"], p)).reshape(-1, m, m)
+                 for p in _PARTS}
+        factors = {}  # (gamma, col, part) -> (bandwidth (H, 1, 1), Gaussian E)
+
+        def factor(t: _Term, part: str):
+            key = (t.gamma, t.col, part)
+            if key not in factors:
+                log_gamma = params[t.gamma] if t.col is None else params[t.gamma][:, t.col]
+                gamma = np.exp(log_gamma)[:, None, None]
+                e = -gamma * squares[part]
+                factors[key] = (gamma, np.exp(e, out=e))
+            return key
+
+        out = {p: np.zeros(zt.shape) for p in _PARTS}
+        bilinear = []  # two-sided terms: (term, left key, right key, A @ R)
+        linear = {}  # one-sided terms summed per (factor key, out part): scaled grid sums
+        for t in self.terms:
+            a = grids[t.coef]
+            if t.left and t.right:
+                left, right = factor(t, t.left), factor(t, t.right)
+                ar = a @ factors[right][1]
+                out[t.out] += t.scale * np.einsum("hib,hib->hb", factors[left][1], ar)
+                bilinear.append((t, left, right, ar))
+            else:
+                key = factor(t, t.left or t.right)
+                v = np.einsum("hij->hi" if t.left else "hij->hj", a)
+                _accumulate(linear, (key, t.out), t.scale * v)
+        for (key, part), v in linear.items():
+            out[part] += (v[:, None, :] @ factors[key][1])[:, 0, :]
+        cache = {"offsets": offsets, "grids": grids, "factors": factors,
+                 "bilinear": bilinear, "linear": linear}
+        return _complex_assemble(out["real"].T, out["imag"].T), cache
+
+    def backward(self, g_out, cache, params, dictionary):
+        offsets, grids, factors = cache["offsets"], cache["grids"], cache["factors"]
+        g_t = np.ascontiguousarray(g_out.T)
+        weights = {}  # factor key -> dJ/dE, (H, m, B)
+        g_grid = {p: np.zeros_like(a) for p, a in grids.items()}
+        for t, left, right, ar in cache["bilinear"]:
+            gs = t.scale * getattr(g_t, t.out)[:, None, :]
+            ge = gs * factors[left][1]
+            g_grid[t.coef] += ge @ factors[right][1].transpose(0, 2, 1)
+            _accumulate(weights, left, gs * ar)
+            _accumulate(weights, right, grids[t.coef].transpose(0, 2, 1) @ ge)
+        g_sums = {}  # (factor key, out part) -> sum over the batch of dJ/dout * E
+        for (key, part), v in cache["linear"].items():
+            g = getattr(g_t, part)
+            g_sums[key, part] = (factors[key][1] @ g[:, :, None])[:, :, 0]
+            _accumulate(weights, key, np.einsum("hi,hb->hib", v, g))
+        for t in self.terms:
+            if not (t.left and t.right):
+                s = t.scale * g_sums[(t.gamma, t.col, t.left or t.right), t.out]
+                g_grid[t.coef] += s[:, :, None] if t.left else s[:, None, :]
+        # E = exp(-gamma*o^2): dE/dx = -2*gamma*o*E, dE/dlog(gamma) = -gamma*o^2*E
+        g_z = {p: np.zeros(g_t.shape) for p in _PARTS}
+        grads = {t.gamma: np.zeros_like(params[t.gamma]) for t in self.terms}
+        for (name, col, part), (gamma, e) in factors.items():
+            o = offsets[part]
+            w = weights[name, col, part]
+            w *= e
+            w *= o
+            g_z[part] -= 2.0 * gamma[:, :, 0] * np.einsum("hib->hb", w)
+            g_log_gamma = -gamma[:, 0, 0] * np.einsum("hib,hib->h", w, o)
+            if col is None:
+                grads[name] += g_log_gamma
+            else:
+                grads[name][:, col] += g_log_gamma
+        h = g_t.shape[0]
+        grads["alpha"] = _complex_assemble(g_grid["real"].reshape(h, -1),
+                                           g_grid["imag"].reshape(h, -1))
+        return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
     def _init_alpha_rows(self, width, dictionary, rng, alpha_init, ridge, fit_one):
         if alpha_init == "identity":
@@ -357,11 +449,14 @@ class KafActivation(_KafBase):
 
     kernel: str = "real_gaussian"
     name: str = field(init=False)
+    terms: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kernel not in kernels.KERNELS:
-            raise ParameterError(f"unknown kernel {self.kernel!r}")
+        if self.kernel not in _KAF_TERMS:
+            raise ParameterError(f"unknown kernel {self.kernel!r}; "
+                                 f"choose from {sorted(_KAF_TERMS)}")
         object.__setattr__(self, "name", f"kaf_{self.kernel}")
+        object.__setattr__(self, "terms", _KAF_TERMS[self.kernel])
 
     def spec_dict(self) -> dict:
         return {"variant": "kaf", "kernel": self.kernel}
@@ -377,124 +472,27 @@ class KafActivation(_KafBase):
             "log_gamma": np.full(width, np.log(g0), dtype=np.float64),
         }
 
-    def forward(self, z, params, dictionary):
-        gamma = np.exp(params["log_gamma"])  # (H,)
-        alpha = params["alpha"]  # (H, D)
-        m = dictionary.points_per_axis
-        if self.kernel == "real_gaussian":
-            # exp(-g*|z-d|^2) = exp(-g*(a-re)^2) * exp(-g*(b-im)^2): the grid
-            # expansion is a bilinear form in the (H, m, m) coefficient grid
-            ar, bi = _axis_offsets(z, dictionary)
-            g = -gamma[None, :, None]
-            ea = np.exp(g * (ar * ar))
-            eb = np.exp(g * (bi * bi))
-            agrid = alpha.reshape(-1, m, m)
-            out = _bilinear_c(eb, agrid, ea)
-            cache = {"kind": "real", "ar": ar, "bi": bi, "ea": ea, "eb": eb,
-                     "alpha": alpha, "gamma": gamma}
-        elif self.kernel == "independent":
-            # the four component kernels collapse to two per-axis kernels;
-            # the expansion needs only row/column sums of the grid
-            ar, bi = _axis_offsets(z, dictionary)
-            g = -gamma[None, :, None]
-            ka = np.exp(g * (ar * ar))
-            kb = np.exp(g * (bi * bi))
-            agrid = alpha.reshape(-1, m, m)
-            acol = np.ascontiguousarray(agrid.sum(axis=1))  # (H, m) over imaginary
-            arow = np.ascontiguousarray(agrid.sum(axis=2))  # (H, m) over real
-            out = (_cdot_bh(ka, acol) + _cdot_bh(kb, arow)
-                   + 1j * (_cdot_bh(ka, arow) - _cdot_bh(kb, acol)))
-            cache = {"kind": "independent", "alpha": alpha, "gamma": gamma,
-                     "ar": ar, "bi": bi, "ka": ka, "kb": kb,
-                     "acol": acol, "arow": arow}
-        else:  # complex_gaussian (holomorphic, not grid-separable)
-            w = z[:, :, None] - np.conj(dictionary.points)
-            wr, wi = w.real, w.imag
-            g = -gamma[None, :, None]
-            expo_re = g * (wr * wr - wi * wi)
-            expo_im = g * (2.0 * (wr * wi))
-            if np.any(np.abs(expo_re) > _EXP_LIMIT):
-                raise NumericError("complex Gaussian activation exponent out of range")
-            mag = np.exp(expo_re)
-            k_re, k_im = mag * np.cos(expo_im), mag * np.sin(expo_im)
-            out = _pair_dot_bh(k_re, k_im, alpha)
-            cache = {"kind": "holo", "w": w, "k_re": k_re, "k_im": k_im,
-                     "alpha": alpha, "gamma": gamma}
-        return out, cache
-
-    def backward(self, g_out, cache, params, dictionary):
-        alpha, gamma = cache["alpha"], cache["gamma"]
-        kind = cache["kind"]
-        cg = np.conj(g_out)
-        m = dictionary.points_per_axis
-        if kind == "real":
-            ar, bi, ea, eb = cache["ar"], cache["bi"], cache["ea"], cache["eb"]
-            agrid = alpha.reshape(-1, m, m)
-            g_alpha = _complex_assemble(
-                _outer_hd(g_out.real[:, :, None] * eb, ea).reshape(-1, m * m),
-                _outer_hd(g_out.imag[:, :, None] * eb, ea).reshape(-1, m * m),
-            )
-            # s* = sum K*diff*alpha and s = sum K*conj(diff)*alpha from the
-            # real-axis and imaginary-axis moment bilinears
-            c_re = _bilinear_c(eb, agrid, ar * ea)
-            c_im = _bilinear_c(bi * eb, agrid, ea)
-            s_star = c_re + 1j * c_im
-            s = c_re - 1j * c_im
-            gz = -gamma[None, :] * (cg * s_star + g_out * np.conj(s))
-            t = (_bilinear_c(eb, agrid, (ar * ar) * ea)
-                 + _bilinear_c((bi * bi) * eb, agrid, ea))
-            g_lg = -gamma * np.sum((cg * t).real, axis=0)
-            return gz, {"alpha": g_alpha, "log_gamma": g_lg}
-        if kind == "independent":
-            ar, bi, ka, kb = cache["ar"], cache["bi"], cache["ka"], cache["kb"]
-            acol, arow = cache["acol"], cache["arow"]
-            # G_alpha[h,ji,jr] = P[h,jr] + (-i*P)[h,ji] with P = M1 + i*M2,
-            # M1 = sum_b g*Ka, M2 = sum_b g*Kb
-            m1 = _complex_assemble(_dot_hd(g_out.real, ka), _dot_hd(g_out.imag, ka))
-            m2 = _complex_assemble(_dot_hd(g_out.real, kb), _dot_hd(g_out.imag, kb))
-            p = m1 + 1j * m2
-            g_alpha = (p[:, None, :] + (-1j) * p[:, :, None]).reshape(-1, m * m)
-            g2 = -2.0 * gamma[None, :]
-            pa = ar * ka
-            pb = bi * kb
-            u_a = g2 * (_cdot_bh(pa, acol) + 1j * _cdot_bh(pa, arow))
-            u_b = g2 * (_cdot_bh(pb, arow) - 1j * _cdot_bh(pb, acol))
-            gz = _complex_assemble((cg * u_a).real, (cg * u_b).real)
-            qa = ar * pa
-            qb = bi * pb
-            u_t = -gamma[None, :] * (
-                _cdot_bh(qa, acol) + _cdot_bh(qb, arow)
-                + 1j * (_cdot_bh(qa, arow) - _cdot_bh(qb, acol))
-            )
-            g_lg = np.sum((cg * u_t).real, axis=0)
-            return gz, {"alpha": g_alpha, "log_gamma": g_lg}
-        # holomorphic complex Gaussian
-        w, k_re, k_im = cache["w"], cache["k_re"], cache["k_im"]
-        g_alpha = _complex_assemble(
-            _dot_hd(g_out.real, k_re) + _dot_hd(g_out.imag, k_im),
-            _dot_hd(g_out.imag, k_re) - _dot_hd(g_out.real, k_im),
-        )
-        g2 = -2.0 * gamma[None, :, None]
-        kw_re = g2 * (k_re * w.real - k_im * w.imag)
-        kw_im = g2 * (k_re * w.imag + k_im * w.real)
-        du_dz = _pair_dot_bh(kw_re, kw_im, alpha)
-        gz = g_out * np.conj(du_dz)
-        w2_re, w2_im = w.real * w.real - w.imag * w.imag, 2.0 * (w.real * w.imag)
-        gm = -gamma[None, :, None]
-        u_t = _pair_dot_bh(gm * (k_re * w2_re - k_im * w2_im),
-                           gm * (k_re * w2_im + k_im * w2_re), alpha)
-        g_lg = np.sum((np.conj(g_out) * u_t).real, axis=0)
-        return gz, {"alpha": g_alpha, "log_gamma": g_lg}
+    forward = _KafBase.forward
+    backward = _KafBase.backward
 
 
 @dataclass(frozen=True)
 class WlKafCase1Activation(_KafBase):
-    """Widely linear activation, separate bandwidths per response part."""
+    """Widely linear activation, separate bandwidths per response part.
+
+    ``k^T alpha + kt^T conj(alpha) = k_rr^T Re(alpha) + i*k_ii^T Im(alpha)``:
+    each output part sees only its own separable kernel.
+    """
 
     name: str = field(init=False, default="wlkaf_case1")
+    terms: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "name", "wlkaf_case1")
+        object.__setattr__(self, "terms", (
+            _Term("log_gamma_rr", "imag", "real", "real", "real"),
+            _Term("log_gamma_ii", "imag", "imag", "real", "imag"),
+        ))
 
     def spec_dict(self) -> dict:
         return {"variant": "wlkaf_case1"}
@@ -511,73 +509,23 @@ class WlKafCase1Activation(_KafBase):
         return {"alpha": alpha.astype(np.complex128),
                 "log_gamma_rr": lg.copy(), "log_gamma_ii": lg.copy()}
 
-    def forward(self, z, params, dictionary):
-        alpha = params["alpha"]
-        g_rr = np.exp(params["log_gamma_rr"])
-        g_ii = np.exp(params["log_gamma_ii"])
-        m = dictionary.points_per_axis
-        ar, bi = _axis_offsets(z, dictionary)
-        # u = k@alpha + kt@conj(alpha) = sum krr*Re(alpha) + i*kii*Im(alpha):
-        # the 0.5 factors cancel against the conjugate pairing, so each
-        # response part sees only its own (separable) kernel
-        ea_rr = np.exp(-g_rr[None, :, None] * (ar * ar))
-        eb_rr = np.exp(-g_rr[None, :, None] * (bi * bi))
-        ea_ii = np.exp(-g_ii[None, :, None] * (ar * ar))
-        eb_ii = np.exp(-g_ii[None, :, None] * (bi * bi))
-        a_re = np.ascontiguousarray(alpha.real).reshape(-1, m, m)
-        a_im = np.ascontiguousarray(alpha.imag).reshape(-1, m, m)
-        out = _complex_assemble(
-            _bilinear(eb_rr, a_re, ea_rr), _bilinear(eb_ii, a_im, ea_ii)
-        )
-        cache = {"ar": ar, "bi": bi, "ea_rr": ea_rr, "eb_rr": eb_rr,
-                 "ea_ii": ea_ii, "eb_ii": eb_ii, "a_re": a_re, "a_im": a_im,
-                 "g_rr": g_rr, "g_ii": g_ii}
-        return out, cache
-
-    def backward(self, g_out, cache, params, dictionary):
-        ar, bi = cache["ar"], cache["bi"]
-        ea_rr, eb_rr = cache["ea_rr"], cache["eb_rr"]
-        ea_ii, eb_ii = cache["ea_ii"], cache["eb_ii"]
-        a_re, a_im = cache["a_re"], cache["a_im"]
-        g_rr, g_ii = cache["g_rr"], cache["g_ii"]
-        m = dictionary.points_per_axis
-        g_alpha = _complex_assemble(
-            _outer_hd(g_out.real[:, :, None] * eb_rr, ea_rr).reshape(-1, m * m),
-            _outer_hd(g_out.imag[:, :, None] * eb_ii, ea_ii).reshape(-1, m * m),
-        )
-        # first moments of each kernel against its coefficient part
-        crr_re = _bilinear(eb_rr, a_re, ar * ea_rr)
-        crr_im = _bilinear(bi * eb_rr, a_re, ea_rr)
-        cii_re = _bilinear(eb_ii, a_im, ar * ea_ii)
-        cii_im = _bilinear(bi * eb_ii, a_im, ea_ii)
-        # du/dz = -g_rr*(crr_re - i*crr_im) - i*g_ii*(cii_re - i*cii_im)
-        grr = g_rr[None, :]
-        gii = g_ii[None, :]
-        du_dz = _complex_assemble(
-            -grr * crr_re - gii * cii_im, grr * crr_im - gii * cii_re
-        )
-        du_dzstar = _complex_assemble(
-            -grr * crr_re + gii * cii_im, -(grr * crr_im + gii * cii_re)
-        )
-        cg = np.conj(g_out)
-        gz = cg * du_dzstar + g_out * np.conj(du_dz)
-        # du/d(log g_rr) is real, du/d(log g_ii) purely imaginary
-        du_drr = -grr * (_bilinear(eb_rr, a_re, (ar * ar) * ea_rr)
-                         + _bilinear((bi * bi) * eb_rr, a_re, ea_rr))
-        du_dii = -gii * (_bilinear(eb_ii, a_im, (ar * ar) * ea_ii)
-                         + _bilinear((bi * bi) * eb_ii, a_im, ea_ii))
-        g_lg_rr = np.sum(g_out.real * du_drr, axis=0)
-        g_lg_ii = np.sum(g_out.imag * du_dii, axis=0)
-        return gz, {"alpha": g_alpha, "log_gamma_rr": g_lg_rr, "log_gamma_ii": g_lg_ii}
+    forward = _KafBase.forward
+    backward = _KafBase.backward
 
 
 @dataclass(frozen=True)
 class WlKafCase2Activation(_KafBase):
-    """Widely linear activation from separable kernels with fixed mixing."""
+    """Widely linear activation from separable kernels with fixed mixing.
+
+    ``k = sum_q K_q`` is real and ``kt = 2i * sum_q omega_q * Kt_q`` purely
+    imaginary, so ``kt^T conj(alpha)`` routes ``Im alpha`` to the real
+    output and ``Re alpha`` to the imaginary one, scaled by ``2*omega_q``.
+    """
 
     q: int = 1
     omegas: tuple[float, ...] = (0.3,)
     name: str = field(init=False, default="wlkaf_case2")
+    terms: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.q < 1 or len(self.omegas) != self.q:
@@ -585,6 +533,10 @@ class WlKafCase2Activation(_KafBase):
         if any(not 0.0 < w < 1.0 for w in self.omegas):
             raise ParameterError(f"mixing weights must lie in (0, 1), got {self.omegas}")
         object.__setattr__(self, "name", "wlkaf_case2")
+        kernel = [_kernel_terms("log_gamma", q) for q in range(self.q)]
+        pseudo = [_kernel_terms("log_gamma_tilde", q, 2.0 * w, cross=True)
+                  for q, w in enumerate(self.omegas)]
+        object.__setattr__(self, "terms", sum(kernel + pseudo, ()))
 
     def spec_dict(self) -> dict:
         return {"variant": "wlkaf_case2", "q": self.q, "omegas": list(self.omegas)}
@@ -602,84 +554,8 @@ class WlKafCase2Activation(_KafBase):
         return {"alpha": alpha.astype(np.complex128),
                 "log_gamma": lg.copy(), "log_gamma_tilde": lg.copy()}
 
-    def forward(self, z, params, dictionary):
-        alpha = params["alpha"]
-        gam = np.exp(params["log_gamma"])  # (H, Q)
-        gam_t = np.exp(params["log_gamma_tilde"])  # (H, Q)
-        om = np.asarray(self.omegas)
-        m = dictionary.points_per_axis
-        ar, bi = _axis_offsets(z, dictionary)
-        a2, b2 = ar * ar, bi * bi
-        ea = [np.exp(-gam[None, :, q, None] * a2) for q in range(self.q)]
-        eb = [np.exp(-gam[None, :, q, None] * b2) for q in range(self.q)]
-        ea_t = [np.exp(-gam_t[None, :, q, None] * a2) for q in range(self.q)]
-        eb_t = [np.exp(-gam_t[None, :, q, None] * b2) for q in range(self.q)]
-        a_re = np.ascontiguousarray(alpha.real).reshape(-1, m, m)
-        a_im = np.ascontiguousarray(alpha.imag).reshape(-1, m, m)
-        # out = k@alpha + 2i*(w@conj(alpha)) with k = sum_q K_q (real) and
-        # w = sum_q om_q * Kt_q (real)
-        out_re = _bilinear(eb[0], a_re, ea[0])
-        out_im = _bilinear(eb[0], a_im, ea[0])
-        for q in range(1, self.q):
-            out_re += _bilinear(eb[q], a_re, ea[q])
-            out_im += _bilinear(eb[q], a_im, ea[q])
-        for q in range(self.q):
-            out_re += (2.0 * om[q]) * _bilinear(eb_t[q], a_im, ea_t[q])
-            out_im += (2.0 * om[q]) * _bilinear(eb_t[q], a_re, ea_t[q])
-        out = _complex_assemble(out_re, out_im)
-        cache = {"ar": ar, "bi": bi, "ea": ea, "eb": eb, "ea_t": ea_t,
-                 "eb_t": eb_t, "a_re": a_re, "a_im": a_im,
-                 "gam": gam, "gam_t": gam_t}
-        return out, cache
-
-    def backward(self, g_out, cache, params, dictionary):
-        ar, bi = cache["ar"], cache["bi"]
-        ea, eb = cache["ea"], cache["eb"]
-        ea_t, eb_t = cache["ea_t"], cache["eb_t"]
-        a_re, a_im = cache["a_re"], cache["a_im"]
-        gam, gam_t = cache["gam"], cache["gam_t"]
-        om = np.asarray(self.omegas)
-        m = dictionary.points_per_axis
-        h = a_re.shape[0]
-        agrid = params["alpha"].reshape(h, m, m)
-        cg = np.conj(g_out)
-        a2, b2 = ar * ar, bi * bi
-        # G_alpha = sum_b g*k + 2i*conj(g)*w, accumulated per component
-        ga_re = np.zeros((h, m, m))
-        ga_im = np.zeros((h, m, m))
-        for q in range(self.q):
-            ga_re += _outer_hd(g_out.real[:, :, None] * eb[q], ea[q])
-            ga_im += _outer_hd(g_out.imag[:, :, None] * eb[q], ea[q])
-            ga_re += (2.0 * om[q]) * _outer_hd(g_out.imag[:, :, None] * eb_t[q], ea_t[q])
-            ga_im += (2.0 * om[q]) * _outer_hd(g_out.real[:, :, None] * eb_t[q], ea_t[q])
-        g_alpha = _complex_assemble(ga_re.reshape(h, -1), ga_im.reshape(h, -1))
-        # z cogradient: du/dz = -sum_q g_q*(C_q - i*S_q)
-        #                      -2i*sum_q om_q*gt_q*conj(T_q + i*U_q)
-        du_dz = np.zeros_like(g_out)
-        du_dzstar = np.zeros_like(g_out)
-        g_lg = np.empty((h, self.q))
-        g_lgt = np.empty((h, self.q))
-        for q in range(self.q):
-            gq = gam[None, :, q]
-            gtq = gam_t[None, :, q]
-            c_q = _bilinear_c(eb[q], agrid, ar * ea[q])
-            s_q = _bilinear_c(bi * eb[q], agrid, ea[q])
-            du_dz += -gq * (c_q - 1j * s_q)
-            du_dzstar += -gq * (c_q + 1j * s_q)
-            t_q = _bilinear_c(eb_t[q], agrid, ar * ea_t[q])
-            u_q = _bilinear_c(bi * eb_t[q], agrid, ea_t[q])
-            du_dz += (-2j * om[q]) * gtq * np.conj(t_q + 1j * u_q)
-            du_dzstar += (-2j * om[q]) * gtq * np.conj(t_q - 1j * u_q)
-            # bandwidth gradients via second moments
-            v_q = (_bilinear_c(eb[q], agrid, a2 * ea[q])
-                   + _bilinear_c(b2 * eb[q], agrid, ea[q]))
-            g_lg[:, q] = -gam[:, q] * np.sum((cg * v_q).real, axis=0)
-            vt_q = (_bilinear_c(eb_t[q], agrid, a2 * ea_t[q])
-                    + _bilinear_c(b2 * eb_t[q], agrid, ea_t[q]))
-            contrib = g_out.real * vt_q.imag + g_out.imag * vt_q.real
-            g_lgt[:, q] = -2.0 * om[q] * gam_t[:, q] * np.sum(contrib, axis=0)
-        gz = cg * du_dzstar + g_out * np.conj(du_dz)
-        return gz, {"alpha": g_alpha, "log_gamma": g_lg, "log_gamma_tilde": g_lgt}
+    forward = _KafBase.forward
+    backward = _KafBase.backward
 
 
 ACTIVATION_VARIANTS: dict[str, Callable[[], object]] = {
@@ -688,7 +564,6 @@ ACTIVATION_VARIANTS: dict[str, Callable[[], object]] = {
     "phase_amplitude": PhaseAmplitudeActivation,
     "kaf_real_gaussian": lambda: KafActivation("real_gaussian"),
     "kaf_independent": lambda: KafActivation("independent"),
-    "kaf_complex_gaussian": lambda: KafActivation("complex_gaussian"),
     "wlkaf_case1": WlKafCase1Activation,
     "wlkaf_case2": WlKafCase2Activation,
 }

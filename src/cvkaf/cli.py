@@ -267,6 +267,10 @@ def cmd_compare(args) -> int:
     models = _resolved(args, "models", MODEL_VARIANTS, lambda t: tuple(t.split(",")))
     seeds = _resolved(args, "seeds", (0, 1, 2, 3, 4), _parse_ints)
     c_grid = _resolved(args, "c_grid", (0.0, 1e-5, 1e-4, 1e-3), _parse_floats)
+    if not seeds or not c_grid:
+        raise ParameterError("--seeds and --c-grid each need at least one value")
+    if min(c_grid) < 0:
+        raise ParameterError(f"--c-grid entries must be nonnegative, got {c_grid}")
     out_dir = Path(_resolved(args, "out", "comparison", str))
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -291,22 +295,15 @@ def _compare_one_model(cache, model_name, seeds, c_grid, args, out_dir: Path) ->
     """Grid-search C on the first seed, then rerun the remaining seeds at it."""
     accuracies: list[float] = []
     grid_accs: dict[str, float] = {}
-    best_c = c_grid[0]
-    if len(c_grid) > 1:
-        best_acc = -1.0
-        for c in sorted(c_grid):
-            run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
-            _, _, summary = _train_one(cache, model_name, seeds[0], c, args, run_dir)
-            grid_accs[f"{c:g}"] = summary["val_accuracy"]
-            if summary["val_accuracy"] > best_acc:
-                best_acc = summary["val_accuracy"]
-                best_c = c
-                accuracies = [summary["test_accuracy"]]
-    else:
-        run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{best_c:g}"
-        _, _, summary = _train_one(cache, model_name, seeds[0], best_c, args, run_dir)
-        grid_accs[f"{best_c:g}"] = summary["val_accuracy"]
-        accuracies = [summary["test_accuracy"]]
+    best_c, best_acc = None, -1.0
+    for c in sorted(c_grid):  # ties go to the smaller C
+        run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
+        _, _, summary = _train_one(cache, model_name, seeds[0], c, args, run_dir)
+        grid_accs[f"{c:g}"] = summary["val_accuracy"]
+        if summary["val_accuracy"] > best_acc:
+            best_acc = summary["val_accuracy"]
+            best_c = c
+            accuracies = [summary["test_accuracy"]]
     for seed in seeds[1:]:
         run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{best_c:g}"
         _, _, summary = _train_one(cache, model_name, seed, best_c, args, run_dir)

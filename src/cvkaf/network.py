@@ -132,9 +132,13 @@ class NetworkConfig:
 class ComplexNetwork:
     """Feedforward complex network with a shared hidden activation."""
 
-    def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None):
+    def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None,
+                 activation=None):
+        """``activation`` is the hidden activation descriptor; it defaults to
+        the ``config.activation`` variant with its default settings."""
         self.config = config
-        self.activation = act.ACTIVATION_VARIANTS[config.activation]()
+        self.activation = (activation if activation is not None
+                           else act.ACTIVATION_VARIANTS[config.activation]())
         needs_dict = not isinstance(
             self.activation, (act.SplitActivation, act.PhaseAmplitudeActivation)
         )
@@ -492,7 +496,12 @@ def load_model(path):
             build_dictionary(dmeta["points_per_axis"], tuple(dmeta["axis_range"]))
             if dmeta else None
         )
-        model = ComplexNetwork(cfg, dictionary)
+        try:
+            activation = act.activation_from_spec(meta["activation"])
+        except (KeyError, TypeError, ParameterError) as exc:
+            raise CacheError(f"unusable activation spec {meta.get('activation')!r}: "
+                             f"{type(exc).__name__}: {exc}") from exc
+        model = ComplexNetwork(cfg, dictionary, activation)
     else:
         raise CacheError(f"unknown model kind {meta.get('kind')!r}")
     model.set_parameters(arrays)

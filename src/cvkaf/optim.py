@@ -1,4 +1,4 @@
-"""Adagrad over complex parameters, mini-batch training, and C grid search.
+"""Adagrad over complex parameters and mini-batch training with early stopping.
 
 Each complex parameter is treated as two real components with independent
 squared-gradient accumulators; the per-component update is
@@ -31,8 +31,6 @@ __all__ = [
     "TrainTrace",
     "train",
     "evaluate",
-    "grid_search_c",
-    "GridSearchResult",
     "write_trace_csv",
     "read_trace_csv",
 ]
@@ -83,7 +81,6 @@ class TrainConfig:
     max_iterations: int = 20000
     lr: float = 0.01
     epsilon: float = 1e-8
-    c_grid: tuple[float, ...] = (0.0, 1e-5, 1e-4, 1e-3)
     seed: int = 0
 
     def __post_init__(self):
@@ -91,8 +88,6 @@ class TrainConfig:
             raise ParameterError("batch_size, eval_every and max_iterations must be positive")
         if self.patience < 0:
             raise ParameterError("patience must be nonnegative")
-        if any(c < 0 for c in self.c_grid):
-            raise ParameterError("regularization grid entries must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -182,45 +177,6 @@ def train(
     trace.stop_reason = stop_reason
     model.set_parameters(best)
     return trace
-
-
-@dataclass
-class GridSearchResult:
-    best_c: float
-    val_accuracies: dict[float, float]
-    best_trace: TrainTrace
-    traces: dict[float, TrainTrace]
-
-
-def grid_search_c(
-    model_factory: Callable[[], object],
-    train_xy,
-    val_xy,
-    config: TrainConfig,
-    loss: str = "cross_entropy",
-) -> tuple[object, GridSearchResult]:
-    """Train one model per regularization weight; keep the best checkpoint.
-
-    Ties in validation accuracy go to the smaller C. The winning model is
-    returned as-trained (no retraining), ready for test evaluation.
-    """
-    if not config.c_grid:
-        raise ParameterError("c_grid must be nonempty")
-    accs: dict[float, TrainTrace] = {}
-    best_model, best_c, best_acc, best_trace = None, None, -1.0, None
-    for c in sorted(config.c_grid):
-        model = model_factory()
-        trace = train(model, train_xy, val_xy, config, TrainObjective(loss, c))
-        accs[c] = trace
-        if trace.best_val_accuracy > best_acc:
-            best_model, best_c, best_acc, best_trace = model, c, trace.best_val_accuracy, trace
-    result = GridSearchResult(
-        best_c=best_c,
-        val_accuracies={c: t.best_val_accuracy for c, t in accs.items()},
-        best_trace=best_trace,
-        traces=accs,
-    )
-    return best_model, result
 
 
 def write_trace_csv(trace: TrainTrace, path) -> None:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from cvkaf.cli import main
+from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
-from cvkaf.network import load_model
+from cvkaf.kernels import build_dictionary
+from cvkaf.network import _MODEL_MAGIC, _MODEL_VERSION, build_model, load_model, save_model
 from cvkaf.optim import evaluate, read_trace_csv
 
 from test_data import synthetic_raw
@@ -97,6 +99,11 @@ class TestTrain:
         model = load_model(run_dir / "model.cvkm")
         assert summary["val_accuracy"] == evaluate(model, *load_cached(tiny_cache).val_xy())
 
+    def test_complex_gaussian_model_is_parameter_error(self, tiny_cache, tmp_path):
+        rc = main(["train", "--cache", str(tiny_cache), "--model", "kaf_complex_gaussian",
+                   "--out", str(tmp_path / "run"), *TRAIN_FLAGS])
+        assert rc == 2
+
     def test_missing_cache_flag(self):
         assert main(["train", "--model", "wlkaf_case1"]) == 2
 
@@ -117,6 +124,22 @@ class TestEvaluate:
                    "--cache", str(tiny_cache), "--split", "val"])
         assert rc == 0
         assert "val accuracy:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", [
+        {"variant": "no_such_variant"},
+        {"variant": "kaf"},
+        {"variant": "wlkaf_case2", "q": 2, "omegas": [0.3]},
+    ])
+    def test_unusable_activation_spec_is_data_error(self, spec, tiny_cache, tmp_path):
+        ds = load_cached(tiny_cache)
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
+                                     hidden_widths=(8,), dictionary=build_dictionary(3)))
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta["activation"] = spec
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
+        assert rc == 3
 
     def test_bad_split_name(self, tiny_cache, tmp_path):
         rc = main(["evaluate", "--model-file", str(tmp_path / "nope.cvkm"),
@@ -152,6 +175,25 @@ class TestCompare:
         record = json.loads((out_dir / "comparison.json").read_text())
         per_c = record["models"]["real_nn"]["val_accuracy_per_c"]
         assert set(per_c) == {"0", "0.0001"}
+
+
+    def test_absurd_regularization_loses_to_zero(self, tiny_cache, tmp_path):
+        out_dir = tmp_path / "cmp"
+        rc = main(["compare", "--cache", str(tiny_cache), "--models", "wlkaf_case1",
+                   "--seeds", "0", "--c-grid", "1e6,0", "--out", str(out_dir),
+                   *TRAIN_FLAGS])
+        assert rc == 0
+        record = json.loads((out_dir / "comparison.json").read_text())
+        assert record["models"]["wlkaf_case1"]["best_c"] == 0.0
+
+    @pytest.mark.parametrize("flag, value", [("--c-grid", ""), ("--seeds", ""),
+                                             ("--c-grid", "0,-1e-4")])
+    def test_unusable_list_is_parameter_error(self, flag, value, tiny_cache, tmp_path):
+        argv = ["compare", "--cache", str(tiny_cache), "--models", "real_nn",
+                "--seeds", "0", "--c-grid", "0", "--out", str(tmp_path / "cmp"),
+                *TRAIN_FLAGS]
+        argv[argv.index(flag) + 1] = value
+        assert main(argv) == 2
 
 
 class TestGradcheckCommand:

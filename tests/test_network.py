@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cvkaf.activations import WlKafCase2Activation
 from cvkaf.cnum import complex_affine, finite_diff_cogradient
 from cvkaf.errors import CacheError, DimensionError, ParameterError, StateError
 from cvkaf.kernels import build_dictionary
@@ -300,6 +301,18 @@ class TestSerialization:
         assert type(restored) is type(model)
         for name, arr in model.parameters().items():
             np.testing.assert_array_equal(restored.parameters()[name], arr)
+        x = random_complex(rng, (3, 4))
+        np.testing.assert_array_equal(restored.predict_proba(x), model.predict_proba(x))
+
+    def test_activation_settings_survive_the_round_trip(self, tmp_path, rng):
+        activation = WlKafCase2Activation(2, (0.7, 0.2))
+        cfg = NetworkConfig(input_dim=4, hidden_widths=(5,), class_count=3,
+                            activation="wlkaf_case2", seed=3)
+        model = ComplexNetwork(cfg, build_dictionary(4), activation)
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        restored = load_model(path)
+        assert restored.activation == activation
         x = random_complex(rng, (3, 4))
         np.testing.assert_array_equal(restored.predict_proba(x), model.predict_proba(x))
 

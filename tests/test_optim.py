@@ -1,4 +1,4 @@
-"""Adagrad, the training loop with early stopping, and C grid search."""
+"""Adagrad and the training loop with early stopping."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from cvkaf.optim import (
     Adagrad,
     TrainConfig,
     evaluate,
-    grid_search_c,
     read_trace_csv,
     train,
     write_trace_csv,
@@ -254,41 +253,6 @@ class TestEvaluate:
         model = tiny_model()
         with pytest.raises(ParameterError):
             evaluate(model, np.zeros((0, 2), dtype=complex), np.zeros(0, dtype=int))
-
-
-class TestGridSearch:
-    def test_singleton_grid(self):
-        x, y = toy_separable(60)
-        config = TrainConfig(batch_size=10, patience=50, eval_every=25,
-                             max_iterations=100, seed=1, c_grid=(1e-4,))
-        model, result = grid_search_c(lambda: tiny_model(seed=1),
-                                      (x[:40], y[:40]), (x[40:], y[40:]), config)
-        assert result.best_c == 1e-4
-        assert list(result.val_accuracies) == [1e-4]
-
-    def test_absurd_regularization_loses(self):
-        x, y = toy_separable(120)
-        config = TrainConfig(batch_size=15, patience=150, eval_every=25,
-                             max_iterations=400, seed=2, c_grid=(0.0, 1e6))
-        model, result = grid_search_c(lambda: tiny_model(seed=3),
-                                      (x[:90], y[:90]), (x[90:], y[90:]), config)
-        assert result.best_c == 0.0
-        assert result.val_accuracies[0.0] >= result.val_accuracies[1e6]
-
-    def test_one_entry_per_grid_point(self):
-        x, y = toy_separable(60)
-        grid = (0.0, 1e-5, 1e-3)
-        config = TrainConfig(batch_size=10, patience=25, eval_every=25,
-                             max_iterations=50, seed=1, c_grid=grid)
-        _, result = grid_search_c(lambda: tiny_model(seed=1),
-                                  (x[:40], y[:40]), (x[40:], y[40:]), config)
-        assert sorted(result.val_accuracies) == sorted(grid)
-
-    def test_empty_grid_rejected(self):
-        x, y = toy_separable(60)
-        config = TrainConfig(c_grid=())
-        with pytest.raises(ParameterError):
-            grid_search_c(lambda: tiny_model(), (x[:40], y[:40]), (x[40:], y[40:]), config)
 
 
 class TestTraceCsv:
