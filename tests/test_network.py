@@ -7,7 +7,10 @@ from cvkaf.activations import WlKafCase2Activation
 from cvkaf.cnum import complex_affine, finite_diff_cogradient
 from cvkaf.errors import CacheError, DimensionError, ParameterError, StateError
 from cvkaf.kernels import build_dictionary
+from cvkaf.container import read_container, write_container
 from cvkaf.network import (
+    _MODEL_MAGIC,
+    _MODEL_VERSION,
     _PREDICT_BLOCK_ELEMENTS,
     ComplexNetwork,
     NetworkConfig,
@@ -315,6 +318,26 @@ class TestSerialization:
         assert restored.activation == activation
         x = random_complex(rng, (3, 4))
         np.testing.assert_array_equal(restored.predict_proba(x), model.predict_proba(x))
+
+    @pytest.mark.parametrize("doctor, error", [
+        ("narrower", DimensionError),  # one dictionary point short
+        ("missing", ParameterError),
+        ("renamed", ParameterError),
+    ])
+    def test_parameters_that_do_not_fit_the_config_are_rejected(self, doctor, error, tmp_path):
+        model = build_model("wlkaf_case2", input_dim=4, class_count=3, seed=2,
+                            hidden_widths=(5, 5), dictionary=build_dictionary(4))
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        alpha = arrays.pop("layer1.alpha")
+        if doctor == "narrower":
+            arrays["layer1.alpha"] = alpha[:, :-1]
+        elif doctor == "renamed":
+            arrays["layer1.alpha_"] = alpha
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        with pytest.raises(error):
+            load_model(path)
 
     def test_identical_models_identical_bytes(self, tmp_path):
         d = build_dictionary(4)
