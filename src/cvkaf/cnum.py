@@ -79,9 +79,15 @@ def backward_affine(
 
 
 def hermitian_norm_sq(w: np.ndarray) -> float:
-    """Return ``sum_i |w_i|^2`` as a real scalar."""
+    """Return ``sum_i |w_i|^2`` as a real scalar.
+
+    One pass over the float64 parts. ``einsum`` runs numpy's own loop, not
+    BLAS, so the sum does not depend on the BLAS thread count.
+    """
     w = np.asarray(w)
-    return float(np.sum(w.real**2 + w.imag**2)) if np.iscomplexobj(w) else float(np.sum(w**2))
+    dtype = np.complex128 if np.iscomplexobj(w) else np.float64
+    parts = np.ascontiguousarray(w, dtype=dtype).reshape(-1).view(np.float64)
+    return float(np.einsum("i,i->", parts, parts))
 
 
 def finite_diff_cogradient(

@@ -32,7 +32,9 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict[s
     blobs = []
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name])
-        entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape)})
+        # ascontiguousarray turns a 0-d array into shape (1,): record the original
+        shape = np.shape(arrays[name])
+        entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(shape)})
         blobs.append(arr)
     header = dict(meta)
     header["arrays"] = entries

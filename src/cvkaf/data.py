@@ -17,12 +17,23 @@ tie rule (ascending flat index) orders every pair. Selected indices keep
 their full-spectrum meaning, ``u * W + v``. The transform runs in chunks
 of 256 images (``_CHUNK``), so its temporaries stay a few megabytes
 whatever the dataset size.
+
+Each byte of the data path is held once. The IDX payload is decoded
+straight into its final array, the ranking gathers the training images a
+chunk at a time, and a :class:`ComplexDataset` keeps its rows in one
+block laid out as train, then validation, then test. Its index arrays
+must be exactly those consecutive ranges (checked on construction, and a
+cache that breaks the layout is a :class:`CacheError`), so the split
+accessors return read-only slices of that block, not copies.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
+import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,6 +61,7 @@ _LABEL_MAGIC = 2049
 _CACHE_MAGIC = b"CVKC"
 _CACHE_VERSION = 1
 _CHUNK = 256  # images per FFT batch: temporaries stay near cache size
+_READ_BLOCK = 1 << 20  # bytes per IDX read: bounds gzip's temporary bytes object
 
 
 @dataclass
@@ -69,39 +81,67 @@ class RawImageSet:
         return self.images.shape[0]
 
 
-def _open_maybe_gzip(path: Path):
-    with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
-
-
 def _read_idx(path, expected_magic: int) -> np.ndarray:
     path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"no such file: {path}")
-    with _open_maybe_gzip(path) as fh:
-        raw = fh.read()
-    if len(raw) < 4:
-        raise DataFormatError(f"{path}: truncated before magic number (offset 0)")
-    magic = struct.unpack(">i", raw[:4])[0]
-    if magic != expected_magic:
+    try:
+        with open(path, "rb") as fh:
+            gzipped = fh.read(2) == b"\x1f\x8b"
+            fh.seek(0)
+            if not gzipped:
+                return _decode_idx(path, fh, os.fstat(fh.fileno()).st_size, expected_magic)
+            with gzip.GzipFile(fileobj=fh) as gz:
+                return _decode_idx(path, gz, None, expected_magic)
+    except FileNotFoundError as exc:
+        raise DataFormatError(f"no such file: {path}") from exc
+    except (OSError, EOFError, zlib.error) as exc:  # unreadable file or corrupt gzip stream
+        raise DataFormatError(f"{path}: cannot read: {exc}") from exc
+
+
+def _decode_idx(path: Path, fh, size, expected_magic: int) -> np.ndarray:
+    """Decode one IDX stream into a new array; ``size`` is the file length if known.
+
+    The payload is read straight into its final array, so it is held once.
+    """
+    ndim = expected_magic % 256  # the low byte of an IDX magic number
+    header_end = 4 + 4 * ndim
+    head = fh.read(header_end)
+    magic = struct.unpack(">i", head[:4])[0] if len(head) >= 4 else None
+    if magic is not None and magic != expected_magic:
         raise DataFormatError(
             f"{path}: bad magic {magic} at offset 0, expected {expected_magic}"
         )
-    ndim = magic % 256
-    header_end = 4 + 4 * ndim
-    if len(raw) < header_end:
-        raise DataFormatError(f"{path}: truncated in dimension header (offset {len(raw)})")
-    dims = struct.unpack(f">{ndim}i", raw[4:header_end])
-    expected = int(np.prod(dims))
-    if len(raw) - header_end != expected:
+    if len(head) < header_end:
+        raise DataFormatError(f"{path}: truncated in the header (offset {len(head)})")
+    dims = struct.unpack(f">{ndim}i", head[4:])
+    if min(dims) < 0:
+        raise DataFormatError(f"{path}: negative dimension in {dims} at offset 4")
+    expected = math.prod(dims)  # Python integers: no wrap-around
+    if size is not None and size - header_end != expected:
         raise DataFormatError(
-            f"{path}: payload has {len(raw) - header_end} bytes at offset {header_end}, "
+            f"{path}: payload has {size - header_end} bytes at offset {header_end}, "
             f"expected {expected} for dims {dims}"
         )
-    return np.frombuffer(raw, dtype=np.uint8, offset=header_end).reshape(dims).copy()
+    try:
+        out = np.empty(dims, dtype=np.uint8)
+    except (ValueError, MemoryError) as exc:
+        raise DataFormatError(
+            f"{path}: dims {dims} at offset 4 cannot be allocated: {exc}"
+        ) from exc
+    view = memoryview(out.reshape(-1))
+    filled = 0
+    while filled < expected:
+        got = fh.readinto(view[filled:filled + _READ_BLOCK])
+        if not got:
+            raise DataFormatError(
+                f"{path}: payload truncated at offset {header_end + filled}, "
+                f"expected {expected} bytes for dims {dims}"
+            )
+        filled += got
+    if fh.read(1):
+        raise DataFormatError(
+            f"{path}: trailing bytes after the payload at offset {header_end + expected}"
+        )
+    return out
 
 
 def load_idx(images_path, labels_path) -> RawImageSet:
@@ -118,10 +158,21 @@ def load_idx(images_path, labels_path) -> RawImageSet:
                        class_count=int(labels.max()) + 1 if labels.size else 0)
 
 
-def _half_spectrum(images: np.ndarray) -> np.ndarray:
-    """DFT columns ``0..W//2`` of an (N, H, W) stack, as (N, H * (W//2 + 1))."""
-    imgs = np.asarray(images, dtype=np.float64)
-    return np.fft.rfft2(imgs).reshape(imgs.shape[0], -1)
+def _half_spectra(images: np.ndarray, rows: np.ndarray):
+    """DFT columns ``0..W//2`` of ``images[rows]``, one chunk at a time.
+
+    Yields ``(lo, spectrum)``: the half spectra of rows ``lo:lo + n`` as an
+    (n, H * (W//2 + 1)) array. The float64 pixel buffer is allocated once
+    for all chunks. Freed and allocated again per chunk, a buffer of this
+    size makes glibc return its pages to the system and fault them back in
+    on every chunk, in a process that has not yet freed a larger block.
+    """
+    _, h, w = images.shape
+    pixels = np.empty((min(_CHUNK, rows.shape[0]), h, w))
+    for lo in range(0, rows.shape[0], _CHUNK):
+        chunk = pixels[:min(_CHUNK, rows.shape[0] - lo)]
+        chunk[...] = images[rows[lo:lo + _CHUNK]]
+        yield lo, np.fft.rfft2(chunk).reshape(chunk.shape[0], -1)
 
 
 def _hermitian_map(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
@@ -140,9 +191,9 @@ def _hermitian_map(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return index, conj
 
 
-def _coefficients(images: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """Full-spectrum coefficients ``index``/``conj`` of an (N, H, W) stack."""
-    out = _half_spectrum(images)[:, index]
+def _coefficients(spectrum: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """Full-spectrum coefficients ``index``/``conj`` of (n, H * (W//2 + 1)) half spectra."""
+    out = spectrum[:, index]
     return np.conjugate(out, out=out, where=conj)
 
 
@@ -154,7 +205,8 @@ def fft2(image: np.ndarray) -> np.ndarray:
     """
     img = np.asarray(image, dtype=np.float64)
     h, w = img.shape
-    return _coefficients(img[None], *_hermitian_map(h, w)).reshape(h, w)
+    _, spectrum = next(_half_spectra(img[None], np.array([0])))
+    return _coefficients(spectrum, *_hermitian_map(h, w)).reshape(h, w)
 
 
 def naive_dft2(image: np.ndarray) -> np.ndarray:
@@ -172,21 +224,25 @@ def naive_dft2(image: np.ndarray) -> np.ndarray:
     return out
 
 
-def rank_and_select(train_images: np.ndarray, k: int) -> np.ndarray:
-    """Top-k flat coefficient indices by training-set mean |DFT coefficient|.
+def rank_and_select(images: np.ndarray, k: int, rows=None) -> np.ndarray:
+    """Top-k flat coefficient indices by mean |DFT coefficient| over ``images[rows]``.
 
-    Ordering is strictly decreasing in the mean magnitude with ties broken
-    by ascending flat index, so the selection is fully deterministic. Both
-    members of a conjugate pair take the mean of one half-spectrum entry,
-    so they tie exactly and the lower flat index comes first.
+    ``rows`` selects the training images (all of ``images`` if omitted);
+    they are gathered one chunk at a time, never as one copy. Ordering is
+    strictly decreasing in the mean magnitude with ties broken by ascending
+    flat index, so the selection is fully deterministic. Both members of a
+    conjugate pair take the mean of one half-spectrum entry, so they tie
+    exactly and the lower flat index comes first.
     """
-    imgs = np.asarray(train_images)
-    n, h, w = imgs.shape
+    imgs = np.asarray(images)
+    _, h, w = imgs.shape
+    rows = np.arange(imgs.shape[0]) if rows is None else np.asarray(rows)
+    n = rows.shape[0]
     if not 1 <= k <= h * w:
         raise ParameterError(f"k must lie in [1, {h * w}], got {k}")
     total = np.zeros(h * (w // 2 + 1), dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        total += np.abs(_half_spectrum(imgs[lo:lo + _CHUNK])).sum(axis=0)
+    for _, spectrum in _half_spectra(imgs, rows):
+        total += np.abs(spectrum).sum(axis=0)
     index, _ = _hermitian_map(h, w)
     means = total[index] / n
     order = np.lexsort((np.arange(h * w), -means))
@@ -197,9 +253,13 @@ def rank_and_select(train_images: np.ndarray, k: int) -> np.ndarray:
 class ComplexDataset:
     """Complex features with split bookkeeping and scaling constants.
 
-    ``features`` holds only the rows that belong to some split; the three
-    index arrays address rows of ``features``. ``source_indices`` maps each
-    row back to its image in the original set.
+    ``features`` holds only the rows that belong to some split, laid out
+    as the training rows, then the validation rows, then the test rows.
+    The three index arrays address rows of ``features`` and must be exactly
+    those consecutive ranges; this layout is checked on construction, so
+    ``train_xy``/``val_xy``/``test_xy`` return slices of ``features`` and
+    ``labels`` (views, marked read-only) instead of copies.
+    ``source_indices`` maps each row back to its image in the original set.
     """
 
     features: np.ndarray  # (N_used, K) complex128, standardized
@@ -215,12 +275,33 @@ class ComplexDataset:
     source_indices: np.ndarray
     seed: int
 
+    def __post_init__(self):
+        lo = 0
+        for name in ("idx_train", "idx_val", "idx_test"):
+            rows = np.asarray(getattr(self, name))
+            if not np.array_equal(rows, np.arange(lo, lo + rows.size)):
+                raise DataFormatError(
+                    f"{name} is not the consecutive row range starting at {lo}"
+                )
+            lo += rows.size
+        if self.features.ndim != 2 or self.features.shape[0] != lo \
+                or self.labels.shape != (lo,):
+            raise DataFormatError(
+                f"features {self.features.shape} and labels {self.labels.shape} "
+                f"do not hold the {lo} rows of the three splits"
+            )
+        if lo and not 0 <= self.labels.min() <= self.labels.max() < self.class_count:
+            raise DataFormatError(f"labels fall outside [0, {self.class_count})")
+
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
     def _xy(self, rows: np.ndarray):
-        return self.features[rows], self.labels[rows]
+        lo = int(rows[0]) if rows.size else 0
+        x, y = self.features[lo:lo + rows.size], self.labels[lo:lo + rows.size]
+        x.flags.writeable = y.flags.writeable = False
+        return x, y
 
     def train_xy(self):
         return self._xy(self.idx_train)
@@ -268,15 +349,14 @@ def build_complex_dataset(
     src = perm[: n_train + n_val + n_test]
     train_src = src[:n_train]
 
-    selected = rank_and_select(raw.images[train_src], k)
+    selected = rank_and_select(raw.images, k, train_src)
 
     h, w = raw.images.shape[1], raw.images.shape[2]
     index, conj = _hermitian_map(h, w)
     index, conj = index[selected], conj[selected]
     features = np.empty((src.shape[0], k), dtype=np.complex128)
-    for lo in range(0, src.shape[0], _CHUNK):
-        rows = src[lo:lo + _CHUNK]
-        features[lo:lo + rows.shape[0]] = _coefficients(raw.images[rows], index, conj)
+    for lo, spectrum in _half_spectra(raw.images, src):
+        features[lo:lo + spectrum.shape[0]] = _coefficients(spectrum, index, conj)
 
     train = features[:n_train]  # a view: the training rows come first
     mean = train.mean(axis=0)
@@ -289,7 +369,7 @@ def build_complex_dataset(
 
     return ComplexDataset(
         features=features,
-        labels=raw.labels[src].astype(np.int64),
+        labels=raw.labels[src].astype(np.int64, copy=False),
         class_count=raw.class_count,
         selected_indices=selected,
         idx_train=np.arange(n_train, dtype=np.int64),
@@ -343,6 +423,8 @@ def load_cached(path) -> ComplexDataset:
         )
     except KeyError as exc:
         raise CacheError(f"{path} is missing field {exc}; rebuild the cache") from exc
+    except DataFormatError as exc:
+        raise CacheError(f"{path}: {exc}; rebuild the cache") from exc
 
 
 # Conventional file names per dataset, resolved under <data_dir>/<dataset>/.

@@ -41,6 +41,7 @@ __all__ = [
     "complex_softmax",
     "squared_loss",
     "cross_entropy",
+    "regularize",
     "build_model",
     "save_model",
     "load_model",
@@ -96,6 +97,21 @@ def cross_entropy(p, label: int) -> float:
     if not 0 <= int(label) < p.shape[-1]:
         raise IndexError(f"label {label} out of range for {p.shape[-1]} classes")
     return float(-np.log(max(float(p[int(label)]), _P_FLOOR)))
+
+
+def regularize(params: dict[str, np.ndarray], c: float, grads=None) -> float:
+    """The parameter-norm penalty ``c * sum_w ||w||^2`` over ``params``.
+
+    With ``grads``, also adds the penalty's cogradient ``2c * w`` to each
+    gradient array in place; those arrays must be fresh, as ``backward``
+    returns them. Both network classes use this one rule.
+    """
+    if c == 0:
+        return 0.0
+    if grads is not None:
+        for name, w in params.items():
+            grads[name] += 2.0 * c * w
+    return c * sum(hermitian_norm_sq(w) for w in params.values())
 
 
 @dataclass(frozen=True)
@@ -311,7 +327,8 @@ class ComplexNetwork:
     def objective(self, x: np.ndarray, labels, objective: TrainObjective) -> float:
         """Mean data loss over the batch plus the weighted parameter norm."""
         logits, _ = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)))
-        value = self._data_loss(logits, labels, objective)[0] + self._reg_value(objective)
+        value = self._data_loss(logits, labels, objective)[0]
+        value += regularize(self._params, objective.reg_weight)
         self._check_finite(value)
         return value
 
@@ -321,13 +338,9 @@ class ComplexNetwork:
         x = np.atleast_2d(np.asarray(x, dtype=np.complex128))
         logits, cache = self.forward(x)
         data_loss, g_logits = self._data_loss(logits, labels, objective)
-        value = data_loss + self._reg_value(objective)
-        self._check_finite(value)
         grads = self.backward(g_logits, cache)
-        c = objective.reg_weight
-        if c > 0:
-            for name, arr in self._params.items():
-                grads[name] = grads[name] + 2.0 * c * arr
+        value = data_loss + regularize(self._params, objective.reg_weight, grads)
+        self._check_finite(value)
         return value, grads
 
     def _data_loss(self, logits, labels, objective: TrainObjective):
@@ -349,12 +362,6 @@ class ComplexNetwork:
         r = logits - y
         loss = float(np.sum(r.real**2 + r.imag**2) / n)
         return loss, 2.0 * r / n
-
-    def _reg_value(self, objective: TrainObjective) -> float:
-        c = objective.reg_weight
-        if c == 0:
-            return 0.0
-        return c * sum(hermitian_norm_sq(arr) for arr in self._params.values())
 
     def _check_finite(self, value: float) -> None:
         if np.isfinite(value):
@@ -419,10 +426,7 @@ class RealBaselineNetwork:
         n = p.shape[0]
         labels = np.asarray(labels, dtype=np.intp)
         loss = float(-np.log(np.clip(p[np.arange(n), labels], _P_FLOOR, None)).mean())
-        c = objective.reg_weight
-        if c > 0:
-            loss += c * sum(float(np.sum(a**2)) for a in self._params.values())
-        return loss
+        return loss + regularize(self._params, objective.reg_weight)
 
     def loss_and_grads(self, x, labels, objective: TrainObjective):
         logits, cache = self.forward(x)
@@ -444,11 +448,7 @@ class RealBaselineNetwork:
             grads[f"layer{i}.b"] = g.sum(axis=0)
             if i > 0:
                 g = (g @ self._params[f"layer{i}.W"]) * (cache["pres"][i - 1] > 0)
-        c = objective.reg_weight
-        if c > 0:
-            loss += c * sum(float(np.sum(a**2)) for a in self._params.values())
-            for name, arr in self._params.items():
-                grads[name] = grads[name] + 2.0 * c * arr
+        loss += regularize(self._params, objective.reg_weight, grads)
         if not np.isfinite(loss):
             raise NumericError(f"objective is {loss!r}")
         return loss, grads

@@ -147,6 +147,19 @@ class TestEvaluate:
                    "--cache", str(tiny_cache), "--split", "holdout"])
         assert rc == 2
 
+    def test_cache_with_rows_outside_the_split_layout_is_data_error(self, tiny_cache, tmp_path):
+        ds = load_cached(tiny_cache)
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
+                                     hidden_widths=(8,), dictionary=build_dictionary(3)))
+        meta, arrays = read_container(tiny_cache, data._CACHE_MAGIC, data._CACHE_VERSION)
+        arrays["idx_val"], arrays["idx_test"] = arrays["idx_test"], arrays["idx_val"]
+        write_container(tiny_cache, data._CACHE_MAGIC, data._CACHE_VERSION, meta, arrays)
+        for split in ("val", "test"):
+            rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache),
+                       "--split", split])
+            assert rc == 3
+
 
 class TestCompare:
     def test_table_covers_all_variants_including_failures(

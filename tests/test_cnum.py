@@ -1,5 +1,7 @@
 """Complex affine algebra, the gradient convention, and the FD oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,16 @@ class TestHermitianNormSq:
 
     def test_real_array_accepted(self):
         assert hermitian_norm_sq(np.array([3.0, 4.0])) == 25.0
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.int32])
+    def test_matches_exact_sum_at_the_paper_shape(self, dtype, rng):
+        w = random_complex(rng, (100, 100), scale=30.0)
+        if not np.issubdtype(dtype, np.complexfloating):
+            w = w.real
+        w = w.astype(dtype).T  # not C-contiguous
+        parts = np.concatenate([w.real.ravel(), np.imag(w).ravel()])
+        exact = math.fsum(float(v) ** 2 for v in parts)
+        assert hermitian_norm_sq(w) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 class TestFiniteDiffCogradient:

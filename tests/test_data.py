@@ -1,12 +1,16 @@
 """IDX parsing, the FFT feature pipeline, splits, and the dataset cache."""
 
+import dataclasses
 import gzip
 import struct
 
 import numpy as np
 import pytest
 
+from cvkaf.container import read_container, write_container
 from cvkaf.data import (
+    _CACHE_MAGIC,
+    _CACHE_VERSION,
     RawImageSet,
     build_complex_dataset,
     cache_dataset,
@@ -96,6 +100,47 @@ class TestLoadIdx:
         with pytest.raises(DataFormatError, match="no such file"):
             load_idx(tmp_path / "nope", tmp_path / "nope2")
 
+    def test_images_are_writable_and_own_their_memory(self, idx_pair):
+        loaded = load_idx(*idx_pair[:2])
+        assert loaded.images.flags.writeable and loaded.images.flags.owndata
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_every_truncation_fails_closed(self, compress, idx_pair, tmp_path):
+        img_path, lbl_path, *_ = idx_pair
+        raw = img_path.read_bytes()
+        if compress:
+            raw = gzip.compress(raw, mtime=0)
+        clipped = tmp_path / "clipped"
+        for size in range(len(raw)):
+            clipped.write_bytes(raw[:size])
+            with pytest.raises(DataFormatError):
+                load_idx(clipped, lbl_path)
+
+    @pytest.mark.parametrize("where", ["plain", "gzip payload", "after gzip stream"])
+    def test_appended_byte_fails_closed(self, where, idx_pair, tmp_path):
+        img_path, lbl_path, *_ = idx_pair
+        raw = img_path.read_bytes()
+        longer = {
+            "plain": raw + b"\0",
+            "gzip payload": gzip.compress(raw + b"\0", mtime=0),
+            # zero bytes after a gzip member are padding that gzip allows
+            "after gzip stream": gzip.compress(raw, mtime=0) + b"\1",
+        }[where]
+        bad = tmp_path / "longer"
+        bad.write_bytes(longer)
+        with pytest.raises(DataFormatError):
+            load_idx(bad, lbl_path)
+
+    @pytest.mark.parametrize("dims", [(2**31 - 1,) * 3, (2, -1, 4)])
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    def test_impossible_dims_fail_closed(self, dims, compress, idx_pair, tmp_path):
+        _, lbl_path, *_ = idx_pair
+        raw = struct.pack(">iiii", 2051, *dims) + bytes(24)
+        bad = tmp_path / "huge"
+        bad.write_bytes(gzip.compress(raw, mtime=0) if compress else raw)
+        with pytest.raises(DataFormatError, match="offset"):
+            load_idx(bad, lbl_path)
+
 
 class TestFft2:
     def test_constant_image(self):
@@ -176,6 +221,14 @@ class TestRankAndSelect:
         imgs = np.ones((2, 2, 2), dtype=np.uint8)
         sel = rank_and_select(imgs, 4)
         np.testing.assert_array_equal(sel, [0, 1, 2, 3])
+
+    def test_rows_rank_exactly_like_their_gathered_copy(self, rng):
+        imgs = rng.integers(0, 256, size=(700, 4, 5)).astype(np.uint8)
+        rows = rng.permutation(700)[:600]  # more than two chunks of 256
+        np.testing.assert_array_equal(rank_and_select(imgs, 20, rows),
+                                      rank_and_select(imgs[rows], 20))
+        np.testing.assert_array_equal(rank_and_select(imgs, 20),
+                                      rank_and_select(imgs, 20, np.arange(700)))
 
     def test_rejects_out_of_range_k(self, rng):
         imgs = rng.integers(0, 9, size=(2, 2, 2)).astype(np.uint8)
@@ -259,6 +312,67 @@ class TestBuildComplexDataset:
             build_complex_dataset(synthetic_raw(10), k=4, split_counts=(8, 2, 4), seed=0)
 
 
+class TestSplitViews:
+    @pytest.mark.parametrize("loaded", [False, True], ids=["built", "cached"])
+    def test_splits_are_read_only_views_of_the_rows(self, loaded, tmp_path):
+        ds = build_complex_dataset(synthetic_raw(50), k=7, seed=6)
+        if loaded:
+            cache_dataset(ds, tmp_path / "ds.cvkc")
+            ds = load_cached(tmp_path / "ds.cvkc")
+        for rows, (x, y) in ((ds.idx_train, ds.train_xy()), (ds.idx_val, ds.val_xy()),
+                             (ds.idx_test, ds.test_xy())):
+            np.testing.assert_array_equal(x, ds.features[rows])
+            np.testing.assert_array_equal(y, ds.labels[rows])
+            assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
+            with pytest.raises(ValueError, match="read-only"):
+                x[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                y[0] = 0
+        assert ds.features.flags.writeable and ds.labels.flags.writeable
+
+    @pytest.mark.parametrize("label", [-1, 4])
+    def test_labels_outside_the_classes_are_rejected(self, label, tmp_path):
+        ds = build_complex_dataset(synthetic_raw(50, classes=4), k=7, seed=6)
+        path = tmp_path / "ds.cvkc"
+        cache_dataset(ds, path)
+        meta, arrays = read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
+        arrays["labels"][-1] = label
+        write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
+        with pytest.raises(CacheError, match="labels"):
+            load_cached(path)
+
+    @pytest.mark.parametrize("doctor", [
+        lambda ds: {"idx_val": ds.idx_test, "idx_test": ds.idx_val},
+        lambda ds: {"idx_train": ds.idx_train[::-1].copy()},
+        lambda ds: {"idx_test": ds.idx_test[:-1]},  # the last row in no split
+    ], ids=["swapped", "reversed", "short"])
+    def test_rows_outside_the_layout_are_rejected(self, doctor, tmp_path):
+        ds = build_complex_dataset(synthetic_raw(50), k=7, seed=6)
+        doctored = doctor(ds)
+        with pytest.raises(DataFormatError):
+            dataclasses.replace(ds, **doctored)
+        path = tmp_path / "ds.cvkc"
+        cache_dataset(ds, path)
+        meta, arrays = read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
+        arrays.update(doctored)
+        write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
+        with pytest.raises(CacheError, match="rebuild"):
+            load_cached(path)
+
+
+class TestContainer:
+    @pytest.mark.parametrize("value", [np.array(-2.5e-300), np.array(3.25 - 1e300j)],
+                             ids=["float64", "complex128"])
+    def test_zero_dim_arrays_round_trip(self, value, tmp_path):
+        path = tmp_path / "scalar.cvkc"
+        write_container(path, b"TEST", 1, {"note": "x"}, {"v": value, "w": value[None]})
+        meta, arrays = read_container(path, b"TEST", 1)
+        assert meta == {"note": "x"}
+        for name, expected in (("v", value), ("w", value[None])):
+            assert arrays[name].shape == expected.shape and arrays[name].dtype == expected.dtype
+            assert arrays[name].tobytes() == expected.tobytes()
+
+
 class TestCache:
     def test_roundtrip_bit_exact(self, tmp_path):
         ds = build_complex_dataset(synthetic_raw(50), k=7, seed=6)
@@ -305,6 +419,22 @@ class TestCache:
         path.write_bytes(path.read_bytes() + b"\0")
         with pytest.raises(CacheError, match="trailing"):
             load_cached(path)
+
+    @pytest.mark.parametrize("mask", [0x01, 0xFF])
+    def test_every_corrupted_byte_loads_or_fails_closed(self, mask, tmp_path):
+        path = tmp_path / "ds.cvkc"
+        cache_dataset(build_complex_dataset(synthetic_raw(20, h=4, w=4), k=2, seed=0), path)
+        raw = path.read_bytes()
+        failures = 0
+        for offset in range(len(raw)):
+            corrupt = bytearray(raw)
+            corrupt[offset] ^= mask
+            path.write_bytes(bytes(corrupt))
+            try:
+                load_cached(path)
+            except CacheError:
+                failures += 1
+        assert 0 < failures < len(raw)
 
     def test_loaded_arrays_are_writable_and_separate(self, tmp_path):
         path = tmp_path / "ds.cvkc"

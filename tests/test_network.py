@@ -20,6 +20,7 @@ from cvkaf.network import (
     complex_softmax,
     cross_entropy,
     load_model,
+    regularize,
     save_model,
     softmax_from_squared_magnitudes,
     squared_loss,
@@ -241,6 +242,38 @@ class TestObjectiveAndBackward:
         net.bump_version()
         with pytest.raises(StateError):
             net.backward(np.zeros_like(logits), cache)
+
+
+class TestRegularizer:
+    @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case2"])
+    def test_one_rule_for_value_and_gradient(self, variant, rng):
+        net = build_model(variant, 5, 3, seed=4, hidden_widths=(6, 6),
+                          dictionary=build_dictionary(4))
+        x = random_complex(rng, (7, 5))
+        y = rng.integers(0, 3, size=7)
+        c = 3e-3
+        loss0, grads0 = net.loss_and_grads(x, y, TrainObjective("cross_entropy", 0.0))
+        loss, grads = net.loss_and_grads(x, y, TrainObjective("cross_entropy", c))
+        params = net.parameters()
+        penalty = c * sum(np.vdot(w, w).real for w in params.values())
+        assert loss - loss0 == pytest.approx(penalty, rel=1e-12)
+        assert net.objective(x, y, TrainObjective("cross_entropy", c)) == loss
+        for name, w in params.items():
+            # bit for bit the data gradient plus 2c * w
+            assert (grads[name] == grads0[name] + 2.0 * c * w).all()
+
+    def test_adds_in_place_and_skips_zero_weight(self, rng):
+        params = {"a": random_complex(rng, (3, 4)), "b": rng.normal(size=5)}
+        grads = {name: np.ones_like(w) for name, w in params.items()}
+        held = dict(grads)
+        assert regularize(params, 0.0, grads) == 0.0
+        assert all((g == 1).all() for g in grads.values())
+        value = regularize(params, 0.5, grads)
+        assert value == pytest.approx(0.5 * sum(np.vdot(w, w).real for w in params.values()),
+                                      rel=1e-12)
+        for name, w in params.items():
+            assert grads[name] is held[name]
+            assert (grads[name] == 1 + 2.0 * 0.5 * w).all()
 
 
 class TestRealBaseline:
