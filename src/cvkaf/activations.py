@@ -45,8 +45,6 @@ from .errors import NumericError, ParameterError
 from .kernels import Dictionary
 
 __all__ = [
-    "split_activation",
-    "phase_amplitude",
     "kaf_forward",
     "wlkaf_forward_case1",
     "wlkaf_forward_case2",
@@ -67,24 +65,6 @@ _SPLIT_FUNCS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
     "identity": (lambda a: a, lambda a: np.ones_like(a)),
 }
-
-
-def split_activation(z, g_r="tanh"):
-    """Apply a real nonlinearity to real and imaginary parts separately."""
-    fn = _SPLIT_FUNCS[g_r][0] if isinstance(g_r, str) else g_r
-    z = np.asarray(z, dtype=np.complex128)
-    return fn(z.real) + 1j * fn(z.imag)
-
-
-def phase_amplitude(z):
-    """Squash the magnitude with tanh while preserving the phase.
-
-    Defined as 0 at the origin, which is the continuous extension since
-    tanh(0) annihilates the (undefined) phase factor.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    r = np.abs(z)
-    return z * _tanh_over_r(r)
 
 
 def kaf_forward(z, alpha, dictionary: Dictionary, kernel, gamma):

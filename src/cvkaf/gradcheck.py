@@ -35,8 +35,11 @@ _ABS_FLOOR = 1e-3  # denominator floor: 1e-8 absolute at the 1e-5 threshold
 
 @dataclass
 class GradcheckReport:
+    """Worst normalized error per parameter group of one variant, over
+    ``seeds`` seeds."""
+
     variant: str
-    seed: int
+    seeds: int = 1
     worst_by_group: dict[str, float] = field(default_factory=dict)
     tolerance: float = DEFAULT_TOLERANCE
 
@@ -48,9 +51,19 @@ class GradcheckReport:
     def passed(self) -> bool:
         return self.worst <= self.tolerance
 
+    def note(self, group: str, err: float) -> None:
+        """Keep ``err`` if it is the worst seen for ``group``."""
+        self.worst_by_group[group] = max(self.worst_by_group.get(group, 0.0), err)
+
+    def fold(self, other: "GradcheckReport") -> None:
+        """Add the report of another seed of the same variant."""
+        self.seeds += other.seeds
+        for group, err in other.worst_by_group.items():
+            self.note(group, err)
+
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"
-        out = [f"[{status}] {self.variant} seed={self.seed} worst={self.worst:.3e}"]
+        out = [f"[{status}] {self.variant:<20} worst={self.worst:.3e} over {self.seeds} seeds"]
         for group, err in sorted(self.worst_by_group.items()):
             mark = "" if err <= self.tolerance else "  <-- exceeds tolerance"
             out.append(f"    {group:<18} {err:.3e}{mark}")
@@ -86,7 +99,7 @@ def gradcheck_variant(
     objective = TrainObjective("cross_entropy", reg_weight)
 
     _, grads = model.loss_and_grads(x, y, objective)
-    report = GradcheckReport(variant=variant, seed=seed, tolerance=tolerance)
+    report = GradcheckReport(variant, tolerance=tolerance)
     for name, arr in model.parameters().items():
         original = arr.copy()
 
@@ -99,6 +112,5 @@ def gradcheck_variant(
         err = float(np.max(
             np.abs(grads[name] - numeric) / np.maximum(np.abs(numeric), _ABS_FLOOR)
         ))
-        group = name.split(".", 1)[1]
-        report.worst_by_group[group] = max(report.worst_by_group.get(group, 0.0), err)
+        report.note(name.split(".", 1)[1], err)
     return report

@@ -1,23 +1,27 @@
-"""Network assembly, output layer, losses, and the regularized objective.
+"""Network assembly, the softmax cross-entropy rule and the regularized objective.
 
 A complex network is a chain of affine layers with a shared hidden
 activation descriptor; the final affine emits raw complex logits which a
 softmax over squared magnitudes turns into class probabilities. The real
 baseline is a conventional MLP fed the concatenated real and imaginary
-parts of the input.
+parts of the input, with a softmax over its logits.
 
-Both network classes expose the same training surface: ``parameters()``
-returning an ordered name->array dict (arrays mutated in place by the
-optimizer), ``loss_and_grads`` for one objective evaluation with full
-cogradients, and ``predict_proba``. Forward caches are tied to a parameter
-version counter so a backward pass against a mutated network fails loudly
-instead of silently using stale intermediates.
+Both network classes share one training surface, :class:`_Network`:
+``parameters()`` returning an ordered name->array dict (arrays mutated in
+place by the optimizer), ``objective`` and ``loss_and_grads`` for one
+evaluation of the regularized cross-entropy (the latter with full
+cogradients), and ``predict_proba``. Each class supplies only its
+``forward``, its ``backward`` and its map from logits to softmax scores;
+:func:`softmax_cross_entropy` and :func:`regularize` are the one loss and
+the one penalty rule. Forward caches are tied to a parameter version
+counter so a backward pass against a mutated network fails loudly instead
+of silently using stale intermediates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -39,8 +43,7 @@ __all__ = [
     "ComplexNetwork",
     "RealBaselineNetwork",
     "complex_softmax",
-    "squared_loss",
-    "cross_entropy",
+    "softmax_cross_entropy",
     "regularize",
     "build_model",
     "save_model",
@@ -61,6 +64,10 @@ _P_FLOOR = 1e-12  # probability clamp inside the cross-entropy
 _PREDICT_BLOCK_ELEMENTS = 51200
 
 
+def _squared_magnitudes(h: np.ndarray) -> np.ndarray:
+    return h.real**2 + h.imag**2
+
+
 def complex_softmax(h) -> np.ndarray:
     """Class probabilities proportional to ``exp(|h_n|^2)``.
 
@@ -68,35 +75,37 @@ def complex_softmax(h) -> np.ndarray:
     exponentiation; the shift cancels in the normalization, so the output
     is invariant to it (and to any per-component phase rotation of ``h``).
     """
-    h = np.asarray(h, dtype=np.complex128)
-    s = h.real**2 + h.imag**2
-    return softmax_from_squared_magnitudes(s)
+    return softmax_from_squared_magnitudes(
+        _squared_magnitudes(np.asarray(h, dtype=np.complex128)))
 
 
 def softmax_from_squared_magnitudes(s) -> np.ndarray:
+    """The softmax over the last axis of the scores ``s``: squared
+    magnitudes for the complex network, logits for the real baseline."""
     s = np.asarray(s, dtype=np.float64)
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def squared_loss(y, y_hat) -> float:
-    """Hermitian quadratic loss ``(y - y_hat)^H (y - y_hat)``."""
-    y = np.asarray(y, dtype=np.complex128)
-    y_hat = np.asarray(y_hat, dtype=np.complex128)
-    if y.shape != y_hat.shape:
-        raise DimensionError(f"length mismatch: {y.shape} vs {y_hat.shape}")
-    r = y - y_hat
-    return float(np.sum(r.real**2 + r.imag**2))
+def softmax_cross_entropy(scores: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy of the softmax over ``scores`` (rows, classes).
 
-
-def cross_entropy(p, label: int) -> float:
-    """Negative log probability of the true class, clamped below 1e-12."""
-    p = np.asarray(p, dtype=np.float64)
-    if abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ParameterError(f"probabilities sum to {p.sum():.12f}, not 1")
-    if not 0 <= int(label) < p.shape[-1]:
-        raise IndexError(f"label {label} out of range for {p.shape[-1]} classes")
-    return float(-np.log(max(float(p[int(label)]), _P_FLOOR)))
+    Returns the loss, with each probability clamped below at 1e-12 inside
+    the log, and its gradient ``p - onehot`` with respect to each row's
+    scores, not yet divided by the row count. A label outside
+    ``[0, classes)`` raises ``IndexError``. Both network classes use this
+    one rule.
+    """
+    labels = np.asarray(labels, dtype=np.intp)
+    p = softmax_from_squared_magnitudes(scores)
+    n, classes = p.shape
+    if np.any(labels < 0) or np.any(labels >= classes):
+        raise IndexError(f"label out of range for {classes} classes")
+    rows = np.arange(n)
+    loss = float(-np.log(np.clip(p[rows, labels], _P_FLOOR, None)).mean())
+    onehot = np.zeros_like(p)
+    onehot[rows, labels] = 1.0
+    return loss, p - onehot
 
 
 def regularize(params: dict[str, np.ndarray], c: float, grads=None) -> float:
@@ -116,14 +125,14 @@ def regularize(params: dict[str, np.ndarray], c: float, grads=None) -> float:
 
 @dataclass(frozen=True)
 class TrainObjective:
-    """Loss choice plus the weight of the parameter-norm regularizer."""
+    """The softmax cross-entropy plus the weight of the parameter-norm regularizer."""
 
-    loss: str = "cross_entropy"  # or "squared_error"
+    loss: str = "cross_entropy"  # the only loss
     reg_weight: float = 0.0
 
     def __post_init__(self):
-        if self.loss not in ("cross_entropy", "squared_error"):
-            raise ParameterError(f"unknown loss {self.loss!r}")
+        if self.loss != "cross_entropy":
+            raise ParameterError(f"unknown loss {self.loss!r}; only 'cross_entropy' is defined")
         if self.reg_weight < 0:
             raise ParameterError("regularization weight must be nonnegative")
 
@@ -145,7 +154,106 @@ class NetworkConfig:
             raise ParameterError(f"hidden widths must be positive, got {self.hidden_widths}")
 
 
-class ComplexNetwork:
+class _Network:
+    """The training surface both network classes share.
+
+    A subclass sets ``config``, ``dictionary``, ``_params`` and ``_version``,
+    and supplies ``forward`` (inputs to logits plus a cache), ``backward``
+    (logit cogradient plus cache to parameter gradients), ``_scores`` (logits
+    to the scores the softmax runs over) and ``_chain_scores`` (a gradient
+    with respect to the scores to one with respect to the logits).
+    """
+
+    # -- parameter plumbing -------------------------------------------------
+
+    def parameters(self) -> dict[str, np.ndarray]:
+        """Live (mutable) name->array view of every trainable parameter."""
+        return self._params
+
+    @property
+    def version(self) -> int:
+        return self._version
+
+    def bump_version(self) -> None:
+        """Invalidate outstanding forward caches after in-place updates."""
+        self._version += 1
+
+    def set_parameters(self, values: dict[str, np.ndarray]) -> None:
+        if set(values) != set(self._params):
+            raise ParameterError("parameter name sets differ")
+        for name, arr in values.items():
+            if arr.shape != self._params[name].shape:
+                raise DimensionError(f"shape mismatch for {name}")
+            self._params[name][...] = arr
+        self.bump_version()
+
+    def snapshot(self) -> dict[str, np.ndarray]:
+        return {name: arr.copy() for name, arr in self._params.items()}
+
+    def _check_cache(self, cache: dict) -> None:
+        if cache.get("version") != self._version:
+            raise StateError("forward cache is stale: parameters changed since forward()")
+
+    # -- prediction ----------------------------------------------------------
+
+    def _predict_block_rows(self) -> int:
+        """Rows per forward block in :meth:`predict_proba`."""
+        m = self.dictionary.points_per_axis if self.dictionary is not None else 1
+        return max(1, _PREDICT_BLOCK_ELEMENTS // (max(self.config.hidden_widths, default=1) * m))
+
+    def _proba(self, x: np.ndarray) -> np.ndarray:
+        return softmax_from_squared_magnitudes(self._scores(self.forward(x)[0]))
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Class probabilities, from a forward pass over consecutive row blocks.
+
+        Peak memory is bounded by one block, not by the number of rows.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim < 2:
+            return self._proba(x)
+        rows = self._predict_block_rows()
+        # a 0-row input still runs one empty block, giving shape (0, classes)
+        return np.concatenate([self._proba(x[lo:lo + rows])
+                               for lo in range(0, max(x.shape[0], 1), rows)])
+
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return np.argmax(self.predict_proba(x), axis=-1)
+
+    # -- objective -----------------------------------------------------------
+
+    def objective(self, x: np.ndarray, labels, objective: TrainObjective) -> float:
+        """Mean cross-entropy over the batch plus the weighted parameter norm."""
+        logits, _ = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)))
+        value = softmax_cross_entropy(self._scores(logits), labels)[0]
+        value += regularize(self._params, objective.reg_weight)
+        self._check_finite(value)
+        return value
+
+    def loss_and_grads(
+        self, x: np.ndarray, labels, objective: TrainObjective
+    ) -> tuple[float, dict[str, np.ndarray]]:
+        """:meth:`objective` and its cogradient for every parameter."""
+        logits, cache = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)))
+        data_loss, g_scores = softmax_cross_entropy(self._scores(logits), labels)
+        grads = self.backward(self._chain_scores(g_scores, logits) / logits.shape[0], cache)
+        value = data_loss + regularize(self._params, objective.reg_weight, grads)
+        self._check_finite(value)
+        return value, grads
+
+    def _check_finite(self, value: float) -> None:
+        if np.isfinite(value):
+            return
+        bad = [
+            name for name, arr in self._params.items()
+            if not np.all(np.isfinite(arr.view(np.float64) if np.iscomplexobj(arr) else arr))
+        ]
+        raise NumericError(
+            f"objective is {value!r}; parameters with non-finite entries: {bad or 'none'}"
+        )
+
+
+class ComplexNetwork(_Network):
     """Feedforward complex network with a shared hidden activation."""
 
     def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None,
@@ -209,32 +317,6 @@ class ComplexNetwork:
         model.set_parameters(values)
         return model
 
-    # -- parameter plumbing -------------------------------------------------
-
-    def parameters(self) -> dict[str, np.ndarray]:
-        """Live (mutable) name->array view of every trainable parameter."""
-        return self._params
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    def bump_version(self) -> None:
-        """Invalidate outstanding forward caches after in-place updates."""
-        self._version += 1
-
-    def set_parameters(self, values: dict[str, np.ndarray]) -> None:
-        if set(values) != set(self._params):
-            raise ParameterError("parameter name sets differ")
-        for name, arr in values.items():
-            if arr.shape != self._params[name].shape:
-                raise DimensionError(f"shape mismatch for {name}")
-            self._params[name][...] = arr
-        self.bump_version()
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: arr.copy() for name, arr in self._params.items()}
-
     # -- forward / backward -------------------------------------------------
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -268,8 +350,7 @@ class ComplexNetwork:
 
     def backward(self, cograd_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Cogradients of a real objective for every trainable parameter."""
-        if cache.get("version") != self._version:
-            raise StateError("forward cache is stale: parameters changed since forward()")
+        self._check_cache(cache)
         g = np.asarray(cograd_logits, dtype=np.complex128)
         if g.ndim == 1:
             g = g[None, :]
@@ -299,84 +380,22 @@ class ComplexNetwork:
             if name.startswith(prefix) and name not in skip
         }
 
-    # -- objectives ----------------------------------------------------------
+    # bound in each class so that each holds them as its own attributes, which
+    # is where perfbench's per-class wrappers look them up
+    predict = _Network.predict
+    loss_and_grads = _Network.loss_and_grads
 
-    def _predict_block_rows(self) -> int:
-        """Rows per forward block in :meth:`predict_proba`."""
-        m = self.dictionary.points_per_axis if self.dictionary is not None else 1
-        return max(1, _PREDICT_BLOCK_ELEMENTS // (max(self.config.hidden_widths, default=1) * m))
+    _scores = staticmethod(_squared_magnitudes)  # the softmax runs over |h|^2
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities, from a forward pass over consecutive row blocks.
-
-        Peak memory is bounded by one block, not by the number of rows.
-        """
-        x = np.asarray(x, dtype=np.complex128)
-        if x.ndim < 2:
-            return complex_softmax(self.forward(x)[0])
-        rows = self._predict_block_rows()
-        # a 0-row input still runs one empty block, giving shape (0, classes)
-        return np.concatenate([
-            complex_softmax(self.forward(x[lo:lo + rows])[0])
-            for lo in range(0, max(x.shape[0], 1), rows)
-        ])
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=-1)
-
-    def objective(self, x: np.ndarray, labels, objective: TrainObjective) -> float:
-        """Mean data loss over the batch plus the weighted parameter norm."""
-        logits, _ = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)))
-        value = self._data_loss(logits, labels, objective)[0]
-        value += regularize(self._params, objective.reg_weight)
-        self._check_finite(value)
-        return value
-
-    def loss_and_grads(
-        self, x: np.ndarray, labels, objective: TrainObjective
-    ) -> tuple[float, dict[str, np.ndarray]]:
-        x = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-        logits, cache = self.forward(x)
-        data_loss, g_logits = self._data_loss(logits, labels, objective)
-        grads = self.backward(g_logits, cache)
-        value = data_loss + regularize(self._params, objective.reg_weight, grads)
-        self._check_finite(value)
-        return value, grads
-
-    def _data_loss(self, logits, labels, objective: TrainObjective):
-        n = logits.shape[0]
-        if objective.loss == "cross_entropy":
-            labels = np.asarray(labels, dtype=np.intp)
-            if np.any(labels < 0) or np.any(labels >= self.config.class_count):
-                raise IndexError("label out of range")
-            p = complex_softmax(logits)
-            picked = np.clip(p[np.arange(n), labels], _P_FLOOR, None)
-            loss = float(-np.log(picked).mean())
-            onehot = np.zeros_like(p)
-            onehot[np.arange(n), labels] = 1.0
-            g_logits = 2.0 * (p - onehot) * logits / n
-            return loss, g_logits
-        # squared error against one-hot complex targets
-        y = np.zeros_like(logits)
-        y[np.arange(n), np.asarray(labels, dtype=np.intp)] = 1.0
-        r = logits - y
-        loss = float(np.sum(r.real**2 + r.imag**2) / n)
-        return loss, 2.0 * r / n
-
-    def _check_finite(self, value: float) -> None:
-        if np.isfinite(value):
-            return
-        bad = [
-            name for name, arr in self._params.items()
-            if not np.all(np.isfinite(arr.view(np.float64) if np.iscomplexobj(arr) else arr))
-        ]
-        raise NumericError(
-            f"objective is {value!r}; parameters with non-finite entries: {bad or 'none'}"
-        )
+    @staticmethod
+    def _chain_scores(g: np.ndarray, logits: np.ndarray) -> np.ndarray:
+        return 2.0 * g * logits  # the cogradient of |h|^2 is 2h
 
 
-class RealBaselineNetwork:
+class RealBaselineNetwork(_Network):
     """Conventional real MLP fed [Re(x); Im(x)], ReLU hiddens, softmax output."""
+
+    dictionary = None
 
     def __init__(self, config: NetworkConfig):
         self.config = config
@@ -390,12 +409,6 @@ class RealBaselineNetwork:
             s = np.sqrt(2.0 / fan_in)
             self._params[f"layer{i}.W"] = rng.normal(0.0, s, (fan_out, fan_in))
             self._params[f"layer{i}.b"] = np.zeros(fan_out)
-
-    parameters = ComplexNetwork.parameters
-    snapshot = ComplexNetwork.snapshot
-    set_parameters = ComplexNetwork.set_parameters
-    bump_version = ComplexNetwork.bump_version
-    version = ComplexNetwork.version
 
     @staticmethod
     def split_input(x: np.ndarray) -> np.ndarray:
@@ -413,45 +426,28 @@ class RealBaselineNetwork:
             acts.append(h)
         return h, {"version": self._version, "pres": pres, "acts": acts}
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        logits, _ = self.forward(x)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(x), axis=-1)
-
-    def objective(self, x, labels, objective: TrainObjective) -> float:
-        p = self.predict_proba(x)
-        n = p.shape[0]
-        labels = np.asarray(labels, dtype=np.intp)
-        loss = float(-np.log(np.clip(p[np.arange(n), labels], _P_FLOOR, None)).mean())
-        return loss + regularize(self._params, objective.reg_weight)
-
-    def loss_and_grads(self, x, labels, objective: TrainObjective):
-        logits, cache = self.forward(x)
-        if cache["version"] != self._version:
-            raise StateError("stale cache")
-        n = logits.shape[0]
-        labels = np.asarray(labels, dtype=np.intp)
-        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
-        loss = float(-np.log(np.clip(p[np.arange(n), labels], _P_FLOOR, None)).mean())
-        delta = p.copy()
-        delta[np.arange(n), labels] -= 1.0
-        delta /= n
+    def backward(self, grad_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+        """Gradients of a real objective for every parameter."""
+        self._check_cache(cache)
         grads: dict[str, np.ndarray] = {}
-        g = delta
+        g = grad_logits
         for i in reversed(range(self.n_layers)):
-            a_prev = cache["acts"][i]
-            grads[f"layer{i}.W"] = g.T @ a_prev
+            grads[f"layer{i}.W"] = g.T @ cache["acts"][i]
             grads[f"layer{i}.b"] = g.sum(axis=0)
             if i > 0:
                 g = (g @ self._params[f"layer{i}.W"]) * (cache["pres"][i - 1] > 0)
-        loss += regularize(self._params, objective.reg_weight, grads)
-        if not np.isfinite(loss):
-            raise NumericError(f"objective is {loss!r}")
-        return loss, grads
+        return grads
+
+    predict = _Network.predict
+    loss_and_grads = _Network.loss_and_grads
+
+    @staticmethod
+    def _scores(logits: np.ndarray) -> np.ndarray:
+        return logits
+
+    @staticmethod
+    def _chain_scores(g: np.ndarray, logits: np.ndarray) -> np.ndarray:
+        return g
 
 
 MODEL_VARIANTS = ("real_nn", "kaf_independent", "wlkaf_case1", "wlkaf_case2")
@@ -483,10 +479,8 @@ def save_model(path, model) -> None:
     """Write a model to the versioned binary container (timestamp-free)."""
     if isinstance(model, RealBaselineNetwork):
         meta = {"kind": "real_baseline"}
-        dictionary = None
     else:
         meta = {"kind": "complex", "activation": model.activation.spec_dict()}
-        dictionary = model.dictionary
     cfg = model.config
     meta["config"] = {
         "input_dim": cfg.input_dim,
@@ -497,10 +491,10 @@ def save_model(path, model) -> None:
         "alpha_init": cfg.alpha_init,
         "ridge": cfg.ridge,
     }
-    if dictionary is not None:
+    if model.dictionary is not None:
         meta["dictionary"] = {
-            "points_per_axis": dictionary.points_per_axis,
-            "axis_range": list(dictionary.axis_range),
+            "points_per_axis": model.dictionary.points_per_axis,
+            "axis_range": list(model.dictionary.axis_range),
         }
     container.write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, model.parameters())
 

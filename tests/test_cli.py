@@ -269,6 +269,9 @@ class TestGradcheckCommand:
     def test_unknown_variant(self):
         assert main(["gradcheck", "--model", "bogus"]) == 2
 
+    def test_zero_seeds_is_parameter_error(self):
+        assert main(["gradcheck", "--model", "split_tanh", "--seeds", "0"]) == 2
+
 
 class TestCurves:
     def _train_trace(self, tiny_cache, tmp_path, seed, name):
@@ -335,6 +338,29 @@ class TestConfigFile:
         assert rc == 0
         assert (tmp_path / "from_config.cvkc").exists()
         assert "features: 7 complex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_training_flags_come_from_the_config_and_flags_win(self, command, tiny_cache,
+                                                               tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("lr = 0.02\nbatch-size = 10\npatience = 40\neval-every = 20\n"
+                       "max-iterations = 60\ndict-points = 3\ndict-range = -1.5..1.5\n"
+                       "hidden = 8\n")
+        out = tmp_path / "out"
+        common = ["--config", str(cfg), "--cache", str(tiny_cache), "--out", str(out),
+                  "--max-iterations", "40"]
+        if command == "train":
+            argv = ["train", "--model", "wlkaf_case1", *common]
+        else:
+            argv = ["compare", "--models", "wlkaf_case1", "--seeds", "0", "--c-grid", "0",
+                    *common]
+        assert main(argv) == 0
+        run_dir = out if command == "train" else out / "runs" / "wlkaf_case1" / "seed0_C0"
+        snapshot = (run_dir / "config.txt").read_text().splitlines()
+        for line in ("lr = 0.02", "batch_size = 10", "patience = 40", "eval_every = 20",
+                     "max_iterations = 40", "dict_points = 3", "dict_range = -1.5..1.5",
+                     "hidden = 8"):
+            assert line in snapshot, line
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

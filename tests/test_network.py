@@ -1,11 +1,17 @@
-"""Network assembly, softmax over squared magnitudes, losses, serialization."""
+"""Network assembly, softmax over squared magnitudes, the cross-entropy rule, serialization."""
 
 import numpy as np
 import pytest
 
 from cvkaf.activations import WlKafCase2Activation
 from cvkaf.cnum import complex_affine, finite_diff_cogradient
-from cvkaf.errors import CacheError, DimensionError, ParameterError, StateError
+from cvkaf.errors import (
+    CacheError,
+    DimensionError,
+    NumericError,
+    ParameterError,
+    StateError,
+)
 from cvkaf.kernels import build_dictionary
 from cvkaf.container import read_container, write_container
 from cvkaf.network import (
@@ -18,12 +24,11 @@ from cvkaf.network import (
     TrainObjective,
     build_model,
     complex_softmax,
-    cross_entropy,
     load_model,
     regularize,
     save_model,
+    softmax_cross_entropy,
     softmax_from_squared_magnitudes,
-    squared_loss,
 )
 
 from conftest import random_complex
@@ -74,38 +79,38 @@ class TestComplexSoftmax:
         assert np.all(np.isfinite(p)) and p[0] > 0.999999
 
 
-class TestLosses:
-    def test_squared_zero_residual(self, rng):
-        y = random_complex(rng, 4)
-        assert squared_loss(y, y) == 0.0
-
-    def test_squared_unit_modulus(self):
-        assert squared_loss(np.array([1j]), np.array([0j])) == 1.0
-
-    def test_squared_direct_value(self):
-        assert squared_loss(np.array([1 + 1j, 2.0]), np.zeros(2)) == 6.0
-
-    def test_squared_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            squared_loss(np.zeros(2), np.zeros(3))
-
+class TestCrossEntropy:
     def test_cross_entropy_uniform(self):
-        assert cross_entropy(np.full(10, 0.1), 3) == pytest.approx(np.log(10))
+        loss, _ = softmax_cross_entropy(np.zeros((2, 10)), [3, 7])
+        assert loss == pytest.approx(np.log(10))
 
     def test_cross_entropy_certain(self):
-        assert cross_entropy(np.array([1.0, 0.0]), 0) == 0.0
+        assert softmax_cross_entropy(np.array([[0.0, -1e3]]), [0])[0] == 0.0
+
+    def test_certain_miss_is_clamped(self):
+        loss, _ = softmax_cross_entropy(np.array([[0.0, -1e3]]), [1])
+        assert loss == -np.log(1e-12)
 
     def test_cross_entropy_two_class_value(self):
-        p = np.array([np.e / (np.e + 1), 1 / (np.e + 1)])
-        assert cross_entropy(p, 0) == pytest.approx(np.log(1 + np.exp(-1)), rel=1e-12)
+        loss, _ = softmax_cross_entropy(np.array([[1.0, 0.0]]), [0])
+        assert loss == pytest.approx(np.log(1 + np.exp(-1)), rel=1e-12)
 
-    def test_cross_entropy_invalid_label(self):
+    def test_gradient_is_p_minus_onehot(self, rng):
+        scores = rng.normal(size=(5, 4))
+        labels = np.array([0, 3, 1, 1, 2])
+        _, g = softmax_cross_entropy(scores, labels)
+        expected = softmax_from_squared_magnitudes(scores)
+        expected[np.arange(5), labels] -= 1.0
+        np.testing.assert_array_equal(g, expected)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_cross_entropy_invalid_label(self, label):
         with pytest.raises(IndexError):
-            cross_entropy(np.array([0.5, 0.5]), 2)
+            softmax_cross_entropy(np.zeros((1, 2)), [label])
 
-    def test_cross_entropy_unnormalized_rejected(self):
+    def test_objective_accepts_only_cross_entropy(self):
         with pytest.raises(ParameterError):
-            cross_entropy(np.array([0.5, 0.4]), 0)
+            TrainObjective("squared_error", 0.0)
 
 
 class TestNetworkForward:
@@ -181,22 +186,6 @@ class TestBlockedPredict:
 
 
 class TestObjectiveAndBackward:
-    def test_perfect_squared_predictions_give_zero(self):
-        cfg = NetworkConfig(input_dim=2, hidden_widths=(), class_count=2,
-                            activation="split_identity", seed=0)
-        net = ComplexNetwork(cfg)
-        net.parameters()["layer0.W"][...] = 0
-        net.parameters()["layer0.b"][...] = np.array([1.0, 0.0])
-        net.bump_version()
-        x = random_complex(np.random.default_rng(0), (4, 2))
-        labels = np.zeros(4, dtype=int)
-        obj = TrainObjective("squared_error", 0.0)
-        assert net.objective(x, labels, obj) == 0.0
-        loss, grads = net.loss_and_grads(x, labels, obj)
-        assert loss == 0.0
-        for g in grads.values():
-            assert not g.any()
-
     def test_regularizer_only_value_and_gradient(self):
         # class_count=1 makes the data loss identically zero
         cfg = NetworkConfig(input_dim=1, hidden_widths=(), class_count=1,
@@ -324,6 +313,42 @@ class TestRealBaseline:
             fd = finite_diff_cogradient(f, original)
             arr[...] = original
             np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7)
+
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    @pytest.mark.parametrize("method", ["loss_and_grads", "objective"])
+    def test_out_of_range_labels_raise_index_error(self, method, label, rng):
+        net = build_model("real_nn", 4, 3, seed=0, hidden_widths=(5,))
+        x = random_complex(rng, (2, 4))
+        with pytest.raises(IndexError):
+            getattr(net, method)(x, [0, label], TrainObjective("cross_entropy", 0.0))
+
+    def test_nan_weight_objective_names_the_parameter(self, rng):
+        net = build_model("real_nn", 4, 3, seed=0, hidden_widths=(5,))
+        net.parameters()["layer1.W"][0, 2] = np.nan
+        net.bump_version()
+        with pytest.raises(NumericError, match=r"\['layer1\.W'\]"):
+            net.objective(random_complex(rng, (2, 4)), [0, 1], TrainObjective())
+
+    def test_shares_the_complex_network_training_surface(self):
+        # each class owns forward/loss_and_grads/predict (and the complex
+        # one backward), as per-class wrappers need, but the loss and the
+        # prediction rule are the same function objects
+        for cls in (ComplexNetwork, RealBaselineNetwork):
+            assert {"forward", "backward", "loss_and_grads", "predict"} <= set(vars(cls))
+        for name in ("loss_and_grads", "predict", "objective", "predict_proba"):
+            assert getattr(ComplexNetwork, name) is getattr(RealBaselineNetwork, name)
+
+    def test_blocked_predict_matches_one_forward(self, rng):
+        net = build_model("real_nn", 5, 4, seed=2, hidden_widths=(30, 100))
+        assert net._predict_block_rows() == 512
+        x = random_complex(rng, (1031, 5))
+        for n in (0, 1, 512, 513, 1031):
+            expected = softmax_from_squared_magnitudes(net.forward(x[:n])[0])
+            p = net.predict_proba(x[:n])
+            assert p.shape == (n, 4)
+            np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(net.predict(x[:n]), np.argmax(expected, axis=-1))
 
 
 class TestSerialization:
