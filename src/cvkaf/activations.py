@@ -24,13 +24,18 @@ the imaginary output. The term tables are:
 * ``wlkaf_case2``: 2Q kernel terms plus 2Q pseudo-kernel terms scaled by
   ``2*omega_q`` with the routing crossed.
 
-One forward and one backward (:class:`_KafBase`) serve every table; the
-backward follows from the real partial derivatives of the per-axis
-Gaussians. Layer classes vectorize over a (batch, width) activation matrix
-with per-neuron parameters; the module-level functions are the dense
-reference forms the tests compare against. Backward passes return
-cogradients in the package-wide convention (see :mod:`cvkaf.cnum`) and are
-all validated against finite differences.
+One forward, one backward and one ``init_params`` (:class:`_KafBase`) serve
+every table; the backward follows from the real partial derivatives of the
+per-axis Gaussians. Initialization fits alpha through the layer's own map:
+for fixed bandwidths every table is real-linear in ``(Re alpha, Im alpha)``,
+so :func:`fit_alpha` reads the design matrix off one forward run over the
+grid and solves one real ridge system, for any table and any bandwidths
+(case 1 with ``gamma_rr != gamma_ii`` included). Layer classes vectorize
+over a (batch, width) activation matrix with per-neuron parameters;
+``kaf_forward`` and ``wlkaf_forward_case*`` are the dense reference forms
+the tests compare against, and no build, train or evaluate path calls
+them. Backward passes return cogradients in the package-wide convention
+(see :mod:`cvkaf.cnum`) and are all validated against finite differences.
 """
 
 from __future__ import annotations
@@ -48,8 +53,7 @@ __all__ = [
     "kaf_forward",
     "wlkaf_forward_case1",
     "wlkaf_forward_case2",
-    "init_alpha",
-    "init_alpha_wl_case2",
+    "fit_alpha",
     "gamma_rule_of_thumb",
     "SplitActivation",
     "PhaseAmplitudeActivation",
@@ -97,54 +101,40 @@ def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
     return 1.0 / (2.0 * dictionary.spacing**2)
 
 
-def init_alpha(dictionary: Dictionary, kernel, gamma, target=None, ridge: float = 1e-4) -> np.ndarray:
-    """Ridge-fit mixing coefficients so the expansion matches ``target`` on the grid.
+def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict, target=None,
+              ridge: float = 1e-4) -> np.ndarray:
+    """Ridge-fit one neuron's mixing coefficients to ``target`` on the grid.
 
-    ``target`` is a callable on complex points or a length-D array; the
-    default is the identity function, giving a near-linear initial
-    activation. ``ridge=0`` requests exact interpolation and fails on a
-    singular kernel matrix.
+    ``layer`` is a KAF-family layer and ``bandwidths`` one neuron's
+    log-bandwidth parameters by name, as ``layer.init_params`` names them.
+    For fixed bandwidths the layer is real-linear in ``(Re alpha, Im
+    alpha)``, so one run of its own ``forward`` over the D grid points, with
+    2D neurons holding the unit coefficients ``e_j`` and ``i*e_j``, gives
+    the real (2D, 2D) design matrix of the map. ``target`` is a callable on
+    complex points or a length-D array; the default is the identity
+    function, giving a near-linear initial activation. ``ridge=0`` requests
+    exact interpolation and fails on a singular system.
     """
     if ridge < 0:
         raise ParameterError(f"ridge must be nonnegative, got {ridge}")
     pts = dictionary.points
-    big_k = kernels.kernel_matrix(pts, dictionary, kernel, gamma)
-    t = _target_values(target, pts)
-    return _ridge_solve(np.asarray(big_k, dtype=np.complex128), t, ridge)
-
-
-def init_alpha_wl_case2(
-    dictionary: Dictionary, gammas, gamma_tildes, omegas, target=None, ridge: float = 1e-4
-) -> np.ndarray:
-    """Fit alpha through the full case-2 widely linear map.
-
-    The pseudo-kernel couples alpha and conj(alpha), so the fit is a real
-    block system over (Re alpha, Im alpha):
-
-        Re g = K a_r + 2 W a_i,   Im g = K a_i + 2 W a_r
-
-    with K the kernel Gram matrix and W the (real) pseudo-kernel weight
-    matrix. A plain kernel-only fit would leave a large identity error at
-    practical mixing weights (measured: 1.7 vs 0.01 at omega = 0.3).
-    """
-    if ridge < 0:
-        raise ParameterError(f"ridge must be nonnegative, got {ridge}")
-    pts = dictionary.points
-    k, kt = kernels.case2_pair(pts, dictionary, gammas, gamma_tildes, omegas)
-    w = kt.imag / 2.0  # kt = 2i*W
     t = _target_values(target, pts)
     d = dictionary.size
-    m = np.block([[k, 2.0 * w], [2.0 * w, k]])
+    eye = np.eye(d)
+    params = {name: np.broadcast_to(v, (2 * d, *np.shape(v)))
+              for name, v in bandwidths.items()}
+    params["alpha"] = np.concatenate([eye, 1j * eye])
+    g, _ = layer.forward(np.broadcast_to(pts[:, None], (d, 2 * d)), params, dictionary)
+    design = np.concatenate([g.real, g.imag])
     rhs = np.concatenate([t.real, t.imag])
     if ridge == 0:
         try:
-            sol = np.linalg.solve(m, rhs)
+            sol = np.linalg.solve(design, rhs)
         except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular widely linear fit system: {exc}") from exc
+            raise NumericError(f"singular kernel fit system with ridge=0: {exc}") from exc
     else:
-        a = m.T @ m + ridge * np.eye(2 * d)
-        sol = np.linalg.solve(a, m.T @ rhs)
-    return sol[:d] + 1j * sol[d:]
+        sol = np.linalg.solve(design.T @ design + ridge * np.eye(2 * d), design.T @ rhs)
+    return _complex_assemble(sol[:d], sol[d:])
 
 
 def _target_values(target, pts: np.ndarray) -> np.ndarray:
@@ -156,16 +146,6 @@ def _target_values(target, pts: np.ndarray) -> np.ndarray:
     if t.shape != pts.shape:
         raise ParameterError(f"target has shape {t.shape}, expected {pts.shape}")
     return t
-
-
-def _ridge_solve(big_k: np.ndarray, t: np.ndarray, ridge: float) -> np.ndarray:
-    if ridge == 0:
-        try:
-            return np.linalg.solve(big_k, t)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular kernel matrix with ridge=0: {exc}") from exc
-    kh = big_k.conj().T
-    return np.linalg.solve(kh @ big_k + ridge * np.eye(big_k.shape[0]), kh @ t)
 
 
 def _complex_assemble(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -322,8 +302,8 @@ def _accumulate(sums: dict, key, value: np.ndarray) -> None:
 class _KafBase:
     """Forward and backward of a sum of :class:`_Term` over a square grid.
 
-    Subclasses set ``terms`` and own ``init_params`` and ``spec_dict``. They
-    also bind ``forward`` and ``backward`` as their own attributes, so
+    Subclasses set ``terms`` and own ``spec_dict``. They also bind
+    ``init_params``, ``forward`` and ``backward`` as their own attributes, so
     per-class instrumentation (``perfbench/harness.py``) can wrap one
     variant at a time. Arrays are laid out (H, m, B): neuron, grid axis,
     batch row.
@@ -409,18 +389,29 @@ class _KafBase:
                                            g_grid["imag"].reshape(h, -1))
         return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
-    def _init_alpha_rows(self, width, dictionary, rng, alpha_init, ridge, fit_one):
+    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
+        """Every log-bandwidth at the rule of thumb; alpha fit or drawn.
+
+        The term table names each log-bandwidth; one with a ``col`` is
+        (width, Q). ``identity`` fits one neuron through :func:`fit_alpha`
+        and repeats it; ``random`` draws alpha with complex std 0.3.
+        """
+        log_g0 = np.log(gamma_rule_of_thumb(dictionary))
+        cols = {}  # log-bandwidth name -> Q, or 0 for one value per neuron
+        for t in self.terms:
+            cols[t.gamma] = max(cols.get(t.gamma, 0), 0 if t.col is None else t.col + 1)
+        bandwidths = {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
         if alpha_init == "identity":
-            row = fit_one()
-            return np.tile(row, (width, 1))
-        if alpha_init == "random":
+            alpha = np.tile(fit_alpha(self, dictionary, bandwidths, ridge=ridge), (width, 1))
+        elif alpha_init == "random":
             # std 0.3 for the complex value -> 0.3/sqrt(2) per component
             s = 0.3 / np.sqrt(2.0)
-            return (
-                rng.normal(0.0, s, (width, dictionary.size))
-                + 1j * rng.normal(0.0, s, (width, dictionary.size))
-            )
-        raise ParameterError(f"unknown alpha_init {alpha_init!r}")
+            alpha = (rng.normal(0.0, s, (width, dictionary.size))
+                     + 1j * rng.normal(0.0, s, (width, dictionary.size)))
+        else:
+            raise ParameterError(f"unknown alpha_init {alpha_init!r}")
+        return {"alpha": alpha,
+                **{name: np.full((width, *b.shape), log_g0) for name, b in bandwidths.items()}}
 
 
 @dataclass(frozen=True)
@@ -441,17 +432,7 @@ class KafActivation(_KafBase):
     def spec_dict(self) -> dict:
         return {"variant": "kaf", "kernel": self.kernel}
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
-        g0 = gamma_rule_of_thumb(dictionary)
-        alpha = self._init_alpha_rows(
-            width, dictionary, rng, alpha_init, ridge,
-            lambda: init_alpha(dictionary, self.kernel, g0, ridge=ridge),
-        )
-        return {
-            "alpha": alpha.astype(np.complex128),
-            "log_gamma": np.full(width, np.log(g0), dtype=np.float64),
-        }
-
+    init_params = _KafBase.init_params
     forward = _KafBase.forward
     backward = _KafBase.backward
 
@@ -477,18 +458,7 @@ class WlKafCase1Activation(_KafBase):
     def spec_dict(self) -> dict:
         return {"variant": "wlkaf_case1"}
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
-        g0 = gamma_rule_of_thumb(dictionary)
-        # equal initial bandwidths: the pseudo-kernel starts at exactly zero,
-        # so the identity fit through the plain kernel is exact for the WL map
-        alpha = self._init_alpha_rows(
-            width, dictionary, rng, alpha_init, ridge,
-            lambda: init_alpha(dictionary, "real_gaussian", g0, ridge=ridge),
-        )
-        lg = np.full(width, np.log(g0), dtype=np.float64)
-        return {"alpha": alpha.astype(np.complex128),
-                "log_gamma_rr": lg.copy(), "log_gamma_ii": lg.copy()}
-
+    init_params = _KafBase.init_params
     forward = _KafBase.forward
     backward = _KafBase.backward
 
@@ -521,19 +491,7 @@ class WlKafCase2Activation(_KafBase):
     def spec_dict(self) -> dict:
         return {"variant": "wlkaf_case2", "q": self.q, "omegas": list(self.omegas)}
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
-        g0 = gamma_rule_of_thumb(dictionary)
-        g_vec = np.full(self.q, g0)
-        alpha = self._init_alpha_rows(
-            width, dictionary, rng, alpha_init, ridge,
-            lambda: init_alpha_wl_case2(
-                dictionary, g_vec, g_vec, np.asarray(self.omegas), ridge=ridge
-            ),
-        )
-        lg = np.full((width, self.q), np.log(g0), dtype=np.float64)
-        return {"alpha": alpha.astype(np.complex128),
-                "log_gamma": lg.copy(), "log_gamma_tilde": lg.copy()}
-
+    init_params = _KafBase.init_params
     forward = _KafBase.forward
     backward = _KafBase.backward
 

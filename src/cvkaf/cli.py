@@ -101,9 +101,12 @@ def _resolved(args: argparse.Namespace, key: str, default, parse):
     value = getattr(args, key, None)
     if value is None:
         return default
-    if isinstance(value, str) and parse is not str:
-        return parse(value)
-    return parse(value) if parse in (int, float) else value
+    try:
+        if isinstance(value, str) and parse is not str:
+            return parse(value)
+        return parse(value) if parse in (int, float) else value
+    except ValueError as exc:
+        raise ParameterError(f"cannot read {key} = {value!r}") from exc
 
 
 class RunLog:

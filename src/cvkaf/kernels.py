@@ -12,6 +12,12 @@ pseudo-kernel mixed by fixed weights (case 2).
 
 Every function broadcasts over numpy arrays; ``gamma`` may be a scalar or
 an array broadcastable against the inputs.
+
+These are the dense reference forms: one kernel value per (input, atom)
+pair, evaluated independently of the separable term engine in
+:mod:`cvkaf.activations`. The build, train and evaluate paths use only
+:class:`Dictionary` and :func:`build_dictionary` from this module; the
+kernels serve the dense activation oracles and the tests.
 """
 
 from __future__ import annotations

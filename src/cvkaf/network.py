@@ -281,10 +281,7 @@ class ComplexNetwork(_Network):
         self.config = config
         self.activation = (activation if activation is not None
                            else act.ACTIVATION_VARIANTS[config.activation]())
-        needs_dict = not isinstance(
-            self.activation, (act.SplitActivation, act.PhaseAmplitudeActivation)
-        )
-        if needs_dict and dictionary is None:
+        if isinstance(self.activation, act._KafBase) and dictionary is None:
             dictionary = build_dictionary(8, (-2.0, 2.0))
         self.dictionary = dictionary
         self._version = 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -129,13 +128,11 @@ def train(
     val_xy: tuple[np.ndarray, np.ndarray],
     config: TrainConfig,
     objective: TrainObjective,
-    val_metric: Optional[Callable] = None,
 ) -> TrainTrace:
     """Mini-batch Adagrad with early stopping on validation accuracy.
 
     The model is left holding the parameters of the best-validation
-    checkpoint, not the last iterate. ``val_metric(model, x, y)`` defaults
-    to :func:`evaluate`; tests may inject a synthetic metric.
+    checkpoint, not the last iterate.
     """
     x_train, y_train = train_xy
     x_val, y_val = val_xy
@@ -144,13 +141,12 @@ def train(
         raise ParameterError("train and validation splits must be nonempty")
     if config.batch_size > n:
         raise ParameterError(f"batch_size {config.batch_size} exceeds training set size {n}")
-    metric = val_metric or evaluate
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     opt = Adagrad(params, lr=config.lr, epsilon=config.epsilon)
     trace = TrainTrace(eval_every=config.eval_every)
     best = model.snapshot()
-    best_acc = metric(model, x_val, y_val)
+    best_acc = evaluate(model, x_val, y_val)
     best_it = 0
     t0 = time.perf_counter()
     stop_reason = "max_iterations"
@@ -161,7 +157,7 @@ def train(
         opt.step(params, grads)
         model.bump_version()
         if it % config.eval_every == 0:
-            acc = metric(model, x_val, y_val)
+            acc = evaluate(model, x_val, y_val)
             trace.records.append(
                 TraceRecord(it, loss, acc, time.perf_counter() - t0)
             )

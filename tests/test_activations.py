@@ -5,7 +5,7 @@ import pytest
 
 from cvkaf import activations as act
 from cvkaf.cnum import finite_diff_cogradient
-from cvkaf.errors import ParameterError
+from cvkaf.errors import NumericError, ParameterError
 from cvkaf.kernels import (
     KernelBlockSet,
     build_dictionary,
@@ -147,39 +147,85 @@ class TestGammaRuleOfThumb:
 
 class TestInitAlpha:
     def test_zero_target(self, dict4):
-        alpha = act.init_alpha(dict4, "real_gaussian", 1.0,
-                               target=np.zeros(16, dtype=complex), ridge=1e-3)
+        layer = act.KafActivation("real_gaussian")
+        alpha = act.fit_alpha(layer, dict4, {"log_gamma": 0.0},
+                              target=np.zeros(16, dtype=complex), ridge=1e-3)
         np.testing.assert_allclose(alpha, 0, atol=1e-12)
 
     def test_exact_interpolation_recovers_unit_vector(self, dict4):
         g = act.gamma_rule_of_thumb(dict4)
         target = gaussian_real_of_complex(dict4.points, dict4.points[5], g)
-        alpha = act.init_alpha(dict4, "real_gaussian", g, target=target, ridge=0.0)
+        alpha = act.fit_alpha(act.KafActivation("real_gaussian"), dict4,
+                              {"log_gamma": np.log(g)}, target=target, ridge=0.0)
         expected = np.zeros(16, dtype=complex)
         expected[5] = 1.0
         np.testing.assert_allclose(alpha, expected, atol=1e-8)
 
     def test_identity_fit_is_near_linear(self, dict4):
         g = act.gamma_rule_of_thumb(dict4)
-        alpha = act.init_alpha(dict4, "real_gaussian", g, ridge=1e-4)
+        layer = act.KafActivation("real_gaussian")
+        alpha = act.fit_alpha(layer, dict4, {"log_gamma": np.log(g)}, ridge=1e-4)
         fitted = act.kaf_forward(dict4.points, alpha, dict4, "real_gaussian", g)
         assert np.max(np.abs(fitted - dict4.points)) < 0.05
 
     def test_case2_block_fit_is_near_linear(self, dict4):
         g = act.gamma_rule_of_thumb(dict4)
-        alpha = act.init_alpha_wl_case2(dict4, [g], [g], [0.3], ridge=1e-4)
+        layer = act.WlKafCase2Activation(1, (0.3,))
+        bandwidths = {"log_gamma": np.log([g]), "log_gamma_tilde": np.log([g])}
+        alpha = act.fit_alpha(layer, dict4, bandwidths, ridge=1e-4)
         fitted = act.wlkaf_forward_case2(dict4.points, alpha, dict4, [g], [g], [0.3])
         assert np.max(np.abs(fitted - dict4.points)) < 0.05
 
     def test_rejects_negative_ridge(self, dict4):
         with pytest.raises(ParameterError):
-            act.init_alpha(dict4, "real_gaussian", 1.0, ridge=-1.0)
+            act.fit_alpha(act.KafActivation("real_gaussian"), dict4,
+                          {"log_gamma": 0.0}, ridge=-1.0)
+
+    def test_singular_exact_fit_is_numeric_error(self, dict4):
+        # exp(-800) underflows to a zero bandwidth: every atom's Gaussian is 1
+        with pytest.raises(NumericError):
+            act.fit_alpha(act.KafActivation("real_gaussian"), dict4,
+                          {"log_gamma": -800.0}, ridge=0.0)
 
     def test_random_fallback_scale(self, dict8, rng):
         layer = act.KafActivation("real_gaussian")
         params = layer.init_params(200, dict8, rng, alpha_init="random")
         std = np.sqrt(np.mean(np.abs(params["alpha"]) ** 2))
         assert 0.25 < std < 0.35  # complex std 0.3
+
+    def test_case1_equal_bandwidths_fit_is_the_standard_fit(self, dict8):
+        lg = np.log(act.gamma_rule_of_thumb(dict8))
+        standard = act.fit_alpha(act.KafActivation("real_gaussian"), dict8, {"log_gamma": lg})
+        case1 = act.fit_alpha(act.WlKafCase1Activation(), dict8,
+                              {"log_gamma_rr": lg, "log_gamma_ii": lg})
+        np.testing.assert_array_equal(case1, standard)
+
+    def test_case1_distinct_bandwidths_recovers_unit_alpha(self, dict4):
+        gamma_rr, gamma_ii = 0.7, 1.9
+        expected = np.zeros(16, dtype=complex)
+        expected[6] = 1.0 - 1.0j
+        target = act.wlkaf_forward_case1(dict4.points, expected, dict4, gamma_rr, gamma_ii)
+        alpha = act.fit_alpha(act.WlKafCase1Activation(), dict4,
+                              {"log_gamma_rr": np.log(gamma_rr), "log_gamma_ii": np.log(gamma_ii)},
+                              target=target, ridge=0.0)
+        np.testing.assert_allclose(alpha, expected, atol=1e-8)
+
+    def test_unknown_alpha_init_rejected(self, dict4, rng):
+        with pytest.raises(ParameterError):
+            act.WlKafCase1Activation().init_params(3, dict4, rng, alpha_init="zeros")
+
+
+class TestIndependentIdentityFit:
+    """Pins a known weakness, not a goal: the independent kernel cannot
+    represent the identity on the grid, so its identity fit is rounding noise."""
+
+    def test_identity_target_is_orthogonal_to_the_grid_gram_matrix(self, dict8, rng):
+        g = act.gamma_rule_of_thumb(dict8)
+        k = kernel_matrix(dict8.points, dict8, "independent", g)
+        assert np.linalg.matrix_rank(k) == dict8.points_per_axis
+        assert np.max(np.abs(k.conj().T @ dict8.points)) < 1e-12
+        params = act.KafActivation("independent").init_params(4, dict8, rng)
+        assert np.max(np.abs(params["alpha"])) < 1e-8
 
 
 class TestParameterCounts:

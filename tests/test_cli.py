@@ -108,6 +108,13 @@ class TestTrain:
     def test_missing_cache_flag(self):
         assert main(["train", "--model", "wlkaf_case1"]) == 2
 
+    def test_unreadable_batch_size_is_parameter_error(self, tiny_cache, tmp_path, capsys):
+        argv = ["train", "--cache", str(tiny_cache), "--out", str(tmp_path / "run"),
+                *TRAIN_FLAGS]
+        argv[argv.index("--batch-size") + 1] = "x"
+        assert main(argv) == 2
+        assert "batch_size = 'x'" in capsys.readouterr().err
+
     def test_unreadable_cache_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.cvkc"
         bogus.write_bytes(b"not a cache")
@@ -272,6 +279,10 @@ class TestGradcheckCommand:
     def test_zero_seeds_is_parameter_error(self):
         assert main(["gradcheck", "--model", "split_tanh", "--seeds", "0"]) == 2
 
+    def test_unreadable_seed_count_is_parameter_error(self, capsys):
+        assert main(["gradcheck", "--model", "split_tanh", "--seeds", "abc"]) == 2
+        assert "seeds = 'abc'" in capsys.readouterr().err
+
 
 class TestCurves:
     def _train_trace(self, tiny_cache, tmp_path, seed, name):
@@ -361,6 +372,14 @@ class TestConfigFile:
                      "max_iterations = 40", "dict_points = 3", "dict_range = -1.5..1.5",
                      "hidden = 8"):
             assert line in snapshot, line
+
+    def test_unreadable_config_value_is_parameter_error(self, tiny_cache, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("batch_size = x\n")
+        argv = ["train", "--config", str(cfg), "--cache", str(tiny_cache),
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert "batch_size = 'x'" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

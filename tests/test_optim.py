@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cvkaf import optim
 from cvkaf.errors import NumericError, ParameterError
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import NetworkConfig, ComplexNetwork, TrainObjective, build_model
@@ -176,20 +177,20 @@ class TestTrain:
                       config, TrainObjective("cross_entropy", 0.0))
         assert trace.total_iterations <= trace.best_iteration + config.patience + config.eval_every
 
-    def test_degenerate_patience_stops_at_first_window(self):
+    def test_degenerate_patience_stops_at_first_window(self, monkeypatch):
         x, y = toy_separable(60)
         model = tiny_model(seed=4)
         # lr cannot be zero, so freeze progress by evaluating on a constant
         # metric: no strict improvement ever happens
+        monkeypatch.setattr(optim, "evaluate", lambda m, xv, yv: 0.5)
         config = TrainConfig(batch_size=10, patience=10, eval_every=50,
                              max_iterations=5000, seed=5)
         trace = train(model, (x[:40], y[:40]), (x[40:], y[40:]),
-                      config, TrainObjective("cross_entropy", 0.0),
-                      val_metric=lambda m, xv, yv: 0.5)
+                      config, TrainObjective("cross_entropy", 0.0))
         assert trace.total_iterations == 50
         assert trace.stop_reason == "patience"
 
-    def test_returns_argmax_checkpoint_not_last(self):
+    def test_returns_argmax_checkpoint_not_last(self, monkeypatch):
         x, y = toy_separable(60)
         model = tiny_model(seed=6)
         snapshots = []
@@ -199,11 +200,11 @@ class TestTrain:
             snapshots.append(m.snapshot())
             return schedule[len(snapshots) - 1]
 
+        monkeypatch.setattr(optim, "evaluate", synthetic_metric)
         config = TrainConfig(batch_size=10, patience=100, eval_every=25,
                              max_iterations=150, seed=7)
         trace = train(model, (x[:40], y[:40]), (x[40:], y[40:]),
-                      config, TrainObjective("cross_entropy", 0.0),
-                      val_metric=synthetic_metric)
+                      config, TrainObjective("cross_entropy", 0.0))
         # snapshots[0] is the iteration-0 baseline; the 0.9 peak is the
         # second in-training eval, snapshots[2], at iteration 50
         assert trace.best_iteration == 50
