@@ -64,6 +64,8 @@ __all__ = [
     "ACTIVATION_VARIANTS",
 ]
 
+DEFAULT_RIDGE = 1e-4  # ridge weight of the identity fit in :func:`fit_alpha`
+
 _SPLIT_FUNCS: dict[str, tuple[Callable, Callable]] = {
     # name -> (g_R, derivative of g_R)
     "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
@@ -102,7 +104,7 @@ def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
 
 
 def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict, target=None,
-              ridge: float = 1e-4) -> np.ndarray:
+              ridge: float = DEFAULT_RIDGE) -> np.ndarray:
     """Ridge-fit one neuron's mixing coefficients to ``target`` on the grid.
 
     ``layer`` is a KAF-family layer and ``bandwidths`` one neuron's
@@ -193,7 +195,7 @@ class SplitActivation:
     def spec_dict(self) -> dict:
         return {"variant": "split", "fn": self.fn}
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
+    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         return {}
 
     def forward(self, z, params, dictionary):
@@ -216,7 +218,7 @@ class PhaseAmplitudeActivation:
     def spec_dict(self) -> dict:
         return {"variant": "phase_amplitude"}
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
+    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         return {}
 
     def forward(self, z, params, dictionary):
@@ -389,7 +391,7 @@ class _KafBase:
                                            g_grid["imag"].reshape(h, -1))
         return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=1e-4):
+    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         """Every log-bandwidth at the rule of thumb; alpha fit or drawn.
 
         The term table names each log-bandwidth; one with a ``col`` is

@@ -6,8 +6,11 @@ seed), ``evaluate`` (accuracy of a saved model on a split), ``compare``
 ``gradcheck`` (finite-difference verification), ``curves`` (merge trace
 CSVs into a plot-ready convergence dataset).
 
-Every option can also come from a ``key = value`` config file passed with
-``--config``; explicit command-line flags win. Each training run writes a
+Each option is declared once, in :func:`build_parser`, with its type and
+its default (the library's, where the library owns it); ``cvkaf <command>
+--help`` prints every default. A ``key = value`` config file passed with
+``--config`` is applied once, in :func:`main`, as the chosen command's
+defaults, so explicit flags win. Each training run writes a
 directory containing the resolved config snapshot, the serialized model,
 the trace CSV, and a machine-readable summary; wall-clock timestamps are
 confined to the sidecar ``run.log``, keeping the other artifacts
@@ -20,12 +23,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import data as data_mod
 from . import optim
@@ -36,9 +38,11 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .gradcheck import GRADCHECK_VARIANTS, gradcheck_variant
-from .kernels import build_dictionary
-from .network import MODEL_VARIANTS, TrainObjective, build_model, load_model, save_model
+from .gradcheck import DEFAULT_TOLERANCE, GRADCHECK_VARIANTS, gradcheck_variant
+from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
+from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model, load_model,
+                      save_model)
+from .optim import TrainConfig
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -48,26 +52,39 @@ EXIT_NUMERIC = 4
 DATA_DIR_ENV = "CVKAF_DATA_DIR"
 
 
+# The option types raise ArgumentTypeError, which argparse reports with the
+# option's name, whether the value came from a flag or a config line.
 def _parse_range(text: str) -> tuple[float, float]:
     try:
         lo, hi = text.split("..")
         return float(lo), float(hi)
     except ValueError as exc:
-        raise ParameterError(f"expected a range like -2..2, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a range like -2..2, got {text!r}") from exc
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(",") if t != "")
-    except ValueError as exc:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from exc
+def _list_parser(kind, noun):
+    """The option type reading a comma-separated list of ``kind``."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(t) for t in text.split(",") if t != "")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}") from exc
+    return parse
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(t) for t in text.split(",") if t != "")
-    except ValueError as exc:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from exc
+_parse_floats = _list_parser(float, "numbers")
+_parse_ints = _list_parser(int, "integers")
+
+
+def _range_text(r) -> str:
+    """A range as ``--dict-range`` spells it."""
+    return f"{r[0]}..{r[1]}"
+
+
+def _list_text(values) -> str:
+    """A tuple as a comma-separated flag spells it."""
+    return ",".join(str(v) for v in values)
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -84,29 +101,15 @@ def read_config_file(path) -> dict[str, str]:
     return values
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill argparse values from the config file where flags were omitted."""
-    if not getattr(args, "config", None):
-        return
-    file_values = read_config_file(args.config)
-    unknown = set(file_values) - set(vars(args))
+def _apply_config_file(command: argparse.ArgumentParser, path) -> None:
+    """Make the config file's values the defaults of ``command``'s options;
+    argparse reads each string with the option's type unless a flag is given."""
+    file_values = read_config_file(path)
+    options = {a.dest for a in command._actions if a.option_strings} - {"help"}
+    unknown = set(file_values) - options
     if unknown:
         raise ParameterError(f"unknown config keys: {sorted(unknown)}")
-    for key, text in file_values.items():
-        if getattr(args, key) is None:
-            setattr(args, key, text)
-
-
-def _resolved(args: argparse.Namespace, key: str, default, parse):
-    value = getattr(args, key, None)
-    if value is None:
-        return default
-    try:
-        if isinstance(value, str) and parse is not str:
-            return parse(value)
-        return parse(value) if parse in (int, float) else value
-    except ValueError as exc:
-        raise ParameterError(f"cannot read {key} = {value!r}") from exc
+    command.set_defaults(**file_values)
 
 
 class RunLog:
@@ -140,23 +143,16 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_preprocess(args) -> int:
-    _apply_config_file(args)
-    dataset = _resolved(args, "dataset", "mnist", str)
-    k = _resolved(args, "k_coeffs", 100, int)
-    seed = _resolved(args, "seed", 0, int)
-    data_dir = _resolved(args, "data_dir", None, str)
-    out = _resolved(args, "out", f"{dataset}.cvkc", str)
-    split_counts = _resolved(args, "split_counts", None, _parse_ints)
-    split = _resolved(args, "split", (0.8, 0.1, 0.1), _parse_floats)
-    if k < 1:
-        raise ParameterError(f"k_coeffs must be positive, got {k}")
+    if args.k_coeffs < 1:
+        raise ParameterError(f"k_coeffs must be positive, got {args.k_coeffs}")
+    out = args.out or f"{args.dataset}.cvkc"
 
-    raw = data_mod.load_named_dataset(dataset, data_dir or _default_data_dir())
+    raw = data_mod.load_named_dataset(args.dataset, args.data_dir)
     ds = data_mod.build_complex_dataset(
-        raw, k=k, split=split, seed=seed, split_counts=split_counts
+        raw, k=args.k_coeffs, split=args.split, seed=args.seed, split_counts=args.split_counts
     )
     data_mod.cache_dataset(ds, out)
-    print(f"dataset:  {dataset} ({raw.count} images, {raw.class_count} classes)")
+    print(f"dataset:  {args.dataset} ({raw.count} images, {raw.class_count} classes)")
     print(f"splits:   train={ds.idx_train.size} val={ds.idx_val.size} test={ds.idx_test.size}")
     print(f"features: {ds.feature_dim} complex coefficients per image")
     head = ", ".join(str(i) for i in ds.selected_indices[:10])
@@ -165,37 +161,24 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _default_data_dir() -> str:
-    import os
-
-    return os.environ.get(DATA_DIR_ENV, "data")
-
-
-def _train_one(ds, cache_path, model_name, seed, c, args, out_dir: Path):
+def _train_one(ds, model_name, seed, c, args, out_dir: Path):
     """Shared train-and-save routine for ``train`` and ``compare``.
 
-    ``ds`` is the dataset loaded from ``cache_path``; the path is recorded
+    ``ds`` is the dataset loaded from ``args.cache``; the path is recorded
     in the run's log and config snapshot.
     """
-    dict_points = _resolved(args, "dict_points", 8, int)
-    dict_range = _resolved(args, "dict_range", (-2.0, 2.0), _parse_range)
-    hidden = _resolved(args, "hidden", (100, 100, 100), _parse_ints)
-    config = optim.TrainConfig(
-        batch_size=_resolved(args, "batch_size", 40, int),
-        patience=_resolved(args, "patience", 1000, int),
-        eval_every=_resolved(args, "eval_every", 50, int),
-        max_iterations=_resolved(args, "max_iterations", 20000, int),
-        lr=_resolved(args, "lr", 0.01, float),
-        seed=seed,
+    config = TrainConfig(
+        batch_size=args.batch_size, patience=args.patience, eval_every=args.eval_every,
+        max_iterations=args.max_iterations, lr=args.lr, seed=seed,
     )
-    dictionary = build_dictionary(dict_points, dict_range)
+    dictionary = build_dictionary(args.dict_points, args.dict_range)
     model = build_model(
         model_name, ds.feature_dim, ds.class_count, seed,
-        hidden_widths=hidden, dictionary=dictionary,
+        hidden_widths=args.hidden, dictionary=dictionary,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
-    log.write(f"training {model_name} seed={seed} C={c} on {cache_path}")
+    log.write(f"training {model_name} seed={seed} C={c} on {args.cache}")
     trace = optim.train(
         model, ds.train_xy(), ds.val_xy(), config, TrainObjective("cross_entropy", c)
     )
@@ -211,12 +194,11 @@ def _train_one(ds, cache_path, model_name, seed, c, args, out_dir: Path):
     save_model(out_dir / "model.cvkm", model)
     optim.write_trace_csv(trace, out_dir / "trace.csv")
     snapshot = {
-        "cache": str(cache_path), "model": model_name, "seed": seed, "c": c,
+        "cache": args.cache, "model": model_name, "seed": seed, "c": c,
         "batch_size": config.batch_size, "patience": config.patience,
         "eval_every": config.eval_every, "max_iterations": config.max_iterations,
-        "lr": config.lr, "dict_points": dict_points,
-        "dict_range": f"{dict_range[0]}..{dict_range[1]}",
-        "hidden": ",".join(str(h) for h in hidden),
+        "lr": config.lr, "dict_points": args.dict_points,
+        "dict_range": _range_text(args.dict_range), "hidden": _list_text(args.hidden),
     }
     _write_config_snapshot(out_dir / "config.txt", snapshot)
     summary = {
@@ -231,17 +213,12 @@ def _train_one(ds, cache_path, model_name, seed, c, args, out_dir: Path):
 
 
 def cmd_train(args) -> int:
-    _apply_config_file(args)
-    cache = _resolved(args, "cache", None, str)
-    if cache is None:
+    if args.cache is None:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
-    model_name = _resolved(args, "model", "wlkaf_case1", str)
-    seed = _resolved(args, "seed", 0, int)
-    c = _resolved(args, "c", 0.0, float)
-    out_dir = Path(_resolved(args, "out", f"run_{model_name}_seed{seed}", str))
-    ds = data_mod.load_cached(cache)
-    _, trace, summary = _train_one(ds, cache, model_name, seed, c, args, out_dir)
-    print(f"model:      {model_name} (seed {seed}, C {c})")
+    out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
+    ds = data_mod.load_cached(args.cache)
+    _, trace, summary = _train_one(ds, args.model, args.seed, args.c, args, out_dir)
+    print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
     print(f"test acc:   {summary['test_accuracy']:.4f}")
@@ -250,44 +227,34 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _apply_config_file(args)
-    model_file = _resolved(args, "model_file", None, str)
-    cache = _resolved(args, "cache", None, str)
-    split = _resolved(args, "split", "test", str)
-    if model_file is None or cache is None:
+    if args.model_file is None or args.cache is None:
         raise ParameterError("--model-file and --cache are required")
-    if split not in ("train", "val", "test"):
-        raise ParameterError(f"split must be train, val or test, got {split!r}")
-    model = load_model(model_file)
-    ds = data_mod.load_cached(cache)
-    x, y = getattr(ds, f"{split}_xy")()
+    if args.split not in ("train", "val", "test"):
+        raise ParameterError(f"split must be train, val or test, got {args.split!r}")
+    model = load_model(args.model_file)
+    ds = data_mod.load_cached(args.cache)
+    x, y = getattr(ds, f"{args.split}_xy")()
     acc = optim.evaluate(model, x, y)
-    print(f"{split} accuracy: {acc:.6f} ({int(round(acc * y.size))}/{y.size})")
+    print(f"{args.split} accuracy: {acc:.6f} ({int(round(acc * y.size))}/{y.size})")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    _apply_config_file(args)
-    cache = _resolved(args, "cache", None, str)
-    if cache is None:
+    if args.cache is None:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
-    models = _resolved(args, "models", MODEL_VARIANTS, lambda t: tuple(t.split(",")))
-    seeds = _resolved(args, "seeds", (0, 1, 2, 3, 4), _parse_ints)
-    c_grid = _resolved(args, "c_grid", (0.0, 1e-5, 1e-4, 1e-3), _parse_floats)
+    seeds, c_grid = args.seeds, args.c_grid
     if not seeds or not c_grid:
         raise ParameterError("--seeds and --c-grid each need at least one value")
     if min(c_grid) < 0:
         raise ParameterError(f"--c-grid entries must be nonnegative, got {c_grid}")
-    out_dir = Path(_resolved(args, "out", "comparison", str))
-    ds = data_mod.load_cached(cache)  # one load serves every run
+    out_dir = Path(args.out)
+    ds = data_mod.load_cached(args.cache)  # one load serves every run
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}
-    for model_name in models:
+    for model_name in args.models:
         try:
-            results[model_name] = _compare_one_model(
-                ds, cache, model_name, seeds, c_grid, args, out_dir
-            )
+            results[model_name] = _compare_one_model(ds, model_name, args, out_dir)
         except CvkafError as exc:
             results[model_name] = {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -299,14 +266,15 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _compare_one_model(ds, cache, model_name, seeds, c_grid, args, out_dir: Path) -> dict:
+def _compare_one_model(ds, model_name, args, out_dir: Path) -> dict:
     """Grid-search C on the first seed, then rerun the remaining seeds at it."""
+    seeds = args.seeds
     accuracies: list[float] = []
     grid_accs: dict[str, float] = {}
     best_c, best_acc = None, -1.0
-    for c in sorted(c_grid):  # ties go to the smaller C
+    for c in sorted(args.c_grid):  # ties go to the smaller C
         run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
-        _, _, summary = _train_one(ds, cache, model_name, seeds[0], c, args, run_dir)
+        _, _, summary = _train_one(ds, model_name, seeds[0], c, args, run_dir)
         grid_accs[f"{c:g}"] = summary["val_accuracy"]
         if summary["val_accuracy"] > best_acc:
             best_acc = summary["val_accuracy"]
@@ -314,7 +282,7 @@ def _compare_one_model(ds, cache, model_name, seeds, c_grid, args, out_dir: Path
             accuracies = [summary["test_accuracy"]]
     for seed in seeds[1:]:
         run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{best_c:g}"
-        _, _, summary = _train_one(ds, cache, model_name, seed, best_c, args, run_dir)
+        _, _, summary = _train_one(ds, model_name, seed, best_c, args, run_dir)
         accuracies.append(summary["test_accuracy"])
     mean = statistics.fmean(accuracies)
     std = statistics.stdev(accuracies) if len(accuracies) >= 2 else None
@@ -352,16 +320,11 @@ def _render_comparison(results: dict[str, dict], seeds) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    _apply_config_file(args)
-    which = _resolved(args, "model", "all", str)
-    n_seeds = _resolved(args, "seeds", 20, int)
-    tolerance = _resolved(args, "tolerance", 1e-5, float)
-    variants = GRADCHECK_VARIANTS if which == "all" else (which,)
-    for v in variants:
-        if v not in GRADCHECK_VARIANTS:
-            raise ParameterError(
-                f"unknown gradcheck variant {v!r}; choose from {GRADCHECK_VARIANTS}"
-            )
+    n_seeds, tolerance = args.seeds, args.tolerance
+    if args.model != "all" and args.model not in GRADCHECK_VARIANTS:
+        raise ParameterError(
+            f"unknown gradcheck variant {args.model!r}; choose from {GRADCHECK_VARIANTS}")
+    variants = GRADCHECK_VARIANTS if args.model == "all" else (args.model,)
     if n_seeds < 1:
         raise ParameterError(f"--seeds must be at least 1, got {n_seeds}")
     failures = []
@@ -380,8 +343,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    _apply_config_file(args)
-    out = Path(_resolved(args, "out", "curves.csv", str))
+    out = Path(args.out)
     groups: dict[str, list[optim.TrainTrace]] = {}
     for spec in args.traces:
         label, _, path = spec.rpartition("=")
@@ -438,82 +400,96 @@ def _trace_label(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are parameter errors (exit 2)."""
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
+class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Ends each option's help with its declared default, if it has one."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def add_training_flags(p) -> None:
-    """The training flags ``train`` and ``compare`` share; ``_train_one``
-    holds their defaults."""
-    p.add_argument("--lr")
-    p.add_argument("--batch-size", dest="batch_size")
-    p.add_argument("--patience")
-    p.add_argument("--eval-every", dest="eval_every")
-    p.add_argument("--max-iterations", dest="max_iterations")
-    p.add_argument("--dict-points", dest="dict_points")
-    p.add_argument("--dict-range", dest="dict_range")
-    p.add_argument("--hidden", help="hidden widths, e.g. 100,100,100")
+    """The training flags ``train`` and ``compare`` share, with the library's defaults."""
+    p.add_argument("--lr", type=float, default=TrainConfig.lr, help="Adagrad learning rate")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="batch size")
+    p.add_argument("--patience", type=int, default=TrainConfig.patience,
+                   help="iterations without a validation gain before stopping")
+    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every,
+                   help="validation interval")
+    p.add_argument("--max-iterations", type=int, default=TrainConfig.max_iterations,
+                   help="iteration budget")
+    p.add_argument("--dict-points", type=int, default=DEFAULT_POINTS_PER_AXIS,
+                   help="dictionary points per axis")
+    p.add_argument("--dict-range", type=_parse_range, default=_range_text(DEFAULT_AXIS_RANGE),
+                   help="dictionary axis range")
+    p.add_argument("--hidden", type=_parse_ints, default=_list_text(NetworkConfig.hidden_widths),
+                   help="hidden widths")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvkaf",
         description="Complex-valued KAF networks: preprocessing, training, comparison.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         p.add_argument("--config", help="key = value config file; flags win")
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("preprocess", help="build the FFT feature cache for a dataset")
-    add_common(p)
-    p.add_argument("--dataset", help="mnist | fashion_mnist | emnist_digits | latin_ocr | digits")
-    p.add_argument("--k-coeffs", dest="k_coeffs", help="coefficients to keep (default 100)")
-    p.add_argument("--seed")
-    p.add_argument("--data-dir", dest="data_dir",
-                   help=f"IDX file root (default ${DATA_DIR_ENV} or ./data)")
-    p.add_argument("--split", help="train,val,test fractions (default 0.8,0.1,0.1)")
-    p.add_argument("--split-counts", dest="split_counts",
+    p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset")
+    p.add_argument("--dataset", default="mnist",
+                   help="mnist | fashion_mnist | emnist_digits | latin_ocr | digits")
+    p.add_argument("--k-coeffs", type=int, default=data_mod.DEFAULT_K, help="coefficients to keep")
+    p.add_argument("--seed", type=int, default=0, help="split permutation seed")
+    p.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV, "data"),
+                   help=f"IDX file root, from ${DATA_DIR_ENV} when set")
+    p.add_argument("--split", type=_parse_floats, default=_list_text(data_mod.DEFAULT_SPLIT),
+                   help="train,val,test fractions")
+    p.add_argument("--split-counts", type=_parse_ints,
                    help="absolute train,val,test sizes (overrides --split)")
-    p.add_argument("--out", help="cache file path")
-    p.set_defaults(func=cmd_preprocess)
+    p.add_argument("--out", help="cache file path; <dataset>.cvkc if omitted")
 
-    p = sub.add_parser("train", help="train one model variant for one seed")
-    add_common(p)
+    p = command("train", cmd_train, "train one model variant for one seed")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--model", help="|".join(MODEL_VARIANTS))
-    p.add_argument("--seed")
-    p.add_argument("--c", help="regularization weight (default 0)")
+    p.add_argument("--model", default="wlkaf_case1", help="|".join(MODEL_VARIANTS))
+    p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
+    p.add_argument("--c", type=float, default=TrainObjective.reg_weight, help="regularizer weight")
     add_training_flags(p)
-    p.add_argument("--out", help="run directory")
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--out", help="run directory; run_<model>_seed<seed> if omitted")
 
-    p = sub.add_parser("evaluate", help="accuracy of a saved model on a split")
-    add_common(p)
-    p.add_argument("--model-file", dest="model_file")
-    p.add_argument("--cache")
-    p.add_argument("--split", help="train | val | test (default test)")
-    p.set_defaults(func=cmd_evaluate)
+    p = command("evaluate", cmd_evaluate, "accuracy of a saved model on a split")
+    p.add_argument("--model-file", help="model from 'train'")
+    p.add_argument("--cache", help="feature cache from 'preprocess'")
+    p.add_argument("--split", default="test", help="train | val | test")
 
-    p = sub.add_parser("compare", help="grid search + multi-seed comparison table")
-    add_common(p)
-    p.add_argument("--cache")
-    p.add_argument("--models", help="comma-separated variants (default all four)")
-    p.add_argument("--seeds", help="comma-separated seeds (default 0,1,2,3,4)")
-    p.add_argument("--c-grid", dest="c_grid", help="default 0,1e-5,1e-4,1e-3")
+    p = command("compare", cmd_compare, "grid search + multi-seed comparison table")
+    p.add_argument("--cache", help="feature cache from 'preprocess'")
+    p.add_argument("--models", type=lambda t: tuple(t.split(",")),
+                   default=_list_text(MODEL_VARIANTS), help="comma-separated variants")
+    p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
+    p.add_argument("--c-grid", type=_parse_floats, default="0,1e-5,1e-4,1e-3",
+                   help="regularization weights to search")
     add_training_flags(p)
-    p.add_argument("--out", help="output directory (default ./comparison)")
-    p.set_defaults(func=cmd_compare)
+    p.add_argument("--out", default="comparison", help="output directory")
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of all backward rules")
-    add_common(p)
-    p.add_argument("--model", help="activation variant or 'all'")
-    p.add_argument("--seeds", help="number of random seeds (default 20)")
-    p.add_argument("--tolerance", help="relative tolerance (default 1e-5)")
-    p.set_defaults(func=cmd_gradcheck)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference check of all backward rules")
+    p.add_argument("--model", default="all", help="activation variant or 'all'")
+    p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="relative tolerance")
 
-    p = sub.add_parser("curves", help="merge trace CSVs into a convergence dataset")
-    add_common(p)
+    p = command("curves", cmd_curves, "merge trace CSVs into a convergence dataset")
     p.add_argument("traces", nargs="+", metavar="TRACE",
                    help="trace.csv paths, optionally label=path")
-    p.add_argument("--out", help="output CSV (default curves.csv)")
-    p.set_defaults(func=cmd_curves)
+    p.add_argument("--out", default="curves.csv", help="output CSV")
 
     return parser
 
@@ -522,6 +498,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:  # parse again with the file's values as the command's defaults
+            _apply_config_file(args.parser, args.config)
+            args = parser.parse_args(argv)
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -47,7 +47,6 @@ __all__ = [
     "ComplexDataset",
     "load_idx",
     "fft2",
-    "naive_dft2",
     "rank_and_select",
     "build_complex_dataset",
     "cache_dataset",
@@ -55,6 +54,9 @@ __all__ = [
     "load_named_dataset",
     "DATASET_FILES",
 ]
+
+DEFAULT_K = 100  # complex coefficients kept per image
+DEFAULT_SPLIT = (0.8, 0.1, 0.1)  # train, validation and test fractions
 
 _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
@@ -209,21 +211,6 @@ def fft2(image: np.ndarray) -> np.ndarray:
     return _coefficients(spectrum, *_hermitian_map(h, w)).reshape(h, w)
 
 
-def naive_dft2(image: np.ndarray) -> np.ndarray:
-    """Quadratic-time DFT used as the independent oracle for :func:`fft2`."""
-    img = np.asarray(image, dtype=np.float64)
-    h, w = img.shape
-    out = np.zeros((h, w), dtype=np.complex128)
-    for u in range(h):
-        for v in range(w):
-            s = 0.0 + 0.0j
-            for m in range(h):
-                for n in range(w):
-                    s += img[m, n] * np.exp(-2j * np.pi * (u * m / h + v * n / w))
-            out[u, v] = s
-    return out
-
-
 def rank_and_select(images: np.ndarray, k: int, rows=None) -> np.ndarray:
     """Top-k flat coefficient indices by mean |DFT coefficient| over ``images[rows]``.
 
@@ -332,8 +319,8 @@ def _split_sizes(n: int, split, split_counts) -> tuple[int, int, int]:
 
 def build_complex_dataset(
     raw: RawImageSet,
-    k: int = 100,
-    split=(0.8, 0.1, 0.1),
+    k: int = DEFAULT_K,
+    split=DEFAULT_SPLIT,
     seed: int = 0,
     split_counts=None,
 ) -> ComplexDataset:

@@ -83,7 +83,7 @@ def gradcheck_variant(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> GradcheckReport:
     """Compare analytic and numeric cogradients on a tiny random network."""
-    dictionary = build_dictionary(dict_points, (-2.0, 2.0))
+    dictionary = build_dictionary(dict_points)
     cfg = NetworkConfig(
         input_dim=input_dim,
         hidden_widths=tuple(widths),

@@ -45,6 +45,9 @@ __all__ = [
     "case2_pair",
 ]
 
+DEFAULT_POINTS_PER_AXIS = 8
+DEFAULT_AXIS_RANGE = (-2.0, 2.0)
+
 # Largest |real part| of a complex-Gaussian exponent before we refuse to
 # exponentiate; exp(709) is the float64 overflow edge.
 _EXP_LIMIT = 700.0
@@ -77,7 +80,8 @@ class Dictionary:
         return self.points.shape[0]
 
 
-def build_dictionary(points_per_axis: int, axis_range: tuple[float, float] = (-2.0, 2.0)) -> Dictionary:
+def build_dictionary(points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
+                     axis_range: tuple[float, float] = DEFAULT_AXIS_RANGE) -> Dictionary:
     """Sample a ``m x m`` grid over ``axis_range`` on both axes."""
     m = int(points_per_axis)
     lo, hi = float(axis_range[0]), float(axis_range[1])

@@ -145,7 +145,7 @@ class NetworkConfig:
     activation: str = "kaf_independent"
     seed: int = 0
     alpha_init: str = "identity"
-    ridge: float = 1e-4
+    ridge: float = act.DEFAULT_RIDGE
 
     def __post_init__(self):
         if self.input_dim < 1 or self.class_count < 1:
@@ -169,10 +169,6 @@ class _Network:
     def parameters(self) -> dict[str, np.ndarray]:
         """Live (mutable) name->array view of every trainable parameter."""
         return self._params
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     def bump_version(self) -> None:
         """Invalidate outstanding forward caches after in-place updates."""
@@ -282,7 +278,7 @@ class ComplexNetwork(_Network):
         self.activation = (activation if activation is not None
                            else act.ACTIVATION_VARIANTS[config.activation]())
         if isinstance(self.activation, act._KafBase) and dictionary is None:
-            dictionary = build_dictionary(8, (-2.0, 2.0))
+            dictionary = build_dictionary()
         self.dictionary = dictionary
         self._version = 0
         widths = [config.input_dim, *config.hidden_widths, config.class_count]
@@ -455,9 +451,9 @@ def build_model(
     input_dim: int,
     class_count: int,
     seed: int,
-    hidden_widths: tuple[int, ...] = (100, 100, 100),
+    hidden_widths: tuple[int, ...] = NetworkConfig.hidden_widths,
     dictionary: Optional[Dictionary] = None,
-    alpha_init: str = "identity",
+    alpha_init: str = NetworkConfig.alpha_init,
 ):
     """Construct one of the benchmark model variants."""
     if variant == "real_nn":

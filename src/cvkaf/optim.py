@@ -40,7 +40,7 @@ TRACE_COLUMNS = ("iteration", "train_loss", "val_accuracy", "elapsed_seconds")
 class Adagrad:
     """Component-wise Adagrad over a name->array parameter dict."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 0.01, epsilon: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], lr: float, epsilon: float = 1e-8):
         if lr <= 0 or epsilon <= 0:
             raise ParameterError("learning rate and epsilon must be positive")
         self.lr = lr
@@ -79,7 +79,6 @@ class TrainConfig:
     eval_every: int = 50
     max_iterations: int = 20000
     lr: float = 0.01
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -143,7 +142,7 @@ def train(
         raise ParameterError(f"batch_size {config.batch_size} exceeds training set size {n}")
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
-    opt = Adagrad(params, lr=config.lr, epsilon=config.epsilon)
+    opt = Adagrad(params, lr=config.lr)
     trace = TrainTrace(eval_every=config.eval_every)
     best = model.snapshot()
     best_acc = evaluate(model, x_val, y_val)

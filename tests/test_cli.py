@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, config files, artifact layout."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,10 +11,17 @@ from cvkaf.cli import main
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
 from cvkaf.kernels import build_dictionary
-from cvkaf.network import _MODEL_MAGIC, _MODEL_VERSION, build_model, load_model, save_model
-from cvkaf.optim import evaluate, read_trace_csv
+from cvkaf.network import (
+    _MODEL_MAGIC,
+    _MODEL_VERSION,
+    NetworkConfig,
+    build_model,
+    load_model,
+    save_model,
+)
+from cvkaf.optim import TrainConfig, evaluate, read_trace_csv
 
-from test_data import synthetic_raw
+from test_data import synthetic_raw, write_idx_images, write_idx_labels
 
 
 def drop_elapsed(csv_text: str) -> str:
@@ -113,7 +121,8 @@ class TestTrain:
                 *TRAIN_FLAGS]
         argv[argv.index("--batch-size") + 1] = "x"
         assert main(argv) == 2
-        assert "batch_size = 'x'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and "'x'" in err
 
     def test_unreadable_cache_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.cvkc"
@@ -281,7 +290,8 @@ class TestGradcheckCommand:
 
     def test_unreadable_seed_count_is_parameter_error(self, capsys):
         assert main(["gradcheck", "--model", "split_tanh", "--seeds", "abc"]) == 2
-        assert "seeds = 'abc'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--seeds" in err and "'abc'" in err
 
 
 class TestCurves:
@@ -379,9 +389,125 @@ class TestConfigFile:
         argv = ["train", "--config", str(cfg), "--cache", str(tiny_cache),
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 2
-        assert "batch_size = 'x'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--batch-size" in err and "'x'" in err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("no_such_key = 1\n")
         assert main(["preprocess", "--config", str(cfg)]) == 2
+
+    def test_preprocess_config_supplies_defaults_and_flags_win(self, idx_dir, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "dataset = latin_ocr\n"
+            f"data-dir = {idx_dir}\n"
+            "k-coeffs = 9\n"
+            "split = 0.5,0.25,0.25\n"
+            "seed = 5\n"
+            f"out = {tmp_path / 'from_config.cvkc'}\n"
+        )
+        assert main(["preprocess", "--config", str(cfg), "--k-coeffs", "7"]) == 0
+        out = capsys.readouterr().out
+        assert "features: 7 complex" in out and "train=20 val=10 test=10" in out
+        ds = load_cached(tmp_path / "from_config.cvkc")
+        assert ds.seed == 5 and ds.feature_dim == 7
+
+    def test_data_dir_precedence_is_flag_then_config_then_environment(
+        self, idx_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("CVKAF_DATA_DIR", str(idx_dir))
+        argv = ["preprocess", "--dataset", "latin_ocr", "--k-coeffs", "4",
+                "--out", str(tmp_path / "x.cvkc")]
+        assert main(argv) == 0
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"data_dir = {tmp_path / 'empty'}\n")
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert main([*argv, "--config", str(cfg), "--data-dir", str(idx_dir)]) == 0
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("dict-range", "abc", "expected a range like -2..2, got 'abc'"),
+        ("seeds", "0,x", "expected comma-separated integers, got '0,x'"),
+    ])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_unreadable_list_keeps_its_message(self, key, value, message, source,
+                                               tiny_cache, tmp_path, capsys):
+        argv = ["compare", "--cache", str(tiny_cache), "--out", str(tmp_path / "cmp")]
+        if source == "flag":
+            argv += [f"--{key}", value]
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--{key}" in err and message in err
+
+    def test_config_defaults_end_with_the_call(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("batch-size = 10\nhidden = 8\n")
+        assert main(["train", "--config", str(cfg), "--cache", str(tmp_path / "none")]) == 3
+        assert printed_defaults("train", capsys)["--batch-size"] == str(TrainConfig.batch_size)
+
+
+@pytest.fixture
+def idx_dir(tmp_path):
+    """A data directory holding a synthetic ``latin_ocr`` IDX pair of 40 images."""
+    raw = synthetic_raw(n=40)
+    (tmp_path / "idx" / "latin_ocr").mkdir(parents=True)
+    write_idx_images(tmp_path / "idx" / "latin_ocr" / "train-images-idx3-ubyte", raw.images)
+    write_idx_labels(tmp_path / "idx" / "latin_ocr" / "train-labels-idx1-ubyte", raw.labels)
+    return tmp_path / "idx"
+
+
+def printed_defaults(command: str, capsys) -> dict[str, str]:
+    """Each option's default as ``cvkaf <command> --help`` prints it."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    return dict(re.findall(r"(--[\w-]+) [A-Z_]+ (?:(?!--)[^(])*\(default: ([^)]*)\)", text))
+
+
+TRAINING_DEFAULTS = {
+    "--lr": str(TrainConfig.lr),
+    "--batch-size": str(TrainConfig.batch_size),
+    "--patience": str(TrainConfig.patience),
+    "--eval-every": str(TrainConfig.eval_every),
+    "--max-iterations": str(TrainConfig.max_iterations),
+    "--dict-points": "8",
+    "--dict-range": "-2.0..2.0",
+    "--hidden": ",".join(str(w) for w in NetworkConfig.hidden_widths),
+}
+
+
+class TestParser:
+    def test_help_prints_every_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("CVKAF_DATA_DIR", raising=False)
+        assert printed_defaults("preprocess", capsys) == {
+            "--dataset": "mnist", "--k-coeffs": "100", "--seed": "0", "--data-dir": "data",
+            "--split": "0.8,0.1,0.1",
+        }
+        assert printed_defaults("train", capsys) == {
+            "--model": "wlkaf_case1", "--seed": "0", "--c": "0.0", **TRAINING_DEFAULTS,
+        }
+        assert printed_defaults("compare", capsys) == {
+            "--models": "real_nn,kaf_independent,wlkaf_case1,wlkaf_case2",
+            "--seeds": "0,1,2,3,4", "--c-grid": "0,1e-5,1e-4,1e-3", "--out": "comparison",
+            **TRAINING_DEFAULTS,
+        }
+        assert printed_defaults("gradcheck", capsys) == {
+            "--model": "all", "--seeds": "20", "--tolerance": "1e-05",
+        }
+
+    def test_training_defaults_are_the_papers_protocol(self):
+        assert TRAINING_DEFAULTS == {
+            "--lr": "0.01", "--batch-size": "40", "--patience": "1000", "--eval-every": "50",
+            "--max-iterations": "20000", "--dict-points": "8", "--dict-range": "-2.0..2.0",
+            "--hidden": "100,100,100",
+        }
+
+    @pytest.mark.parametrize("argv", [["train", "--no-such-flag"], ["frobnicate"], []])
+    def test_usage_error_is_parameter_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("parameter error: cvkaf")
