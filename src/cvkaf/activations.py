@@ -31,10 +31,10 @@ for fixed bandwidths every table is real-linear in ``(Re alpha, Im alpha)``,
 so :func:`fit_alpha` reads the design matrix off one forward run over the
 grid and solves one real ridge system, for any table and any bandwidths
 (case 1 with ``gamma_rr != gamma_ii`` included). Layer classes vectorize
-over a (batch, width) activation matrix with per-neuron parameters;
-``kaf_forward`` and ``wlkaf_forward_case*`` are the dense reference forms
-the tests compare against, and no build, train or evaluate path calls
-them. Backward passes return cogradients in the package-wide convention
+over a (batch, width) activation matrix with per-neuron parameters.
+This engine is the one implementation of the kernels in the package; the
+tests check it against dense per-atom reference forms kept with them.
+Backward passes return cogradients in the package-wide convention
 (see :mod:`cvkaf.cnum`) and are all validated against finite differences.
 """
 
@@ -45,14 +45,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import kernels
 from .errors import NumericError, ParameterError
 from .kernels import Dictionary
 
 __all__ = [
-    "kaf_forward",
-    "wlkaf_forward_case1",
-    "wlkaf_forward_case2",
     "fit_alpha",
     "gamma_rule_of_thumb",
     "SplitActivation",
@@ -71,26 +67,6 @@ _SPLIT_FUNCS: dict[str, tuple[Callable, Callable]] = {
     "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
     "identity": (lambda a: a, lambda a: np.ones_like(a)),
 }
-
-
-def kaf_forward(z, alpha, dictionary: Dictionary, kernel, gamma):
-    """Kernel expansion ``g(z) = k(z)^T alpha`` (plain transpose, no conjugation)."""
-    k = kernels.kernel_matrix(z, dictionary, kernel, gamma)
-    return k @ np.asarray(alpha, dtype=np.complex128)
-
-
-def wlkaf_forward_case1(z, alpha, dictionary: Dictionary, gamma_rr, gamma_ii):
-    """Widely linear expansion with the case-1 kernel/pseudo-kernel pair."""
-    k, kt = kernels.case1_pair(z, dictionary, gamma_rr, gamma_ii)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    return k @ alpha + kt @ np.conj(alpha)
-
-
-def wlkaf_forward_case2(z, alpha, dictionary: Dictionary, gammas, gamma_tildes, omegas):
-    """Widely linear expansion with the case-2 kernel/pseudo-kernel pair."""
-    k, kt = kernels.case2_pair(z, dictionary, gammas, gamma_tildes, omegas)
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    return k @ alpha + kt @ np.conj(alpha)
 
 
 def gamma_rule_of_thumb(dictionary: Dictionary) -> float:

@@ -10,13 +10,15 @@ Each option is declared once, in :func:`build_parser`, with its type and
 its default (the library's, where the library owns it); ``cvkaf <command>
 --help`` prints every default. A ``key = value`` config file passed with
 ``--config`` is applied once, in :func:`main`, as the chosen command's
-defaults, so explicit flags win. Each training run writes a
-directory containing the resolved config snapshot, the serialized model,
-the trace CSV, and a machine-readable summary; wall-clock timestamps are
-confined to the sidecar ``run.log``, keeping the other artifacts
-byte-reproducible under a fixed seed.
+defaults, so explicit flags win; an unreadable file, or a value in it
+that its option rejects, is a parameter error naming the file. Each
+training run writes a directory containing the resolved config snapshot,
+the serialized model, the trace CSV, and a machine-readable summary;
+wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
+other artifacts byte-reproducible under a fixed seed.
 
-Exit codes: 0 success, 2 parameter errors, 3 data errors, 4 numeric errors.
+Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
+cache or model file included), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -89,8 +91,12 @@ def _list_text(values) -> str:
 
 def read_config_file(path) -> dict[str, str]:
     """Parse a flat ``key = value`` UTF-8 config file ('#' starts a comment)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -500,7 +506,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:  # parse again with the file's values as the command's defaults
             _apply_config_file(args.parser, args.config)
-            args = parser.parse_args(argv)
+            try:
+                args = parser.parse_args(argv)
+            except ParameterError as exc:  # flags parsed once already: a file value failed
+                raise ParameterError(f"config file {args.config}: {exc}") from exc
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ of silently using stale intermediates.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
@@ -453,18 +454,15 @@ def build_model(
     seed: int,
     hidden_widths: tuple[int, ...] = NetworkConfig.hidden_widths,
     dictionary: Optional[Dictionary] = None,
-    alpha_init: str = NetworkConfig.alpha_init,
 ):
     """Construct one of the benchmark model variants."""
-    if variant == "real_nn":
-        cfg = NetworkConfig(input_dim, tuple(hidden_widths), class_count,
-                            activation="split_identity", seed=seed)
-        return RealBaselineNetwork(cfg)
-    if variant not in act.ACTIVATION_VARIANTS:
+    if variant != "real_nn" and variant not in act.ACTIVATION_VARIANTS:
         raise ParameterError(f"unknown model variant {variant!r}; "
                              f"choose from {('real_nn', *act.ACTIVATION_VARIANTS)}")
     cfg = NetworkConfig(input_dim, tuple(hidden_widths), class_count,
-                        activation=variant, seed=seed, alpha_init=alpha_init)
+                        activation=variant, seed=seed)
+    if variant == "real_nn":
+        return RealBaselineNetwork(cfg)
     return ComplexNetwork(cfg, dictionary)
 
 
@@ -474,16 +472,7 @@ def save_model(path, model) -> None:
         meta = {"kind": "real_baseline"}
     else:
         meta = {"kind": "complex", "activation": model.activation.spec_dict()}
-    cfg = model.config
-    meta["config"] = {
-        "input_dim": cfg.input_dim,
-        "hidden_widths": list(cfg.hidden_widths),
-        "class_count": cfg.class_count,
-        "activation": cfg.activation,
-        "seed": cfg.seed,
-        "alpha_init": cfg.alpha_init,
-        "ridge": cfg.ridge,
-    }
+    meta["config"] = dataclasses.asdict(model.config)
     if model.dictionary is not None:
         meta["dictionary"] = {
             "points_per_axis": model.dictionary.points_per_axis,
@@ -493,33 +482,36 @@ def save_model(path, model) -> None:
 
 
 def load_model(path):
-    """Reconstruct a model saved by :func:`save_model`, bit-exact."""
+    """Reconstruct a model saved by :func:`save_model`, bit-exact.
+
+    A file whose header or arrays do not describe a model of this package
+    is a :class:`CacheError` that names the file.
+    """
     meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+    try:
+        return _model_from(meta, arrays)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CacheError(f"{path} does not hold a usable model: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
+def _model_from(meta: dict, arrays: dict[str, np.ndarray]):
+    """The model that a :func:`save_model` header and its arrays describe."""
     c = meta["config"]
-    cfg = NetworkConfig(
-        input_dim=c["input_dim"],
-        hidden_widths=tuple(c["hidden_widths"]),
-        class_count=c["class_count"],
-        activation=c["activation"],
-        seed=c["seed"],
-        alpha_init=c["alpha_init"],
-        ridge=c["ridge"],
-    )
+    names = {f.name for f in dataclasses.fields(NetworkConfig)}
+    if set(c) != names:
+        raise ValueError(f"config fields {sorted(c)}, expected {sorted(names)}")
+    cfg = NetworkConfig(**{**c, "hidden_widths": tuple(c["hidden_widths"])})
     if meta["kind"] == "real_baseline":
         model = RealBaselineNetwork(cfg)
         model.set_parameters(arrays)
-    elif meta["kind"] == "complex":
-        dmeta = meta.get("dictionary")
-        dictionary = (
-            build_dictionary(dmeta["points_per_axis"], tuple(dmeta["axis_range"]))
-            if dmeta else None
-        )
-        try:
-            activation = act.activation_from_spec(meta["activation"])
-        except (KeyError, TypeError, ParameterError) as exc:
-            raise CacheError(f"unusable activation spec {meta.get('activation')!r}: "
-                             f"{type(exc).__name__}: {exc}") from exc
-        model = ComplexNetwork._from_parameters(cfg, dictionary, activation, arrays)
-    else:
-        raise CacheError(f"unknown model kind {meta.get('kind')!r}")
-    return model
+        return model
+    if meta["kind"] != "complex":
+        raise ValueError(f"unknown model kind {meta['kind']!r}")
+    dmeta = meta.get("dictionary")
+    dictionary = (
+        build_dictionary(dmeta["points_per_axis"], tuple(dmeta["axis_range"]))
+        if dmeta else None
+    )
+    activation = act.activation_from_spec(meta["activation"])
+    return ComplexNetwork._from_parameters(cfg, dictionary, activation, arrays)

@@ -36,15 +36,18 @@ __all__ = [
 
 TRACE_COLUMNS = ("iteration", "train_loss", "val_accuracy", "elapsed_seconds")
 
+_EVAL_CHUNK = 1024  # rows per predict call in evaluate
+
 
 class Adagrad:
     """Component-wise Adagrad over a name->array parameter dict."""
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float, epsilon: float = 1e-8):
-        if lr <= 0 or epsilon <= 0:
-            raise ParameterError("learning rate and epsilon must be positive")
+    epsilon = 1e-8  # added to sqrt(acc), so a zero accumulator divides safely
+
+    def __init__(self, params: dict[str, np.ndarray], lr: float):
+        if lr <= 0:
+            raise ParameterError("learning rate must be positive")
         self.lr = lr
-        self.epsilon = epsilon
         self.acc: dict[str, np.ndarray] = {}
         for name, arr in params.items():
             if np.iscomplexobj(arr):
@@ -106,7 +109,7 @@ class TrainTrace:
     eval_every: int = 0
 
 
-def evaluate(model, x: np.ndarray, labels: np.ndarray, chunk: int = 1024) -> float:
+def evaluate(model, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of samples whose argmax class probability hits the label.
 
     Ties resolve to the lowest class index (argmax semantics).
@@ -115,9 +118,9 @@ def evaluate(model, x: np.ndarray, labels: np.ndarray, chunk: int = 1024) -> flo
     if labels.shape[0] == 0:
         raise ParameterError("cannot evaluate an empty split")
     hits = 0
-    for lo in range(0, labels.shape[0], chunk):
-        pred = model.predict(x[lo:lo + chunk])
-        hits += int(np.sum(pred == labels[lo:lo + chunk]))
+    for lo in range(0, labels.shape[0], _EVAL_CHUNK):
+        pred = model.predict(x[lo:lo + _EVAL_CHUNK])
+        hits += int(np.sum(pred == labels[lo:lo + _EVAL_CHUNK]))
     return hits / labels.shape[0]
 
 

@@ -18,13 +18,7 @@ import pytest
 from cvkaf.cli import main
 from cvkaf.data import build_complex_dataset, fft2, load_idx, load_named_dataset
 from cvkaf.gradcheck import GRADCHECK_VARIANTS, gradcheck_variant
-from cvkaf.kernels import (
-    KernelBlockSet,
-    blocks_from_complex_kernel,
-    build_dictionary,
-    vector_model_eval,
-    wl_from_blocks,
-)
+from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
     build_model,
     complex_softmax,
@@ -32,7 +26,16 @@ from cvkaf.network import (
     TrainObjective,
 )
 from cvkaf.optim import TrainConfig, evaluate, train
-from cvkaf.activations import kaf_forward, wlkaf_forward_case1
+from cvkaf.activations import KafActivation, WlKafCase1Activation
+
+from reference import (
+    KernelBlockSet,
+    blocks_from_complex_kernel,
+    kaf_forward,
+    vector_model_eval,
+    wl_from_blocks,
+    wlkaf_forward_case1,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -121,8 +124,22 @@ class TestCriterion3Case1Degeneracy:
         std = kaf_forward(z, alpha, d8, "real_gaussian", gamma)
         worst = float(np.max(np.abs(wl - std)))
         ok = worst <= 1e-14
-        report(3, ok, f"max |case1 - standard| = {worst:.2e} over 1000 inputs")
+        # the layers train and evaluate run: 100 neurons, each with its own
+        # alpha and one bandwidth shared by gamma_rr and gamma_ii
+        case1 = WlKafCase1Activation()
+        params = case1.init_params(100, d8, rng, alpha_init="random")
+        log_gamma = np.log(gamma) + 0.3 * rng.normal(size=100)
+        params["log_gamma_rr"] = params["log_gamma_ii"] = log_gamma
+        zs = rng.normal(size=(1000, 100)) + 1j * rng.normal(size=(1000, 100))
+        wl_layer = case1.forward(zs, params, d8)[0]
+        std_layer = KafActivation("real_gaussian").forward(
+            zs, {"alpha": params["alpha"], "log_gamma": log_gamma}, d8)[0]
+        shipped = float(np.max(np.abs(wl_layer - std_layer)))
+        shipped_ok = shipped <= 1e-14
+        report(3, ok and shipped_ok, f"max |case1 - standard| = {worst:.2e} over 1000 inputs; "
+                                     f"shipped layers {shipped:.2e} over 1000 x 100")
         assert ok
+        assert shipped_ok
 
 
 class TestCriterion4GradientCorrectness:

@@ -6,16 +6,19 @@ import pytest
 from cvkaf import activations as act
 from cvkaf.cnum import finite_diff_cogradient
 from cvkaf.errors import NumericError, ParameterError
-from cvkaf.kernels import (
-    KernelBlockSet,
-    build_dictionary,
-    case2_pair,
-    gaussian_real_of_complex,
-    kernel_matrix,
-    vector_model_eval,
-)
+from cvkaf.kernels import build_dictionary
 
 from conftest import random_complex
+from reference import (
+    KernelBlockSet,
+    case2_pair,
+    gaussian_real_of_complex,
+    kaf_forward,
+    kernel_matrix,
+    vector_model_eval,
+    wlkaf_forward_case1,
+    wlkaf_forward_case2,
+)
 
 
 def _split(z, fn):
@@ -59,21 +62,21 @@ class TestPhaseAmplitude:
 class TestKafForward:
     def test_zero_coefficients(self, dict4, rng):
         z = random_complex(rng, 5)
-        out = act.kaf_forward(z, np.zeros(16, dtype=complex), dict4, "real_gaussian", 1.0)
+        out = kaf_forward(z, np.zeros(16, dtype=complex), dict4, "real_gaussian", 1.0)
         np.testing.assert_array_equal(out, np.zeros(5, dtype=complex))
 
     def test_one_hot_selects_single_atom(self, dict4, rng):
         alpha = np.zeros(16, dtype=complex)
         alpha[7] = 1.0
         z = complex(rng.normal(), rng.normal())
-        out = act.kaf_forward(z, alpha, dict4, "independent", 1.2)
-        from cvkaf.kernels import independent_kernel
+        out = kaf_forward(z, alpha, dict4, "independent", 1.2)
+        from reference import independent_kernel
 
         np.testing.assert_allclose(out, independent_kernel(z, dict4.points[7], 1.2))
 
     @pytest.mark.parametrize("kernel", ["real_gaussian", "independent"])
     def test_matches_scalar_loop(self, kernel, dict4, rng):
-        from cvkaf.kernels import KERNELS
+        from reference import KERNELS
 
         alpha = random_complex(rng, 16)
         z = complex(rng.normal(), rng.normal())
@@ -81,7 +84,7 @@ class TestKafForward:
             alpha[j] * KERNELS[kernel](z, dict4.points[j], 0.9) for j in range(16)
         )
         np.testing.assert_allclose(
-            act.kaf_forward(z, alpha, dict4, kernel, 0.9), expected, rtol=1e-12
+            kaf_forward(z, alpha, dict4, kernel, 0.9), expected, rtol=1e-12
         )
 
 
@@ -101,14 +104,14 @@ class TestWlKafForward:
     def test_case1_equal_bandwidths_degenerates_bitwise(self, dict4, rng):
         alpha = random_complex(rng, 16)
         z = random_complex(rng, 64)
-        wl = act.wlkaf_forward_case1(z, alpha, dict4, 1.4, 1.4)
-        std = act.kaf_forward(z, alpha, dict4, "real_gaussian", 1.4)
+        wl = wlkaf_forward_case1(z, alpha, dict4, 1.4, 1.4)
+        std = kaf_forward(z, alpha, dict4, "real_gaussian", 1.4)
         np.testing.assert_array_equal(wl, std)
 
     def test_case1_real_alpha_gives_real_output(self, dict4, rng):
         alpha = rng.normal(size=16).astype(complex)
         z = random_complex(rng, 10)
-        out = act.wlkaf_forward_case1(z, alpha, dict4, 0.8, 2.2)
+        out = wlkaf_forward_case1(z, alpha, dict4, 0.8, 2.2)
         np.testing.assert_allclose(out.imag, 0.0, atol=1e-15)
 
     def test_case2_matches_block_model_oracle(self, dict4, rng):
@@ -116,18 +119,18 @@ class TestWlKafForward:
         for _ in range(50):
             z = complex(rng.normal(), rng.normal())
             alpha = random_complex(rng, 16)
-            out = act.wlkaf_forward_case2(z, alpha, dict4, gammas, gamma_tildes, omegas)
+            out = wlkaf_forward_case2(z, alpha, dict4, gammas, gamma_tildes, omegas)
             k, kt = case2_pair(z, dict4, gammas, gamma_tildes, omegas)
             direct = vector_model_eval(_blocks_from_pair(k, kt), alpha)
             np.testing.assert_allclose(out, direct, atol=1e-12)
 
     def test_case1_matches_block_model_oracle(self, dict4, rng):
-        from cvkaf.kernels import case1_pair
+        from reference import case1_pair
 
         for _ in range(50):
             z = complex(rng.normal(), rng.normal())
             alpha = random_complex(rng, 16)
-            out = act.wlkaf_forward_case1(z, alpha, dict4, 0.7, 1.9)
+            out = wlkaf_forward_case1(z, alpha, dict4, 0.7, 1.9)
             k, kt = case1_pair(z, dict4, 0.7, 1.9)
             direct = vector_model_eval(_blocks_from_pair(k, kt), alpha)
             np.testing.assert_allclose(out, direct, atol=1e-12)
@@ -165,7 +168,7 @@ class TestInitAlpha:
         g = act.gamma_rule_of_thumb(dict4)
         layer = act.KafActivation("real_gaussian")
         alpha = act.fit_alpha(layer, dict4, {"log_gamma": np.log(g)}, ridge=1e-4)
-        fitted = act.kaf_forward(dict4.points, alpha, dict4, "real_gaussian", g)
+        fitted = kaf_forward(dict4.points, alpha, dict4, "real_gaussian", g)
         assert np.max(np.abs(fitted - dict4.points)) < 0.05
 
     def test_case2_block_fit_is_near_linear(self, dict4):
@@ -173,7 +176,7 @@ class TestInitAlpha:
         layer = act.WlKafCase2Activation(1, (0.3,))
         bandwidths = {"log_gamma": np.log([g]), "log_gamma_tilde": np.log([g])}
         alpha = act.fit_alpha(layer, dict4, bandwidths, ridge=1e-4)
-        fitted = act.wlkaf_forward_case2(dict4.points, alpha, dict4, [g], [g], [0.3])
+        fitted = wlkaf_forward_case2(dict4.points, alpha, dict4, [g], [g], [0.3])
         assert np.max(np.abs(fitted - dict4.points)) < 0.05
 
     def test_rejects_negative_ridge(self, dict4):
@@ -204,7 +207,7 @@ class TestInitAlpha:
         gamma_rr, gamma_ii = 0.7, 1.9
         expected = np.zeros(16, dtype=complex)
         expected[6] = 1.0 - 1.0j
-        target = act.wlkaf_forward_case1(dict4.points, expected, dict4, gamma_rr, gamma_ii)
+        target = wlkaf_forward_case1(dict4.points, expected, dict4, gamma_rr, gamma_ii)
         alpha = act.fit_alpha(act.WlKafCase1Activation(), dict4,
                               {"log_gamma_rr": np.log(gamma_rr), "log_gamma_ii": np.log(gamma_ii)},
                               target=target, ridge=0.0)
@@ -269,13 +272,13 @@ class TestLayersAgainstDenseOracles:
         for h in range(width):
             zh, alpha = z[:, h], params["alpha"][h]
             if isinstance(layer, act.KafActivation):
-                dense = act.kaf_forward(zh, alpha, dict8, layer.kernel, gamma["log_gamma"][h])
+                dense = kaf_forward(zh, alpha, dict8, layer.kernel, gamma["log_gamma"][h])
             elif isinstance(layer, act.WlKafCase1Activation):
-                dense = act.wlkaf_forward_case1(zh, alpha, dict8, gamma["log_gamma_rr"][h],
-                                                gamma["log_gamma_ii"][h])
+                dense = wlkaf_forward_case1(zh, alpha, dict8, gamma["log_gamma_rr"][h],
+                                            gamma["log_gamma_ii"][h])
             else:
-                dense = act.wlkaf_forward_case2(zh, alpha, dict8, gamma["log_gamma"][h],
-                                                gamma["log_gamma_tilde"][h], layer.omegas)
+                dense = wlkaf_forward_case2(zh, alpha, dict8, gamma["log_gamma"][h],
+                                            gamma["log_gamma_tilde"][h], layer.omegas)
             np.testing.assert_allclose(out[:, h], dense, rtol=0, atol=1e-12)
 
 

@@ -158,6 +158,27 @@ class TestEvaluate:
         rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
         assert rc == 3
 
+    @pytest.mark.parametrize("doctor", [
+        lambda meta, arrays: meta.pop("config"),
+        lambda meta, arrays: meta["config"].pop("seed"),
+        lambda meta, arrays: meta["dictionary"].pop("axis_range"),
+        lambda meta, arrays: meta["config"].update(input_dim=0),
+        lambda meta, arrays: arrays.update({"layer0.alpha": arrays["layer0.alpha"][:, :-1]}),
+        lambda meta, arrays: arrays.pop("layer0.b"),
+    ], ids=["no_config", "no_seed", "no_axis_range", "input_dim_0", "narrow_alpha",
+            "missing_array"])
+    def test_malformed_model_file_is_data_error(self, doctor, tiny_cache, tmp_path, capsys):
+        ds = load_cached(tiny_cache)
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
+                                     hidden_widths=(8,), dictionary=build_dictionary(3)))
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        doctor(meta, arrays)
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
+        assert rc == 3
+        assert f"data error: {path} does not hold a usable model" in capsys.readouterr().err
+
     def test_bad_split_name(self, tiny_cache, tmp_path):
         rc = main(["evaluate", "--model-file", str(tmp_path / "nope.cvkm"),
                    "--cache", str(tiny_cache), "--split", "holdout"])
@@ -391,6 +412,25 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "--batch-size" in err and "'x'" in err
+
+    def test_bad_config_value_names_the_file(self, tiny_cache, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("batch_size = x\n")
+        argv = ["train", "--config", str(cfg), "--cache", str(tiny_cache),
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        assert f"parameter error: config file {cfg}: " in capsys.readouterr().err
+
+    def test_missing_config_file_is_parameter_error(self, tiny_cache, tmp_path, capsys):
+        cfg = tmp_path / "nonexistent.cfg"
+        assert main(["train", "--config", str(cfg), "--cache", str(tiny_cache)]) == 2
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_is_parameter_error(self, tiny_cache, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("lr = 0.01 # été\n".encode("latin-1"))
+        assert main(["train", "--config", str(cfg), "--cache", str(tiny_cache)]) == 2
+        assert f"cannot read config file {cfg}" in capsys.readouterr().err
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from cvkaf.errors import NumericError, ParameterError
-from cvkaf.kernels import (
+from cvkaf.kernels import build_dictionary
+
+from conftest import random_complex
+from reference import (
     KernelBlockSet,
     blocks_from_complex_kernel,
-    build_dictionary,
     case1_pair,
     case2_pair,
     gaussian_complex,
@@ -17,8 +19,6 @@ from cvkaf.kernels import (
     vector_model_eval,
     wl_from_blocks,
 )
-
-from conftest import random_complex
 
 
 class TestBuildDictionary:
@@ -130,7 +130,7 @@ class TestKernelMatrix:
 
     @pytest.mark.parametrize("kernel", ["real_gaussian", "independent", "complex_gaussian"])
     def test_bit_identical_to_scalar_loop(self, kernel, dict4, rng):
-        from cvkaf.kernels import KERNELS
+        from reference import KERNELS
 
         z = random_complex(rng, 7)
         m = kernel_matrix(z, dict4, kernel, 0.8)

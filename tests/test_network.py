@@ -394,8 +394,20 @@ class TestSerialization:
         elif doctor == "renamed":
             arrays["layer1.alpha_"] = alpha
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        with pytest.raises(error):
+        with pytest.raises(CacheError, match=error.__name__) as caught:
             load_model(path)
+        assert isinstance(caught.value.__cause__, error)
+
+    def test_real_nn_config_names_its_variant_and_old_files_still_load(self, tmp_path):
+        model = build_model("real_nn", 4, 3, seed=0, hidden_widths=(5,))
+        assert model.config.activation == "real_nn"
+        path = tmp_path / "old.cvkm"
+        save_model(path, model)
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta["config"]["activation"] = "split_identity"  # what earlier versions wrote
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        save_model(tmp_path / "again.cvkm", load_model(path))
+        assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
 
     def test_identical_models_identical_bytes(self, tmp_path):
         d = build_dictionary(4)

@@ -48,7 +48,7 @@ class TestAdagrad:
 
     def test_first_step_magnitude(self):
         params = {"w": np.array([0.0])}
-        opt = Adagrad(params, lr=0.01, epsilon=1e-8)
+        opt = Adagrad(params, lr=0.01)
         opt.step(params, {"w": np.array([3.0])})
         np.testing.assert_allclose(params["w"], [-0.01 * 3.0 / (3.0 + 1e-8)], rtol=1e-12)
 
@@ -116,7 +116,7 @@ class TestAdagrad:
             "layer0.log_gamma_rr": rng.normal(size=5),
             "layer0.log_gamma": rng.normal(size=(5, 2)),
         }
-        opt = Adagrad(params, lr=0.03, epsilon=1e-8)
+        opt = Adagrad(params, lr=0.03)
         shapes = {name: a.shape for name, a in opt.acc.items()}
         for _ in range(20):
             grads = {name: (random_complex(rng, a.shape) if np.iscomplexobj(a)
