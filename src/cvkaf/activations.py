@@ -36,11 +36,20 @@ This engine is the one implementation of the kernels in the package; the
 tests check it against dense per-atom reference forms kept with them.
 Backward passes return cogradients in the package-wide convention
 (see :mod:`cvkaf.cnum`) and are all validated against finite differences.
+
+Every ``forward(z, params, dictionary, cache=True)`` returns ``(out,
+cache)``, where the cache holds what ``backward`` reads. Callers that
+only need ``out`` (prediction, the objective alone, :func:`fit_alpha`)
+pass ``cache=False`` and get ``(out, None)``: the KAF engine then
+computes each part's squares in place of its offsets and keeps no
+``A @ R`` product, with the same arithmetic in the same order, so ``out``
+is bit-identical to the cached pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -102,7 +111,8 @@ def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict, target=None,
     params = {name: np.broadcast_to(v, (2 * d, *np.shape(v)))
               for name, v in bandwidths.items()}
     params["alpha"] = np.concatenate([eye, 1j * eye])
-    g, _ = layer.forward(np.broadcast_to(pts[:, None], (d, 2 * d)), params, dictionary)
+    g, _ = layer.forward(np.broadcast_to(pts[:, None], (d, 2 * d)), params, dictionary,
+                         cache=False)
     design = np.concatenate([g.real, g.imag])
     rhs = np.concatenate([t.real, t.imag])
     if ridge == 0:
@@ -154,7 +164,8 @@ def _pseudo_tanh_factor(r: np.ndarray) -> np.ndarray:
 # Layer-level activations: (batch, width) inputs with per-neuron parameters.
 # Each class is a stateless descriptor; parameters live in a plain dict of
 # numpy arrays owned by the network layer. forward() returns (out, cache),
-# backward() consumes the cache and returns (cograd_z, {name: cograd}).
+# or (out, None) with cache=False; backward() consumes the cache and returns
+# (cograd_z, {name: cograd}).
 # ---------------------------------------------------------------------------
 
 
@@ -174,10 +185,10 @@ class SplitActivation:
     def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         return {}
 
-    def forward(self, z, params, dictionary):
+    def forward(self, z, params, dictionary, cache=True):
         g, dg = _SPLIT_FUNCS[self.fn]
         out = g(z.real) + 1j * g(z.imag)
-        return out, {"d_re": dg(z.real), "d_im": dg(z.imag)}
+        return out, {"d_re": dg(z.real), "d_im": dg(z.imag)} if cache else None
 
     def backward(self, g_out, cache, params, dictionary):
         gz = g_out.real * cache["d_re"] + 1j * (g_out.imag * cache["d_im"])
@@ -197,10 +208,10 @@ class PhaseAmplitudeActivation:
     def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         return {}
 
-    def forward(self, z, params, dictionary):
+    def forward(self, z, params, dictionary, cache=True):
         r = np.abs(z)
         out = z * _tanh_over_r(r)
-        return out, {"z": z, "r": r}
+        return out, {"z": z, "r": r} if cache else None
 
     def backward(self, g_out, cache, params, dictionary):
         z, r = cache["z"], cache["r"]
@@ -289,24 +300,31 @@ class _KafBase:
 
     terms: tuple[_Term, ...]
 
-    def forward(self, z, params, dictionary):
+    @cached_property
+    def _plan(self) -> tuple[tuple, dict]:
+        """The factor keys ``(gamma, col, part)`` in first-use order, and the
+        last key that reads each part: that factor overwrites the part's
+        squares, which are dead once it is formed."""
+        keys = tuple(dict.fromkeys((t.gamma, t.col, p) for t in self.terms
+                                   for p in (t.left, t.right) if p))
+        return keys, {key[2]: key for key in keys}
+
+    def forward(self, z, params, dictionary, cache=True):
         m = dictionary.points_per_axis
         axis = dictionary.points.real[:m, None]
         zt = np.ascontiguousarray(z.T)
         offsets = {p: getattr(zt, p)[:, None, :] - axis for p in _PARTS}
-        squares = {p: o * o for p, o in offsets.items()}
+        # only backward reads the offsets: without a cache the squares replace them
+        squares = {p: np.multiply(o, o, out=None if cache else o) for p, o in offsets.items()}
         grids = {p: np.ascontiguousarray(getattr(params["alpha"], p)).reshape(-1, m, m)
                  for p in _PARTS}
+        keys, last = self._plan
         factors = {}  # (gamma, col, part) -> (bandwidth (H, 1, 1), Gaussian E)
-
-        def factor(t: _Term, part: str):
-            key = (t.gamma, t.col, part)
-            if key not in factors:
-                log_gamma = params[t.gamma] if t.col is None else params[t.gamma][:, t.col]
-                gamma = np.exp(log_gamma)[:, None, None]
-                e = -gamma * squares[part]
-                factors[key] = (gamma, np.exp(e, out=e))
-            return key
+        for key in keys:
+            name, col, part = key
+            gamma = np.exp(params[name] if col is None else params[name][:, col])[:, None, None]
+            e = np.multiply(-gamma, squares[part], out=squares[part] if key == last[part] else None)
+            factors[key] = (gamma, np.exp(e, out=e))
 
         out = {p: np.zeros(zt.shape) for p in _PARTS}
         bilinear = []  # two-sided terms: (term, left key, right key, A @ R)
@@ -314,19 +332,22 @@ class _KafBase:
         for t in self.terms:
             a = grids[t.coef]
             if t.left and t.right:
-                left, right = factor(t, t.left), factor(t, t.right)
+                left, right = (t.gamma, t.col, t.left), (t.gamma, t.col, t.right)
                 ar = a @ factors[right][1]
                 out[t.out] += t.scale * np.einsum("hib,hib->hb", factors[left][1], ar)
-                bilinear.append((t, left, right, ar))
+                if cache:
+                    bilinear.append((t, left, right, ar))
             else:
-                key = factor(t, t.left or t.right)
+                key = (t.gamma, t.col, t.left or t.right)
                 v = np.einsum("hij->hi" if t.left else "hij->hj", a)
                 _accumulate(linear, (key, t.out), t.scale * v)
         for (key, part), v in linear.items():
             out[part] += (v[:, None, :] @ factors[key][1])[:, 0, :]
-        cache = {"offsets": offsets, "grids": grids, "factors": factors,
-                 "bilinear": bilinear, "linear": linear}
-        return _complex_assemble(out["real"].T, out["imag"].T), cache
+        result = _complex_assemble(out["real"].T, out["imag"].T)
+        if not cache:
+            return result, None
+        return result, {"offsets": offsets, "grids": grids, "factors": factors,
+                        "bilinear": bilinear, "linear": linear}
 
     def backward(self, g_out, cache, params, dictionary):
         offsets, grids, factors = cache["offsets"], cache["grids"], cache["factors"]

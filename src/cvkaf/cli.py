@@ -114,7 +114,7 @@ def _apply_config_file(command: argparse.ArgumentParser, path) -> None:
     options = {a.dest for a in command._actions if a.option_strings} - {"help"}
     unknown = set(file_values) - options
     if unknown:
-        raise ParameterError(f"unknown config keys: {sorted(unknown)}")
+        raise ParameterError(f"config file {path}: unknown config keys: {sorted(unknown)}")
     command.set_defaults(**file_values)
 
 

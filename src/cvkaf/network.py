@@ -15,7 +15,9 @@ cogradients), and ``predict_proba``. Each class supplies only its
 :func:`softmax_cross_entropy` and :func:`regularize` are the one loss and
 the one penalty rule. Forward caches are tied to a parameter version
 counter so a backward pass against a mutated network fails loudly instead
-of silently using stale intermediates.
+of silently using stale intermediates. Prediction and :meth:`objective`
+run ``forward(x, cache=False)``, which returns no cache and keeps no
+per-layer entry.
 """
 
 from __future__ import annotations
@@ -187,7 +189,9 @@ class _Network:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self._params.items()}
 
-    def _check_cache(self, cache: dict) -> None:
+    def _check_cache(self, cache: dict | None) -> None:
+        if cache is None:
+            raise StateError("no forward cache: forward() ran with cache=False")
         if cache.get("version") != self._version:
             raise StateError("forward cache is stale: parameters changed since forward()")
 
@@ -199,7 +203,7 @@ class _Network:
         return max(1, _PREDICT_BLOCK_ELEMENTS // (max(self.config.hidden_widths, default=1) * m))
 
     def _proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax_from_squared_magnitudes(self._scores(self.forward(x)[0]))
+        return softmax_from_squared_magnitudes(self._scores(self.forward(x, cache=False)[0]))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, from a forward pass over consecutive row blocks.
@@ -221,7 +225,7 @@ class _Network:
 
     def objective(self, x: np.ndarray, labels, objective: TrainObjective) -> float:
         """Mean cross-entropy over the batch plus the weighted parameter norm."""
-        logits, _ = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)))
+        logits, _ = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)), cache=False)
         value = softmax_cross_entropy(self._scores(logits), labels)[0]
         value += regularize(self._params, objective.reg_weight)
         self._check_finite(value)
@@ -259,6 +263,10 @@ class ComplexNetwork(_Network):
         the ``config.activation`` variant with its default settings."""
         widths = self._describe(config, dictionary, activation)
         rng = np.random.default_rng(config.seed)
+        # the identity start draws nothing and fits the same neuron in every
+        # hidden layer: fit it once and repeat it to each layer's width
+        neuron = (self.activation.init_params(1, self.dictionary, rng, ridge=config.ridge)
+                  if config.alpha_init == "identity" else None)
         self._params: dict[str, np.ndarray] = {}
         for i in range(self.n_layers):
             fan_in, fan_out = widths[i], widths[i + 1]
@@ -267,10 +275,11 @@ class ComplexNetwork(_Network):
             self._params[f"layer{i}.W"] = w.astype(np.complex128)
             self._params[f"layer{i}.b"] = np.zeros(fan_out, dtype=np.complex128)
             if i < self.n_layers - 1:  # hidden layer: activation parameters
-                for pname, arr in self.activation.init_params(
-                    fan_out, self.dictionary, rng,
-                    alpha_init=config.alpha_init, ridge=config.ridge,
-                ).items():
+                layer = ({pname: np.repeat(arr, fan_out, axis=0) for pname, arr in neuron.items()}
+                         if neuron is not None else self.activation.init_params(
+                             fan_out, self.dictionary, rng,
+                             alpha_init=config.alpha_init, ridge=config.ridge))
+                for pname, arr in layer.items():
                     self._params[f"layer{i}.{pname}"] = arr
 
     def _describe(self, config, dictionary, activation) -> list[int]:
@@ -313,8 +322,9 @@ class ComplexNetwork(_Network):
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Map inputs to raw complex logits; cache every intermediate."""
+    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        """Map inputs to raw complex logits and the cache of every intermediate
+        that :meth:`backward` reads, or None with ``cache=False``."""
         x = np.asarray(x, dtype=np.complex128)
         squeeze = x.ndim == 1
         if squeeze:
@@ -328,19 +338,16 @@ class ComplexNetwork(_Network):
         for i in range(self.n_layers):
             w = self._params[f"layer{i}.W"]
             b = self._params[f"layer{i}.b"]
-            pre = complex_affine(w, h, b)
-            entry = {"x": h, "pre": pre}
+            entry = {"x": h}
+            h = complex_affine(w, h, b)
             if i < self.n_layers - 1:
                 act_params = self._layer_act_params(i)
-                out, acache = self.activation.forward(pre, act_params, self.dictionary)
-                entry["act_cache"] = acache
-                h = out
-            else:
-                h = pre
-            layers.append(entry)
-        cache = {"version": self._version, "layers": layers}
+                h, entry["act_cache"] = self.activation.forward(
+                    h, act_params, self.dictionary, cache=cache)
+            if cache:
+                layers.append(entry)
         logits = h[0] if squeeze else h
-        return logits, cache
+        return logits, {"version": self._version, "layers": layers} if cache else None
 
     def backward(self, cograd_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Cogradients of a real objective for every trainable parameter."""
@@ -409,16 +416,17 @@ class RealBaselineNetwork(_Network):
         x = np.atleast_2d(np.asarray(x, dtype=np.complex128))
         return np.hstack([x.real, x.imag])
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
         h = self.split_input(x)
         pres = []
         acts = [h]
         for i in range(self.n_layers):
             z = h @ self._params[f"layer{i}.W"].T + self._params[f"layer{i}.b"]
-            pres.append(z)
             h = np.maximum(z, 0.0) if i < self.n_layers - 1 else z
-            acts.append(h)
-        return h, {"version": self._version, "pres": pres, "acts": acts}
+            if cache:
+                pres.append(z)
+                acts.append(h)
+        return h, {"version": self._version, "pres": pres, "acts": acts} if cache else None
 
     def backward(self, grad_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Gradients of a real objective for every parameter."""

@@ -432,10 +432,12 @@ class TestConfigFile:
         assert main(["train", "--config", str(cfg), "--cache", str(tiny_cache)]) == 2
         assert f"cannot read config file {cfg}" in capsys.readouterr().err
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("no_such_key = 1\n")
         assert main(["preprocess", "--config", str(cfg)]) == 2
+        assert (f"parameter error: config file {cfg}: unknown config keys: ['no_such_key']"
+                in capsys.readouterr().err)
 
     def test_preprocess_config_supplies_defaults_and_flags_win(self, idx_dir, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

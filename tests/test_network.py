@@ -1,9 +1,12 @@
 """Network assembly, softmax over squared magnitudes, the cross-entropy rule, serialization."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cvkaf.activations import WlKafCase2Activation
+from cvkaf import activations as act
+from cvkaf.activations import ACTIVATION_VARIANTS, WlKafCase2Activation
 from cvkaf.cnum import complex_affine, finite_diff_cogradient
 from cvkaf.errors import (
     CacheError,
@@ -231,6 +234,85 @@ class TestObjectiveAndBackward:
         net.bump_version()
         with pytest.raises(StateError):
             net.backward(np.zeros_like(logits), cache)
+
+
+def _network(name):
+    """A small network of one ACTIVATION_VARIANTS entry, case 2 at Q = 2 or real_nn."""
+    if name == "real_nn":
+        return build_model("real_nn", 5, 4, seed=2, hidden_widths=(30, 20))
+    cfg = NetworkConfig(5, (30, 20), 4, activation="wlkaf_case2" if name == "case2_q2" else name,
+                        seed=2)
+    activation = WlKafCase2Activation(2, (0.3, 0.6)) if name == "case2_q2" else None
+    return ComplexNetwork(cfg, build_dictionary(8), activation)
+
+
+class TestForwardWithoutCache:
+    @pytest.mark.parametrize("name", [*ACTIVATION_VARIANTS, "case2_q2", "real_nn"])
+    def test_prediction_and_objective_equal_the_cached_forward(self, name, rng):
+        net = _network(name)
+        rows = net._predict_block_rows()
+        x = random_complex(rng, (rows + 7, 5))
+        y = rng.integers(0, 4, size=x.shape[0])
+        expected = np.concatenate([
+            softmax_from_squared_magnitudes(net._scores(net.forward(x[lo:lo + rows])[0]))
+            for lo in (0, rows)])
+        np.testing.assert_array_equal(net.predict_proba(x), expected)
+        np.testing.assert_array_equal(net.predict(x), np.argmax(expected, axis=-1))
+        obj = TrainObjective("cross_entropy", 1e-3)
+        value = (softmax_cross_entropy(net._scores(net.forward(x)[0]), y)[0]
+                 + regularize(net.parameters(), obj.reg_weight))
+        assert net.objective(x, y, obj) == value == net.loss_and_grads(x, y, obj)[0]
+
+    @pytest.mark.parametrize("name", ["split_tanh", "phase_amplitude", "kaf_independent",
+                                      "wlkaf_case1", "case2_q2", "real_nn"])
+    def test_no_cache_is_returned_and_backward_refuses_none(self, name, rng):
+        net = _network(name)
+        x = random_complex(rng, (6, 5))
+        logits, cache = net.forward(x, cache=False)
+        assert cache is None
+        np.testing.assert_array_equal(logits, net.forward(x)[0])
+        with pytest.raises(StateError):
+            net.backward(np.zeros_like(logits), None)
+        if name != "real_nn":
+            z = random_complex(rng, (6, 30))
+            params = net._layer_act_params(0)
+            out, acache = net.activation.forward(z, params, net.dictionary, cache=False)
+            assert acache is None
+            np.testing.assert_array_equal(out, net.activation.forward(z, params, net.dictionary)[0])
+
+    @pytest.mark.parametrize("variant", ["kaf_independent", "wlkaf_case1", "wlkaf_case2"])
+    def test_prediction_keeps_no_per_layer_cache(self, variant, rng):
+        net = build_model(variant, input_dim=10, class_count=10, seed=0)  # width 100, 8x8
+        x = random_complex(rng, (1024, 10))
+        block = x[:net._predict_block_rows()]
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cached = peak(lambda: net.forward(block))
+        assert peak(lambda: net.predict_proba(x)) <= cached / 2
+
+
+class TestIdentityFitPerBuild:
+    @pytest.mark.parametrize("name", ["kaf_independent", "wlkaf_case1", "wlkaf_case2",
+                                      "case2_q2"])
+    def test_one_fit_per_build_equals_a_fit_per_layer(self, name, monkeypatch):
+        calls = []
+        fit = act.fit_alpha
+        monkeypatch.setattr(act, "fit_alpha", lambda *a, **k: calls.append(1) or fit(*a, **k))
+        net = _network(name)
+        assert len(calls) == 1
+        for i, width in enumerate(net.config.hidden_widths):
+            own = net.activation.init_params(width, net.dictionary, np.random.default_rng(0))
+            for pname, arr in own.items():
+                shared = net.parameters()[f"layer{i}.{pname}"]
+                assert shared.dtype == arr.dtype and shared.shape == arr.shape
+                assert shared.tobytes() == arr.tobytes()
 
 
 class TestRegularizer:
