@@ -2,8 +2,8 @@
 
 Four families are implemented:
 
-* split activations: a real nonlinearity applied independently to the real
-  and imaginary parts;
+* split tanh: ``tanh`` applied independently to the real and imaginary
+  parts;
 * phase-amplitude: ``tanh(|z|) * z/|z|``, magnitude squashed, phase kept;
 * kernel activations (KAF): ``g(z) = k(z)^T alpha`` over a fixed dictionary,
   with per-neuron trainable mixing coefficients and log-bandwidths;
@@ -48,9 +48,9 @@ is bit-identical to the cached pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -65,17 +65,13 @@ __all__ = [
     "KafActivation",
     "WlKafCase1Activation",
     "WlKafCase2Activation",
-    "activation_from_spec",
     "ACTIVATION_VARIANTS",
+    "activation_named",
+    "spec_dict",
+    "activation_from_spec",
 ]
 
 DEFAULT_RIDGE = 1e-4  # ridge weight of the identity fit in :func:`fit_alpha`
-
-_SPLIT_FUNCS: dict[str, tuple[Callable, Callable]] = {
-    # name -> (g_R, derivative of g_R)
-    "tanh": (np.tanh, lambda a: 1.0 - np.tanh(a) ** 2),
-    "identity": (lambda a: a, lambda a: np.ones_like(a)),
-}
 
 
 def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
@@ -165,30 +161,30 @@ def _pseudo_tanh_factor(r: np.ndarray) -> np.ndarray:
 # Each class is a stateless descriptor; parameters live in a plain dict of
 # numpy arrays owned by the network layer. forward() returns (out, cache),
 # or (out, None) with cache=False; backward() consumes the cache and returns
-# (cograd_z, {name: cograd}).
+# (cograd_z, {name: cograd}). A descriptor's ``name`` is its registry key;
+# its class's ``variant`` tag and its dataclass fields are its entry in a
+# model header (see :func:`spec_dict`).
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class SplitActivation:
-    fn: str = "tanh"
-    name: str = field(init=False)
+    """``tanh`` applied to the real and imaginary parts independently."""
+
+    variant = "split"
+    name = "split_tanh"
+    fn: str = "tanh"  # the only nonlinearity; model headers carry it
 
     def __post_init__(self):
-        if self.fn not in _SPLIT_FUNCS:
+        if self.fn != "tanh":
             raise ParameterError(f"unknown split nonlinearity {self.fn!r}")
-        object.__setattr__(self, "name", f"split_{self.fn}")
-
-    def spec_dict(self) -> dict:
-        return {"variant": "split", "fn": self.fn}
 
     def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         return {}
 
     def forward(self, z, params, dictionary, cache=True):
-        g, dg = _SPLIT_FUNCS[self.fn]
-        out = g(z.real) + 1j * g(z.imag)
-        return out, {"d_re": dg(z.real), "d_im": dg(z.imag)} if cache else None
+        re, im = np.tanh(z.real), np.tanh(z.imag)
+        return re + 1j * im, {"d_re": 1.0 - re**2, "d_im": 1.0 - im**2} if cache else None
 
     def backward(self, g_out, cache, params, dictionary):
         gz = g_out.real * cache["d_re"] + 1j * (g_out.imag * cache["d_im"])
@@ -197,13 +193,7 @@ class SplitActivation:
 
 @dataclass(frozen=True)
 class PhaseAmplitudeActivation:
-    name: str = field(init=False, default="phase_amplitude")
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "phase_amplitude")
-
-    def spec_dict(self) -> dict:
-        return {"variant": "phase_amplitude"}
+    variant = name = "phase_amplitude"
 
     def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
         return {}
@@ -291,11 +281,10 @@ def _accumulate(sums: dict, key, value: np.ndarray) -> None:
 class _KafBase:
     """Forward and backward of a sum of :class:`_Term` over a square grid.
 
-    Subclasses set ``terms`` and own ``spec_dict``. They also bind
-    ``init_params``, ``forward`` and ``backward`` as their own attributes, so
-    per-class instrumentation (``perfbench/harness.py``) can wrap one
-    variant at a time. Arrays are laid out (H, m, B): neuron, grid axis,
-    batch row.
+    Subclasses provide ``terms``. They also bind ``init_params``, ``forward``
+    and ``backward`` as their own attributes, so per-class instrumentation
+    (``perfbench/harness.py``) can wrap one variant at a time. Arrays are
+    laid out (H, m, B): neuron, grid axis, batch row.
     """
 
     terms: tuple[_Term, ...]
@@ -417,19 +406,16 @@ class _KafBase:
 class KafActivation(_KafBase):
     """Standard kernel activation, one bandwidth per neuron."""
 
+    variant = "kaf"
     kernel: str = "real_gaussian"
-    name: str = field(init=False)
-    terms: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel not in _KAF_TERMS:
             raise ParameterError(f"unknown kernel {self.kernel!r}; "
                                  f"choose from {sorted(_KAF_TERMS)}")
-        object.__setattr__(self, "name", f"kaf_{self.kernel}")
-        object.__setattr__(self, "terms", _KAF_TERMS[self.kernel])
 
-    def spec_dict(self) -> dict:
-        return {"variant": "kaf", "kernel": self.kernel}
+    name = property(lambda self: f"kaf_{self.kernel}")
+    terms = property(lambda self: _KAF_TERMS[self.kernel])
 
     init_params = _KafBase.init_params
     forward = _KafBase.forward
@@ -444,18 +430,11 @@ class WlKafCase1Activation(_KafBase):
     each output part sees only its own separable kernel.
     """
 
-    name: str = field(init=False, default="wlkaf_case1")
-    terms: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "name", "wlkaf_case1")
-        object.__setattr__(self, "terms", (
-            _Term("log_gamma_rr", "imag", "real", "real", "real"),
-            _Term("log_gamma_ii", "imag", "imag", "real", "imag"),
-        ))
-
-    def spec_dict(self) -> dict:
-        return {"variant": "wlkaf_case1"}
+    variant = name = "wlkaf_case1"
+    terms = (
+        _Term("log_gamma_rr", "imag", "real", "real", "real"),
+        _Term("log_gamma_ii", "imag", "imag", "real", "imag"),
+    )
 
     init_params = _KafBase.init_params
     forward = _KafBase.forward
@@ -471,52 +450,60 @@ class WlKafCase2Activation(_KafBase):
     output and ``Re alpha`` to the imaginary one, scaled by ``2*omega_q``.
     """
 
+    variant = name = "wlkaf_case2"
     q: int = 1
     omegas: tuple[float, ...] = (0.3,)
-    name: str = field(init=False, default="wlkaf_case2")
-    terms: tuple[_Term, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "omegas", tuple(self.omegas))  # a header holds a list
         if self.q < 1 or len(self.omegas) != self.q:
             raise ParameterError(f"need q >= 1 mixing weights, got q={self.q}, {self.omegas}")
         if any(not 0.0 < w < 1.0 for w in self.omegas):
             raise ParameterError(f"mixing weights must lie in (0, 1), got {self.omegas}")
-        object.__setattr__(self, "name", "wlkaf_case2")
+
+    @cached_property
+    def terms(self) -> tuple[_Term, ...]:
         kernel = [_kernel_terms("log_gamma", q) for q in range(self.q)]
         pseudo = [_kernel_terms("log_gamma_tilde", q, 2.0 * w, cross=True)
                   for q, w in enumerate(self.omegas)]
-        object.__setattr__(self, "terms", sum(kernel + pseudo, ()))
-
-    def spec_dict(self) -> dict:
-        return {"variant": "wlkaf_case2", "q": self.q, "omegas": list(self.omegas)}
+        return sum(kernel + pseudo, ())
 
     init_params = _KafBase.init_params
     forward = _KafBase.forward
     backward = _KafBase.backward
 
 
-ACTIVATION_VARIANTS: dict[str, Callable[[], object]] = {
-    "split_tanh": lambda: SplitActivation("tanh"),
-    "split_identity": lambda: SplitActivation("identity"),
-    "phase_amplitude": PhaseAmplitudeActivation,
-    "kaf_real_gaussian": lambda: KafActivation("real_gaussian"),
-    "kaf_independent": lambda: KafActivation("independent"),
-    "wlkaf_case1": WlKafCase1Activation,
-    "wlkaf_case2": WlKafCase2Activation,
-}
+# Every activation variant, keyed by its name: the one list that model
+# names, the gradient check and model headers are derived from.
+ACTIVATION_VARIANTS = {a.name: a for a in (
+    SplitActivation(),
+    PhaseAmplitudeActivation(),
+    KafActivation("independent"),
+    KafActivation("real_gaussian"),
+    WlKafCase1Activation(),
+    WlKafCase2Activation(),
+)}
+
+
+def activation_named(name: str):
+    """The registry's descriptor called ``name``."""
+    if name not in ACTIVATION_VARIANTS:
+        raise ParameterError(f"unknown activation variant {name!r}; "
+                             f"choose from {list(ACTIVATION_VARIANTS)}")
+    return ACTIVATION_VARIANTS[name]
+
+
+def spec_dict(activation) -> dict:
+    """A descriptor's entry in a model header: its class's variant tag and
+    its dataclass fields, which are its settings."""
+    return {"variant": activation.variant, **dataclasses.asdict(activation)}
 
 
 def activation_from_spec(spec: dict):
-    """Rebuild an activation descriptor from its ``spec_dict`` form."""
-    variant = spec["variant"]
-    if variant == "split":
-        return SplitActivation(spec["fn"])
-    if variant == "phase_amplitude":
-        return PhaseAmplitudeActivation()
-    if variant == "kaf":
-        return KafActivation(spec["kernel"])
-    if variant == "wlkaf_case1":
-        return WlKafCase1Activation()
-    if variant == "wlkaf_case2":
-        return WlKafCase2Activation(spec["q"], tuple(spec["omegas"]))
-    raise ParameterError(f"unknown activation variant {variant!r}")
+    """Rebuild an activation descriptor from its :func:`spec_dict` form."""
+    settings = dict(spec)
+    classes = {a.variant: type(a) for a in ACTIVATION_VARIANTS.values()}
+    cls = classes.get(settings.pop("variant", None))
+    if cls is None or set(settings) != {f.name for f in dataclasses.fields(cls)}:
+        raise ParameterError(f"not an activation spec: {spec}")
+    return cls(**settings)

@@ -18,7 +18,7 @@ wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
 other artifacts byte-reproducible under a fixed seed.
 
 Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache or model file included), 4 numeric errors.
+cache, model or trace file included), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import optim
+from .activations import ACTIVATION_VARIANTS
 from .errors import (
     CacheError,
     CvkafError,
@@ -40,10 +41,10 @@ from .errors import (
     NumericError,
     ParameterError,
 )
-from .gradcheck import DEFAULT_TOLERANCE, GRADCHECK_VARIANTS, gradcheck_variant
+from .gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
 from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
-from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model, load_model,
-                      save_model)
+from .network import (MODEL_NAMES, MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
+                      load_model, save_model)
 from .optim import TrainConfig
 
 EXIT_OK = 0
@@ -327,10 +328,8 @@ def _render_comparison(results: dict[str, dict], seeds) -> str:
 
 def cmd_gradcheck(args) -> int:
     n_seeds, tolerance = args.seeds, args.tolerance
-    if args.model != "all" and args.model not in GRADCHECK_VARIANTS:
-        raise ParameterError(
-            f"unknown gradcheck variant {args.model!r}; choose from {GRADCHECK_VARIANTS}")
-    variants = GRADCHECK_VARIANTS if args.model == "all" else (args.model,)
+    # an unknown name fails in the first check, where the network is built
+    variants = tuple(ACTIVATION_VARIANTS) if args.model == "all" else (args.model,)
     if n_seeds < 1:
         raise ParameterError(f"--seeds must be at least 1, got {n_seeds}")
     failures = []
@@ -395,8 +394,8 @@ def _trace_label(path: Path) -> str:
     summary = path.parent / "summary.json"
     if summary.exists():
         try:
-            return json.loads(summary.read_text())["model"]
-        except (json.JSONDecodeError, KeyError):
+            return json.loads(summary.read_text(encoding="utf-8"))["model"]
+        except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or not an object
             pass
     return path.parent.name or path.stem
 
@@ -452,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset")
-    p.add_argument("--dataset", default="mnist",
-                   help="mnist | fashion_mnist | emnist_digits | latin_ocr | digits")
+    p.add_argument("--dataset", default="mnist", help=" | ".join(data_mod.DATASET_NAMES))
     p.add_argument("--k-coeffs", type=int, default=data_mod.DEFAULT_K, help="coefficients to keep")
     p.add_argument("--seed", type=int, default=0, help="split permutation seed")
     p.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV, "data"),
@@ -466,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", cmd_train, "train one model variant for one seed")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--model", default="wlkaf_case1", help="|".join(MODEL_VARIANTS))
+    p.add_argument("--model", default="wlkaf_case1", help=" | ".join(MODEL_NAMES))
     p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
     p.add_argument("--c", type=float, default=TrainObjective.reg_weight, help="regularizer weight")
     add_training_flags(p)
@@ -480,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("compare", cmd_compare, "grid search + multi-seed comparison table")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--models", type=lambda t: tuple(t.split(",")),
-                   default=_list_text(MODEL_VARIANTS), help="comma-separated variants")
+                   default=_list_text(MODEL_VARIANTS),
+                   help="comma-separated model names, any that train accepts")
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--c-grid", type=_parse_floats, default="0,1e-5,1e-4,1e-3",
                    help="regularization weights to search")
@@ -488,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="comparison", help="output directory")
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference check of all backward rules")
-    p.add_argument("--model", default="all", help="activation variant or 'all'")
+    p.add_argument("--model", default="all", help=" | ".join(("all", *ACTIVATION_VARIANTS)))
     p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="relative tolerance")
 

@@ -53,6 +53,7 @@ __all__ = [
     "load_cached",
     "load_named_dataset",
     "DATASET_FILES",
+    "DATASET_NAMES",
 ]
 
 DEFAULT_K = 100  # complex coefficients kept per image
@@ -427,6 +428,7 @@ DATASET_FILES: dict[str, tuple[str, str]] = {
     ),
     "latin_ocr": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
 }
+DATASET_NAMES = (*DATASET_FILES, "digits")  # every name load_named_dataset accepts
 
 
 def _find_file(directory: Path, stem: str) -> Path | None:
@@ -445,9 +447,7 @@ def load_named_dataset(name: str, data_dir) -> RawImageSet:
     if name == "digits":
         return _load_sklearn_digits()
     if name not in DATASET_FILES:
-        raise ParameterError(
-            f"unknown dataset {name!r}; choose from {('digits', *DATASET_FILES)}"
-        )
+        raise ParameterError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
     base = Path(data_dir) / name
     img_stem, lbl_stem = DATASET_FILES[name]
     img = _find_file(base, img_stem)

@@ -52,6 +52,7 @@ __all__ = [
     "save_model",
     "load_model",
     "MODEL_VARIANTS",
+    "MODEL_NAMES",
 ]
 
 _MODEL_MAGIC = b"CVKM"
@@ -259,8 +260,8 @@ class ComplexNetwork(_Network):
 
     def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None,
                  activation=None):
-        """``activation`` is the hidden activation descriptor; it defaults to
-        the ``config.activation`` variant with its default settings."""
+        """``activation``, the hidden activation descriptor, must be named
+        ``config.activation``; it defaults to the registry's descriptor so named."""
         widths = self._describe(config, dictionary, activation)
         rng = np.random.default_rng(config.seed)
         # the identity start draws nothing and fits the same neuron in every
@@ -286,7 +287,10 @@ class ComplexNetwork(_Network):
         """Set everything but the parameters; return the layer widths."""
         self.config = config
         self.activation = (activation if activation is not None
-                           else act.ACTIVATION_VARIANTS[config.activation]())
+                           else act.activation_named(config.activation))
+        if self.activation.name != config.activation:
+            raise ParameterError(f"activation {self.activation.name!r} does not match "
+                                 f"config.activation {config.activation!r}")
         if isinstance(self.activation, act._KafBase) and dictionary is None:
             dictionary = build_dictionary()
         self.dictionary = dictionary
@@ -452,7 +456,8 @@ class RealBaselineNetwork(_Network):
         return g
 
 
-MODEL_VARIANTS = ("real_nn", "kaf_independent", "wlkaf_case1", "wlkaf_case2")
+MODEL_VARIANTS = ("real_nn", "kaf_independent", "wlkaf_case1", "wlkaf_case2")  # compare's sweep
+MODEL_NAMES = ("real_nn", *act.ACTIVATION_VARIANTS)  # every name build_model accepts
 
 
 def build_model(
@@ -463,10 +468,9 @@ def build_model(
     hidden_widths: tuple[int, ...] = NetworkConfig.hidden_widths,
     dictionary: Optional[Dictionary] = None,
 ):
-    """Construct one of the benchmark model variants."""
-    if variant != "real_nn" and variant not in act.ACTIVATION_VARIANTS:
-        raise ParameterError(f"unknown model variant {variant!r}; "
-                             f"choose from {('real_nn', *act.ACTIVATION_VARIANTS)}")
+    """Construct the model that one of :data:`MODEL_NAMES` names."""
+    if variant not in MODEL_NAMES:
+        raise ParameterError(f"unknown model variant {variant!r}; choose from {MODEL_NAMES}")
     cfg = NetworkConfig(input_dim, tuple(hidden_widths), class_count,
                         activation=variant, seed=seed)
     if variant == "real_nn":
@@ -479,7 +483,7 @@ def save_model(path, model) -> None:
     if isinstance(model, RealBaselineNetwork):
         meta = {"kind": "real_baseline"}
     else:
-        meta = {"kind": "complex", "activation": model.activation.spec_dict()}
+        meta = {"kind": "complex", "activation": act.spec_dict(model.activation)}
     meta["config"] = dataclasses.asdict(model.config)
     if model.dictionary is not None:
         meta["dictionary"] = {

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import DataFormatError, NumericError, ParameterError
 from .network import TrainObjective
 
 __all__ = [
@@ -193,15 +193,24 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
 
 
 def read_trace_csv(path) -> TrainTrace:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ParameterError(f"{path} is not a trace CSV (header {header})")
-        records = [
-            TraceRecord(int(row[0]), float(row[1]), float(row[2]), float(row[3]))
-            for row in reader
-        ]
+    """Read a trace that :func:`write_trace_csv` wrote; an unreadable file, a
+    wrong header or a bad row is a :class:`DataFormatError` naming file and line."""
+    records = []
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_COLUMNS:
+                raise DataFormatError(f"{path}:1: not a trace CSV (header {header})")
+            for row in reader:
+                try:
+                    it, loss, acc, elapsed = row
+                    records.append(TraceRecord(int(it), float(loss), float(acc), float(elapsed)))
+                except ValueError as exc:
+                    raise DataFormatError(
+                        f"{path}:{reader.line_num}: bad trace row {row}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"cannot read trace {path}: {exc}") from exc
     trace = TrainTrace(records=records)
     if records:
         best = max(range(len(records)), key=lambda i: (records[i].val_accuracy, -i))
@@ -212,3 +221,4 @@ def read_trace_csv(path) -> TrainTrace:
         steps = {b - a for a, b in zip(iters, iters[1:])}
         trace.eval_every = steps.pop() if len(steps) == 1 else (iters[0] if iters else 0)
     return trace
+

@@ -17,7 +17,7 @@ import pytest
 
 from cvkaf.cli import main
 from cvkaf.data import build_complex_dataset, fft2, load_idx, load_named_dataset
-from cvkaf.gradcheck import GRADCHECK_VARIANTS, gradcheck_variant
+from cvkaf.gradcheck import gradcheck_variant
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
     build_model,
@@ -26,7 +26,7 @@ from cvkaf.network import (
     TrainObjective,
 )
 from cvkaf.optim import TrainConfig, evaluate, train
-from cvkaf.activations import KafActivation, WlKafCase1Activation
+from cvkaf.activations import ACTIVATION_VARIANTS, KafActivation, WlKafCase1Activation
 
 from reference import (
     KernelBlockSet,
@@ -150,8 +150,8 @@ class TestCriterion4GradientCorrectness:
         host does not inflate; the wall time is reported next to it.
         """
         t0, c0 = time.perf_counter(), time.process_time()
-        worst = {v: 0.0 for v in GRADCHECK_VARIANTS}
-        for variant in GRADCHECK_VARIANTS:
+        worst = {v: 0.0 for v in ACTIVATION_VARIANTS}
+        for variant in ACTIVATION_VARIANTS:
             for seed in range(20):
                 rep = gradcheck_variant(variant, seed)
                 worst[variant] = max(worst[variant], rep.worst)

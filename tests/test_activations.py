@@ -21,8 +21,8 @@ from reference import (
 )
 
 
-def _split(z, fn):
-    return act.SplitActivation(fn).forward(np.asarray(z, dtype=complex), {}, None)[0]
+def _split(z):
+    return act.SplitActivation().forward(np.asarray(z, dtype=complex), {}, None)[0]
 
 
 def _phase_amplitude(z):
@@ -31,15 +31,11 @@ def _phase_amplitude(z):
 
 class TestSplitActivation:
     def test_tanh_at_origin(self):
-        assert _split(0j, "tanh") == 0
+        assert _split(0j) == 0
 
     def test_saturation(self):
-        v = _split(10 + 10j, "tanh")
+        v = _split(10 + 10j)
         np.testing.assert_allclose(v, 1 + 1j, atol=1e-8)
-
-    def test_identity_passthrough(self, rng):
-        z = random_complex(rng, 10)
-        np.testing.assert_array_equal(_split(z, "identity"), z)
 
 
 class TestPhaseAmplitude:
@@ -248,7 +244,7 @@ class TestParameterCounts:
 
 LAYERS = {
     **act.ACTIVATION_VARIANTS,
-    "wlkaf_case2_q2": lambda: act.WlKafCase2Activation(2, (0.7, 0.2)),
+    "wlkaf_case2_q2": act.WlKafCase2Activation(2, (0.7, 0.2)),
 }
 
 
@@ -258,7 +254,7 @@ class TestLayersAgainstDenseOracles:
     @pytest.mark.parametrize("variant", ["kaf_real_gaussian", "kaf_independent",
                                          "wlkaf_case1", "wlkaf_case2", "wlkaf_case2_q2"])
     def test_forward(self, variant, dict8, rng):
-        layer = LAYERS[variant]()
+        layer = LAYERS[variant]
         width = 6
         params = layer.init_params(width, dict8, rng, alpha_init="random")
         for name in params:
@@ -288,7 +284,7 @@ class TestLayerBackwardAgainstFiniteDifferences:
 
     def test_gradients(self, variant, rng):
         dictionary = build_dictionary(3, (-2.0, 2.0))
-        layer = LAYERS[variant]()
+        layer = LAYERS[variant]
         params = layer.init_params(2, dictionary, rng, alpha_init="random")
         z = random_complex(rng, (3, 2), scale=0.9)
         r1 = rng.normal(size=(3, 2))
@@ -318,7 +314,7 @@ class TestLayerBackwardAgainstFiniteDifferences:
 
     def test_zero_cotangent_gives_zero_gradients(self, variant, rng):
         dictionary = build_dictionary(3, (-2.0, 2.0))
-        layer = LAYERS[variant]()
+        layer = LAYERS[variant]
         params = layer.init_params(2, dictionary, rng)
         z = random_complex(rng, (4, 2))
         out, cache = layer.forward(z, params, dictionary)
@@ -333,14 +329,40 @@ class TestBoundedKernelFiniteness:
         "variant", ["kaf_real_gaussian", "kaf_independent", "wlkaf_case1", "wlkaf_case2"]
     )
     def test_finite_outputs_on_wild_inputs(self, variant, dict4, rng):
-        layer = act.ACTIVATION_VARIANTS[variant]()
+        layer = act.ACTIVATION_VARIANTS[variant]
         params = layer.init_params(3, dict4, rng, alpha_init="random")
         z = random_complex(rng, (8, 3), scale=50.0)
         out, _ = layer.forward(z, params, dict4)
         assert np.all(np.isfinite(out.view(np.float64)))
 
     def test_spec_roundtrip(self):
-        for name, factory in act.ACTIVATION_VARIANTS.items():
-            layer = factory()
-            rebuilt = act.activation_from_spec(layer.spec_dict())
+        for layer in [*act.ACTIVATION_VARIANTS.values(), LAYERS["wlkaf_case2_q2"]]:
+            rebuilt = act.activation_from_spec(act.spec_dict(layer))
             assert rebuilt == layer
+
+
+class TestRegistry:
+    def test_each_descriptor_is_keyed_by_its_name(self):
+        assert list(act.ACTIVATION_VARIANTS) == [
+            "split_tanh", "phase_amplitude", "kaf_independent", "kaf_real_gaussian",
+            "wlkaf_case1", "wlkaf_case2",
+        ]
+        for name, layer in act.ACTIVATION_VARIANTS.items():
+            assert layer.name == name
+            assert act.activation_named(name) is layer
+
+    def test_kaf_classes_own_their_passes(self):
+        # per-class instrumentation wraps these attributes one class at a time
+        for cls in (act.KafActivation, act.WlKafCase1Activation, act.WlKafCase2Activation):
+            assert {"init_params", "forward", "backward"} <= set(vars(cls))
+
+    @pytest.mark.parametrize("spec", [
+        {"variant": "split", "fn": "identity"},
+        {"variant": "kaf"},
+        {"variant": "kaf", "kernel": "independent", "q": 1},
+        {"variant": "kaf_independent"},
+        {"kernel": "independent"},
+    ], ids=["split_identity", "kaf_without_kernel", "extra_field", "name_as_tag", "no_tag"])
+    def test_unusable_spec_rejected(self, spec):
+        with pytest.raises(ParameterError):
+            act.activation_from_spec(spec)

@@ -38,6 +38,8 @@ def tiny_cache(tmp_path):
     return path
 
 
+TRACE_HEADER = "iteration,train_loss,val_accuracy,elapsed_seconds"
+
 TRAIN_FLAGS = [
     "--hidden", "8", "--dict-points", "3", "--batch-size", "10",
     "--eval-every", "20", "--patience", "40", "--max-iterations", "60",
@@ -303,8 +305,18 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "[FAIL] wlkaf_case1" in out and "alpha" in out
 
-    def test_unknown_variant(self):
+    def test_all_checks_exactly_the_registry(self, capsys):
+        assert main(["gradcheck", "--model", "all", "--seeds", "1"]) == 0
+        out = capsys.readouterr().out
+        assert re.findall(r"^\[PASS\] (\S+)", out, re.M) == [
+            "split_tanh", "phase_amplitude", "kaf_independent", "kaf_real_gaussian",
+            "wlkaf_case1", "wlkaf_case2",
+        ]
+        assert "all 6 variants within" in out
+
+    def test_unknown_variant(self, capsys):
         assert main(["gradcheck", "--model", "bogus"]) == 2
+        assert "unknown activation variant 'bogus'" in capsys.readouterr().err
 
     def test_zero_seeds_is_parameter_error(self):
         assert main(["gradcheck", "--model", "split_tanh", "--seeds", "0"]) == 2
@@ -364,6 +376,33 @@ class TestCurves:
         assert rc == 0
         assert out.read_text().splitlines()[0] == \
             "iteration,wlkaf_case1_mean_loss,wlkaf_case1_std_loss"
+
+    @pytest.mark.parametrize("summary", [b"[]", b"{\"model\"", b"\xff"],
+                             ids=["not_an_object", "not_json", "not_utf8"])
+    def test_unusable_summary_falls_back_to_the_directory_name(self, summary, tmp_path):
+        run_dir = tmp_path / "run7"
+        run_dir.mkdir()
+        (run_dir / "trace.csv").write_text(f"{TRACE_HEADER}\n50,0.5,0.9,0.1\n")
+        (run_dir / "summary.json").write_bytes(summary)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", str(run_dir / "trace.csv"), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == "iteration,run7_mean_loss,run7_std_loss"
+
+    @pytest.mark.parametrize("text, line", [
+        (None, ""),
+        (f"{TRACE_HEADER}\n50,0.5,0.9\n", ":2:"),
+        (f"{TRACE_HEADER}\n50,0.5,0.9,0.1\n100,x,0.8,0.2\n", ":3:"),
+        ("iteration,loss\n50,0.5\n", ":1:"),
+    ], ids=["missing_file", "short_row", "non_numeric", "wrong_header"])
+    def test_unusable_trace_is_data_error(self, text, line, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "curves.csv"
+        assert main(["curves", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{path}{line}" in err
+        assert not out.exists()
 
 
 class TestConfigFile:
@@ -541,6 +580,21 @@ class TestParser:
         assert printed_defaults("gradcheck", capsys) == {
             "--model": "all", "--seeds": "20", "--tolerance": "1e-05",
         }
+
+    def test_help_lists_every_accepted_name(self, capsys):
+        def listed(command):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            return re.search(r"--(?:model|dataset) [A-Z]+ (.*?) \(default", text)[1].split(" | ")
+
+        models = ["real_nn", "split_tanh", "phase_amplitude", "kaf_real_gaussian",
+                  "kaf_independent", "wlkaf_case1", "wlkaf_case2"]
+        assert sorted(listed("train")) == sorted(models)
+        for name in models:  # each one builds
+            build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
+        assert sorted(listed("gradcheck")) == sorted(["all", *models[1:]])
+        assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "digits"])
 
     def test_training_defaults_are_the_papers_protocol(self):
         assert TRAINING_DEFAULTS == {

@@ -119,7 +119,7 @@ class TestCrossEntropy:
 class TestNetworkForward:
     def test_identity_network(self):
         cfg = NetworkConfig(input_dim=2, hidden_widths=(), class_count=2,
-                            activation="split_identity", seed=0)
+                            activation="split_tanh", seed=0)
         net = ComplexNetwork(cfg)
         net.parameters()["layer0.W"][...] = np.eye(2)
         net.parameters()["layer0.b"][...] = 0
@@ -192,7 +192,7 @@ class TestObjectiveAndBackward:
     def test_regularizer_only_value_and_gradient(self):
         # class_count=1 makes the data loss identically zero
         cfg = NetworkConfig(input_dim=1, hidden_widths=(), class_count=1,
-                            activation="split_identity", seed=0)
+                            activation="split_tanh", seed=0)
         net = ComplexNetwork(cfg)
         net.parameters()["layer0.W"][...] = np.array([[1 + 1j]])
         net.parameters()["layer0.b"][...] = 0
@@ -512,3 +512,55 @@ class TestSerialization:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ParameterError):
             build_model("no_such_variant", 2, 2, seed=0)
+
+
+# The ``activation`` entry of a version-1 model header, per registry variant
+# and for case 2 at Q = 2, as :func:`_network` builds them.
+V1_ACTIVATION_HEADERS = {
+    "split_tanh": {"variant": "split", "fn": "tanh"},
+    "phase_amplitude": {"variant": "phase_amplitude"},
+    "kaf_independent": {"variant": "kaf", "kernel": "independent"},
+    "kaf_real_gaussian": {"variant": "kaf", "kernel": "real_gaussian"},
+    "wlkaf_case1": {"variant": "wlkaf_case1"},
+    "wlkaf_case2": {"variant": "wlkaf_case2", "q": 1, "omegas": [0.3]},
+    "case2_q2": {"variant": "wlkaf_case2", "q": 2, "omegas": [0.3, 0.6]},
+}
+
+
+class TestModelHeader:
+    def test_every_registry_variant_has_a_pinned_header(self):
+        assert set(ACTIVATION_VARIANTS) == set(V1_ACTIVATION_HEADERS) - {"case2_q2"}
+
+    @pytest.mark.parametrize("name", list(V1_ACTIVATION_HEADERS))
+    def test_v1_header_and_byte_identical_rewrite(self, name, tmp_path):
+        model = _network(name)
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        meta, _ = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        assert meta["kind"] == "complex"
+        assert meta["activation"] == V1_ACTIVATION_HEADERS[name]
+        assert meta["config"]["activation"] == model.activation.name
+        save_model(tmp_path / "again.cvkm", load_model(path))
+        assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
+
+    def test_activation_must_match_the_config(self):
+        cfg = NetworkConfig(4, (5,), 3, activation="wlkaf_case1")
+        with pytest.raises(ParameterError, match="does not match"):
+            ComplexNetwork(cfg, build_dictionary(4), WlKafCase2Activation())
+
+    def test_unknown_activation_name_is_parameter_error(self):
+        with pytest.raises(ParameterError, match="unknown activation variant"):
+            ComplexNetwork(NetworkConfig(2, (3,), 2, activation="split_identity"))
+
+    def test_header_whose_two_copies_disagree_is_cache_error(self, tmp_path):
+        # both KAF kernels have the same parameters, so only the names disagree
+        model = build_model("kaf_independent", 4, 3, seed=0, hidden_widths=(5,),
+                            dictionary=build_dictionary(4))
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta["activation"] = {"variant": "kaf", "kernel": "real_gaussian"}
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        with pytest.raises(CacheError, match="does not match") as caught:
+            load_model(path)
+        assert isinstance(caught.value.__cause__, ParameterError)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvkaf import optim
-from cvkaf.errors import NumericError, ParameterError
+from cvkaf.errors import DataFormatError, NumericError, ParameterError
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import NetworkConfig, ComplexNetwork, TrainObjective, build_model
 from cvkaf.optim import (
@@ -275,5 +275,5 @@ class TestTraceCsv:
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "not_a_trace.csv"
         path.write_text("a,b\n1,2\n")
-        with pytest.raises(ParameterError):
+        with pytest.raises(DataFormatError):
             read_trace_csv(path)
