@@ -302,7 +302,12 @@ class _KafBase:
         m = dictionary.points_per_axis
         axis = dictionary.points.real[:m, None]
         zt = np.ascontiguousarray(z.T)
-        offsets = {p: getattr(zt, p)[:, None, :] - axis for p in _PARTS}
+        # repeat, then subtract the tiled grid: the broadcast subtraction's
+        # values, without numpy's inner loop running once per B-element row
+        grid = np.repeat(axis, zt.shape[1], axis=1)
+        offsets = {p: np.repeat(getattr(zt, p)[:, None, :], m, axis=1) for p in _PARTS}
+        for o in offsets.values():
+            o -= grid
         # only backward reads the offsets: without a cache the squares replace them
         squares = {p: np.multiply(o, o, out=None if cache else o) for p, o in offsets.items()}
         grids = {p: np.ascontiguousarray(getattr(params["alpha"], p)).reshape(-1, m, m)

@@ -18,7 +18,8 @@ wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
 other artifacts byte-reproducible under a fixed seed.
 
 Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache, model or trace file included), 4 numeric errors.
+cache, model or trace file included, and a model evaluated on a cache of
+another feature width), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -240,6 +241,9 @@ def cmd_evaluate(args) -> int:
         raise ParameterError(f"split must be train, val or test, got {args.split!r}")
     model = load_model(args.model_file)
     ds = data_mod.load_cached(args.cache)
+    if ds.feature_dim != model.config.input_dim:
+        raise CacheError(f"{args.cache} has {ds.feature_dim} features per row, but "
+                         f"{args.model_file} takes {model.config.input_dim}")
     x, y = getattr(ds, f"{args.split}_xy")()
     acc = optim.evaluate(model, x, y)
     print(f"{args.split} accuracy: {acc:.6f} ({int(round(acc * y.size))}/{y.size})")

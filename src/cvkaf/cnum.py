@@ -6,7 +6,9 @@ derivative). Under this convention the plain descent update
 ``w -= lr * grad`` is correct without a conjugation step, and the analytic
 rules can be checked directly against :func:`finite_diff_cogradient`.
 
-All arrays are double precision; complex data is ``complex128``.
+All arrays are double precision; complex data is ``complex128``. Data
+comes in batches only: the affine rules take (rows, features) inputs, and a
+single sample is a one-row batch.
 """
 
 from __future__ import annotations
@@ -26,20 +28,15 @@ __all__ = [
 
 
 def complex_affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Compute ``y = W @ x + b`` in complex arithmetic.
-
-    ``x`` may be a single vector of length K or a batch of shape (B, K);
-    the result is (M,) or (B, M) accordingly.
-    """
+    """``y = x @ W.T + b`` for a (B, K) batch ``x``; the result is (B, M)."""
     W = np.asarray(W, dtype=np.complex128)
     x = np.asarray(x, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    if W.ndim != 2 or b.ndim != 1 or x.ndim not in (1, 2):
+    if W.ndim != 2 or b.ndim != 1 or x.ndim != 2:
         raise DimensionError(
-            f"expected W (M,K), b (M,), x (K,) or (B,K); got {W.shape}, {b.shape}, {x.shape}"
+            f"expected W (M,K), b (M,), x (B,K); got {W.shape}, {b.shape}, {x.shape}"
         )
-    m, k = W.shape
-    if b.shape[0] != m or x.shape[-1] != k:
+    if b.shape[0] != W.shape[0] or x.shape[1] != W.shape[1]:
         raise DimensionError(
             f"shapes do not conform: W {W.shape}, x {x.shape}, b {b.shape}"
         )
@@ -63,19 +60,11 @@ def backward_affine(
     x = np.asarray(x, dtype=np.complex128)
     g = np.asarray(cograd_y, dtype=np.complex128)
     m, k = W.shape
-    if g.shape[-1] != m or x.shape[-1] != k or g.ndim != x.ndim:
+    if g.ndim != 2 or x.ndim != 2 or g.shape != (x.shape[0], m) or x.shape[1] != k:
         raise DimensionError(
             f"shapes do not conform: cograd_y {g.shape}, W {W.shape}, x {x.shape}"
         )
-    if x.ndim == 1:
-        cograd_W = np.outer(g, np.conj(x))
-        cograd_x = g @ np.conj(W)
-        cograd_b = g.copy()
-    else:
-        cograd_W = g.T @ np.conj(x)
-        cograd_x = g @ np.conj(W)
-        cograd_b = g.sum(axis=0)
-    return cograd_W, cograd_x, cograd_b
+    return g.T @ np.conj(x), g @ np.conj(W), g.sum(axis=0)
 
 
 def hermitian_norm_sq(w: np.ndarray) -> float:

@@ -18,6 +18,10 @@ counter so a backward pass against a mutated network fails loudly instead
 of silently using stale intermediates. Prediction and :meth:`objective`
 run ``forward(x, cache=False)``, which returns no cache and keeps no
 per-layer entry.
+
+Every entry point takes only a complex (rows, ``config.input_dim``) batch,
+one sample being a one-row batch; any other shape, a 1-D vector included,
+is a :class:`DimensionError`.
 """
 
 from __future__ import annotations
@@ -190,6 +194,15 @@ class _Network:
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self._params.items()}
 
+    def _batch(self, x) -> np.ndarray:
+        """``x`` as a complex (rows, input_dim) batch, the one input form; any
+        other shape is a :class:`DimensionError`."""
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
+            raise DimensionError(f"expected a (rows, {self.config.input_dim}) batch, "
+                                 f"got shape {x.shape}")
+        return x
+
     def _check_cache(self, cache: dict | None) -> None:
         if cache is None:
             raise StateError("no forward cache: forward() ran with cache=False")
@@ -203,21 +216,18 @@ class _Network:
         m = self.dictionary.points_per_axis if self.dictionary is not None else 1
         return max(1, _PREDICT_BLOCK_ELEMENTS // (max(self.config.hidden_widths, default=1) * m))
 
-    def _proba(self, x: np.ndarray) -> np.ndarray:
-        return softmax_from_squared_magnitudes(self._scores(self.forward(x, cache=False)[0]))
-
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Class probabilities, from a forward pass over consecutive row blocks.
 
         Peak memory is bounded by one block, not by the number of rows.
         """
-        x = np.asarray(x, dtype=np.complex128)
-        if x.ndim < 2:
-            return self._proba(x)
+        x = self._batch(x)
         rows = self._predict_block_rows()
         # a 0-row input still runs one empty block, giving shape (0, classes)
-        return np.concatenate([self._proba(x[lo:lo + rows])
-                               for lo in range(0, max(x.shape[0], 1), rows)])
+        return np.concatenate([
+            softmax_from_squared_magnitudes(
+                self._scores(self.forward(x[lo:lo + rows], cache=False)[0]))
+            for lo in range(0, max(x.shape[0], 1), rows)])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=-1)
@@ -226,7 +236,7 @@ class _Network:
 
     def objective(self, x: np.ndarray, labels, objective: TrainObjective) -> float:
         """Mean cross-entropy over the batch plus the weighted parameter norm."""
-        logits, _ = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)), cache=False)
+        logits, _ = self.forward(x, cache=False)
         value = softmax_cross_entropy(self._scores(logits), labels)[0]
         value += regularize(self._params, objective.reg_weight)
         self._check_finite(value)
@@ -236,7 +246,7 @@ class _Network:
         self, x: np.ndarray, labels, objective: TrainObjective
     ) -> tuple[float, dict[str, np.ndarray]]:
         """:meth:`objective` and its cogradient for every parameter."""
-        logits, cache = self.forward(np.atleast_2d(np.asarray(x, dtype=np.complex128)))
+        logits, cache = self.forward(x)
         data_loss, g_scores = softmax_cross_entropy(self._scores(logits), labels)
         grads = self.backward(self._chain_scores(g_scores, logits) / logits.shape[0], cache)
         value = data_loss + regularize(self._params, objective.reg_weight, grads)
@@ -329,16 +339,8 @@ class ComplexNetwork(_Network):
     def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
         """Map inputs to raw complex logits and the cache of every intermediate
         that :meth:`backward` reads, or None with ``cache=False``."""
-        x = np.asarray(x, dtype=np.complex128)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != self.config.input_dim:
-            raise DimensionError(
-                f"input has {x.shape[1]} features, expected {self.config.input_dim}"
-            )
         layers = []
-        h = x
+        h = self._batch(x)
         for i in range(self.n_layers):
             w = self._params[f"layer{i}.W"]
             b = self._params[f"layer{i}.b"]
@@ -350,15 +352,12 @@ class ComplexNetwork(_Network):
                     h, act_params, self.dictionary, cache=cache)
             if cache:
                 layers.append(entry)
-        logits = h[0] if squeeze else h
-        return logits, {"version": self._version, "layers": layers} if cache else None
+        return h, {"version": self._version, "layers": layers} if cache else None
 
     def backward(self, cograd_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
         """Cogradients of a real objective for every trainable parameter."""
         self._check_cache(cache)
         g = np.asarray(cograd_logits, dtype=np.complex128)
-        if g.ndim == 1:
-            g = g[None, :]
         grads: dict[str, np.ndarray] = {}
         for i in reversed(range(self.n_layers)):
             entry = cache["layers"][i]
@@ -415,13 +414,11 @@ class RealBaselineNetwork(_Network):
             self._params[f"layer{i}.W"] = rng.normal(0.0, s, (fan_out, fan_in))
             self._params[f"layer{i}.b"] = np.zeros(fan_out)
 
-    @staticmethod
-    def split_input(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-        return np.hstack([x.real, x.imag])
-
     def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        h = self.split_input(x)
+        """Map inputs, as [Re(x), Im(x)] features, to logits and the cache
+        :meth:`backward` reads, or None with ``cache=False``."""
+        x = self._batch(x)
+        h = np.hstack([x.real, x.imag])
         pres = []
         acts = [h]
         for i in range(self.n_layers):

@@ -194,7 +194,14 @@ def write_trace_csv(trace: TrainTrace, path) -> None:
 
 def read_trace_csv(path) -> TrainTrace:
     """Read a trace that :func:`write_trace_csv` wrote; an unreadable file, a
-    wrong header or a bad row is a :class:`DataFormatError` naming file and line."""
+    wrong header or a bad row is a :class:`DataFormatError` naming file and line.
+
+    The trace read back holds its records, ``eval_every`` (the common step
+    between recorded iterations, else the first) and the last recorded
+    iteration as ``total_iterations``. ``best_iteration`` and
+    ``best_val_accuracy`` stay unset (0 and NaN): ``train`` scores iteration
+    0 without recording it, so the rows cannot tell which checkpoint was best.
+    """
     records = []
     try:
         with open(path, newline="") as fh:
@@ -213,12 +220,9 @@ def read_trace_csv(path) -> TrainTrace:
         raise DataFormatError(f"cannot read trace {path}: {exc}") from exc
     trace = TrainTrace(records=records)
     if records:
-        best = max(range(len(records)), key=lambda i: (records[i].val_accuracy, -i))
-        trace.best_iteration = records[best].iteration
-        trace.best_val_accuracy = records[best].val_accuracy
         trace.total_iterations = records[-1].iteration
         iters = [r.iteration for r in records]
         steps = {b - a for a, b in zip(iters, iters[1:])}
-        trace.eval_every = steps.pop() if len(steps) == 1 else (iters[0] if iters else 0)
+        trace.eval_every = steps.pop() if len(steps) == 1 else iters[0]
     return trace
 

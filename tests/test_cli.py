@@ -181,6 +181,18 @@ class TestEvaluate:
         assert rc == 3
         assert f"data error: {path} does not hold a usable model" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case1"])
+    def test_model_of_another_width_is_data_error(self, variant, tiny_cache, tmp_path, capsys):
+        ds = load_cached(tiny_cache)
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model(variant, ds.feature_dim - 2, ds.class_count, seed=0,
+                                     hidden_widths=(8,), dictionary=build_dictionary(3)))
+        rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert (f"data error: {tiny_cache} has {ds.feature_dim} features per row, "
+                f"but {path} takes {ds.feature_dim - 2}") in err
+
     def test_bad_split_name(self, tiny_cache, tmp_path):
         rc = main(["evaluate", "--model-file", str(tmp_path / "nope.cvkm"),
                    "--cache", str(tiny_cache), "--split", "holdout"])

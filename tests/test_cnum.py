@@ -18,40 +18,42 @@ from conftest import random_complex
 
 class TestComplexAffine:
     def test_identity(self):
-        y = complex_affine(np.eye(2), np.array([1 + 1j, 2.0]), np.zeros(2))
-        np.testing.assert_array_equal(y, [1 + 1j, 2.0])
+        y = complex_affine(np.eye(2), np.array([[1 + 1j, 2.0]]), np.zeros(2))
+        np.testing.assert_array_equal(y, [[1 + 1j, 2.0]])
 
     def test_multiplication_by_i(self):
-        y = complex_affine(np.array([[1j]]), np.array([1.0]), np.array([0.0]))
-        np.testing.assert_array_equal(y, [1j])
+        y = complex_affine(np.array([[1j]]), np.array([[1.0]]), np.array([0.0]))
+        np.testing.assert_array_equal(y, [[1j]])
 
     def test_hand_checked_value(self):
         # 1 + (1+i)*i + 2*(1-i) = 2 - i
         y = complex_affine(
-            np.array([[1 + 1j, 2.0]]), np.array([1j, 1 - 1j]), np.array([1.0])
+            np.array([[1 + 1j, 2.0]]), np.array([[1j, 1 - 1j]]), np.array([1.0])
         )
-        np.testing.assert_allclose(y, [2 - 1j], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(y, [[2 - 1j]], rtol=0, atol=1e-15)
 
     def test_batched_matches_per_row(self, rng):
         w = random_complex(rng, (4, 3))
         b = random_complex(rng, 4)
         x = random_complex(rng, (5, 3))
         batched = complex_affine(w, x, b)
-        rows = np.stack([complex_affine(w, x[i], b) for i in range(5)])
-        # gemm vs gemv may round the accumulation differently; values agree
+        rows = np.concatenate([complex_affine(w, x[i:i + 1], b) for i in range(5)])
+        # a 5-row and a 1-row product may round the accumulation differently
         np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=1e-13)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            complex_affine(np.eye(2), np.zeros(3, dtype=complex), np.zeros(2))
+            complex_affine(np.eye(2), np.zeros((1, 3), dtype=complex), np.zeros(2))
         with pytest.raises(DimensionError):
-            complex_affine(np.eye(2), np.zeros(2, dtype=complex), np.zeros(3))
+            complex_affine(np.eye(2), np.zeros((1, 2), dtype=complex), np.zeros(3))
+        with pytest.raises(DimensionError):  # one sample is a one-row batch
+            complex_affine(np.eye(2), np.zeros(2, dtype=complex), np.zeros(2))
 
     def test_linearity(self, rng):
         # f(a*x1 + b*x2) = a*f(x1) + b*f(x2) - (a+b-1)*bias
         w = random_complex(rng, (3, 3))
         bias = random_complex(rng, 3)
-        x1, x2 = random_complex(rng, 3), random_complex(rng, 3)
+        x1, x2 = random_complex(rng, (1, 3)), random_complex(rng, (1, 3))
         a, b = complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal())
         lhs = complex_affine(w, a * x1 + b * x2, bias)
         rhs = (
@@ -63,31 +65,37 @@ class TestComplexAffine:
 
 
 class TestBackwardAffine:
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(DimensionError):  # one sample is a one-row batch
+            backward_affine(np.zeros(2, dtype=complex), np.eye(2), np.zeros(2, dtype=complex))
+        with pytest.raises(DimensionError):  # rows of cograd_y and x differ
+            backward_affine(np.zeros((3, 2), dtype=complex), np.eye(2),
+                            np.zeros((2, 2), dtype=complex))
+
     def test_zero_cotangent(self, rng):
         w = random_complex(rng, (2, 3))
-        x = random_complex(rng, 3)
-        gw, gx, gb = backward_affine(np.zeros(2, dtype=complex), w, x)
+        x = random_complex(rng, (1, 3))
+        gw, gx, gb = backward_affine(np.zeros((1, 2), dtype=complex), w, x)
         assert not gw.any() and not gx.any() and not gb.any()
 
     def test_abs_square_cograd_x(self):
         # J = |y|^2 with W=[[1]], b=[0], x=[1+i] -> cograd_x = 2(1+i)
         w = np.array([[1.0 + 0j]])
-        x = np.array([1 + 1j])
+        x = np.array([[1 + 1j]])
         y = complex_affine(w, x, np.zeros(1))
         gy = 2 * y  # cogradient of sum(|y|^2)
         _, gx, _ = backward_affine(gy, w, x)
-        np.testing.assert_allclose(gx, [2 * (1 + 1j)], rtol=1e-15)
+        np.testing.assert_allclose(gx, [[2 * (1 + 1j)]], rtol=1e-15)
 
     def test_real_projection_cograd_w_matches_fd(self):
         # J = Re(y) with W=[[i]], x=[1], b=[0]
-        x = np.array([1.0 + 0j])
+        x = np.array([[1.0 + 0j]])
         w0 = np.array([[1j]])
 
         def objective(w):
-            return float(complex_affine(w, x, np.zeros(1))[0].real)
+            return float(complex_affine(w, x, np.zeros(1))[0, 0].real)
 
-        _, _, _ = backward_affine(np.array([1.0 + 0j]), w0, x)
-        gw, _, _ = backward_affine(np.array([1.0 + 0j]), w0, x)
+        gw, _, _ = backward_affine(np.array([[1.0 + 0j]]), w0, x)
         fd = finite_diff_cogradient(objective, w0)
         np.testing.assert_allclose(gw, fd, rtol=0, atol=1e-8)
 

@@ -124,7 +124,7 @@ class TestNetworkForward:
         net.parameters()["layer0.W"][...] = np.eye(2)
         net.parameters()["layer0.b"][...] = 0
         net.bump_version()
-        x = np.array([1 + 1j, 2 - 1j])
+        x = np.array([[1 + 1j, 2 - 1j]])
         logits, _ = net.forward(x)
         np.testing.assert_array_equal(logits, x)
 
@@ -183,9 +183,8 @@ class TestBlockedPredict:
             assert p.shape == (n, 4)
             np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(net.predict(x[:n]), np.argmax(expected, axis=-1))
-        p1 = net.predict_proba(x[0])
-        assert p1.shape == (4,)
-        np.testing.assert_allclose(p1, complex_softmax(net.forward(x[0])[0]), rtol=0, atol=1e-12)
+        with pytest.raises(DimensionError):  # one sample is x[:1], covered above
+            net.predict_proba(x[0])
 
 
 class TestObjectiveAndBackward:
@@ -244,6 +243,28 @@ def _network(name):
                         seed=2)
     activation = WlKafCase2Activation(2, (0.3, 0.6)) if name == "case2_q2" else None
     return ComplexNetwork(cfg, build_dictionary(8), activation)
+
+
+class TestBatchInput:
+    @pytest.mark.parametrize("name", [*ACTIVATION_VARIANTS, "real_nn"])
+    def test_only_a_batch_of_the_input_width_is_accepted(self, name, rng):
+        net = _network(name)  # input_dim 5
+        obj = TrainObjective()
+        calls = [
+            lambda x, y: net.forward(x),
+            lambda x, y: net.forward(x, cache=False),
+            lambda x, y: net.predict(x),
+            lambda x, y: net.predict_proba(x),
+            lambda x, y: net.objective(x, y, obj),
+            lambda x, y: net.loss_and_grads(x, y, obj),
+        ]
+        bad = [random_complex(rng, 5), random_complex(rng, (3, 4)),
+               random_complex(rng, (3, 6)), np.complex128(1j), random_complex(rng, (1, 3, 5))]
+        for call in calls:
+            for x in bad:
+                with pytest.raises(DimensionError, match=r"\(rows, 5\) batch"):
+                    call(x, [0, 1, 2])
+            call(random_complex(rng, (1, 5)), [2])  # one sample is a one-row batch
 
 
 class TestForwardWithoutCache:
@@ -360,7 +381,8 @@ class TestRealBaseline:
         cfg = NetworkConfig(100, (4,), 2, seed=0)
         net = RealBaselineNetwork(cfg)
         x = random_complex(np.random.default_rng(0), (7, 100))
-        assert net.split_input(x).shape == (7, 200)
+        features = net.forward(x)[1]["acts"][0]
+        np.testing.assert_array_equal(features, np.hstack([x.real, x.imag]))
         assert net.parameters()["layer0.W"].shape == (4, 200)
 
     def test_single_layer_matches_hand_computation(self, rng):

@@ -1,5 +1,7 @@
 """Adagrad and the training loop with early stopping."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,9 @@ from cvkaf.kernels import build_dictionary
 from cvkaf.network import NetworkConfig, ComplexNetwork, TrainObjective, build_model
 from cvkaf.optim import (
     Adagrad,
+    TraceRecord,
     TrainConfig,
+    TrainTrace,
     evaluate,
     read_trace_csv,
     train,
@@ -271,6 +275,19 @@ class TestTraceCsv:
             (r.iteration, r.train_loss, r.val_accuracy) for r in trace.records
         ]
         assert loaded.eval_every == config.eval_every
+
+    def test_read_back_trace_claims_no_best_checkpoint(self, tmp_path):
+        # iteration 0 was best, and train never records iteration 0
+        written = TrainTrace(records=[TraceRecord(10, 0.9, 0.36, 0.1),
+                                      TraceRecord(20, 0.8, 0.30, 0.2)],
+                             best_iteration=0, best_val_accuracy=0.36, total_iterations=20,
+                             stop_reason="max_iterations", eval_every=10)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(written, path)
+        loaded = read_trace_csv(path)
+        assert loaded.records == written.records
+        assert (loaded.eval_every, loaded.total_iterations) == (10, 20)
+        assert loaded.best_iteration == 0 and math.isnan(loaded.best_val_accuracy)
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "not_a_trace.csv"
