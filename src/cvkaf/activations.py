@@ -28,10 +28,11 @@ One forward, one backward and one ``init_params`` (:class:`_KafBase`) serve
 every table; the backward follows from the real partial derivatives of the
 per-axis Gaussians. Initialization fits alpha through the layer's own map:
 for fixed bandwidths every table is real-linear in ``(Re alpha, Im alpha)``,
-so :func:`fit_alpha` reads the design matrix off one forward run over the
-grid and solves one real ridge system, for any table and any bandwidths
-(case 1 with ``gamma_rr != gamma_ii`` included). Layer classes vectorize
-over a (batch, width) activation matrix with per-neuron parameters.
+so :func:`alpha_design` reads the design matrix off one forward run, and
+:func:`fit_alpha` solves one real ridge system in it on the grid, for any
+table and bandwidths (case 1 with ``gamma_rr != gamma_ii`` included).
+Layer classes vectorize over a (batch, width) activation matrix with
+per-neuron parameters.
 This engine is the one implementation of the kernels in the package; the
 tests check it against dense per-atom reference forms kept with them.
 Backward passes return cogradients in the package-wide convention
@@ -58,6 +59,7 @@ from .errors import NumericError, ParameterError
 from .kernels import Dictionary
 
 __all__ = [
+    "alpha_design",
     "fit_alpha",
     "gamma_rule_of_thumb",
     "SplitActivation",
@@ -84,16 +86,31 @@ def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
     return 1.0 / (2.0 * dictionary.spacing**2)
 
 
+def alpha_design(layer, dictionary: Dictionary, bandwidths: dict, points) -> np.ndarray:
+    """The real (2P, 2D) matrix taking one neuron's ``[Re alpha; Im alpha]``
+    to ``[Re g; Im g]`` at the P complex ``points``.
+
+    ``layer`` is a KAF-family layer and ``bandwidths`` one neuron's
+    log-bandwidths by name, as ``layer.init_params`` names them. For fixed
+    bandwidths the layer is real-linear in alpha, so one run of its own
+    ``forward`` with 2D neurons holding ``e_j`` and ``i*e_j`` gives the
+    matrix. Its rank counts the alpha directions that reach the output.
+    """
+    d = dictionary.size
+    params = {name: np.broadcast_to(v, (2 * d, *np.shape(v)))
+              for name, v in bandwidths.items()}
+    params["alpha"] = np.concatenate([np.eye(d), 1j * np.eye(d)])
+    g, _ = layer.forward(np.broadcast_to(points[:, None], (points.shape[0], 2 * d)),
+                         params, dictionary, cache=False)
+    return np.concatenate([g.real, g.imag])
+
+
 def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict, target=None,
               ridge: float = DEFAULT_RIDGE) -> np.ndarray:
     """Ridge-fit one neuron's mixing coefficients to ``target`` on the grid.
 
-    ``layer`` is a KAF-family layer and ``bandwidths`` one neuron's
-    log-bandwidth parameters by name, as ``layer.init_params`` names them.
-    For fixed bandwidths the layer is real-linear in ``(Re alpha, Im
-    alpha)``, so one run of its own ``forward`` over the D grid points, with
-    2D neurons holding the unit coefficients ``e_j`` and ``i*e_j``, gives
-    the real (2D, 2D) design matrix of the map. ``target`` is a callable on
+    The fit solves one real ridge system in the design matrix of
+    :func:`alpha_design` on the D grid points. ``target`` is a callable on
     complex points or a length-D array; the default is the identity
     function, giving a near-linear initial activation. ``ridge=0`` requests
     exact interpolation and fails on a singular system.
@@ -103,13 +120,7 @@ def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict, target=None,
     pts = dictionary.points
     t = _target_values(target, pts)
     d = dictionary.size
-    eye = np.eye(d)
-    params = {name: np.broadcast_to(v, (2 * d, *np.shape(v)))
-              for name, v in bandwidths.items()}
-    params["alpha"] = np.concatenate([eye, 1j * eye])
-    g, _ = layer.forward(np.broadcast_to(pts[:, None], (d, 2 * d)), params, dictionary,
-                         cache=False)
-    design = np.concatenate([g.real, g.imag])
+    design = alpha_design(layer, dictionary, bandwidths, pts)
     rhs = np.concatenate([t.real, t.imag])
     if ridge == 0:
         try:

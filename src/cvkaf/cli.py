@@ -18,8 +18,8 @@ wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
 other artifacts byte-reproducible under a fixed seed.
 
 Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache, model or trace file included, and a model evaluated on a cache of
-another feature width), 4 numeric errors.
+cache, model or trace file, an unwritable output, and a model evaluated
+on a cache of another feature width), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -79,6 +79,14 @@ def _list_parser(kind, noun):
 
 _parse_floats = _list_parser(float, "numbers")
 _parse_ints = _list_parser(int, "integers")
+
+
+def _parse_models(text: str) -> tuple[str, ...]:
+    """The ``--models`` type: comma-separated names that ``train`` accepts."""
+    unknown = [name for name in text.split(",") if name not in MODEL_NAMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown models {unknown}; choose from {MODEL_NAMES}")
+    return tuple(text.split(","))
 
 
 def _range_text(r) -> str:
@@ -161,7 +169,7 @@ def cmd_preprocess(args) -> int:
     )
     data_mod.cache_dataset(ds, out)
     print(f"dataset:  {args.dataset} ({raw.count} images, {raw.class_count} classes)")
-    print(f"splits:   train={ds.idx_train.size} val={ds.idx_val.size} test={ds.idx_test.size}")
+    print("splits:   train={} val={} test={}".format(*ds.split_sizes))
     print(f"features: {ds.feature_dim} complex coefficients per image")
     head = ", ".join(str(i) for i in ds.selected_indices[:10])
     print(f"selected: [{head}{', ...' if ds.feature_dim > 10 else ''}]")
@@ -481,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("compare", cmd_compare, "grid search + multi-seed comparison table")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--models", type=lambda t: tuple(t.split(",")),
+    p.add_argument("--models", type=_parse_models,
                    default=_list_text(MODEL_VARIANTS),
                    help="comma-separated model names, any that train accepts")
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
@@ -517,7 +525,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except (DataFormatError, CacheError) as exc:
+    except (DataFormatError, CacheError, OSError) as exc:  # OSError: an unwritable path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -5,8 +5,9 @@ mapped through an unnormalized 2-D DFT; coefficients are ranked by their
 mean absolute value over the training split only, the top K are kept as
 the complex feature vector, and features are standardized per coefficient
 with constants fit on the training split. The resulting dataset, including
-split membership and standardization constants, round-trips bit-exactly
-through a versioned binary cache.
+its split sizes and standardization constants, round-trips bit-exactly
+through a versioned binary cache whose entries are the fields of
+:class:`ComplexDataset`.
 
 Images are real, so only the half spectrum (columns ``0..W//2``) is
 computed, with the real-input FFT. Every other coefficient follows from
@@ -21,14 +22,15 @@ whatever the dataset size.
 Each byte of the data path is held once. The IDX payload is decoded
 straight into its final array, the ranking gathers the training images a
 chunk at a time, and a :class:`ComplexDataset` keeps its rows in one
-block laid out as train, then validation, then test. Its index arrays
-must be exactly those consecutive ranges (checked on construction, and a
-cache that breaks the layout is a :class:`CacheError`), so the split
-accessors return read-only slices of that block, not copies.
+block laid out as train, then validation, then test. It stores the row
+count of each split, which must sum to the rows of the block (checked on
+construction, and a cache that breaks this is a :class:`CacheError`), so
+the split accessors return read-only slices of that block, not copies.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import math
 import os
@@ -62,7 +64,7 @@ DEFAULT_SPLIT = (0.8, 0.1, 0.1)  # train, validation and test fractions
 _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
 _CACHE_MAGIC = b"CVKC"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 _CHUNK = 256  # images per FFT batch: temporaries stay near cache size
 _READ_BLOCK = 1 << 20  # bytes per IDX read: bounds gzip's temporary bytes object
 
@@ -242,21 +244,19 @@ class ComplexDataset:
     """Complex features with split bookkeeping and scaling constants.
 
     ``features`` holds only the rows that belong to some split, laid out
-    as the training rows, then the validation rows, then the test rows.
-    The three index arrays address rows of ``features`` and must be exactly
-    those consecutive ranges; this layout is checked on construction, so
-    ``train_xy``/``val_xy``/``test_xy`` return slices of ``features`` and
-    ``labels`` (views, marked read-only) instead of copies.
-    ``source_indices`` maps each row back to its image in the original set.
+    as the training rows, then the validation rows, then the test rows;
+    ``split_sizes`` counts the rows of each, so ``train_xy``/``val_xy``/
+    ``test_xy`` return slices of ``features`` and ``labels`` (views, marked
+    read-only) instead of copies. ``source_indices`` maps each row back to
+    its image in the original set. The fields are the cache format: each
+    ndarray field is an array of the file, every other field a header entry.
     """
 
     features: np.ndarray  # (N_used, K) complex128, standardized
     labels: np.ndarray  # (N_used,) int64
     class_count: int
     selected_indices: np.ndarray  # (K,) int64 flat DFT indices
-    idx_train: np.ndarray
-    idx_val: np.ndarray
-    idx_test: np.ndarray
+    split_sizes: tuple[int, int, int]  # train, validation and test rows
     feature_mean: np.ndarray  # (K,) complex128, fit on train
     feature_std: np.ndarray  # (K,) float64, fit on train
     image_dims: tuple[int, int]
@@ -264,41 +264,47 @@ class ComplexDataset:
     seed: int
 
     def __post_init__(self):
-        lo = 0
-        for name in ("idx_train", "idx_val", "idx_test"):
-            rows = np.asarray(getattr(self, name))
-            if not np.array_equal(rows, np.arange(lo, lo + rows.size)):
-                raise DataFormatError(
-                    f"{name} is not the consecutive row range starting at {lo}"
-                )
-            lo += rows.size
-        if self.features.ndim != 2 or self.features.shape[0] != lo \
-                or self.labels.shape != (lo,):
+        # a header holds lists
+        sizes = self.split_sizes = tuple(self.split_sizes)
+        self.image_dims = tuple(self.image_dims)
+        if len(sizes) != 3 or not all(isinstance(v, int) and v >= 0
+                                      for v in (*sizes, self.class_count)):
+            raise DataFormatError(f"need three split sizes and a class count, all non-negative "
+                                  f"integers; got {sizes} and {self.class_count!r}")
+        rows = sum(sizes)
+        if self.features.ndim != 2 or self.features.shape[0] != rows \
+                or self.labels.shape != (rows,):
             raise DataFormatError(
                 f"features {self.features.shape} and labels {self.labels.shape} "
-                f"do not hold the {lo} rows of the three splits"
+                f"do not hold the {rows} rows of the three splits"
             )
-        if lo and not 0 <= self.labels.min() <= self.labels.max() < self.class_count:
+        if rows and not 0 <= self.labels.min() <= self.labels.max() < self.class_count:
             raise DataFormatError(f"labels fall outside [0, {self.class_count})")
 
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def _xy(self, rows: np.ndarray):
-        lo = int(rows[0]) if rows.size else 0
-        x, y = self.features[lo:lo + rows.size], self.labels[lo:lo + rows.size]
+    def _xy(self, split: int):
+        lo, hi = sum(self.split_sizes[:split]), sum(self.split_sizes[:split + 1])
+        x, y = self.features[lo:hi], self.labels[lo:hi]
         x.flags.writeable = y.flags.writeable = False
         return x, y
 
     def train_xy(self):
-        return self._xy(self.idx_train)
+        return self._xy(0)
 
     def val_xy(self):
-        return self._xy(self.idx_val)
+        return self._xy(1)
 
     def test_xy(self):
-        return self._xy(self.idx_test)
+        return self._xy(2)
+
+
+# the fields a cache file holds as arrays, and those its header holds
+_CACHE_ARRAYS = frozenset(f.name for f in dataclasses.fields(ComplexDataset)
+                          if f.type == "np.ndarray")
+_CACHE_HEADER = frozenset(f.name for f in dataclasses.fields(ComplexDataset)) - _CACHE_ARRAYS
 
 
 def _split_sizes(n: int, split, split_counts) -> tuple[int, int, int]:
@@ -330,14 +336,10 @@ def build_complex_dataset(
     The coefficient ranking and the standardization constants see training
     images only; validation and test reuse them unchanged.
     """
-    n = raw.count
-    n_train, n_val, n_test = _split_sizes(n, split, split_counts)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    src = perm[: n_train + n_val + n_test]
-    train_src = src[:n_train]
-
-    selected = rank_and_select(raw.images, k, train_src)
+    sizes = _split_sizes(raw.count, split, split_counts)
+    n_train = sizes[0]
+    src = np.random.default_rng(seed).permutation(raw.count)[:sum(sizes)]
+    selected = rank_and_select(raw.images, k, src[:n_train])
 
     h, w = raw.images.shape[1], raw.images.shape[2]
     index, conj = _hermitian_map(h, w)
@@ -360,9 +362,7 @@ def build_complex_dataset(
         labels=raw.labels[src].astype(np.int64, copy=False),
         class_count=raw.class_count,
         selected_indices=selected,
-        idx_train=np.arange(n_train, dtype=np.int64),
-        idx_val=np.arange(n_train, n_train + n_val, dtype=np.int64),
-        idx_test=np.arange(n_train + n_val, n_train + n_val + n_test, dtype=np.int64),
+        split_sizes=sizes,
         feature_mean=mean,
         feature_std=std,
         image_dims=(h, w),
@@ -372,47 +372,26 @@ def build_complex_dataset(
 
 
 def cache_dataset(ds: ComplexDataset, path) -> None:
-    meta = {
-        "k": ds.feature_dim,
-        "image_dims": list(ds.image_dims),
-        "class_count": ds.class_count,
-        "seed": ds.seed,
-    }
-    arrays = {
-        "features": ds.features,
-        "labels": ds.labels,
-        "selected_indices": ds.selected_indices,
-        "idx_train": ds.idx_train,
-        "idx_val": ds.idx_val,
-        "idx_test": ds.idx_test,
-        "feature_mean": ds.feature_mean,
-        "feature_std": ds.feature_std,
-        "source_indices": ds.source_indices,
-    }
-    container.write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
+    """Write ``ds`` to a versioned cache file, one entry per dataclass field."""
+    container.write_container(path, _CACHE_MAGIC, _CACHE_VERSION,
+                              {name: getattr(ds, name) for name in _CACHE_HEADER},
+                              {name: getattr(ds, name) for name in _CACHE_ARRAYS})
 
 
 def load_cached(path) -> ComplexDataset:
+    """The dataset :func:`cache_dataset` wrote, bit-exact; a file that does not
+    hold exactly a valid dataset's fields is a :class:`CacheError` naming it."""
     meta, arrays = container.read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
     try:
-        return ComplexDataset(
-            features=arrays["features"],
-            labels=arrays["labels"],
-            class_count=int(meta["class_count"]),
-            selected_indices=arrays["selected_indices"],
-            idx_train=arrays["idx_train"],
-            idx_val=arrays["idx_val"],
-            idx_test=arrays["idx_test"],
-            feature_mean=arrays["feature_mean"],
-            feature_std=arrays["feature_std"],
-            image_dims=tuple(meta["image_dims"]),
-            source_indices=arrays["source_indices"],
-            seed=int(meta["seed"]),
-        )
-    except KeyError as exc:
-        raise CacheError(f"{path} is missing field {exc}; rebuild the cache") from exc
-    except DataFormatError as exc:
-        raise CacheError(f"{path}: {exc}; rebuild the cache") from exc
+        if set(meta) != _CACHE_HEADER or set(arrays) != _CACHE_ARRAYS:
+            raise DataFormatError(
+                f"header entries {sorted(meta)} and arrays {sorted(arrays)}, expected "
+                f"{sorted(_CACHE_HEADER)} and {sorted(_CACHE_ARRAYS)}"
+            )
+        return ComplexDataset(**meta, **arrays)
+    except (TypeError, ValueError) as exc:  # DataFormatError is a ValueError
+        raise CacheError(f"{path} does not hold a usable feature cache: "
+                         f"{type(exc).__name__}: {exc}; rebuild the cache") from exc
 
 
 # Conventional file names per dataset, resolved under <data_dir>/<dataset>/.

@@ -242,6 +242,45 @@ class TestParameterCounts:
             act.WlKafCase2Activation(q=2, omegas=(0.3,))
 
 
+def _rank_cases(lg):
+    """Each KAF layer with one neuron's log-bandwidths, all at ``lg`` except
+    case 1's unequal pair."""
+    return {
+        "kaf_real_gaussian": (act.KafActivation("real_gaussian"), {"log_gamma": lg}),
+        "kaf_independent": (act.KafActivation("independent"), {"log_gamma": lg}),
+        "case1_equal": (act.WlKafCase1Activation(), {"log_gamma_rr": lg, "log_gamma_ii": lg}),
+        "case1_unequal": (act.WlKafCase1Activation(),
+                          {"log_gamma_rr": lg - 0.5, "log_gamma_ii": lg + 0.5}),
+        "case2": (act.WlKafCase2Activation(),
+                  {"log_gamma": np.full(1, lg), "log_gamma_tilde": np.full(1, lg)}),
+    }
+
+
+class TestEffectiveAlphaRank:
+    """Pins how many of a neuron's 2m^2 real alpha directions reach its output,
+    on the grid and off it: every layer but the independent kernel uses all
+    of them, and the independent kernel, whose terms each sum one grid axis
+    out, uses 2m."""
+
+    @pytest.mark.parametrize("case", list(_rank_cases(0.0)))
+    @pytest.mark.parametrize("m", [4, 6, 8, 10])
+    def test_rank_on_the_grid_and_on_random_points(self, case, m):
+        dictionary = build_dictionary(m)
+        lg = np.log(act.gamma_rule_of_thumb(dictionary))
+        layer, bandwidths = _rank_cases(lg)[case]
+        rank = 2 * m if case == "kaf_independent" else 2 * m * m
+        rng = np.random.default_rng(20)
+        points = rng.uniform(-2.5, 2.5, 2000) + 1j * rng.uniform(-2.5, 2.5, 2000)
+        # row blocks of 500 points bound the forward's temporaries; the rows
+        # of the stacked blocks span what the whole matrix spans
+        off_grid = np.concatenate([act.alpha_design(layer, dictionary, bandwidths, block)
+                                   for block in np.split(points, 4)])
+        on_grid = act.alpha_design(layer, dictionary, bandwidths, dictionary.points)
+        assert on_grid.shape == (2 * m * m, 2 * m * m)
+        assert np.linalg.matrix_rank(on_grid) == rank
+        assert np.linalg.matrix_rank(off_grid) == rank
+
+
 LAYERS = {
     **act.ACTIVATION_VARIANTS,
     "wlkaf_case2_q2": act.WlKafCase2Activation(2, (0.7, 0.2)),

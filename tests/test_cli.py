@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from cvkaf import data
+from cvkaf import cli, data
 from cvkaf.cli import main
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
+from cvkaf.errors import NumericError
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
     _MODEL_MAGIC,
@@ -36,6 +37,15 @@ def tiny_cache(tmp_path):
     path = tmp_path / "tiny.cvkc"
     cache_dataset(ds, path)
     return path
+
+
+def _version_1_layout(meta, arrays):
+    """Turn a cache's fields into format version 1's: a header entry ``k``
+    and one index array per split in place of the split sizes."""
+    bounds = np.cumsum([0, *meta.pop("split_sizes")])
+    meta["k"] = arrays["features"].shape[1]
+    for name, lo, hi in zip(("idx_train", "idx_val", "idx_test"), bounds, bounds[1:]):
+        arrays[name] = np.arange(lo, hi)
 
 
 TRACE_HEADER = "iteration,train_loss,val_accuracy,elapsed_seconds"
@@ -198,36 +208,57 @@ class TestEvaluate:
                    "--cache", str(tiny_cache), "--split", "holdout"])
         assert rc == 2
 
-    def test_cache_with_rows_outside_the_split_layout_is_data_error(self, tiny_cache, tmp_path):
+    @pytest.mark.parametrize("doctor, version", [
+        (_version_1_layout, 1),
+        (lambda meta, arrays: meta.pop("seed"), 2),
+        (lambda meta, arrays: arrays.update(idx_train=np.arange(3)), 2),
+        (lambda meta, arrays: meta.update(split_sizes=[71, 24.0, 25]), 2),
+        (lambda meta, arrays: meta.update(split_sizes=[97, -1, 24]), 2),
+        (lambda meta, arrays: meta.update(split_sizes=[72, 24, 25]), 2),
+        (lambda meta, arrays: meta.update(class_count="3"), 2),
+    ], ids=["version_1", "missing_field", "extra_field", "size_not_integer",
+            "negative_size", "sizes_not_summing", "class_count_not_integer"])
+    def test_malformed_cache_is_data_error(self, doctor, version, tiny_cache, tmp_path,
+                                           capsys):
         ds = load_cached(tiny_cache)
+        assert ds.split_sizes == (72, 24, 24)
         path = tmp_path / "model.cvkm"
         save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
                                      hidden_widths=(8,), dictionary=build_dictionary(3)))
         meta, arrays = read_container(tiny_cache, data._CACHE_MAGIC, data._CACHE_VERSION)
-        arrays["idx_val"], arrays["idx_test"] = arrays["idx_test"], arrays["idx_val"]
-        write_container(tiny_cache, data._CACHE_MAGIC, data._CACHE_VERSION, meta, arrays)
-        for split in ("val", "test"):
-            rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache),
-                       "--split", split])
-            assert rc == 3
+        doctor(meta, arrays)
+        write_container(tiny_cache, data._CACHE_MAGIC, version, meta, arrays)
+        rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tiny_cache} ") and "rebuild" in err
+        assert "Traceback" not in err
 
 
 class TestCompare:
     def test_table_covers_all_variants_including_failures(
-        self, tiny_cache, tmp_path, capsys
+        self, tiny_cache, tmp_path, capsys, monkeypatch
     ):
+        train_one = cli._train_one
+
+        def diverging_case2(ds, model_name, *rest):
+            if model_name == "wlkaf_case2":
+                raise NumericError("non-finite loss")
+            return train_one(ds, model_name, *rest)
+
+        monkeypatch.setattr(cli, "_train_one", diverging_case2)
         out_dir = tmp_path / "cmp"
         rc = main(["compare", "--cache", str(tiny_cache),
-                   "--models", "real_nn,wlkaf_case1,not_a_model",
+                   "--models", "real_nn,wlkaf_case1,wlkaf_case2",
                    "--seeds", "0,1", "--c-grid", "0", "--out", str(out_dir),
                    *TRAIN_FLAGS])
         assert rc == 0
         table = capsys.readouterr().out
         assert "real_nn" in table and "wlkaf_case1" in table
-        assert "not_a_model" in table and "FAILED" in table
+        assert "wlkaf_case2            FAILED: NumericError: non-finite loss" in table
         record = json.loads((out_dir / "comparison.json").read_text())
-        assert set(record["models"]) == {"real_nn", "wlkaf_case1", "not_a_model"}
-        assert "error" in record["models"]["not_a_model"]
+        assert set(record["models"]) == {"real_nn", "wlkaf_case1", "wlkaf_case2"}
+        assert "error" in record["models"]["wlkaf_case2"]
         assert record["models"]["wlkaf_case1"]["seed_count"] == 2
         assert record["models"]["wlkaf_case1"]["std"] is not None
 
@@ -279,13 +310,16 @@ class TestCompare:
         assert record["models"]["wlkaf_case1"]["best_c"] == 0.0
 
     @pytest.mark.parametrize("flag, value", [("--c-grid", ""), ("--seeds", ""),
-                                             ("--c-grid", "0,-1e-4")])
+                                             ("--c-grid", "0,-1e-4"),
+                                             ("--models", "real_nn,wlkaf_cas1"),
+                                             ("--models", "real_nn,"), ("--models", "")])
     def test_unusable_list_is_parameter_error(self, flag, value, tiny_cache, tmp_path):
         argv = ["compare", "--cache", str(tiny_cache), "--models", "real_nn",
                 "--seeds", "0", "--c-grid", "0", "--out", str(tmp_path / "cmp"),
                 *TRAIN_FLAGS]
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
+        assert not (tmp_path / "cmp").exists()  # rejected before any run
 
 
 class TestGradcheckCommand:
@@ -415,6 +449,26 @@ class TestCurves:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{path}{line}" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "compare", "curves"])
+def test_output_under_a_regular_file_is_data_error(command, idx_dir, tiny_cache, tmp_path,
+                                                   capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    out = plain / "out"
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"{TRACE_HEADER}\n50,0.5,0.9,0.1\n")
+    argv = {
+        "preprocess": ["--dataset", "latin_ocr", "--data-dir", str(idx_dir), "--k-coeffs", "4"],
+        "train": ["--cache", str(tiny_cache), "--model", "real_nn", *TRAIN_FLAGS],
+        "compare": ["--cache", str(tiny_cache), "--models", "real_nn", "--seeds", "0",
+                    "--c-grid", "0", *TRAIN_FLAGS],
+        "curves": [str(trace)],
+    }[command]
+    assert main([command, *argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(out) in err
 
 
 class TestConfigFile:

@@ -249,13 +249,12 @@ def synthetic_raw(n=100, h=6, w=6, classes=4, seed=5):
 class TestBuildComplexDataset:
     def test_fraction_split_sizes_and_disjointness(self):
         ds = build_complex_dataset(synthetic_raw(100), k=10, split=(0.8, 0.1, 0.1), seed=0)
-        assert ds.idx_train.size == 80 and ds.idx_val.size == 10 and ds.idx_test.size == 10
-        all_rows = np.concatenate([ds.idx_train, ds.idx_val, ds.idx_test])
-        assert np.unique(all_rows).size == 100
+        assert ds.split_sizes == (80, 10, 10)
+        assert np.unique(ds.source_indices).size == 100
 
     def test_count_split(self):
         ds = build_complex_dataset(synthetic_raw(100), k=6, split_counts=(50, 20, 10), seed=1)
-        assert ds.idx_train.size == 50 and ds.idx_val.size == 20 and ds.idx_test.size == 10
+        assert ds.split_sizes == (50, 20, 10)
         assert ds.features.shape == (80, 6)
 
     def test_deterministic_under_seed(self):
@@ -287,7 +286,7 @@ class TestBuildComplexDataset:
     def test_selection_ignores_non_training_images(self):
         raw = synthetic_raw(80)
         ds = build_complex_dataset(raw, k=9, seed=4)
-        train_src = set(ds.source_indices[: ds.idx_train.size].tolist())
+        train_src = set(ds.source_indices[: ds.split_sizes[0]].tolist())
         scrambled = raw.images.copy()
         for i in range(80):
             if i not in train_src:
@@ -320,10 +319,11 @@ class TestSplitViews:
         if loaded:
             cache_dataset(ds, tmp_path / "ds.cvkc")
             ds = load_cached(tmp_path / "ds.cvkc")
-        for rows, (x, y) in ((ds.idx_train, ds.train_xy()), (ds.idx_val, ds.val_xy()),
-                             (ds.idx_test, ds.test_xy())):
-            np.testing.assert_array_equal(x, ds.features[rows])
-            np.testing.assert_array_equal(y, ds.labels[rows])
+        bounds = np.cumsum((0, *ds.split_sizes))
+        assert bounds[-1] == ds.features.shape[0]
+        for lo, hi, (x, y) in zip(bounds, bounds[1:], (ds.train_xy(), ds.val_xy(), ds.test_xy())):
+            np.testing.assert_array_equal(x, ds.features[lo:hi])
+            np.testing.assert_array_equal(y, ds.labels[lo:hi])
             assert np.shares_memory(x, ds.features) and np.shares_memory(y, ds.labels)
             with pytest.raises(ValueError, match="read-only"):
                 x[0] = 0
@@ -342,20 +342,23 @@ class TestSplitViews:
         with pytest.raises(CacheError, match="labels"):
             load_cached(path)
 
-    @pytest.mark.parametrize("doctor", [
-        lambda ds: {"idx_val": ds.idx_test, "idx_test": ds.idx_val},
-        lambda ds: {"idx_train": ds.idx_train[::-1].copy()},
-        lambda ds: {"idx_test": ds.idx_test[:-1]},  # the last row in no split
-    ], ids=["swapped", "reversed", "short"])
-    def test_rows_outside_the_layout_are_rejected(self, doctor, tmp_path):
-        ds = build_complex_dataset(synthetic_raw(50), k=7, seed=6)
-        doctored = doctor(ds)
+    @pytest.mark.parametrize("doctored", [
+        {"split_sizes": (40, 5, 4)},  # the last row in no split
+        {"split_sizes": (40, 5, 6)},
+        {"split_sizes": (46, -1, 5)},
+        {"split_sizes": (40, 5.0, 5)},
+        {"split_sizes": (45, 5)},
+        {"class_count": 4.0},
+    ], ids=["short", "long", "negative", "not_integer", "two_sizes", "class_count"])
+    def test_header_values_that_break_the_layout_are_rejected(self, doctored, tmp_path):
+        ds = build_complex_dataset(synthetic_raw(50, classes=4), k=7, seed=6)
+        assert ds.split_sizes == (40, 5, 5)
         with pytest.raises(DataFormatError):
             dataclasses.replace(ds, **doctored)
         path = tmp_path / "ds.cvkc"
         cache_dataset(ds, path)
         meta, arrays = read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
-        arrays.update(doctored)
+        meta.update(doctored)
         write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
         with pytest.raises(CacheError, match="rebuild"):
             load_cached(path)
@@ -380,15 +383,13 @@ class TestCache:
         path = tmp_path / "ds.cvkc"
         cache_dataset(ds, path)
         loaded = load_cached(path)
-        np.testing.assert_array_equal(loaded.features, ds.features)
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
-        np.testing.assert_array_equal(loaded.selected_indices, ds.selected_indices)
-        np.testing.assert_array_equal(loaded.feature_mean, ds.feature_mean)
-        np.testing.assert_array_equal(loaded.feature_std, ds.feature_std)
-        for split in ("idx_train", "idx_val", "idx_test"):
-            np.testing.assert_array_equal(getattr(loaded, split), getattr(ds, split))
-        assert loaded.image_dims == ds.image_dims
-        assert loaded.class_count == ds.class_count
+        for field in dataclasses.fields(ds):
+            value, expected = getattr(loaded, field.name), getattr(ds, field.name)
+            if isinstance(expected, np.ndarray):
+                assert value.dtype == expected.dtype and value.shape == expected.shape
+                assert value.tobytes() == expected.tobytes()
+            else:
+                assert value == expected and type(value) is type(expected)
 
     def test_identical_builds_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.cvkc", tmp_path / "b.cvkc"
@@ -442,7 +443,7 @@ class TestCache:
         cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
         loaded = load_cached(path)
         arrays = [value for value in vars(loaded).values() if isinstance(value, np.ndarray)]
-        assert len(arrays) == 9
+        assert len(arrays) == 6
         for i, arr in enumerate(arrays):
             assert arr.flags.writeable and arr.flags.c_contiguous
             for other in arrays[i + 1:]:
