@@ -252,6 +252,9 @@ def cmd_evaluate(args) -> int:
     if ds.feature_dim != model.config.input_dim:
         raise CacheError(f"{args.cache} has {ds.feature_dim} features per row, but "
                          f"{args.model_file} takes {model.config.input_dim}")
+    if ds.class_count != model.config.class_count:
+        raise CacheError(f"{args.cache} has {ds.class_count} classes, but "
+                         f"{args.model_file} scores {model.config.class_count}")
     x, y = getattr(ds, f"{args.split}_xy")()
     acc = optim.evaluate(model, x, y)
     print(f"{args.split} accuracy: {acc:.6f} ({int(round(acc * y.size))}/{y.size})")
@@ -266,6 +269,9 @@ def cmd_compare(args) -> int:
         raise ParameterError("--seeds and --c-grid each need at least one value")
     if min(c_grid) < 0:
         raise ParameterError(f"--c-grid entries must be nonnegative, got {c_grid}")
+    for flag, values in (("--models", args.models), ("--seeds", seeds), ("--c-grid", c_grid)):
+        if len(set(values)) != len(values):
+            raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
     out_dir = Path(args.out)
     ds = data_mod.load_cached(args.cache)  # one load serves every run
     out_dir.mkdir(parents=True, exist_ok=True)

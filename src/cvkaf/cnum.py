@@ -8,7 +8,9 @@ rules can be checked directly against :func:`finite_diff_cogradient`.
 
 All arrays are double precision; complex data is ``complex128``. Data
 comes in batches only: the affine rules take (rows, features) inputs, and a
-single sample is a one-row batch.
+single sample is a one-row batch. The affine rules keep their operands'
+dtype: float64 operands give float64 results, so the real baseline's
+layers run through the same rules as the complex network's.
 """
 
 from __future__ import annotations
@@ -29,9 +31,7 @@ __all__ = [
 
 def complex_affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``y = x @ W.T + b`` for a (B, K) batch ``x``; the result is (B, M)."""
-    W = np.asarray(W, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+    W, x, b = np.asarray(W), np.asarray(x), np.asarray(b)
     if W.ndim != 2 or b.ndim != 1 or x.ndim != 2:
         raise DimensionError(
             f"expected W (M,K), b (M,), x (B,K); got {W.shape}, {b.shape}, {x.shape}"
@@ -44,8 +44,8 @@ def complex_affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def backward_affine(
-    cograd_y: np.ndarray, W: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cograd_y: np.ndarray, W: np.ndarray | None, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Backward rule for :func:`complex_affine`.
 
     Given the cogradient of the output, returns ``(cograd_W, cograd_x,
@@ -55,16 +55,18 @@ def backward_affine(
         cograd_x = cograd_y @ conj(W)
         cograd_W = cograd_y^T @ conj(x)   (summed over the batch)
         cograd_b = sum_b cograd_y
+
+    ``W=None`` skips ``cograd_x``, returning None: a network's first layer
+    needs none. ``.conj()`` of a real array is the array itself, not a copy.
     """
-    W = np.asarray(W, dtype=np.complex128)
-    x = np.asarray(x, dtype=np.complex128)
-    g = np.asarray(cograd_y, dtype=np.complex128)
-    m, k = W.shape
-    if g.ndim != 2 or x.ndim != 2 or g.shape != (x.shape[0], m) or x.shape[1] != k:
+    g, x = np.asarray(cograd_y), np.asarray(x)
+    if (g.ndim != 2 or x.ndim != 2 or g.shape[0] != x.shape[0]
+            or W is not None and np.shape(W) != (g.shape[1], x.shape[1])):
         raise DimensionError(
-            f"shapes do not conform: cograd_y {g.shape}, W {W.shape}, x {x.shape}"
+            f"shapes do not conform: cograd_y {g.shape}, W {np.shape(W)}, x {x.shape}"
         )
-    return g.T @ np.conj(x), g @ np.conj(W), g.sum(axis=0)
+    g_x = None if W is None else g @ np.asarray(W).conj()
+    return g.T @ x.conj(), g_x, g.sum(axis=0)
 
 
 def hermitian_norm_sq(w: np.ndarray) -> float:

@@ -263,7 +263,15 @@ class ComplexDataset:
     source_indices: np.ndarray
     seed: int
 
+    # each array's dtype kind: complex, real floating or integer
+    _KINDS = {"features": "c", "feature_mean": "c", "feature_std": "f",
+              "labels": "iu", "selected_indices": "iu", "source_indices": "iu"}
+
     def __post_init__(self):
+        wrong = [f"{name} {getattr(self, name).dtype}" for name, kind in self._KINDS.items()
+                 if getattr(self, name).dtype.kind not in kind]
+        if wrong:
+            raise DataFormatError(f"arrays of the wrong dtype: {', '.join(wrong)}")
         # a header holds lists
         sizes = self.split_sizes = tuple(self.split_sizes)
         self.image_dims = tuple(self.image_dims)

@@ -1,23 +1,22 @@
 """Network assembly, the softmax cross-entropy rule and the regularized objective.
 
-A complex network is a chain of affine layers with a shared hidden
-activation descriptor; the final affine emits raw complex logits which a
-softmax over squared magnitudes turns into class probabilities. The real
-baseline is a conventional MLP fed the concatenated real and imaginary
-parts of the input, with a softmax over its logits.
+Both network classes are one chain, :class:`_Network`, of affine layers
+whose hidden outputs pass through a shared activation descriptor with each
+layer's own parameters. Construction, loading, ``forward``, ``backward``,
+``parameters()`` (a name->array dict the optimizer mutates in place),
+``objective``, ``loss_and_grads`` and ``predict_proba`` are written there
+once, beside :func:`softmax_cross_entropy` and :func:`regularize`, the one
+loss and the one penalty rule. Each class supplies only hooks: its weights'
+dtype and draw, its hidden activation, its first layer's input and its
+softmax scores. The complex network reads the input as it is and scores
+the squared magnitudes of its complex logits; the real baseline is an MLP
+with float64 weights and ReLU hiddens that reads [Re x, Im x] and scores
+its logits.
 
-Both network classes share one training surface, :class:`_Network`:
-``parameters()`` returning an ordered name->array dict (arrays mutated in
-place by the optimizer), ``objective`` and ``loss_and_grads`` for one
-evaluation of the regularized cross-entropy (the latter with full
-cogradients), and ``predict_proba``. Each class supplies only its
-``forward``, its ``backward`` and its map from logits to softmax scores;
-:func:`softmax_cross_entropy` and :func:`regularize` are the one loss and
-the one penalty rule. Forward caches are tied to a parameter version
-counter so a backward pass against a mutated network fails loudly instead
-of silently using stale intermediates. Prediction and :meth:`objective`
-run ``forward(x, cache=False)``, which returns no cache and keeps no
-per-layer entry.
+Forward caches are tied to a parameter version counter so a backward pass
+against a mutated network fails loudly instead of silently using stale
+intermediates. Prediction and :meth:`objective` run ``forward(x,
+cache=False)``, which returns no cache and keeps no per-layer entry.
 
 Every entry point takes only a complex (rows, ``config.input_dim``) batch,
 one sample being a one-row batch; any other shape, a 1-D vector included,
@@ -163,14 +162,75 @@ class NetworkConfig:
 
 
 class _Network:
-    """The training surface both network classes share.
+    """The one layer chain and training surface of both network classes; a
+    subclass sets the hooks ``_dtype``, ``_weights``, ``_hidden_activation``,
+    ``_scores`` (logits to softmax scores) and ``_chain_scores`` (a score
+    gradient to a logit gradient), and may replace ``_input`` and
+    ``_input_features``."""
 
-    A subclass sets ``config``, ``dictionary``, ``_params`` and ``_version``,
-    and supplies ``forward`` (inputs to logits plus a cache), ``backward``
-    (logit cogradient plus cache to parameter gradients), ``_scores`` (logits
-    to the scores the softmax runs over) and ``_chain_scores`` (a gradient
-    with respect to the scores to one with respect to the logits).
-    """
+    _input_features = 1  # the first layer reads the complex input itself
+    _input = staticmethod(lambda x: x)
+
+    # -- construction --------------------------------------------------------
+
+    def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None,
+                 activation=None):
+        """Draw each layer's weights from ``config.seed``, zero its biases and
+        start each hidden layer's activation parameters per ``config.alpha_init``.
+        ``dictionary`` defaults to :func:`build_dictionary` for a KAF-family
+        activation."""
+        self._setup(config, dictionary, activation)
+        rng = np.random.default_rng(config.seed)
+        # the identity start draws nothing and fits the same neuron in every
+        # hidden layer: fit it once and repeat it to each layer's width
+        if config.alpha_init == "identity":
+            neuron = self.activation.init_params(1, self.dictionary, rng, ridge=config.ridge)
+            hidden = lambda width: {name: np.repeat(arr, width, axis=0)  # noqa: E731
+                                    for name, arr in neuron.items()}
+        else:
+            hidden = lambda width: self.activation.init_params(  # noqa: E731
+                width, self.dictionary, rng, alpha_init=config.alpha_init, ridge=config.ridge)
+        self._make_layers(lambda fan_out, fan_in: self._weights(rng, fan_out, fan_in), hidden)
+
+    @classmethod
+    def _from_parameters(cls, config: NetworkConfig, values: dict[str, np.ndarray],
+                         dictionary: Optional[Dictionary] = None, activation=None):
+        """The network holding ``values``, whose names and shapes must fit
+        exactly, as :meth:`set_parameters` checks; nothing is drawn or fit."""
+        model = cls.__new__(cls)
+        model._setup(config, dictionary, activation)
+        # a zero-width layer gives each activation parameter's name, trailing
+        # shape and dtype: random alphas skip the ridge fit, and no row is drawn
+        empty = model.activation.init_params(0, model.dictionary, np.random.default_rng(0),
+                                             alpha_init="random")
+        model._make_layers(lambda fan_out, fan_in: np.empty((fan_out, fan_in), cls._dtype),
+                           lambda width: {name: np.empty((width, *arr.shape[1:]), arr.dtype)
+                                          for name, arr in empty.items()})
+        model.set_parameters(values)
+        return model
+
+    def _setup(self, config, dictionary, activation) -> None:
+        """Set everything but the parameters."""
+        self.config = config
+        self.activation = self._hidden_activation(config, activation)
+        if isinstance(self.activation, act._KafBase) and dictionary is None:
+            dictionary = build_dictionary()
+        self.dictionary = dictionary
+        self._version = 0
+
+    def _make_layers(self, weights, hidden) -> None:
+        """Make each layer's (W, b, activation parameters or None for the last)
+        from ``weights(fan_out, fan_in)``, zeros and ``hidden(width)``, in that
+        order, and the flat name->array view that :meth:`parameters` returns."""
+        c = self.config
+        widths = [self._input_features * c.input_dim, *c.hidden_widths, c.class_count]
+        self._layers = []
+        for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+            w = weights(fan_out, fan_in)
+            self._layers.append((w, np.zeros(fan_out, dtype=w.dtype),
+                                 hidden(fan_out) if i < len(widths) - 2 else None))
+        self._params = {f"layer{i}.{name}": arr for i, (w, b, act_params) in enumerate(self._layers)
+                        for name, arr in {"W": w, "b": b, **(act_params or {})}.items()}
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -208,6 +268,41 @@ class _Network:
             raise StateError("no forward cache: forward() ran with cache=False")
         if cache.get("version") != self._version:
             raise StateError("forward cache is stale: parameters changed since forward()")
+
+    # -- forward / backward -------------------------------------------------
+
+    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
+        """Map inputs to logits and the cache of every intermediate that
+        :meth:`backward` reads, or None with ``cache=False``."""
+        h = self._input(self._batch(x))
+        layers = []
+        for w, b, hidden in self._layers:
+            entry = {"x": h}
+            h = complex_affine(w, h, b)
+            if hidden is not None:
+                h, entry["act_cache"] = self.activation.forward(
+                    h, hidden, self.dictionary, cache=cache)
+            if cache:
+                layers.append(entry)
+        return h, {"version": self._version, "layers": layers} if cache else None
+
+    def backward(self, cograd_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
+        """Cogradients of a real objective for every trainable parameter; none
+        for the network's input, which nothing reads."""
+        self._check_cache(cache)
+        g = cograd_logits
+        grads: dict[str, np.ndarray] = {}
+        for i in reversed(range(len(self._layers))):
+            w, _, hidden = self._layers[i]
+            entry = cache["layers"][i]
+            if hidden is not None:
+                g, act_grads = self.activation.backward(
+                    g, entry["act_cache"], hidden, self.dictionary)
+                for name, garr in act_grads.items():
+                    grads[f"layer{i}.{name}"] = garr
+            grads[f"layer{i}.W"], g, grads[f"layer{i}.b"] = backward_affine(
+                g, w if i else None, entry["x"])
+        return grads
 
     # -- prediction ----------------------------------------------------------
 
@@ -256,10 +351,7 @@ class _Network:
     def _check_finite(self, value: float) -> None:
         if np.isfinite(value):
             return
-        bad = [
-            name for name, arr in self._params.items()
-            if not np.all(np.isfinite(arr.view(np.float64) if np.iscomplexobj(arr) else arr))
-        ]
+        bad = [name for name, arr in self._params.items() if not np.isfinite(arr).all()]
         raise NumericError(
             f"objective is {value!r}; parameters with non-finite entries: {bad or 'none'}"
         )
@@ -268,126 +360,30 @@ class _Network:
 class ComplexNetwork(_Network):
     """Feedforward complex network with a shared hidden activation."""
 
-    def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None,
-                 activation=None):
-        """``activation``, the hidden activation descriptor, must be named
-        ``config.activation``; it defaults to the registry's descriptor so named."""
-        widths = self._describe(config, dictionary, activation)
-        rng = np.random.default_rng(config.seed)
-        # the identity start draws nothing and fits the same neuron in every
-        # hidden layer: fit it once and repeat it to each layer's width
-        neuron = (self.activation.init_params(1, self.dictionary, rng, ridge=config.ridge)
-                  if config.alpha_init == "identity" else None)
-        self._params: dict[str, np.ndarray] = {}
-        for i in range(self.n_layers):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            s = np.sqrt(1.0 / (2.0 * fan_in))
-            w = rng.normal(0.0, s, (fan_out, fan_in)) + 1j * rng.normal(0.0, s, (fan_out, fan_in))
-            self._params[f"layer{i}.W"] = w.astype(np.complex128)
-            self._params[f"layer{i}.b"] = np.zeros(fan_out, dtype=np.complex128)
-            if i < self.n_layers - 1:  # hidden layer: activation parameters
-                layer = ({pname: np.repeat(arr, fan_out, axis=0) for pname, arr in neuron.items()}
-                         if neuron is not None else self.activation.init_params(
-                             fan_out, self.dictionary, rng,
-                             alpha_init=config.alpha_init, ridge=config.ridge))
-                for pname, arr in layer.items():
-                    self._params[f"layer{i}.{pname}"] = arr
-
-    def _describe(self, config, dictionary, activation) -> list[int]:
-        """Set everything but the parameters; return the layer widths."""
-        self.config = config
-        self.activation = (activation if activation is not None
-                           else act.activation_named(config.activation))
-        if self.activation.name != config.activation:
-            raise ParameterError(f"activation {self.activation.name!r} does not match "
-                                 f"config.activation {config.activation!r}")
-        if isinstance(self.activation, act._KafBase) and dictionary is None:
-            dictionary = build_dictionary()
-        self.dictionary = dictionary
-        self._version = 0
-        widths = [config.input_dim, *config.hidden_widths, config.class_count]
-        self.n_layers = len(widths) - 1
-        return widths
-
-    @classmethod
-    def _from_parameters(cls, config, dictionary, activation, values: dict[str, np.ndarray]):
-        """The network holding ``values``, built without initialization.
-
-        Names and shapes must fit ``config`` and ``activation`` exactly, as
-        :meth:`set_parameters` checks; nothing is drawn and no ridge fit runs.
-        """
-        model = cls.__new__(cls)
-        widths = model._describe(config, dictionary, activation)
-        # one neuron's worth gives each activation parameter's name, trailing
-        # shape and dtype; random alphas skip the ridge fit
-        neuron = model.activation.init_params(
-            1, model.dictionary, np.random.default_rng(0), alpha_init="random")
-        model._params = {}
-        for i in range(model.n_layers):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            model._params[f"layer{i}.W"] = np.empty((fan_out, fan_in), dtype=np.complex128)
-            model._params[f"layer{i}.b"] = np.empty(fan_out, dtype=np.complex128)
-            if i < model.n_layers - 1:
-                for pname, arr in neuron.items():
-                    model._params[f"layer{i}.{pname}"] = np.empty(
-                        (fan_out, *arr.shape[1:]), dtype=arr.dtype)
-        model.set_parameters(values)
-        return model
-
-    # -- forward / backward -------------------------------------------------
-
-    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        """Map inputs to raw complex logits and the cache of every intermediate
-        that :meth:`backward` reads, or None with ``cache=False``."""
-        layers = []
-        h = self._batch(x)
-        for i in range(self.n_layers):
-            w = self._params[f"layer{i}.W"]
-            b = self._params[f"layer{i}.b"]
-            entry = {"x": h}
-            h = complex_affine(w, h, b)
-            if i < self.n_layers - 1:
-                act_params = self._layer_act_params(i)
-                h, entry["act_cache"] = self.activation.forward(
-                    h, act_params, self.dictionary, cache=cache)
-            if cache:
-                layers.append(entry)
-        return h, {"version": self._version, "layers": layers} if cache else None
-
-    def backward(self, cograd_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
-        """Cogradients of a real objective for every trainable parameter."""
-        self._check_cache(cache)
-        g = np.asarray(cograd_logits, dtype=np.complex128)
-        grads: dict[str, np.ndarray] = {}
-        for i in reversed(range(self.n_layers)):
-            entry = cache["layers"][i]
-            if i < self.n_layers - 1:
-                act_params = self._layer_act_params(i)
-                g, act_grads = self.activation.backward(
-                    g, entry["act_cache"], act_params, self.dictionary
-                )
-                for pname, garr in act_grads.items():
-                    grads[f"layer{i}.{pname}"] = garr
-            w = self._params[f"layer{i}.W"]
-            g_w, g_x, g_b = backward_affine(g, w, entry["x"])
-            grads[f"layer{i}.W"] = g_w
-            grads[f"layer{i}.b"] = g_b
-            g = g_x
-        return grads
-
-    def _layer_act_params(self, i: int) -> dict[str, np.ndarray]:
-        prefix = f"layer{i}."
-        skip = (prefix + "W", prefix + "b")
-        return {
-            name[len(prefix):]: arr
-            for name, arr in self._params.items()
-            if name.startswith(prefix) and name not in skip
-        }
-
     # bound in each class so that each holds them as its own attributes, which
     # is where perfbench's per-class wrappers look them up
+    forward = _Network.forward
+    backward = _Network.backward
     predict = _Network.predict
     loss_and_grads = _Network.loss_and_grads
+
+    _dtype = np.complex128
+
+    @staticmethod
+    def _hidden_activation(config: NetworkConfig, activation):
+        """``activation`` must be named ``config.activation``; it defaults to
+        the registry's descriptor so named."""
+        if activation is None:
+            activation = act.activation_named(config.activation)
+        if activation.name != config.activation:
+            raise ParameterError(f"activation {activation.name!r} does not match "
+                                 f"config.activation {config.activation!r}")
+        return activation
+
+    @staticmethod
+    def _weights(rng, fan_out: int, fan_in: int) -> np.ndarray:
+        s = np.sqrt(1.0 / (2.0 * fan_in))  # per part, so each weight has variance 1/fan_in
+        return rng.normal(0.0, s, (fan_out, fan_in)) + 1j * rng.normal(0.0, s, (fan_out, fan_in))
 
     _scores = staticmethod(_squared_magnitudes)  # the softmax runs over |h|^2
 
@@ -396,53 +392,42 @@ class ComplexNetwork(_Network):
         return 2.0 * g * logits  # the cogradient of |h|^2 is 2h
 
 
+class _Relu:
+    """The real baseline's hidden activation ``max(z, 0)``; it has no parameters."""
+
+    def init_params(self, width, dictionary, rng, **settings):
+        return {}
+
+    def forward(self, z, params, dictionary, cache=True):
+        return np.maximum(z, 0.0), {"active": z > 0} if cache else None
+
+    def backward(self, g_out, cache, params, dictionary):
+        return g_out * cache["active"], {}
+
+
+_RELU = _Relu()
+
+
 class RealBaselineNetwork(_Network):
     """Conventional real MLP fed [Re(x); Im(x)], ReLU hiddens, softmax output."""
 
-    dictionary = None
-
-    def __init__(self, config: NetworkConfig):
-        self.config = config
-        self._version = 0
-        rng = np.random.default_rng(config.seed)
-        widths = [2 * config.input_dim, *config.hidden_widths, config.class_count]
-        self._params: dict[str, np.ndarray] = {}
-        self.n_layers = len(widths) - 1
-        for i in range(self.n_layers):
-            fan_in, fan_out = widths[i], widths[i + 1]
-            s = np.sqrt(2.0 / fan_in)
-            self._params[f"layer{i}.W"] = rng.normal(0.0, s, (fan_out, fan_in))
-            self._params[f"layer{i}.b"] = np.zeros(fan_out)
-
-    def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
-        """Map inputs, as [Re(x), Im(x)] features, to logits and the cache
-        :meth:`backward` reads, or None with ``cache=False``."""
-        x = self._batch(x)
-        h = np.hstack([x.real, x.imag])
-        pres = []
-        acts = [h]
-        for i in range(self.n_layers):
-            z = h @ self._params[f"layer{i}.W"].T + self._params[f"layer{i}.b"]
-            h = np.maximum(z, 0.0) if i < self.n_layers - 1 else z
-            if cache:
-                pres.append(z)
-                acts.append(h)
-        return h, {"version": self._version, "pres": pres, "acts": acts} if cache else None
-
-    def backward(self, grad_logits: np.ndarray, cache: dict) -> dict[str, np.ndarray]:
-        """Gradients of a real objective for every parameter."""
-        self._check_cache(cache)
-        grads: dict[str, np.ndarray] = {}
-        g = grad_logits
-        for i in reversed(range(self.n_layers)):
-            grads[f"layer{i}.W"] = g.T @ cache["acts"][i]
-            grads[f"layer{i}.b"] = g.sum(axis=0)
-            if i > 0:
-                g = (g @ self._params[f"layer{i}.W"]) * (cache["pres"][i - 1] > 0)
-        return grads
-
+    forward = _Network.forward
+    backward = _Network.backward
     predict = _Network.predict
     loss_and_grads = _Network.loss_and_grads
+
+    _dtype = np.float64
+    _input_features = 2
+
+    @staticmethod
+    def _input(x: np.ndarray) -> np.ndarray:
+        return np.hstack([x.real, x.imag])
+
+    _hidden_activation = staticmethod(lambda config, activation: _RELU)
+
+    @staticmethod
+    def _weights(rng, fan_out: int, fan_in: int) -> np.ndarray:
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in))
 
     @staticmethod
     def _scores(logits: np.ndarray) -> np.ndarray:
@@ -512,9 +497,7 @@ def _model_from(meta: dict, arrays: dict[str, np.ndarray]):
         raise ValueError(f"config fields {sorted(c)}, expected {sorted(names)}")
     cfg = NetworkConfig(**{**c, "hidden_widths": tuple(c["hidden_widths"])})
     if meta["kind"] == "real_baseline":
-        model = RealBaselineNetwork(cfg)
-        model.set_parameters(arrays)
-        return model
+        return RealBaselineNetwork._from_parameters(cfg, arrays)
     if meta["kind"] != "complex":
         raise ValueError(f"unknown model kind {meta['kind']!r}")
     dmeta = meta.get("dictionary")
@@ -523,4 +506,4 @@ def _model_from(meta: dict, arrays: dict[str, np.ndarray]):
         if dmeta else None
     )
     activation = act.activation_from_spec(meta["activation"])
-    return ComplexNetwork._from_parameters(cfg, dictionary, activation, arrays)
+    return ComplexNetwork._from_parameters(cfg, arrays, dictionary, activation)

@@ -203,6 +203,17 @@ class TestEvaluate:
         assert (f"data error: {tiny_cache} has {ds.feature_dim} features per row, "
                 f"but {path} takes {ds.feature_dim - 2}") in err
 
+    def test_model_of_another_class_count_is_data_error(self, tiny_cache, tmp_path, capsys):
+        ds = load_cached(tiny_cache)
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model("real_nn", ds.feature_dim, ds.class_count + 4, seed=0,
+                                     hidden_widths=(8,)))
+        rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert (f"data error: {tiny_cache} has {ds.class_count} classes, "
+                f"but {path} scores {ds.class_count + 4}") in err
+
     def test_bad_split_name(self, tiny_cache, tmp_path):
         rc = main(["evaluate", "--model-file", str(tmp_path / "nope.cvkm"),
                    "--cache", str(tiny_cache), "--split", "holdout"])
@@ -216,8 +227,11 @@ class TestEvaluate:
         (lambda meta, arrays: meta.update(split_sizes=[97, -1, 24]), 2),
         (lambda meta, arrays: meta.update(split_sizes=[72, 24, 25]), 2),
         (lambda meta, arrays: meta.update(class_count="3"), 2),
+        (lambda meta, arrays: arrays.update(labels=arrays["labels"] + 0.5), 2),
+        (lambda meta, arrays: arrays.update(features=arrays["features"].real.copy()), 2),
     ], ids=["version_1", "missing_field", "extra_field", "size_not_integer",
-            "negative_size", "sizes_not_summing", "class_count_not_integer"])
+            "negative_size", "sizes_not_summing", "class_count_not_integer", "labels_float",
+            "features_real"])
     def test_malformed_cache_is_data_error(self, doctor, version, tiny_cache, tmp_path,
                                            capsys):
         ds = load_cached(tiny_cache)
@@ -312,7 +326,9 @@ class TestCompare:
     @pytest.mark.parametrize("flag, value", [("--c-grid", ""), ("--seeds", ""),
                                              ("--c-grid", "0,-1e-4"),
                                              ("--models", "real_nn,wlkaf_cas1"),
-                                             ("--models", "real_nn,"), ("--models", "")])
+                                             ("--models", "real_nn,"), ("--models", ""),
+                                             ("--models", "real_nn,real_nn"),
+                                             ("--seeds", "0,0"), ("--c-grid", "0,1e-4,0.0")])
     def test_unusable_list_is_parameter_error(self, flag, value, tiny_cache, tmp_path):
         argv = ["compare", "--cache", str(tiny_cache), "--models", "real_nn",
                 "--seeds", "0", "--c-grid", "0", "--out", str(tmp_path / "cmp"),

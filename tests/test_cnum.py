@@ -72,6 +72,22 @@ class TestBackwardAffine:
             backward_affine(np.zeros((3, 2), dtype=complex), np.eye(2),
                             np.zeros((2, 2), dtype=complex))
 
+    def test_float64_operands_stay_float64(self, rng):
+        w, x, b = rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=3)
+        g = rng.normal(size=(5, 3))
+        y = complex_affine(w, x, b)
+        assert y.dtype == np.float64
+        np.testing.assert_array_equal(y, x @ w.T + b)
+        expected = (g.T @ x, g @ w, g.sum(0))
+        for got, want in zip(backward_affine(g, w, x), expected):
+            assert got.dtype == np.float64
+            np.testing.assert_array_equal(got, want)
+        # without W the input cogradient is skipped, not computed
+        g_w, g_x, g_b = backward_affine(g, None, x)
+        assert g_x is None
+        np.testing.assert_array_equal(g_w, expected[0])
+        np.testing.assert_array_equal(g_b, expected[2])
+
     def test_zero_cotangent(self, rng):
         w = random_complex(rng, (2, 3))
         x = random_complex(rng, (1, 3))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvkaf import activations as act
+from cvkaf import network
 from cvkaf.activations import ACTIVATION_VARIANTS, WlKafCase2Activation
 from cvkaf.cnum import complex_affine, finite_diff_cogradient
 from cvkaf.errors import (
@@ -225,6 +226,18 @@ class TestObjectiveAndBackward:
         net.bump_version()
         assert net.objective(x, y, obj) < before
 
+    @pytest.mark.parametrize("name", ["wlkaf_case1", "real_nn"])
+    def test_backward_skips_the_network_input_cogradient(self, name, rng, monkeypatch):
+        net = _network(name)
+        weights = []
+        affine = network.backward_affine
+        monkeypatch.setattr(network, "backward_affine",
+                            lambda g, w, x: weights.append(w) or affine(g, w, x))
+        x = random_complex(rng, (6, 5))
+        net.loss_and_grads(x, rng.integers(0, 4, size=6), TrainObjective())
+        # layers run last to first; only the first layer's product is skipped
+        assert [w is None for w in weights] == [False, False, True]
+
     def test_stale_cache_rejected(self, rng):
         net = ComplexNetwork(NetworkConfig(2, (3,), 2, activation="split_tanh", seed=0))
         x = random_complex(rng, (2, 2))
@@ -296,7 +309,7 @@ class TestForwardWithoutCache:
             net.backward(np.zeros_like(logits), None)
         if name != "real_nn":
             z = random_complex(rng, (6, 30))
-            params = net._layer_act_params(0)
+            params = net._layers[0][2]
             out, acache = net.activation.forward(z, params, net.dictionary, cache=False)
             assert acache is None
             np.testing.assert_array_equal(out, net.activation.forward(z, params, net.dictionary)[0])
@@ -381,7 +394,7 @@ class TestRealBaseline:
         cfg = NetworkConfig(100, (4,), 2, seed=0)
         net = RealBaselineNetwork(cfg)
         x = random_complex(np.random.default_rng(0), (7, 100))
-        features = net.forward(x)[1]["acts"][0]
+        features = net.forward(x)[1]["layers"][0]["x"]
         np.testing.assert_array_equal(features, np.hstack([x.real, x.imag]))
         assert net.parameters()["layer0.W"].shape == (4, 200)
 
@@ -435,12 +448,13 @@ class TestRealBaseline:
             net.objective(random_complex(rng, (2, 4)), [0, 1], TrainObjective())
 
     def test_shares_the_complex_network_training_surface(self):
-        # each class owns forward/loss_and_grads/predict (and the complex
-        # one backward), as per-class wrappers need, but the loss and the
+        # each class owns forward/backward/loss_and_grads/predict, as
+        # per-class wrappers need, but the layer chain, the loss and the
         # prediction rule are the same function objects
         for cls in (ComplexNetwork, RealBaselineNetwork):
             assert {"forward", "backward", "loss_and_grads", "predict"} <= set(vars(cls))
-        for name in ("loss_and_grads", "predict", "objective", "predict_proba"):
+        for name in ("forward", "backward", "loss_and_grads", "predict", "objective",
+                     "predict_proba"):
             assert getattr(ComplexNetwork, name) is getattr(RealBaselineNetwork, name)
 
     def test_blocked_predict_matches_one_forward(self, rng):
@@ -512,6 +526,23 @@ class TestSerialization:
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
         save_model(tmp_path / "again.cvkm", load_model(path))
         assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case2"])
+    def test_load_draws_and_fits_nothing(self, variant, tmp_path, monkeypatch):
+        model = build_model(variant, 4, 3, seed=2, hidden_widths=(5, 5),
+                            dictionary=build_dictionary(4))
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        made = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *a: made.append((a, default_rng(*a))) or made[-1][1])
+        monkeypatch.setattr(act, "fit_alpha", lambda *a, **k: pytest.fail("fit_alpha ran"))
+        restored = load_model(path)
+        for args, generator in made:
+            assert generator.bit_generator.state == default_rng(*args).bit_generator.state
+        for name, arr in model.parameters().items():
+            assert restored.parameters()[name].tobytes() == arr.tobytes()
 
     def test_identical_models_identical_bytes(self, tmp_path):
         d = build_dictionary(4)

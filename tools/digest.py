@@ -1,0 +1,107 @@
+"""One sha256 over everything a model computes, to check that a refactor is bit-identical.
+
+Run from the repository root as::
+
+    PYTHONPATH=src python tools/digest.py
+
+and compare the printed digest between two source trees (point
+``PYTHONPATH`` at the other tree's ``src``). BLAS rounding can depend on
+the thread count, so compare runs with the same setting: once with
+``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1`` and once
+with the default.
+
+On one seeded small problem the digest covers, for ``real_nn``, every
+activation variant, case 2 at Q = 2 and case 1 with random alphas: the
+initial parameters; the trace records of a short ``optim.train`` (without
+the wall-clock ``elapsed_seconds``); the trained parameters; ``predict_proba``,
+``predict``, ``objective`` and the ``loss_and_grads`` value and gradients;
+and the bytes of ``save_model``. It also checks that loading the saved file
+and saving it again gives the same bytes, and exits 1 if not.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from cvkaf import optim
+from cvkaf.activations import ACTIVATION_VARIANTS, WlKafCase2Activation
+from cvkaf.kernels import build_dictionary
+from cvkaf.network import (
+    ComplexNetwork,
+    NetworkConfig,
+    TrainObjective,
+    build_model,
+    load_model,
+    save_model,
+)
+
+INPUT_DIM, HIDDEN, CLASSES, ROWS = 12, (16, 10), 4, 160
+OBJECTIVE = TrainObjective("cross_entropy", 1e-3)
+TRAIN = optim.TrainConfig(batch_size=16, patience=1000, eval_every=5, max_iterations=40,
+                          lr=0.05, seed=3)
+
+
+def models():
+    """(label, fresh model) for every case the digest covers."""
+    yield "real_nn", build_model("real_nn", INPUT_DIM, CLASSES, seed=1, hidden_widths=HIDDEN)
+    cases = [(name, name, None, "identity") for name in ACTIVATION_VARIANTS]
+    cases += [("wlkaf_case2_q2", "wlkaf_case2", WlKafCase2Activation(2, (0.3, 0.6)), "identity"),
+              ("wlkaf_case1_random", "wlkaf_case1", None, "random")]
+    for label, name, activation, alpha_init in cases:
+        cfg = NetworkConfig(INPUT_DIM, HIDDEN, CLASSES, activation=name, seed=1,
+                            alpha_init=alpha_init)
+        yield label, ComplexNetwork(cfg, build_dictionary(4), activation)
+
+
+def feed(h, *values) -> None:
+    """Add each value to ``h``: arrays with their dtype and shape, dicts in order."""
+    for v in values:
+        if isinstance(v, dict):
+            for name, arr in v.items():
+                h.update(name.encode())
+                feed(h, arr)
+        elif isinstance(v, (bytes, str)):
+            h.update(v if isinstance(v, bytes) else v.encode())
+        else:
+            arr = np.ascontiguousarray(v)
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(arr.tobytes())
+
+
+def main() -> int:
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(ROWS, INPUT_DIM)) + 1j * rng.normal(size=(ROWS, INPUT_DIM))
+    y = rng.integers(0, CLASSES, size=ROWS)
+    train, val = (x[:120], y[:120]), (x[120:], y[120:])
+    h = hashlib.sha256()
+    ok = True
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, model in models():
+            feed(h, label, model.parameters())
+            trace = optim.train(model, train, val, TRAIN, OBJECTIVE)
+            for r in trace.records:
+                feed(h, repr((r.iteration, r.train_loss, r.val_accuracy)))
+            feed(h, repr((trace.best_iteration, trace.best_val_accuracy,
+                          trace.total_iterations, trace.stop_reason)))
+            feed(h, model.parameters(), model.predict_proba(x), model.predict(x),
+                 repr(model.objective(x, y, OBJECTIVE)))
+            value, grads = model.loss_and_grads(x, y, OBJECTIVE)
+            feed(h, repr(value), grads)
+            first, second = Path(tmp, f"{label}.cvkm"), Path(tmp, f"{label}.again.cvkm")
+            save_model(first, model)
+            save_model(second, load_model(first))
+            feed(h, first.read_bytes())
+            if first.read_bytes() != second.read_bytes():
+                print(f"{label}: load then save changed the model file", file=sys.stderr)
+                ok = False
+    print(h.hexdigest())
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
