@@ -38,6 +38,10 @@ tests check it against dense per-atom reference forms kept with them.
 Backward passes return cogradients in the package-wide convention
 (see :mod:`cvkaf.cnum`) and are all validated against finite differences.
 
+A descriptor's ``name`` is its one spelling, which :func:`activation_named`
+parses back: a registry key, or case 2 at other mixing weights such as
+``wlkaf_case2:0.7:0.2``. Model configs and files carry only the name.
+
 Every ``forward(z, params, dictionary, cache=True)`` returns ``(out,
 cache)``, where the cache holds what ``backward`` reads. Callers that
 only need ``out`` (prediction, the objective alone, :func:`fit_alpha`)
@@ -49,7 +53,6 @@ is bit-identical to the cached pass.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,11 +72,10 @@ __all__ = [
     "WlKafCase2Activation",
     "ACTIVATION_VARIANTS",
     "activation_named",
-    "spec_dict",
-    "activation_from_spec",
 ]
 
 DEFAULT_RIDGE = 1e-4  # ridge weight of the identity fit in :func:`fit_alpha`
+_CASE2, _CASE2_OMEGAS = "wlkaf_case2", (0.3,)  # case 2's name and its default mixing weight
 
 
 def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
@@ -172,9 +174,8 @@ def _pseudo_tanh_factor(r: np.ndarray) -> np.ndarray:
 # Each class is a stateless descriptor; parameters live in a plain dict of
 # numpy arrays owned by the network layer. forward() returns (out, cache),
 # or (out, None) with cache=False; backward() consumes the cache and returns
-# (cograd_z, {name: cograd}). A descriptor's ``name`` is its registry key;
-# its class's ``variant`` tag and its dataclass fields are its entry in a
-# model header (see :func:`spec_dict`).
+# (cograd_z, {name: cograd}). A descriptor's ``name`` is its one spelling
+# (see :func:`activation_named`).
 # ---------------------------------------------------------------------------
 
 
@@ -182,15 +183,9 @@ def _pseudo_tanh_factor(r: np.ndarray) -> np.ndarray:
 class SplitActivation:
     """``tanh`` applied to the real and imaginary parts independently."""
 
-    variant = "split"
     name = "split_tanh"
-    fn: str = "tanh"  # the only nonlinearity; model headers carry it
 
-    def __post_init__(self):
-        if self.fn != "tanh":
-            raise ParameterError(f"unknown split nonlinearity {self.fn!r}")
-
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
+    def init_params(self, width, dictionary, rng, alpha_init="identity"):
         return {}
 
     def forward(self, z, params, dictionary, cache=True):
@@ -204,9 +199,9 @@ class SplitActivation:
 
 @dataclass(frozen=True)
 class PhaseAmplitudeActivation:
-    variant = name = "phase_amplitude"
+    name = "phase_amplitude"
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
+    def init_params(self, width, dictionary, rng, alpha_init="identity"):
         return {}
 
     def forward(self, z, params, dictionary, cache=True):
@@ -393,7 +388,7 @@ class _KafBase:
                                            g_grid["imag"].reshape(h, -1))
         return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity", ridge=DEFAULT_RIDGE):
+    def init_params(self, width, dictionary, rng, alpha_init="identity"):
         """Every log-bandwidth at the rule of thumb; alpha fit or drawn.
 
         The term table names each log-bandwidth; one with a ``col`` is
@@ -406,7 +401,7 @@ class _KafBase:
             cols[t.gamma] = max(cols.get(t.gamma, 0), 0 if t.col is None else t.col + 1)
         bandwidths = {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
         if alpha_init == "identity":
-            alpha = np.tile(fit_alpha(self, dictionary, bandwidths, ridge=ridge), (width, 1))
+            alpha = np.tile(fit_alpha(self, dictionary, bandwidths), (width, 1))
         elif alpha_init == "random":
             # std 0.3 for the complex value -> 0.3/sqrt(2) per component
             s = 0.3 / np.sqrt(2.0)
@@ -422,7 +417,6 @@ class _KafBase:
 class KafActivation(_KafBase):
     """Standard kernel activation, one bandwidth per neuron."""
 
-    variant = "kaf"
     kernel: str = "real_gaussian"
 
     def __post_init__(self):
@@ -446,7 +440,7 @@ class WlKafCase1Activation(_KafBase):
     each output part sees only its own separable kernel.
     """
 
-    variant = name = "wlkaf_case1"
+    name = "wlkaf_case1"
     terms = (
         _Term("log_gamma_rr", "imag", "real", "real", "real"),
         _Term("log_gamma_ii", "imag", "imag", "real", "imag"),
@@ -463,23 +457,23 @@ class WlKafCase2Activation(_KafBase):
 
     ``k = sum_q K_q`` is real and ``kt = 2i * sum_q omega_q * Kt_q`` purely
     imaginary, so ``kt^T conj(alpha)`` routes ``Im alpha`` to the real
-    output and ``Re alpha`` to the imaginary one, scaled by ``2*omega_q``.
+    output and ``Re alpha`` to the imaginary one, scaled by ``2*omega_q``;
+    Q is the number of mixing weights.
     """
 
-    variant = name = "wlkaf_case2"
-    q: int = 1
-    omegas: tuple[float, ...] = (0.3,)
+    omegas: tuple[float, ...] = _CASE2_OMEGAS
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas", tuple(self.omegas))  # a header holds a list
-        if self.q < 1 or len(self.omegas) != self.q:
-            raise ParameterError(f"need q >= 1 mixing weights, got q={self.q}, {self.omegas}")
-        if any(not 0.0 < w < 1.0 for w in self.omegas):
-            raise ParameterError(f"mixing weights must lie in (0, 1), got {self.omegas}")
+        object.__setattr__(self, "omegas", tuple(float(w) for w in self.omegas))
+        if not self.omegas or any(not 0.0 < w < 1.0 for w in self.omegas):
+            raise ParameterError(f"need mixing weights, each in (0, 1), got {self.omegas}")
+
+    name = property(lambda self: ":".join(
+        [_CASE2] if self.omegas == _CASE2_OMEGAS else [_CASE2, *map(repr, self.omegas)]))
 
     @cached_property
     def terms(self) -> tuple[_Term, ...]:
-        kernel = [_kernel_terms("log_gamma", q) for q in range(self.q)]
+        kernel = [_kernel_terms("log_gamma", q) for q in range(len(self.omegas))]
         pseudo = [_kernel_terms("log_gamma_tilde", q, 2.0 * w, cross=True)
                   for q, w in enumerate(self.omegas)]
         return sum(kernel + pseudo, ())
@@ -490,7 +484,7 @@ class WlKafCase2Activation(_KafBase):
 
 
 # Every activation variant, keyed by its name: the one list that model
-# names, the gradient check and model headers are derived from.
+# names and the gradient check are derived from.
 ACTIVATION_VARIANTS = {a.name: a for a in (
     SplitActivation(),
     PhaseAmplitudeActivation(),
@@ -502,24 +496,21 @@ ACTIVATION_VARIANTS = {a.name: a for a in (
 
 
 def activation_named(name: str):
-    """The registry's descriptor called ``name``."""
-    if name not in ACTIVATION_VARIANTS:
-        raise ParameterError(f"unknown activation variant {name!r}; "
-                             f"choose from {list(ACTIVATION_VARIANTS)}")
-    return ACTIVATION_VARIANTS[name]
-
-
-def spec_dict(activation) -> dict:
-    """A descriptor's entry in a model header: its class's variant tag and
-    its dataclass fields, which are its settings."""
-    return {"variant": activation.variant, **dataclasses.asdict(activation)}
-
-
-def activation_from_spec(spec: dict):
-    """Rebuild an activation descriptor from its :func:`spec_dict` form."""
-    settings = dict(spec)
-    classes = {a.variant: type(a) for a in ACTIVATION_VARIANTS.values()}
-    cls = classes.get(settings.pop("variant", None))
-    if cls is None or set(settings) != {f.name for f in dataclasses.fields(cls)}:
-        raise ParameterError(f"not an activation spec: {spec}")
-    return cls(**settings)
+    """The descriptor whose ``name`` is ``name``: a registry key, or case 2 at
+    other mixing weights, ``wlkaf_case2:w1:w2...``, each weight in (0, 1) as
+    ``repr`` prints it; another spelling is a :class:`ParameterError`."""
+    if name in ACTIVATION_VARIANTS:
+        return ACTIVATION_VARIANTS[name]
+    kind, _, weights = name.partition(":")
+    if kind != _CASE2 or not weights:
+        raise ParameterError(f"unknown activation variant {name!r}; choose from "
+                             f"{list(ACTIVATION_VARIANTS)} or {_CASE2}:w1:w2... "
+                             "with each mixing weight in (0, 1)")
+    try:
+        omegas = tuple(float(w) for w in weights.split(":"))
+    except ValueError:
+        raise ParameterError(f"{name!r}: mixing weights must be numbers in (0, 1)") from None
+    layer = WlKafCase2Activation(omegas)
+    if layer.name != name:
+        raise ParameterError(f"{name!r} is not the canonical spelling; write {layer.name!r}")
+    return layer

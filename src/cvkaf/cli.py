@@ -10,8 +10,8 @@ Each option is declared once, in :func:`build_parser`, with its type and
 its default (the library's, where the library owns it); ``cvkaf <command>
 --help`` prints every default. A ``key = value`` config file passed with
 ``--config`` is applied once, in :func:`main`, as the chosen command's
-defaults, so explicit flags win; an unreadable file, or a value in it
-that its option rejects, is a parameter error naming the file. Each
+defaults, so explicit flags win; an unreadable file, a key it gives twice
+or a value its option rejects is a parameter error naming the file. Each
 training run writes a directory containing the resolved config snapshot,
 the serialized model, the trace CSV, and a machine-readable summary;
 wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
@@ -34,7 +34,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import optim
-from .activations import ACTIVATION_VARIANTS
+from .activations import ACTIVATION_VARIANTS, activation_named
 from .errors import (
     CacheError,
     CvkafError,
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
 from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
-from .network import (MODEL_NAMES, MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
+from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
                       load_model, save_model)
 from .optim import TrainConfig
 
@@ -81,12 +81,17 @@ _parse_floats = _list_parser(float, "numbers")
 _parse_ints = _list_parser(int, "integers")
 
 
+def _parse_model(text: str) -> str:
+    """The ``--model`` type: ``real_nn`` or an activation name."""
+    try:
+        return text if text == "real_nn" else activation_named(text).name
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _parse_models(text: str) -> tuple[str, ...]:
     """The ``--models`` type: comma-separated names that ``train`` accepts."""
-    unknown = [name for name in text.split(",") if name not in MODEL_NAMES]
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown models {unknown}; choose from {MODEL_NAMES}")
-    return tuple(text.split(","))
+    return tuple(_parse_model(name) for name in text.split(","))
 
 
 def _range_text(r) -> str:
@@ -100,12 +105,13 @@ def _list_text(values) -> str:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` UTF-8 config file ('#' starts a comment)."""
+    """Parse a flat ``key = value`` UTF-8 config file ('#' starts a comment);
+    a key given twice, in either spelling, is a parameter error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
-    values: dict[str, str] = {}
+    entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -113,8 +119,11 @@ def read_config_file(path) -> dict[str, str]:
         if "=" not in stripped:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = stripped.split("=", 1)
-        values[key.strip().replace("-", "_")] = value.strip()
-    return values
+        key = key.strip().replace("-", "_")
+        if key in entries:
+            raise ParameterError(f"{path}: lines {entries[key][0]} and {lineno} both give {key!r}")
+        entries[key] = lineno, value.strip()
+    return {key: value for key, (_, value) in entries.items()}
 
 
 def _apply_config_file(command: argparse.ArgumentParser, path) -> None:
@@ -455,6 +464,9 @@ def add_training_flags(p) -> None:
                    help="hidden widths")
 
 
+_CASE2_HELP = "wlkaf_case2:w1:w2..., case 2 at mixing weights strictly between 0 and 1"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cvkaf",
@@ -482,7 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("train", cmd_train, "train one model variant for one seed")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--model", default="wlkaf_case1", help=" | ".join(MODEL_NAMES))
+    p.add_argument("--model", type=_parse_model, default="wlkaf_case1",
+                   help=" | ".join(("real_nn", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
     p.add_argument("--c", type=float, default=TrainObjective.reg_weight, help="regularizer weight")
     add_training_flags(p)
@@ -497,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--models", type=_parse_models,
                    default=_list_text(MODEL_VARIANTS),
-                   help="comma-separated model names, any that train accepts")
+                   help="comma-separated names train accepts, e.g. real_nn,wlkaf_case2:0.7:0.2")
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--c-grid", type=_parse_floats, default="0,1e-5,1e-4,1e-3",
                    help="regularization weights to search")
@@ -505,7 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="comparison", help="output directory")
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference check of all backward rules")
-    p.add_argument("--model", default="all", help=" | ".join(("all", *ACTIVATION_VARIANTS)))
+    p.add_argument("--model", default="all",
+                   help=" | ".join(("all", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="relative tolerance")
 

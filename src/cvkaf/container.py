@@ -48,24 +48,28 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict[s
             fh.write(blob.data)  # the array's own buffer: no bytes copy
 
 
-def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container; each array is read straight into its own new buffer."""
+def read_container(path, magic: bytes, version: int,
+                   upgrades=None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container of format ``version``, or of an older one that ``upgrades`` maps to the
+    function turning its header into a ``version`` header; each array gets its own new buffer."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            return _read_from(path, fh, os.fstat(fh.fileno()).st_size, magic, version)
+            meta, arrays, found = _read_from(path, fh, os.fstat(fh.fileno()).st_size, magic,
+                                             {version, *(upgrades or {})})
     except OSError as exc:
         raise CacheError(f"cannot read container {path}: {exc}") from exc
+    return (meta if found == version else upgrades[found](meta)), arrays
 
 
-def _read_from(path: Path, fh, size: int, magic: bytes, version: int):
+def _read_from(path: Path, fh, size: int, magic: bytes, versions: set):
     fixed = fh.read(_HEADER_FIXED)
     if len(fixed) < _HEADER_FIXED or fixed[:4] != magic:
         raise CacheError(f"{path} is not a {magic.decode('ascii', 'replace')} container")
     found = int.from_bytes(fixed[4:8], "little")
-    if found != version:
+    if found not in versions:
         raise CacheError(
-            f"{path} has format version {found}, expected {version}; rebuild the file"
+            f"{path} has format version {found}, expected {max(versions)}; rebuild the file"
         )
     hlen = int.from_bytes(fixed[8:16], "little")
     end = _HEADER_FIXED + hlen
@@ -100,4 +104,4 @@ def _read_from(path: Path, fh, size: int, magic: bytes, version: int):
         offset += nbytes
     if offset != size:
         raise CacheError(f"{path} has {size - offset} trailing bytes")
-    return header, arrays
+    return header, arrays, found

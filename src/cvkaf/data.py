@@ -155,10 +155,6 @@ def load_idx(images_path, labels_path) -> RawImageSet:
     labels = _read_idx(labels_path, _LABEL_MAGIC).astype(np.int64)
     if images.ndim != 3:
         raise DataFormatError(f"{images_path}: expected 3 dimensions, got {images.ndim}")
-    if images.shape[0] != labels.shape[0]:
-        raise DataFormatError(
-            f"count mismatch: {images.shape[0]} images vs {labels.shape[0]} labels"
-        )
     return RawImageSet(images=images, labels=labels,
                        class_count=int(labels.max()) + 1 if labels.size else 0)
 

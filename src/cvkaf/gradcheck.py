@@ -1,7 +1,7 @@
 """Finite-difference verification harness for full networks.
 
 Builds a tiny randomly configured network of one activation variant (a
-key of :data:`~cvkaf.activations.ACTIVATION_VARIANTS`), compares every
+name that :func:`~cvkaf.activations.activation_named` accepts), compares every
 analytic parameter cogradient against central differences of the
 regularized objective, and reports the worst normalized error per
 parameter group. The normalized error is |analytic - numeric| divided by
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cnum import finite_diff_cogradient
-from .kernels import build_dictionary
 from .network import ComplexNetwork, NetworkConfig, TrainObjective
 
 __all__ = ["GradcheckReport", "gradcheck_variant"]
@@ -69,15 +68,8 @@ def gradcheck_variant(variant: str, seed: int,
     alphas, 3 rows, C = 1e-3, and
     :func:`~cvkaf.cnum.finite_diff_cogradient` at its step of 1e-6."""
     input_dim, classes, batch = 3, 2, 3
-    cfg = NetworkConfig(
-        input_dim=input_dim,
-        hidden_widths=(4, 4),
-        class_count=classes,
-        activation=variant,
-        seed=seed,
-        alpha_init="random",
-    )
-    model = ComplexNetwork(cfg, build_dictionary(4))
+    model = ComplexNetwork(NetworkConfig(input_dim, (4, 4), classes, activation=variant,
+                                         seed=seed, alpha_init="random", dict_points=4))
     rng = np.random.default_rng(seed + 1)
     x = rng.normal(size=(batch, input_dim)) + 1j * rng.normal(size=(batch, input_dim))
     y = rng.integers(0, classes, size=batch)

@@ -1,5 +1,10 @@
 """Network assembly, the softmax cross-entropy rule and the regularized objective.
 
+A :class:`NetworkConfig` is a model's whole description, and a model
+file's header (format version 2; version 1 is still read): its
+``activation`` name, ``real_nn`` or an activation name such as
+``wlkaf_case2:0.7:0.2``, picks the class and the hidden activation.
+
 Both network classes are one chain, :class:`_Network`, of affine layers
 whose hidden outputs pass through a shared activation descriptor with each
 layer's own parameters. Construction, loading, ``forward``, ``backward``,
@@ -27,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,7 +45,7 @@ from .errors import (
     ParameterError,
     StateError,
 )
-from .kernels import Dictionary, build_dictionary
+from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
 
 __all__ = [
     "NetworkConfig",
@@ -55,11 +59,10 @@ __all__ = [
     "save_model",
     "load_model",
     "MODEL_VARIANTS",
-    "MODEL_NAMES",
 ]
 
 _MODEL_MAGIC = b"CVKM"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 
 _P_FLOOR = 1e-12  # probability clamp inside the cross-entropy
 
@@ -146,15 +149,20 @@ class TrainObjective:
 
 @dataclass(frozen=True)
 class NetworkConfig:
+    """Everything a model is built from; a model file's header holds it."""
+
     input_dim: int
     hidden_widths: tuple[int, ...] = (100, 100, 100)
     class_count: int = 10
-    activation: str = "kaf_independent"
+    activation: str = "kaf_independent"  # real_nn, or an activation name
     seed: int = 0
     alpha_init: str = "identity"
-    ridge: float = act.DEFAULT_RIDGE
+    dict_points: int = DEFAULT_POINTS_PER_AXIS
+    dict_range: tuple[float, float] = DEFAULT_AXIS_RANGE
 
     def __post_init__(self):
+        for name in ("hidden_widths", "dict_range"):  # a header holds lists
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if self.input_dim < 1 or self.class_count < 1:
             raise ParameterError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
@@ -162,43 +170,38 @@ class NetworkConfig:
 
 
 class _Network:
-    """The one layer chain and training surface of both network classes; a
-    subclass sets the hooks ``_dtype``, ``_weights``, ``_hidden_activation``,
-    ``_scores`` (logits to softmax scores) and ``_chain_scores`` (a score
-    gradient to a logit gradient), and may replace ``_input`` and
-    ``_input_features``."""
+    """The one layer chain and training surface of both network classes; a subclass
+    sets the hooks ``_dtype``, ``_weights``, ``_hidden_activation`` (a name to its
+    descriptor), ``_scores`` (logits to softmax scores) and ``_chain_scores`` (a score
+    gradient to a logit gradient), and may replace ``_input`` and ``_input_features``."""
 
     _input_features = 1  # the first layer reads the complex input itself
     _input = staticmethod(lambda x: x)
 
     # -- construction --------------------------------------------------------
 
-    def __init__(self, config: NetworkConfig, dictionary: Optional[Dictionary] = None,
-                 activation=None):
+    def __init__(self, config: NetworkConfig):
         """Draw each layer's weights from ``config.seed``, zero its biases and
-        start each hidden layer's activation parameters per ``config.alpha_init``.
-        ``dictionary`` defaults to :func:`build_dictionary` for a KAF-family
-        activation."""
-        self._setup(config, dictionary, activation)
+        start each hidden layer's activation parameters per ``config.alpha_init``."""
+        self._setup(config)
         rng = np.random.default_rng(config.seed)
         # the identity start draws nothing and fits the same neuron in every
         # hidden layer: fit it once and repeat it to each layer's width
         if config.alpha_init == "identity":
-            neuron = self.activation.init_params(1, self.dictionary, rng, ridge=config.ridge)
+            neuron = self.activation.init_params(1, self.dictionary, rng)
             hidden = lambda width: {name: np.repeat(arr, width, axis=0)  # noqa: E731
                                     for name, arr in neuron.items()}
         else:
             hidden = lambda width: self.activation.init_params(  # noqa: E731
-                width, self.dictionary, rng, alpha_init=config.alpha_init, ridge=config.ridge)
+                width, self.dictionary, rng, alpha_init=config.alpha_init)
         self._make_layers(lambda fan_out, fan_in: self._weights(rng, fan_out, fan_in), hidden)
 
     @classmethod
-    def _from_parameters(cls, config: NetworkConfig, values: dict[str, np.ndarray],
-                         dictionary: Optional[Dictionary] = None, activation=None):
+    def _from_parameters(cls, config: NetworkConfig, values: dict[str, np.ndarray]):
         """The network holding ``values``, whose names and shapes must fit
         exactly, as :meth:`set_parameters` checks; nothing is drawn or fit."""
         model = cls.__new__(cls)
-        model._setup(config, dictionary, activation)
+        model._setup(config)
         # a zero-width layer gives each activation parameter's name, trailing
         # shape and dtype: random alphas skip the ridge fit, and no row is drawn
         empty = model.activation.init_params(0, model.dictionary, np.random.default_rng(0),
@@ -209,13 +212,12 @@ class _Network:
         model.set_parameters(values)
         return model
 
-    def _setup(self, config, dictionary, activation) -> None:
+    def _setup(self, config: NetworkConfig) -> None:
         """Set everything but the parameters."""
         self.config = config
-        self.activation = self._hidden_activation(config, activation)
-        if isinstance(self.activation, act._KafBase) and dictionary is None:
-            dictionary = build_dictionary()
-        self.dictionary = dictionary
+        self.activation = self._hidden_activation(config.activation)
+        self.dictionary = (None if self.activation is _RELU  # ReLU reads no dictionary
+                           else build_dictionary(config.dict_points, config.dict_range))
         self._version = 0
 
     def _make_layers(self, weights, hidden) -> None:
@@ -369,16 +371,7 @@ class ComplexNetwork(_Network):
 
     _dtype = np.complex128
 
-    @staticmethod
-    def _hidden_activation(config: NetworkConfig, activation):
-        """``activation`` must be named ``config.activation``; it defaults to
-        the registry's descriptor so named."""
-        if activation is None:
-            activation = act.activation_named(config.activation)
-        if activation.name != config.activation:
-            raise ParameterError(f"activation {activation.name!r} does not match "
-                                 f"config.activation {config.activation!r}")
-        return activation
+    _hidden_activation = staticmethod(act.activation_named)
 
     @staticmethod
     def _weights(rng, fan_out: int, fan_in: int) -> np.ndarray:
@@ -386,10 +379,7 @@ class ComplexNetwork(_Network):
         return rng.normal(0.0, s, (fan_out, fan_in)) + 1j * rng.normal(0.0, s, (fan_out, fan_in))
 
     _scores = staticmethod(_squared_magnitudes)  # the softmax runs over |h|^2
-
-    @staticmethod
-    def _chain_scores(g: np.ndarray, logits: np.ndarray) -> np.ndarray:
-        return 2.0 * g * logits  # the cogradient of |h|^2 is 2h
+    _chain_scores = staticmethod(lambda g, logits: 2.0 * g * logits)  # |h|^2's cogradient is 2h
 
 
 class _Relu:
@@ -419,27 +409,23 @@ class RealBaselineNetwork(_Network):
     _dtype = np.float64
     _input_features = 2
 
-    @staticmethod
-    def _input(x: np.ndarray) -> np.ndarray:
-        return np.hstack([x.real, x.imag])
+    _input = staticmethod(lambda x: np.hstack([x.real, x.imag]))
 
-    _hidden_activation = staticmethod(lambda config, activation: _RELU)
+    @staticmethod
+    def _hidden_activation(name: str):
+        if name != "real_nn":
+            raise ParameterError(f"the real baseline is named 'real_nn', not {name!r}")
+        return _RELU
 
     @staticmethod
     def _weights(rng, fan_out: int, fan_in: int) -> np.ndarray:
         return rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in))
 
-    @staticmethod
-    def _scores(logits: np.ndarray) -> np.ndarray:
-        return logits
-
-    @staticmethod
-    def _chain_scores(g: np.ndarray, logits: np.ndarray) -> np.ndarray:
-        return g
+    _scores = staticmethod(lambda logits: logits)  # the softmax runs over the logits
+    _chain_scores = staticmethod(lambda g, logits: g)
 
 
 MODEL_VARIANTS = ("real_nn", "kaf_independent", "wlkaf_case1", "wlkaf_case2")  # compare's sweep
-MODEL_NAMES = ("real_nn", *act.ACTIVATION_VARIANTS)  # every name build_model accepts
 
 
 def build_model(
@@ -448,31 +434,21 @@ def build_model(
     class_count: int,
     seed: int,
     hidden_widths: tuple[int, ...] = NetworkConfig.hidden_widths,
-    dictionary: Optional[Dictionary] = None,
+    dictionary=None,
 ):
-    """Construct the model that one of :data:`MODEL_NAMES` names."""
-    if variant not in MODEL_NAMES:
-        raise ParameterError(f"unknown model variant {variant!r}; choose from {MODEL_NAMES}")
-    cfg = NetworkConfig(input_dim, tuple(hidden_widths), class_count,
-                        activation=variant, seed=seed)
-    if variant == "real_nn":
-        return RealBaselineNetwork(cfg)
-    return ComplexNetwork(cfg, dictionary)
+    """Construct the model named ``variant``: ``real_nn`` or an activation name. A
+    :class:`~cvkaf.kernels.Dictionary` sets the config's ``dict_points`` and ``dict_range``."""
+    grid = {} if dictionary is None else {"dict_points": dictionary.points_per_axis,
+                                          "dict_range": dictionary.axis_range}
+    cfg = NetworkConfig(input_dim, hidden_widths, class_count, activation=variant, seed=seed,
+                        **grid)
+    return (RealBaselineNetwork if variant == "real_nn" else ComplexNetwork)(cfg)
 
 
 def save_model(path, model) -> None:
-    """Write a model to the versioned binary container (timestamp-free)."""
-    if isinstance(model, RealBaselineNetwork):
-        meta = {"kind": "real_baseline"}
-    else:
-        meta = {"kind": "complex", "activation": act.spec_dict(model.activation)}
-    meta["config"] = dataclasses.asdict(model.config)
-    if model.dictionary is not None:
-        meta["dictionary"] = {
-            "points_per_axis": model.dictionary.points_per_axis,
-            "axis_range": list(model.dictionary.axis_range),
-        }
-    container.write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, model.parameters())
+    """Write a model, its config as the header, to the versioned container (timestamp-free)."""
+    container.write_container(path, _MODEL_MAGIC, _MODEL_VERSION,
+                              {"config": dataclasses.asdict(model.config)}, model.parameters())
 
 
 def load_model(path):
@@ -481,29 +457,47 @@ def load_model(path):
     A file whose header or arrays do not describe a model of this package
     is a :class:`CacheError` that names the file.
     """
-    meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
     try:
-        return _model_from(meta, arrays)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION,
+                                                {1: _v1_header})
+        c, names = meta.pop("config"), sorted(f.name for f in dataclasses.fields(NetworkConfig))
+        if meta or sorted(c) != names:
+            raise ValueError(f"header {sorted(meta)} with config {sorted(c)}, expected {names}")
+        cls = RealBaselineNetwork if c["activation"] == "real_nn" else ComplexNetwork
+        return cls._from_parameters(NetworkConfig(**c), arrays)
+    except CacheError:
+        raise
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CacheError(f"{path} does not hold a usable model: "
                          f"{type(exc).__name__}: {exc}") from exc
 
 
-def _model_from(meta: dict, arrays: dict[str, np.ndarray]):
-    """The model that a :func:`save_model` header and its arrays describe."""
-    c = meta["config"]
-    names = {f.name for f in dataclasses.fields(NetworkConfig)}
-    if set(c) != names:
-        raise ValueError(f"config fields {sorted(c)}, expected {sorted(names)}")
-    cfg = NetworkConfig(**{**c, "hidden_widths": tuple(c["hidden_widths"])})
+# each registry name's ``activation`` entry in frozen version-1 headers, less case 2's q, omegas
+_V1_ACTIVATIONS = {
+    "split_tanh": {"variant": "split", "fn": "tanh"}, "wlkaf_case1": {"variant": "wlkaf_case1"},
+    "phase_amplitude": {"variant": "phase_amplitude"}, "wlkaf_case2": {"variant": "wlkaf_case2"},
+    "kaf_independent": {"variant": "kaf", "kernel": "independent"},
+    "kaf_real_gaussian": {"variant": "kaf", "kernel": "real_gaussian"}}
+
+
+def _v1_header(meta: dict) -> dict:
+    """The version-2 header of a version-1 one: ``kind`` (``real_baseline`` is ``real_nn``),
+    ``activation`` (which must agree with the config) and ``dictionary`` (else the default
+    grid) fold into the config, and ``ridge``, which must be the one fit ridge, leaves."""
+    config = dict(meta["config"])
+    if config.pop("ridge") != act.DEFAULT_RIDGE or meta["kind"] not in ("real_baseline", "complex"):
+        raise ValueError(f"version-1 ridge {meta['config']['ridge']} or kind {meta['kind']!r}")
     if meta["kind"] == "real_baseline":
-        return RealBaselineNetwork._from_parameters(cfg, arrays)
-    if meta["kind"] != "complex":
-        raise ValueError(f"unknown model kind {meta['kind']!r}")
-    dmeta = meta.get("dictionary")
-    dictionary = (
-        build_dictionary(dmeta["points_per_axis"], tuple(dmeta["axis_range"]))
-        if dmeta else None
-    )
-    activation = act.activation_from_spec(meta["activation"])
-    return ComplexNetwork._from_parameters(cfg, arrays, dictionary, activation)
+        config["activation"] = "real_nn"
+    else:  # the activation entry must spell the config's registry name
+        spec, name = meta["activation"], config["activation"]
+        omegas = spec.get("omegas", [])
+        case2 = {"q": len(omegas), "omegas": omegas} if name == "wlkaf_case2" else {}
+        if spec != {**_V1_ACTIVATIONS.get(name, {}), **case2}:
+            raise ParameterError(f"activation {spec} does not match config.activation {name!r}")
+        if case2:
+            config["activation"] = act.WlKafCase2Activation(omegas).name
+    grid = meta.get("dictionary") or {"points_per_axis": DEFAULT_POINTS_PER_AXIS,
+                                      "axis_range": DEFAULT_AXIS_RANGE}
+    config.update(dict_points=grid["points_per_axis"], dict_range=grid["axis_range"])
+    return {"config": config}

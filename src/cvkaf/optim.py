@@ -109,12 +109,18 @@ class TrainTrace:
     eval_every: int = 0
 
 
+def _check_rows(x, labels) -> None:
+    if len(x) != len(labels):
+        raise ParameterError(f"a batch of {len(x)} rows has {len(labels)} labels")
+
+
 def evaluate(model, x: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of samples whose argmax class probability hits the label.
 
-    Ties resolve to the lowest class index (argmax semantics).
+    Ties resolve to the lowest class index (argmax semantics); ``x`` needs one label per row.
     """
     labels = np.asarray(labels)
+    _check_rows(x, labels)
     if labels.shape[0] == 0:
         raise ParameterError("cannot evaluate an empty split")
     hits = 0
@@ -138,6 +144,7 @@ def train(
     """
     x_train, y_train = train_xy
     x_val, y_val = val_xy
+    _check_rows(x_train, y_train)  # evaluate checks the validation rows
     n = x_train.shape[0]
     if n == 0 or x_val.shape[0] == 0:
         raise ParameterError("train and validation splits must be nonempty")

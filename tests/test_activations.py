@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cvkaf import activations as act
+from cvkaf import network
 from cvkaf.cnum import finite_diff_cogradient
 from cvkaf.errors import NumericError, ParameterError
 from cvkaf.kernels import build_dictionary
@@ -169,7 +170,7 @@ class TestInitAlpha:
 
     def test_case2_block_fit_is_near_linear(self, dict4):
         g = act.gamma_rule_of_thumb(dict4)
-        layer = act.WlKafCase2Activation(1, (0.3,))
+        layer = act.WlKafCase2Activation((0.3,))
         bandwidths = {"log_gamma": np.log([g]), "log_gamma_tilde": np.log([g])}
         alpha = act.fit_alpha(layer, dict4, bandwidths, ridge=1e-4)
         fitted = wlkaf_forward_case2(dict4.points, alpha, dict4, [g], [g], [0.3])
@@ -237,9 +238,9 @@ class TestParameterCounts:
 
     def test_case2_validates_mixing_weights(self):
         with pytest.raises(ParameterError):
-            act.WlKafCase2Activation(q=1, omegas=(1.5,))
+            act.WlKafCase2Activation(omegas=(1.5,))
         with pytest.raises(ParameterError):
-            act.WlKafCase2Activation(q=2, omegas=(0.3,))
+            act.WlKafCase2Activation(omegas=())
 
 
 def _rank_cases(lg):
@@ -283,7 +284,7 @@ class TestEffectiveAlphaRank:
 
 LAYERS = {
     **act.ACTIVATION_VARIANTS,
-    "wlkaf_case2_q2": act.WlKafCase2Activation(2, (0.7, 0.2)),
+    "wlkaf_case2_q2": act.WlKafCase2Activation((0.7, 0.2)),
 }
 
 
@@ -375,8 +376,9 @@ class TestBoundedKernelFiniteness:
         assert np.all(np.isfinite(out.view(np.float64)))
 
     def test_spec_roundtrip(self):
+        # a descriptor's saved form is its name
         for layer in [*act.ACTIVATION_VARIANTS.values(), LAYERS["wlkaf_case2_q2"]]:
-            rebuilt = act.activation_from_spec(act.spec_dict(layer))
+            rebuilt = act.activation_named(layer.name)
             assert rebuilt == layer
 
 
@@ -403,5 +405,33 @@ class TestRegistry:
         {"kernel": "independent"},
     ], ids=["split_identity", "kaf_without_kernel", "extra_field", "name_as_tag", "no_tag"])
     def test_unusable_spec_rejected(self, spec):
-        with pytest.raises(ParameterError):
-            act.activation_from_spec(spec)
+        # activation specs are read only from version-1 model headers now,
+        # which pair one with the config's registry name: no name takes these
+        for name in act.ACTIVATION_VARIANTS:
+            meta = {"kind": "complex", "activation": spec,
+                    "config": {"activation": name, "ridge": act.DEFAULT_RIDGE}}
+            with pytest.raises(ParameterError):
+                network._v1_header(meta)
+
+    @pytest.mark.parametrize("name", ["wlkaf_case2:0.7:0.2", "wlkaf_case2:0.3:0.6",
+                                      "wlkaf_case2:0.1:0.2:0.3", "wlkaf_case2:1e-05"])
+    def test_case2_at_other_weights_prints_its_name_back(self, name):
+        layer = act.activation_named(name)
+        assert isinstance(layer, act.WlKafCase2Activation) and layer.name == name
+        assert len(layer.omegas) == len(name.split(":")) - 1
+        assert act.WlKafCase2Activation(layer.omegas) == layer
+
+    @pytest.mark.parametrize("name, message", [
+        ("wlkaf_case2:0.3", "write 'wlkaf_case2'"),
+        ("wlkaf_case2:0.70", "write 'wlkaf_case2:0.7'"),
+        ("wlkaf_case2:.5:0.2", "write 'wlkaf_case2:0.5:0.2'"),
+        ("wlkaf_case2:1.5", r"in \(0, 1\)"),
+        ("wlkaf_case2:0", r"in \(0, 1\)"),
+        ("wlkaf_case2:x", r"in \(0, 1\)"),
+        ("wlkaf_case2:", r"wlkaf_case2:w1:w2\.\.\."),
+        ("kaf_independent:0.5", r"wlkaf_case2:w1:w2\.\.\."),
+        ("real_nn", "unknown activation variant"),
+    ])
+    def test_other_spellings_name_the_canonical_one_or_the_range(self, name, message):
+        with pytest.raises(ParameterError, match=message):
+            act.activation_named(name)

@@ -23,6 +23,7 @@ from cvkaf.network import (
 from cvkaf.optim import TrainConfig, evaluate, read_trace_csv
 
 from test_data import synthetic_raw, write_idx_images, write_idx_labels
+from test_network import v1_header
 
 
 def drop_elapsed(csv_text: str) -> str:
@@ -160,20 +161,21 @@ class TestEvaluate:
         {"variant": "wlkaf_case2", "q": 2, "omegas": [0.3]},
     ])
     def test_unusable_activation_spec_is_data_error(self, spec, tiny_cache, tmp_path):
+        # only a version-1 header carries an activation spec
         ds = load_cached(tiny_cache)
         path = tmp_path / "model.cvkm"
-        save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
-                                     hidden_widths=(8,), dictionary=build_dictionary(3)))
-        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        model = build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
+                            hidden_widths=(8,), dictionary=build_dictionary(3))
+        meta = v1_header(model)
         meta["activation"] = spec
-        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        write_container(path, _MODEL_MAGIC, 1, meta, model.parameters())
         rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
         assert rc == 3
 
     @pytest.mark.parametrize("doctor", [
         lambda meta, arrays: meta.pop("config"),
         lambda meta, arrays: meta["config"].pop("seed"),
-        lambda meta, arrays: meta["dictionary"].pop("axis_range"),
+        lambda meta, arrays: meta["config"].pop("dict_range"),
         lambda meta, arrays: meta["config"].update(input_dim=0),
         lambda meta, arrays: arrays.update({"layer0.alpha": arrays["layer0.alpha"][:, :-1]}),
         lambda meta, arrays: arrays.pop("layer0.b"),
@@ -336,6 +338,71 @@ class TestCompare:
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
         assert not (tmp_path / "cmp").exists()  # rejected before any run
+
+
+CASE2 = "wlkaf_case2:0.7:0.2"
+
+# names that are not the canonical spelling or out of range, with what the
+# error must name
+UNUSABLE_NAMES = [
+    ("wlkaf_case2:0.3", "write 'wlkaf_case2'"),
+    ("wlkaf_case2:0.70", "write 'wlkaf_case2:0.7'"),
+    ("kaf_independent:0.5", "wlkaf_case2:w1:w2... with each mixing weight in (0, 1)"),
+    ("wlkaf_case2:1.5", "each in (0, 1), got (1.5,)"),
+]
+
+
+class TestCase2ByName:
+    """Case 2 at other mixing weights through every command, by name alone."""
+
+    def test_train_then_evaluate(self, tiny_cache, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--cache", str(tiny_cache), "--model", CASE2, "--seed", "1",
+                     "--out", str(run_dir), *TRAIN_FLAGS]) == 0
+        summary = json.loads((run_dir / "summary.json").read_text())
+        assert summary["model"] == CASE2
+        assert f"model = {CASE2}" in (run_dir / "config.txt").read_text().splitlines()
+        model = load_model(run_dir / "model.cvkm")
+        assert model.config.activation == CASE2
+        assert model.activation.omegas == (0.7, 0.2)
+        assert model.parameters()["layer0.log_gamma"].shape == (8, 2)  # Q = 2
+        capsys.readouterr()
+        assert main(["evaluate", "--model-file", str(run_dir / "model.cvkm"),
+                     "--cache", str(tiny_cache)]) == 0
+        assert f"test accuracy: {summary['test_accuracy']:.6f}" in capsys.readouterr().out
+
+    def test_compare(self, tiny_cache, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--cache", str(tiny_cache), "--models", f"real_nn,{CASE2}",
+                     "--seeds", "0", "--c-grid", "0", "--out", str(out_dir),
+                     *TRAIN_FLAGS]) == 0
+        record = json.loads((out_dir / "comparison.json").read_text())
+        assert list(record["models"]) == ["real_nn", CASE2]
+        assert "error" not in record["models"][CASE2]
+        assert CASE2 in capsys.readouterr().out
+        model = load_model(out_dir / "runs" / CASE2 / "seed0_C0" / "model.cvkm")
+        assert model.activation.omegas == (0.7, 0.2)
+
+    def test_gradcheck(self, capsys):
+        assert main(["gradcheck", "--model", CASE2, "--seeds", "1"]) == 0
+        assert f"[PASS] {CASE2}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["train", "compare", "gradcheck"])
+    @pytest.mark.parametrize("name, message", UNUSABLE_NAMES)
+    def test_other_spellings_exit_2_before_any_run(self, command, name, message, tiny_cache,
+                                                   tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--model", name, "--cache", str(tiny_cache), "--out", str(out),
+                      *TRAIN_FLAGS],
+            "compare": ["compare", "--models", f"real_nn,{name}", "--seeds", "0",
+                        "--c-grid", "0", "--cache", str(tiny_cache), "--out", str(out),
+                        *TRAIN_FLAGS],
+            "gradcheck": ["gradcheck", "--model", name, "--seeds", "1"],
+        }[command]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGradcheckCommand:
@@ -525,6 +592,20 @@ class TestConfigFile:
                      "hidden = 8"):
             assert line in snapshot, line
 
+    @pytest.mark.parametrize("first, second", [("seeds = 0,1", "seeds = 2"),
+                                               ("batch-size = 10", "batch_size = 20")])
+    def test_a_key_given_twice_is_parameter_error(self, first, second, tiny_cache, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"# experiment\n{first}\nlr = 0.02\n{second}\n")
+        out = tmp_path / "cmp"
+        argv = ["compare", "--config", str(cfg), "--cache", str(tiny_cache), "--models",
+                "real_nn", "--out", str(out), *TRAIN_FLAGS]
+        assert main(argv) == 2
+        key = first.split(" ")[0].replace("-", "_")
+        assert f"{cfg}: lines 2 and 4 both give '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_config_value_is_parameter_error(self, tiny_cache, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("batch_size = x\n")
@@ -672,10 +753,11 @@ class TestParser:
 
         models = ["real_nn", "split_tanh", "phase_amplitude", "kaf_real_gaussian",
                   "kaf_independent", "wlkaf_case1", "wlkaf_case2"]
-        assert sorted(listed("train")) == sorted(models)
-        for name in models:  # each one builds
+        case2 = "wlkaf_case2:w1:w2..., case 2 at mixing weights strictly between 0 and 1"
+        assert sorted(listed("train")) == sorted([*models, case2])
+        for name in [*models, "wlkaf_case2:0.7:0.2"]:  # each one builds
             build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
-        assert sorted(listed("gradcheck")) == sorted(["all", *models[1:]])
+        assert sorted(listed("gradcheck")) == sorted(["all", *models[1:], case2])
         assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "digits"])
 
     def test_training_defaults_are_the_papers_protocol(self):

@@ -1,5 +1,6 @@
 """Network assembly, softmax over squared magnitudes, the cross-entropy rule, serialization."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -144,8 +145,8 @@ class TestNetworkForward:
     def test_two_layer_composition_oracle(self, rng):
         d = build_dictionary(3)
         cfg = NetworkConfig(input_dim=3, hidden_widths=(4,), class_count=2,
-                            activation="kaf_real_gaussian", seed=7)
-        net = ComplexNetwork(cfg, d)
+                            activation="kaf_real_gaussian", seed=7, dict_points=3)
+        net = ComplexNetwork(cfg)
         x = random_complex(rng, (6, 3))
         logits, _ = net.forward(x)
         p = net.parameters()
@@ -162,12 +163,23 @@ class TestNetworkForward:
             net.forward(np.zeros((2, 5), dtype=complex))
 
     def test_deterministic_construction(self):
-        cfg = NetworkConfig(4, (5, 5), 3, activation="wlkaf_case1", seed=11)
-        a = ComplexNetwork(cfg, build_dictionary(4)).parameters()
-        b = ComplexNetwork(cfg, build_dictionary(4)).parameters()
+        cfg = NetworkConfig(4, (5, 5), 3, activation="wlkaf_case1", seed=11, dict_points=4)
+        a = ComplexNetwork(cfg).parameters()
+        b = ComplexNetwork(cfg).parameters()
         assert set(a) == set(b)
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+    @pytest.mark.parametrize("variant", ["split_tanh", "wlkaf_case2:0.7:0.2", "real_nn"])
+    def test_the_dictionary_is_the_configs(self, variant):
+        grid = build_dictionary(5, (-1.0, 3.0))
+        net = build_model(variant, 3, 2, seed=0, hidden_widths=(4,), dictionary=grid)
+        assert (net.config.dict_points, net.config.dict_range) == (5, (-1.0, 3.0))
+        if variant == "real_nn":
+            assert net.dictionary is None
+        else:
+            assert net.dictionary.points.tobytes() == grid.points.tobytes()
+            assert net.dictionary.axis_range == grid.axis_range
 
 
 class TestBlockedPredict:
@@ -214,9 +226,8 @@ class TestObjectiveAndBackward:
         assert report.passed, report.lines()
 
     def test_descent_step_decreases_objective(self, rng):
-        d = build_dictionary(4)
-        cfg = NetworkConfig(3, (4, 4), 2, activation="wlkaf_case1", seed=5)
-        net = ComplexNetwork(cfg, d)
+        cfg = NetworkConfig(3, (4, 4), 2, activation="wlkaf_case1", seed=5, dict_points=4)
+        net = ComplexNetwork(cfg)
         x = random_complex(rng, (8, 3))
         y = rng.integers(0, 2, size=8)
         obj = TrainObjective("cross_entropy", 1e-4)
@@ -248,14 +259,15 @@ class TestObjectiveAndBackward:
             net.backward(np.zeros_like(logits), cache)
 
 
+_NAMES = {"case2_q2": "wlkaf_case2:0.3:0.6"}  # test labels that are not model names
+
+
 def _network(name):
     """A small network of one ACTIVATION_VARIANTS entry, case 2 at Q = 2 or real_nn."""
     if name == "real_nn":
         return build_model("real_nn", 5, 4, seed=2, hidden_widths=(30, 20))
-    cfg = NetworkConfig(5, (30, 20), 4, activation="wlkaf_case2" if name == "case2_q2" else name,
-                        seed=2)
-    activation = WlKafCase2Activation(2, (0.3, 0.6)) if name == "case2_q2" else None
-    return ComplexNetwork(cfg, build_dictionary(8), activation)
+    cfg = NetworkConfig(5, (30, 20), 4, activation=_NAMES.get(name, name), seed=2)
+    return ComplexNetwork(cfg)
 
 
 class TestBatchInput:
@@ -383,7 +395,7 @@ class TestRegularizer:
 
 class TestRealBaseline:
     def test_zero_network_is_uniform(self):
-        cfg = NetworkConfig(3, (4,), 5, seed=0)
+        cfg = NetworkConfig(3, (4,), 5, activation="real_nn", seed=0)
         net = RealBaselineNetwork(cfg)
         for arr in net.parameters().values():
             arr[...] = 0
@@ -391,7 +403,7 @@ class TestRealBaseline:
         np.testing.assert_allclose(p, 0.2, rtol=1e-15)
 
     def test_input_split_doubles_features(self):
-        cfg = NetworkConfig(100, (4,), 2, seed=0)
+        cfg = NetworkConfig(100, (4,), 2, activation="real_nn", seed=0)
         net = RealBaselineNetwork(cfg)
         x = random_complex(np.random.default_rng(0), (7, 100))
         features = net.forward(x)[1]["layers"][0]["x"]
@@ -399,7 +411,7 @@ class TestRealBaseline:
         assert net.parameters()["layer0.W"].shape == (4, 200)
 
     def test_single_layer_matches_hand_computation(self, rng):
-        cfg = NetworkConfig(2, (), 2, seed=1)
+        cfg = NetworkConfig(2, (), 2, activation="real_nn", seed=1)
         net = RealBaselineNetwork(cfg)
         x = random_complex(rng, (3, 2))
         logits, _ = net.forward(x)
@@ -408,7 +420,7 @@ class TestRealBaseline:
         np.testing.assert_array_equal(logits, expected)
 
     def test_gradients_match_finite_differences(self, rng):
-        cfg = NetworkConfig(3, (4, 4), 2, seed=2)
+        cfg = NetworkConfig(3, (4, 4), 2, activation="real_nn", seed=2)
         net = RealBaselineNetwork(cfg)
         # zero biases can park a fully-dead sample exactly on the ReLU kink,
         # where central differences and the one-sided derivative disagree;
@@ -457,6 +469,11 @@ class TestRealBaseline:
                      "predict_proba"):
             assert getattr(ComplexNetwork, name) is getattr(RealBaselineNetwork, name)
 
+    @pytest.mark.parametrize("name", ["kaf_independent", "split_identity", "wlkaf_case2:0.7:0.2"])
+    def test_any_other_name_is_parameter_error(self, name):
+        with pytest.raises(ParameterError, match="real baseline is named 'real_nn'"):
+            RealBaselineNetwork(NetworkConfig(3, (4,), 5, activation=name))
+
     def test_blocked_predict_matches_one_forward(self, rng):
         net = build_model("real_nn", 5, 4, seed=2, hidden_widths=(30, 100))
         assert net._predict_block_rows() == 512
@@ -484,10 +501,10 @@ class TestSerialization:
         np.testing.assert_array_equal(restored.predict_proba(x), model.predict_proba(x))
 
     def test_activation_settings_survive_the_round_trip(self, tmp_path, rng):
-        activation = WlKafCase2Activation(2, (0.7, 0.2))
+        activation = WlKafCase2Activation((0.7, 0.2))
         cfg = NetworkConfig(input_dim=4, hidden_widths=(5,), class_count=3,
-                            activation="wlkaf_case2", seed=3)
-        model = ComplexNetwork(cfg, build_dictionary(4), activation)
+                            activation="wlkaf_case2:0.7:0.2", seed=3, dict_points=4)
+        model = ComplexNetwork(cfg)
         path = tmp_path / "model.cvkm"
         save_model(path, model)
         restored = load_model(path)
@@ -519,12 +536,12 @@ class TestSerialization:
     def test_real_nn_config_names_its_variant_and_old_files_still_load(self, tmp_path):
         model = build_model("real_nn", 4, 3, seed=0, hidden_widths=(5,))
         assert model.config.activation == "real_nn"
-        path = tmp_path / "old.cvkm"
+        path = tmp_path / "model.cvkm"
         save_model(path, model)
-        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta = v1_header(model)
         meta["config"]["activation"] = "split_identity"  # what earlier versions wrote
-        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        save_model(tmp_path / "again.cvkm", load_model(path))
+        write_container(tmp_path / "old.cvkm", _MODEL_MAGIC, 1, meta, model.parameters())
+        save_model(tmp_path / "again.cvkm", load_model(tmp_path / "old.cvkm"))
         assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case2"])
@@ -580,26 +597,63 @@ V1_ACTIVATION_HEADERS = {
 }
 
 
+def v1_header(model, label=None) -> dict:
+    """The header that format version 1 wrote for ``model``: ``kind``, a
+    config with ``ridge`` and without the dictionary fields, and for a
+    complex network the ``activation`` entry of ``label`` (default: the
+    model's name) and the ``dictionary`` entry."""
+    config = dataclasses.asdict(model.config)
+    del config["dict_points"], config["dict_range"]
+    config["ridge"] = 0.0001
+    if isinstance(model, RealBaselineNetwork):
+        return {"kind": "real_baseline", "config": config}
+    config["activation"] = model.activation.name.split(":")[0]  # a registry key
+    return {"kind": "complex", "config": config,
+            "activation": V1_ACTIVATION_HEADERS[label or model.activation.name],
+            "dictionary": {"points_per_axis": model.config.dict_points,
+                           "axis_range": list(model.config.dict_range)}}
+
+
+# a v1 baseline loads as real_nn whatever its config said
+V1_BASELINES = {"baseline_kaf_independent": "kaf_independent",
+                "baseline_split_identity": "split_identity"}
+
+
 class TestModelHeader:
     def test_every_registry_variant_has_a_pinned_header(self):
         assert set(ACTIVATION_VARIANTS) == set(V1_ACTIVATION_HEADERS) - {"case2_q2"}
 
-    @pytest.mark.parametrize("name", list(V1_ACTIVATION_HEADERS))
-    def test_v1_header_and_byte_identical_rewrite(self, name, tmp_path):
+    @pytest.mark.parametrize("name", [*V1_ACTIVATION_HEADERS, "real_nn"])
+    def test_v2_header_is_the_config_and_rewrites_byte_identically(self, name, tmp_path):
         model = _network(name)
         path = tmp_path / "model.cvkm"
         save_model(path, model)
-        meta, _ = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
-        assert meta["kind"] == "complex"
-        assert meta["activation"] == V1_ACTIVATION_HEADERS[name]
-        assert meta["config"]["activation"] == model.activation.name
+        assert _MODEL_VERSION == 2
+        meta, _ = read_container(path, _MODEL_MAGIC, 2)
+        assert meta == {"config": {
+            "input_dim": 5, "hidden_widths": [30, 20], "class_count": 4,
+            "activation": _NAMES.get(name, name), "seed": 2, "alpha_init": "identity",
+            "dict_points": 8, "dict_range": [-2.0, 2.0]}}
         save_model(tmp_path / "again.cvkm", load_model(path))
         assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
 
-    def test_activation_must_match_the_config(self):
-        cfg = NetworkConfig(4, (5,), 3, activation="wlkaf_case1")
-        with pytest.raises(ParameterError, match="does not match"):
-            ComplexNetwork(cfg, build_dictionary(4), WlKafCase2Activation())
+    @pytest.mark.parametrize("name", [*V1_ACTIVATION_HEADERS, "real_nn", *V1_BASELINES])
+    def test_v1_header_and_byte_identical_rewrite(self, name, tmp_path, rng):
+        model = _network("real_nn" if name in V1_BASELINES else name)
+        meta = v1_header(model, name)
+        if name in V1_BASELINES:
+            meta["config"]["activation"] = V1_BASELINES[name]
+        old = tmp_path / "old.cvkm"
+        write_container(old, _MODEL_MAGIC, 1, meta, model.parameters())
+        restored = load_model(old)
+        assert type(restored) is type(model) and restored.config == model.config
+        for pname, arr in model.parameters().items():
+            assert restored.parameters()[pname].tobytes() == arr.tobytes()
+        x = random_complex(rng, (9, 5))
+        assert restored.predict_proba(x).tobytes() == model.predict_proba(x).tobytes()
+        save_model(tmp_path / "model.cvkm", model)
+        save_model(tmp_path / "again.cvkm", restored)
+        assert (tmp_path / "again.cvkm").read_bytes() == (tmp_path / "model.cvkm").read_bytes()
 
     def test_unknown_activation_name_is_parameter_error(self):
         with pytest.raises(ParameterError, match="unknown activation variant"):
@@ -610,10 +664,24 @@ class TestModelHeader:
         model = build_model("kaf_independent", 4, 3, seed=0, hidden_widths=(5,),
                             dictionary=build_dictionary(4))
         path = tmp_path / "model.cvkm"
-        save_model(path, model)
-        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta = v1_header(model)
         meta["activation"] = {"variant": "kaf", "kernel": "real_gaussian"}
-        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        write_container(path, _MODEL_MAGIC, 1, meta, model.parameters())
         with pytest.raises(CacheError, match="does not match") as caught:
             load_model(path)
         assert isinstance(caught.value.__cause__, ParameterError)
+
+    @pytest.mark.parametrize("doctor", [
+        lambda meta: meta["config"].update(ridge=1e-3),
+        lambda meta: meta["activation"].update(q=3),
+        lambda meta: meta.update(kind="quantum"),
+        lambda meta: meta.pop("activation"),
+    ], ids=["ridge", "q", "kind", "no_activation"])
+    def test_unusable_v1_header_is_cache_error(self, doctor, tmp_path):
+        model = _network("case2_q2")
+        meta = v1_header(model, "case2_q2")
+        meta["activation"] = dict(meta["activation"])
+        doctor(meta)
+        write_container(tmp_path / "old.cvkm", _MODEL_MAGIC, 1, meta, model.parameters())
+        with pytest.raises(CacheError, match="does not hold a usable model"):
+            load_model(tmp_path / "old.cvkm")

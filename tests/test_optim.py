@@ -224,7 +224,29 @@ class TestTrain:
                   config, TrainObjective())
 
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_label_count_other_than_row_count_rejected(self, split):
+        x, y = toy_separable(40)
+        model = tiny_model()
+        before = model.snapshot()
+        data = {"train": (x[:30], y[:30]), "val": (x[30:], y[30:])}
+        xs, ys = data[split]
+        data[split] = (xs[:-1], ys)
+        with pytest.raises(ParameterError, match="rows has"):
+            train(model, data["train"], data["val"], TrainConfig(batch_size=5, max_iterations=5),
+                  TrainObjective())
+        for name, arr in model.parameters().items():
+            assert arr.tobytes() == before[name].tobytes()
+
+
 class TestEvaluate:
+    def test_label_count_other_than_row_count_rejected(self):
+        x, y = toy_separable(4)
+        model = tiny_model()
+        for rows, labels in ((x[:1], y), (x, y[:3]), (x[:0], y)):
+            with pytest.raises(ParameterError, match="rows has"):
+                evaluate(model, rows, labels)
+
     def test_perfect_classifier(self):
         x, y = toy_separable(80)
         model = tiny_model(seed=1)

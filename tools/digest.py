@@ -1,27 +1,34 @@
-"""One sha256 over everything a model computes, to check that a refactor is bit-identical.
+"""Two sha256 digests: one over everything a model computes, to check that a
+refactor is bit-identical, and one over the model files it saves.
 
 Run from the repository root as::
 
     PYTHONPATH=src python tools/digest.py
 
-and compare the printed digest between two source trees (point
+and compare the printed digests between two source trees (point
 ``PYTHONPATH`` at the other tree's ``src``). BLAS rounding can depend on
 the thread count, so compare runs with the same setting: once with
 ``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1`` and once
 with the default.
 
-On one seeded small problem the digest covers, for ``real_nn``, every
-activation variant, case 2 at Q = 2 and case 1 with random alphas: the
-initial parameters; the trace records of a short ``optim.train`` (without
-the wall-clock ``elapsed_seconds``); the trained parameters; ``predict_proba``,
-``predict``, ``objective`` and the ``loss_and_grads`` value and gradients;
-and the bytes of ``save_model``. It also checks that loading the saved file
-and saving it again gives the same bytes, and exits 1 if not.
+On one seeded small problem the first line, the computation digest,
+covers, for ``real_nn``, every activation variant, case 2 at Q = 2 and
+case 1 with random alphas: the initial parameters; the trace records of a
+short ``optim.train`` (without the wall-clock ``elapsed_seconds``); the
+trained parameters; ``predict_proba``, ``predict``, ``objective`` and the
+``loss_and_grads`` value and gradients; and the config and the arrays of
+the model that ``save_model`` wrote, read back by ``load_model``. The
+second line is the digest of the saved files' bytes, so a change to the
+model-file header alone moves only the second line. The script also checks
+that loading a saved file and saving it again gives the same bytes, and
+exits 1 if not.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -29,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from cvkaf import optim
-from cvkaf.activations import ACTIVATION_VARIANTS, WlKafCase2Activation
-from cvkaf.kernels import build_dictionary
+from cvkaf.activations import ACTIVATION_VARIANTS
 from cvkaf.network import (
     ComplexNetwork,
     NetworkConfig,
@@ -49,13 +55,12 @@ TRAIN = optim.TrainConfig(batch_size=16, patience=1000, eval_every=5, max_iterat
 def models():
     """(label, fresh model) for every case the digest covers."""
     yield "real_nn", build_model("real_nn", INPUT_DIM, CLASSES, seed=1, hidden_widths=HIDDEN)
-    cases = [(name, name, None, "identity") for name in ACTIVATION_VARIANTS]
-    cases += [("wlkaf_case2_q2", "wlkaf_case2", WlKafCase2Activation(2, (0.3, 0.6)), "identity"),
-              ("wlkaf_case1_random", "wlkaf_case1", None, "random")]
-    for label, name, activation, alpha_init in cases:
-        cfg = NetworkConfig(INPUT_DIM, HIDDEN, CLASSES, activation=name, seed=1,
-                            alpha_init=alpha_init)
-        yield label, ComplexNetwork(cfg, build_dictionary(4), activation)
+    cases = [(name, name, "identity") for name in ACTIVATION_VARIANTS]
+    cases += [("wlkaf_case2_q2", "wlkaf_case2:0.3:0.6", "identity"),
+              ("wlkaf_case1_random", "wlkaf_case1", "random")]
+    for label, name, alpha_init in cases:
+        yield label, ComplexNetwork(NetworkConfig(INPUT_DIM, HIDDEN, CLASSES, activation=name,
+                                                  seed=1, alpha_init=alpha_init, dict_points=4))
 
 
 def feed(h, *values) -> None:
@@ -78,7 +83,7 @@ def main() -> int:
     x = rng.normal(size=(ROWS, INPUT_DIM)) + 1j * rng.normal(size=(ROWS, INPUT_DIM))
     y = rng.integers(0, CLASSES, size=ROWS)
     train, val = (x[:120], y[:120]), (x[120:], y[120:])
-    h = hashlib.sha256()
+    h, files = hashlib.sha256(), hashlib.sha256()
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         for label, model in models():
@@ -94,12 +99,16 @@ def main() -> int:
             feed(h, repr(value), grads)
             first, second = Path(tmp, f"{label}.cvkm"), Path(tmp, f"{label}.again.cvkm")
             save_model(first, model)
-            save_model(second, load_model(first))
-            feed(h, first.read_bytes())
+            restored = load_model(first)
+            save_model(second, restored)
+            feed(h, json.dumps(dataclasses.asdict(restored.config), sort_keys=True),
+                 restored.parameters())
+            feed(files, first.read_bytes())
             if first.read_bytes() != second.read_bytes():
                 print(f"{label}: load then save changed the model file", file=sys.stderr)
                 ok = False
     print(h.hexdigest())
+    print(files.hexdigest())
     return 0 if ok else 1
 
 
