@@ -63,6 +63,7 @@ from .kernels import Dictionary
 
 __all__ = [
     "alpha_design",
+    "check_alpha_init",
     "fit_alpha",
     "gamma_rule_of_thumb",
     "SplitActivation",
@@ -76,6 +77,12 @@ __all__ = [
 
 DEFAULT_RIDGE = 1e-4  # ridge weight of the identity fit in :func:`fit_alpha`
 _CASE2, _CASE2_OMEGAS = "wlkaf_case2", (0.3,)  # case 2's name and its default mixing weight
+
+
+def check_alpha_init(alpha_init: str) -> None:
+    """Refuse a start of alpha other than ``identity`` and ``random``."""
+    if alpha_init not in ("identity", "random"):
+        raise ParameterError(f"unknown alpha_init {alpha_init!r}")
 
 
 def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
@@ -400,15 +407,13 @@ class _KafBase:
         for t in self.terms:
             cols[t.gamma] = max(cols.get(t.gamma, 0), 0 if t.col is None else t.col + 1)
         bandwidths = {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
+        check_alpha_init(alpha_init)
         if alpha_init == "identity":
             alpha = np.tile(fit_alpha(self, dictionary, bandwidths), (width, 1))
-        elif alpha_init == "random":
-            # std 0.3 for the complex value -> 0.3/sqrt(2) per component
+        else:  # random: std 0.3 for the complex value -> 0.3/sqrt(2) per component
             s = 0.3 / np.sqrt(2.0)
             alpha = (rng.normal(0.0, s, (width, dictionary.size))
                      + 1j * rng.normal(0.0, s, (width, dictionary.size)))
-        else:
-            raise ParameterError(f"unknown alpha_init {alpha_init!r}")
         return {"alpha": alpha,
                 **{name: np.full((width, *b.shape), log_g0) for name, b in bandwidths.items()}}
 

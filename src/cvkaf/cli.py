@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -79,6 +80,17 @@ def _list_parser(kind, noun):
 
 _parse_floats = _list_parser(float, "numbers")
 _parse_ints = _list_parser(int, "integers")
+
+
+def _parse_positive(text: str) -> float:
+    """The ``--tolerance`` type: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+    return value
 
 
 def _parse_model(text: str) -> str:
@@ -361,13 +373,16 @@ def cmd_gradcheck(args) -> int:
         raise ParameterError(f"--seeds must be at least 1, got {n_seeds}")
     failures = []
     for variant in variants:
-        report = gradcheck_variant(variant, 0, tolerance=tolerance)
-        for seed in range(1, n_seeds):
-            report.fold(gradcheck_variant(variant, seed, tolerance=tolerance))
-        print("\n".join(report.lines()))
-        if not report.passed:
-            bad = [g for g, e in report.worst_by_group.items() if e > tolerance]
-            failures.append(f"{variant} ({', '.join(bad)}: {report.worst:.2e})")
+        errors = gradcheck_variant(variant, range(n_seeds))
+        worst = max(errors.values())
+        bad = [group for group, err in errors.items() if err > tolerance]
+        status = "FAIL" if bad else "PASS"
+        print(f"[{status}] {variant:<20} worst={worst:.3e} over {n_seeds} seeds")
+        for group, err in sorted(errors.items()):
+            mark = "  <-- exceeds tolerance" if group in bad else ""
+            print(f"    {group:<18} {err:.3e}{mark}")
+        if bad:
+            failures.append(f"{variant} ({', '.join(bad)}: {worst:.2e})")
     if failures:
         raise NumericError(f"gradient check failed for {'; '.join(failures)}")
     print(f"all {len(variants)} variants within {tolerance:g} relative tolerance")
@@ -521,7 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="all",
                    help=" | ".join(("all", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="relative tolerance")
+    p.add_argument("--tolerance", type=_parse_positive, default=DEFAULT_TOLERANCE,
+                   help="relative tolerance")
 
     p = command("curves", cmd_curves, "merge trace CSVs into a convergence dataset")
     p.add_argument("traces", nargs="+", metavar="TRACE",

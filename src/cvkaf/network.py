@@ -167,6 +167,9 @@ class NetworkConfig:
             raise ParameterError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
             raise ParameterError(f"hidden widths must be positive, got {self.hidden_widths}")
+        # checked for every name, real_nn too, which builds no grid and fits no alpha
+        build_dictionary(self.dict_points, self.dict_range)
+        act.check_alpha_init(self.alpha_init)
 
 
 class _Network:

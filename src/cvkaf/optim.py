@@ -48,12 +48,7 @@ class Adagrad:
         if lr <= 0:
             raise ParameterError("learning rate must be positive")
         self.lr = lr
-        self.acc: dict[str, np.ndarray] = {}
-        for name, arr in params.items():
-            if np.iscomplexobj(arr):
-                self.acc[name] = np.zeros(arr.shape + (2,), dtype=np.float64)
-            else:
-                self.acc[name] = np.zeros(arr.shape, dtype=np.float64)
+        self.acc = {name: np.zeros_like(_components(arr)) for name, arr in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Accumulate squared gradients and update parameters in place.

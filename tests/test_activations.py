@@ -228,6 +228,39 @@ class TestIndependentIdentityFit:
         assert np.max(np.abs(params["alpha"])) < 1e-8
 
 
+class TestIndependentClosedForm:
+    """The independent-kernel KAF is ``h(Re z) - i*h(Im z)``, with ``h(x) =
+    sum_k w_k exp(-gamma (x - a_k)^2)`` over the m axis points a_k and ``w =
+    (c(Re alpha) - r(Im alpha)) + i*(r(Re alpha) + c(Im alpha))``, where c and
+    r are the column and row sums of the (m, m) alpha grid (rows along the
+    imaginary axis): its 2m^2 real alpha reach the output only through the 2m
+    real values of w."""
+
+    def test_layer_and_dense_reference_equal_the_closed_form(self, dict8, rng):
+        layer = act.ACTIVATION_VARIANTS["kaf_independent"]
+        width, m = 5, dict8.points_per_axis
+        params = layer.init_params(width, dict8, rng, alpha_init="random")
+        params["log_gamma"] = params["log_gamma"] + rng.normal(0.0, 0.5, width)
+        z = random_complex(rng, (300, width), scale=1.5)
+
+        grid = params["alpha"].reshape(width, m, m)
+        col, row = (lambda a: a.sum(axis=1)), (lambda a: a.sum(axis=2))
+        w = (col(grid.real) - row(grid.imag)) + 1j * (row(grid.real) + col(grid.imag))
+        axis = np.linspace(*dict8.axis_range, m)
+        gamma = np.exp(params["log_gamma"])
+
+        def h(x):  # (rows, width) -> (rows, width)
+            return np.einsum("hk,bhk->bh", w, np.exp(-gamma[:, None] * (x[..., None] - axis) ** 2))
+
+        closed = h(z.real) - 1j * h(z.imag)
+        out = layer.forward(z, params, dict8)[0]
+        dense = np.stack([kaf_forward(z[:, j], params["alpha"][j], dict8, "independent", gamma[j])
+                          for j in range(width)], axis=1)
+        assert np.max(np.abs(closed)) > 1.0
+        assert np.max(np.abs(out - closed)) <= 1e-13
+        assert np.max(np.abs(dense - closed)) <= 1e-13
+
+
 class TestParameterCounts:
     def test_wl_variants_match_standard_alpha_count(self, dict8, rng):
         width = 6

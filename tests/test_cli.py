@@ -177,10 +177,11 @@ class TestEvaluate:
         lambda meta, arrays: meta["config"].pop("seed"),
         lambda meta, arrays: meta["config"].pop("dict_range"),
         lambda meta, arrays: meta["config"].update(input_dim=0),
+        lambda meta, arrays: meta["config"].update(alpha_init="bogus"),
         lambda meta, arrays: arrays.update({"layer0.alpha": arrays["layer0.alpha"][:, :-1]}),
         lambda meta, arrays: arrays.pop("layer0.b"),
-    ], ids=["no_config", "no_seed", "no_axis_range", "input_dim_0", "narrow_alpha",
-            "missing_array"])
+    ], ids=["no_config", "no_seed", "no_axis_range", "input_dim_0", "unknown_alpha_init",
+            "narrow_alpha", "missing_array"])
     def test_malformed_model_file_is_data_error(self, doctor, tiny_cache, tmp_path, capsys):
         ds = load_cached(tiny_cache)
         path = tmp_path / "model.cvkm"
@@ -418,21 +419,34 @@ class TestGradcheckCommand:
         for group in ("W", "b", "alpha", "log_gamma_rr", "log_gamma_ii"):
             assert f"    {group} " in out, group
 
-    def test_corrupted_backward_fails_loudly(self, capsys, monkeypatch):
+    @staticmethod
+    def _scale_case1_alpha_gradient(monkeypatch, factor):
         from cvkaf.activations import WlKafCase1Activation
 
         true_backward = WlKafCase1Activation.backward
 
         def corrupted(self, g_out, cache, params, dictionary):
             gz, grads = true_backward(self, g_out, cache, params, dictionary)
-            grads["alpha"] = grads["alpha"] * 1.01
+            grads["alpha"] = grads["alpha"] * factor
             return gz, grads
 
         monkeypatch.setattr(WlKafCase1Activation, "backward", corrupted)
+
+    def test_corrupted_backward_fails_loudly(self, capsys, monkeypatch):
+        self._scale_case1_alpha_gradient(monkeypatch, 1.01)
         rc = main(["gradcheck", "--model", "wlkaf_case1", "--seeds", "1"])
         assert rc == 4
         out = capsys.readouterr().out
         assert "[FAIL] wlkaf_case1" in out and "alpha" in out
+
+    def test_non_finite_gradient_fails_loudly(self, capsys, monkeypatch):
+        self._scale_case1_alpha_gradient(monkeypatch, np.nan)
+        rc = main(["gradcheck", "--model", "wlkaf_case1", "--seeds", "2"])
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert "[FAIL] wlkaf_case1          worst=inf over 2 seeds" in captured.out
+        assert "    alpha              inf  <-- exceeds tolerance" in captured.out
+        assert "gradient check failed for wlkaf_case1 (alpha: inf)" in captured.err
 
     def test_all_checks_exactly_the_registry(self, capsys):
         assert main(["gradcheck", "--model", "all", "--seeds", "1"]) == 0
@@ -454,6 +468,35 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--model", "split_tanh", "--seeds", "abc"]) == 2
         err = capsys.readouterr().err
         assert "--seeds" in err and "'abc'" in err
+
+    def test_tolerance_is_applied_to_each_group(self, capsys):
+        assert main(["gradcheck", "--model", "wlkaf_case1", "--seeds", "1",
+                     "--tolerance", "5e-8"]) == 4
+        captured = capsys.readouterr()
+        marked = re.findall(r"^    (\S+) +\S+  <-- exceeds tolerance$", captured.out, re.M)
+        listed = re.findall(r"^    (\S+) +(\S+)", captured.out, re.M)
+        assert marked == [group for group, err in listed if float(err) > 5e-8] != []
+        assert captured.out.startswith("[FAIL] wlkaf_case1 ")
+        assert f"gradient check failed for wlkaf_case1 ({', '.join(marked)}: " in captured.err
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "-inf", "abc", ""])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_tolerance_must_be_finite_and_positive(self, value, source, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(cli, "gradcheck_variant",
+                            lambda *a: pytest.fail("the check ran"))
+        argv = ["gradcheck", "--model", "split_tanh", "--seeds", "1"]
+        if source == "flag":
+            argv.append(f"--tolerance={value}")
+        else:
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(f"tolerance = {value}\n")
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "argument --tolerance: expected a finite positive number, got " in err
+        assert repr(value) in err
+        assert (f"config file {tmp_path / 'exp.cfg'}: " in err) == (source == "config")
 
 
 class TestCurves:

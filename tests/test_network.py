@@ -220,10 +220,19 @@ class TestObjectiveAndBackward:
         "kaf_real_gaussian", "wlkaf_case1", "wlkaf_case2",
     ])
     def test_full_network_gradient_matches_fd(self, variant):
+        from cvkaf.gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
+
+        errors = gradcheck_variant(variant, [3])
+        assert all(err <= DEFAULT_TOLERANCE for err in errors.values()), errors
+
+    def test_gradcheck_keeps_each_groups_worst_over_the_seeds(self):
         from cvkaf.gradcheck import gradcheck_variant
 
-        report = gradcheck_variant(variant, seed=3)
-        assert report.passed, report.lines()
+        per_seed = [gradcheck_variant("kaf_real_gaussian", [seed]) for seed in (0, 1)]
+        both = gradcheck_variant("kaf_real_gaussian", (0, 1))
+        assert sorted(both) == ["W", "alpha", "b", "log_gamma"]
+        assert both == {group: max(errors[group] for errors in per_seed) for group in both}
+        assert per_seed[0] != per_seed[1]
 
     def test_descent_step_decreases_objective(self, rng):
         cfg = NetworkConfig(3, (4, 4), 2, activation="wlkaf_case1", seed=5, dict_points=4)
@@ -484,6 +493,37 @@ class TestRealBaseline:
             assert p.shape == (n, 4)
             np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(net.predict(x[:n]), np.argmax(expected, axis=-1))
+
+
+class TestConfigChecks:
+    """The grid and the start of alpha are checked for every name, through the
+    checks that building the grid and starting alpha run."""
+
+    @pytest.mark.parametrize("name", ["real_nn", *ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2"])
+    @pytest.mark.parametrize("entry, value, message", [
+        ("dict_points", 1, "points_per_axis must be >= 2, got 1"),
+        ("dict_range", (2.0, -2.0), r"axis_range must satisfy lo < hi, got \(2.0, -2.0\)"),
+        ("alpha_init", "bogus", "unknown alpha_init 'bogus'"),
+    ])
+    def test_every_name_checks_the_grid_and_alpha_init(self, name, entry, value, message):
+        with pytest.raises(ParameterError, match=message):
+            NetworkConfig(3, (4,), 5, activation=name, **{entry: value})
+
+    @pytest.mark.parametrize("entry, value", [
+        ("dict_points", 1), ("dict_range", [2.0, -2.0]), ("alpha_init", "bogus"),
+    ])
+    @pytest.mark.parametrize("name", ["real_nn", "split_tanh"])
+    def test_a_file_with_an_unusable_grid_or_start_is_cache_error(self, name, entry, value,
+                                                                   tmp_path):
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model(name, 3, 5, seed=0, hidden_widths=(4,)))
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta["config"][entry] = value
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        with pytest.raises(CacheError) as caught:
+            load_model(path)
+        assert f"{path} does not hold a usable model" in str(caught.value)
+        assert isinstance(caught.value.__cause__, ParameterError)
 
 
 class TestSerialization:
