@@ -67,6 +67,25 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected a range like -2..2, got {text!r}") from exc
 
 
+def _finite_parser(zero_ok: bool):
+    """The option type reading a finite number above zero, or at or above it."""
+    noun = "non-negative" if zero_ok else "positive"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (0.0 <= value if zero_ok else 0.0 < value) or value == math.inf:
+            raise argparse.ArgumentTypeError(f"expected a finite {noun} number, got {text!r}")
+        return value
+    return parse
+
+
+_parse_positive = _finite_parser(zero_ok=False)  # --lr and --tolerance
+_parse_nonnegative = _finite_parser(zero_ok=True)  # --c and each --c-grid entry
+
+
 def _list_parser(kind, noun):
     """The option type reading a comma-separated list of ``kind``."""
     def parse(text: str) -> tuple:
@@ -79,18 +98,8 @@ def _list_parser(kind, noun):
 
 
 _parse_floats = _list_parser(float, "numbers")
+_parse_c_grid = _list_parser(_parse_nonnegative, "non-negative numbers")
 _parse_ints = _list_parser(int, "integers")
-
-
-def _parse_positive(text: str) -> float:
-    """The ``--tolerance`` type: a finite number above zero."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0.0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
-    return value
 
 
 def _parse_model(text: str) -> str:
@@ -288,8 +297,6 @@ def cmd_compare(args) -> int:
     seeds, c_grid = args.seeds, args.c_grid
     if not seeds or not c_grid:
         raise ParameterError("--seeds and --c-grid each need at least one value")
-    if min(c_grid) < 0:
-        raise ParameterError(f"--c-grid entries must be nonnegative, got {c_grid}")
     for flag, values in (("--models", args.models), ("--seeds", seeds), ("--c-grid", c_grid)):
         if len(set(values)) != len(values):
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
@@ -463,7 +470,8 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 def add_training_flags(p) -> None:
     """The training flags ``train`` and ``compare`` share, with the library's defaults."""
-    p.add_argument("--lr", type=float, default=TrainConfig.lr, help="Adagrad learning rate")
+    p.add_argument("--lr", type=_parse_positive, default=TrainConfig.lr,
+                   help="Adagrad learning rate")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="batch size")
     p.add_argument("--patience", type=int, default=TrainConfig.patience,
                    help="iterations without a validation gain before stopping")
@@ -512,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=_parse_model, default="wlkaf_case1",
                    help=" | ".join(("real_nn", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
-    p.add_argument("--c", type=float, default=TrainObjective.reg_weight, help="regularizer weight")
+    p.add_argument("--c", type=_parse_nonnegative, default=TrainObjective.reg_weight,
+                   help="regularizer weight")
     add_training_flags(p)
     p.add_argument("--out", help="run directory; run_<model>_seed<seed> if omitted")
 
@@ -527,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_list_text(MODEL_VARIANTS),
                    help="comma-separated names train accepts, e.g. real_nn,wlkaf_case2:0.7:0.2")
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
-    p.add_argument("--c-grid", type=_parse_floats, default="0,1e-5,1e-4,1e-3",
+    p.add_argument("--c-grid", type=_parse_c_grid, default="0,1e-5,1e-4,1e-3",
                    help="regularization weights to search")
     add_training_flags(p)
     p.add_argument("--out", default="comparison", help="output directory")

@@ -16,13 +16,15 @@ members of a conjugate pair are read from the same half-spectrum entry.
 Their mean magnitudes are therefore equal bit for bit, and the documented
 tie rule (ascending flat index) orders every pair. Selected indices keep
 their full-spectrum meaning, ``u * W + v``. The transform runs in chunks
-of 256 images (``_CHUNK``), so its temporaries stay a few megabytes
-whatever the dataset size.
+whose float64 pixel buffer fits ``_CHUNK_BYTES`` (41 images at 28x28), so
+its temporaries stay a few hundred KiB whatever the image or dataset size.
 
 Each byte of the data path is held once. The IDX payload is decoded
 straight into its final array, the ranking gathers the training images a
-chunk at a time, and a :class:`ComplexDataset` keeps its rows in one
-block laid out as train, then validation, then test. It stores the row
+chunk at a time into one pixel buffer and one magnitude buffer, the
+features are gathered from each chunk's spectrum straight into their
+rows, and a :class:`ComplexDataset` keeps its rows in one block laid out
+as train, then validation, then test. It stores the row
 count of each split, which must sum to the rows of the block (checked on
 construction, and a cache that breaks this is a :class:`CacheError`), so
 the split accessors return read-only slices of that block, not copies.
@@ -65,7 +67,7 @@ _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
 _CACHE_MAGIC = b"CVKC"
 _CACHE_VERSION = 2
-_CHUNK = 256  # images per FFT batch: temporaries stay near cache size
+_CHUNK_BYTES = 1 << 18  # float64 pixel bytes per FFT chunk: temporaries stay near cache size
 _READ_BLOCK = 1 << 20  # bytes per IDX read: bounds gzip's temporary bytes object
 
 
@@ -163,16 +165,20 @@ def _half_spectra(images: np.ndarray, rows: np.ndarray):
     """DFT columns ``0..W//2`` of ``images[rows]``, one chunk at a time.
 
     Yields ``(lo, spectrum)``: the half spectra of rows ``lo:lo + n`` as an
-    (n, H * (W//2 + 1)) array. The float64 pixel buffer is allocated once
-    for all chunks. Freed and allocated again per chunk, a buffer of this
-    size makes glibc return its pages to the system and fault them back in
-    on every chunk, in a process that has not yet freed a larger block.
+    (n, H * (W//2 + 1)) array. A chunk holds as many images as fit
+    ``_CHUNK_BYTES`` of float64 pixels, at least one. The pixel buffer is
+    allocated once for all chunks; only ``rfft2``'s result is new per chunk.
+    Freed and allocated again per chunk, a pixel buffer can make glibc
+    return its pages to the system and fault them back in on every chunk,
+    in a process that has not yet freed a larger block.
     """
     _, h, w = images.shape
-    pixels = np.empty((min(_CHUNK, rows.shape[0]), h, w))
-    for lo in range(0, rows.shape[0], _CHUNK):
-        chunk = pixels[:min(_CHUNK, rows.shape[0] - lo)]
-        chunk[...] = images[rows[lo:lo + _CHUNK]]
+    n = rows.shape[0]
+    step = max(1, _CHUNK_BYTES // (8 * h * w))
+    pixels = np.empty((min(step, n), h, w))
+    for lo in range(0, n, step):
+        chunk = pixels[:min(step, n - lo)]
+        chunk[...] = images[rows[lo:lo + step]]
         yield lo, np.fft.rfft2(chunk).reshape(chunk.shape[0], -1)
 
 
@@ -192,9 +198,15 @@ def _hermitian_map(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return index, conj
 
 
-def _coefficients(spectrum: np.ndarray, index: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """Full-spectrum coefficients ``index``/``conj`` of (n, H * (W//2 + 1)) half spectra."""
-    out = spectrum[:, index]
+def _coefficients(spectrum: np.ndarray, index: np.ndarray, conj: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Full-spectrum coefficients ``index``/``conj`` of (n, H * (W//2 + 1)) half spectra.
+
+    They are gathered into ``out`` (n, len(index)) when given, else into a
+    new array. ``index`` is in range by construction, so the gather uses
+    ``mode="clip"``, which writes ``out`` directly instead of through a copy.
+    """
+    out = np.take(spectrum, index, axis=1, out=out, mode="clip")
     return np.conjugate(out, out=out, where=conj)
 
 
@@ -227,8 +239,16 @@ def rank_and_select(images: np.ndarray, k: int, rows=None) -> np.ndarray:
     if not 1 <= k <= h * w:
         raise ParameterError(f"k must lie in [1, {h * w}], got {k}")
     total = np.zeros(h * (w // 2 + 1), dtype=np.float64)
+    mags = None  # row 0 carries the running total, rows 1.. a chunk's |F|
     for _, spectrum in _half_spectra(imgs, rows):
-        total += np.abs(spectrum).sum(axis=0)
+        if mags is None:
+            mags = np.empty((spectrum.shape[0] + 1, total.shape[0]))
+        block = mags[:spectrum.shape[0] + 1]
+        block[0] = total
+        np.abs(spectrum, out=block[1:])
+        # a column sum adds its rows in order, so the total grows image by
+        # image and does not depend on the chunk size
+        block.sum(axis=0, out=total)
     index, _ = _hermitian_map(h, w)
     means = total[index] / n
     order = np.lexsort((np.arange(h * w), -means))
@@ -350,7 +370,7 @@ def build_complex_dataset(
     index, conj = index[selected], conj[selected]
     features = np.empty((src.shape[0], k), dtype=np.complex128)
     for lo, spectrum in _half_spectra(raw.images, src):
-        features[lo:lo + spectrum.shape[0]] = _coefficients(spectrum, index, conj)
+        _coefficients(spectrum, index, conj, out=features[lo:lo + spectrum.shape[0]])
 
     train = features[:n_train]  # a view: the training rows come first
     mean = train.mean(axis=0)

@@ -31,6 +31,7 @@ is a :class:`DimensionError`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,8 @@ _P_FLOOR = 1e-12  # probability clamp inside the cross-entropy
 # per (rows, width, points_per_axis) KAF temporary: 51200 float64 values are
 # 400 KiB, so a block's half-dozen live temporaries stay near a 2 MiB L2
 # cache instead of streaming through main memory (64 rows at the paper's
-# width 100 and 8x8 dictionary).
+# width 100 and 8x8 dictionary). The other activations' largest temporaries
+# are (rows, width), so their blocks hold points_per_axis times the rows.
 _PREDICT_BLOCK_ELEMENTS = 51200
 
 
@@ -143,8 +145,9 @@ class TrainObjective:
     def __post_init__(self):
         if self.loss != "cross_entropy":
             raise ParameterError(f"unknown loss {self.loss!r}; only 'cross_entropy' is defined")
-        if self.reg_weight < 0:
-            raise ParameterError("regularization weight must be nonnegative")
+        if not 0 <= self.reg_weight < math.inf:
+            raise ParameterError(
+                f"regularization weight must be finite and nonnegative, got {self.reg_weight}")
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,8 @@ class _Network:
 
     def _predict_block_rows(self) -> int:
         """Rows per forward block in :meth:`predict_proba`."""
-        m = self.dictionary.points_per_axis if self.dictionary is not None else 1
+        # only the kernel activations make (rows, width, points_per_axis) temporaries
+        m = self.dictionary.points_per_axis if isinstance(self.activation, act._KafBase) else 1
         return max(1, _PREDICT_BLOCK_ELEMENTS // (max(self.config.hidden_widths, default=1) * m))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

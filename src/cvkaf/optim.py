@@ -15,6 +15,7 @@ stopping on strict improvement).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -45,8 +46,8 @@ class Adagrad:
     epsilon = 1e-8  # added to sqrt(acc), so a zero accumulator divides safely
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
-        if lr <= 0:
-            raise ParameterError("learning rate must be positive")
+        if not 0 < lr < math.inf:
+            raise ParameterError(f"learning rate must be finite and positive, got {lr}")
         self.lr = lr
         self.acc = {name: np.zeros_like(_components(arr)) for name, arr in params.items()}
 

@@ -137,6 +137,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "--batch-size" in err and "'x'" in err
 
+    @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+                                             ("--c", "nan"), ("--c", "inf"), ("--c", "-1")])
+    def test_non_finite_or_out_of_range_rate_is_parameter_error(self, flag, value, tiny_cache,
+                                                                tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        argv = ["train", "--cache", str(tiny_cache), "--out", str(run_dir), *TRAIN_FLAGS,
+                flag, value]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a finite" in err and f"got '{value}'" in err
+        assert not run_dir.exists()
+
     def test_unreadable_cache_is_data_error(self, tmp_path):
         bogus = tmp_path / "bogus.cvkc"
         bogus.write_bytes(b"not a cache")
@@ -278,6 +290,19 @@ class TestCompare:
         assert "error" in record["models"]["wlkaf_case2"]
         assert record["models"]["wlkaf_case1"]["seed_count"] == 2
         assert record["models"]["wlkaf_case1"]["std"] is not None
+
+    @pytest.mark.parametrize("grid, bad", [("0,nan", "nan"), ("0,inf", "inf"),
+                                           ("-1e-4,0", "-1e-4")])
+    def test_non_finite_or_negative_c_is_parameter_error(self, grid, bad, tiny_cache,
+                                                          tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        rc = main(["compare", "--cache", str(tiny_cache), "--models", "real_nn",
+                   "--seeds", "0", f"--c-grid={grid}", "--out", str(out_dir), *TRAIN_FLAGS])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "argument --c-grid: expected a finite non-negative number" in err
+        assert f"got '{bad}'" in err
+        assert not out_dir.exists()
 
     def test_grid_search_records_each_c(self, tiny_cache, tmp_path):
         out_dir = tmp_path / "cmp"
@@ -657,6 +682,23 @@ class TestConfigFile:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "--batch-size" in err and "'x'" in err
+
+    @pytest.mark.parametrize("command, line", [("train", "lr = nan"), ("train", "c = inf"),
+                                               ("compare", "lr = inf"),
+                                               ("compare", "c-grid = 0,nan")])
+    def test_non_finite_config_value_is_parameter_error(self, command, line, tiny_cache,
+                                                        tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--cache", str(tiny_cache), "--out", str(out)]
+        if command == "compare":
+            argv += ["--models", "real_nn", "--seeds", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        flag = "--" + line.split(" ")[0]
+        assert f"config file {cfg}: " in err and f"argument {flag}: expected a finite" in err
+        assert not out.exists()
 
     def test_bad_config_value_names_the_file(self, tiny_cache, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from cvkaf import data
 from cvkaf.container import read_container, write_container
 from cvkaf.data import (
     _CACHE_MAGIC,
@@ -143,6 +144,16 @@ class TestLoadIdx:
             load_idx(bad, lbl_path)
 
 
+def across_chunk_budgets(monkeypatch, pixels: int, partial: int, run) -> list:
+    """``run()`` with ``_CHUNK_BYTES`` set to one image of ``pixels`` pixels, to
+    ``partial`` images and to every row in one chunk, in turn."""
+    results = []
+    for budget in (1, partial * 8 * pixels, 1 << 40):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", budget)
+        results.append(run())
+    return results
+
+
 class TestFft2:
     def test_constant_image(self):
         img = np.full((5, 6), 3.0)
@@ -168,6 +179,12 @@ class TestFft2:
         pixel_energy = np.sum(img**2)
         coeff_energy = np.sum(np.abs(coeffs) ** 2) / img.size
         assert abs(pixel_energy - coeff_energy) / pixel_energy < 1e-6
+
+    def test_chunk_budget_does_not_show(self, rng, monkeypatch):
+        img = rng.normal(size=(7, 9))
+        one, partial, whole = across_chunk_budgets(monkeypatch, img.size, 3,
+                                                   lambda: fft2(img).tobytes())
+        assert one == partial == whole
 
 
 class TestRankAndSelect:
@@ -223,7 +240,8 @@ class TestRankAndSelect:
         sel = rank_and_select(imgs, 4)
         np.testing.assert_array_equal(sel, [0, 1, 2, 3])
 
-    def test_rows_rank_exactly_like_their_gathered_copy(self, rng):
+    def test_rows_rank_exactly_like_their_gathered_copy(self, rng, monkeypatch):
+        monkeypatch.setattr(data, "_CHUNK_BYTES", 256 * 8 * 4 * 5)  # 256 images a chunk
         imgs = rng.integers(0, 256, size=(700, 4, 5)).astype(np.uint8)
         rows = rng.permutation(700)[:600]  # more than two chunks of 256
         np.testing.assert_array_equal(rank_and_select(imgs, 20, rows),
@@ -294,6 +312,18 @@ class TestBuildComplexDataset:
         raw2 = RawImageSet(images=scrambled, labels=raw.labels, class_count=raw.class_count)
         ds2 = build_complex_dataset(raw2, k=9, seed=4)
         np.testing.assert_array_equal(ds.selected_indices, ds2.selected_indices)
+
+    def test_chunk_budget_does_not_show(self, monkeypatch):
+        raw = synthetic_raw(n=100, h=6, w=5, seed=9)
+
+        def build():
+            ds = build_complex_dataset(raw, k=15, split_counts=(50, 20, 10), seed=6)
+            return [a.tobytes() for a in (ds.features, ds.selected_indices,
+                                          ds.feature_mean, ds.feature_std)]
+
+        # 3 images a chunk leave a partial last chunk of the 50 training and 80 used rows
+        one, partial, whole = across_chunk_budgets(monkeypatch, 6 * 5, 3, build)
+        assert one == partial == whole
 
     def test_zero_images_guarded(self):
         raw = RawImageSet(

@@ -199,6 +199,17 @@ class TestBlockedPredict:
         with pytest.raises(DimensionError):  # one sample is x[:1], covered above
             net.predict_proba(x[0])
 
+    # 51200 elements at width 100: (rows, 100, 8) KAF temporaries, (rows, 100) otherwise
+    BLOCK_ROWS = {"real_nn": 512, "split_tanh": 512, "phase_amplitude": 512,
+                  "kaf_independent": 64, "kaf_real_gaussian": 64, "wlkaf_case1": 64,
+                  "wlkaf_case2": 64}
+
+    def test_block_rows_pinned_for_every_variant(self):
+        assert set(self.BLOCK_ROWS) == {"real_nn", *ACTIVATION_VARIANTS}
+        for variant, rows in self.BLOCK_ROWS.items():
+            net = build_model(variant, 5, 3, seed=0, hidden_widths=(100,))
+            assert net._predict_block_rows() == rows, variant
+
 
 class TestObjectiveAndBackward:
     def test_regularizer_only_value_and_gradient(self):
@@ -371,6 +382,11 @@ class TestIdentityFitPerBuild:
 
 
 class TestRegularizer:
+    @pytest.mark.parametrize("weight", [-1e-3, np.inf, np.nan])
+    def test_weight_outside_zero_to_infinity_rejected(self, weight):
+        with pytest.raises(ParameterError, match="finite and nonnegative"):
+            TrainObjective("cross_entropy", weight)
+
     @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case2"])
     def test_one_rule_for_value_and_gradient(self, variant, rng):
         net = build_model(variant, 5, 3, seed=4, hidden_widths=(6, 6),

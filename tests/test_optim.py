@@ -41,6 +41,11 @@ def tiny_model(seed=0, variant="wlkaf_case1"):
 
 
 class TestAdagrad:
+    @pytest.mark.parametrize("lr", [0.0, -0.01, np.inf, np.nan])
+    def test_lr_outside_zero_to_infinity_rejected(self, lr):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            Adagrad({"w": np.zeros(2)}, lr=lr)
+
     def test_zero_gradient_is_a_no_op(self):
         params = {"w": np.array([1 + 2j, -0.5 + 0j]), "g": np.array([0.25])}
         opt = Adagrad(params, lr=0.05)

@@ -1,5 +1,6 @@
-"""Two sha256 digests: one over everything a model computes, to check that a
-refactor is bit-identical, and one over the model files it saves.
+"""Three sha256 digests: one over everything a model computes, to check that
+a refactor is bit-identical, one over the model files it saves, and one over
+the feature pipeline's datasets and their cache files.
 
 Run from the repository root as::
 
@@ -22,6 +23,11 @@ second line is the digest of the saved files' bytes, so a change to the
 model-file header alone moves only the second line. The script also checks
 that loading a saved file and saving it again gives the same bytes, and
 exits 1 if not.
+
+The third line, the data-path digest, covers every field of the
+``ComplexDataset`` that ``build_complex_dataset`` makes from 700 seeded
+random 28x28 uint8 images, and the bytes ``cache_dataset`` writes for it, at
+two split layouts whose row counts do not fill a whole number of FFT chunks.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cvkaf import optim
+from cvkaf import data, optim
 from cvkaf.activations import ACTIVATION_VARIANTS
 from cvkaf.network import (
     ComplexNetwork,
@@ -50,6 +56,8 @@ INPUT_DIM, HIDDEN, CLASSES, ROWS = 12, (16, 10), 4, 160
 OBJECTIVE = TrainObjective("cross_entropy", 1e-3)
 TRAIN = optim.TrainConfig(batch_size=16, patience=1000, eval_every=5, max_iterations=40,
                           lr=0.05, seed=3)
+IMAGES, SIDE, K = 700, 28, 100
+SPLITS = ((0, (500, 100, 60)), (1, (333, 77, 90)))  # (seed, split counts)
 
 
 def models():
@@ -76,6 +84,23 @@ def feed(h, *values) -> None:
             arr = np.ascontiguousarray(v)
             h.update(f"{arr.dtype.str}{arr.shape}".encode())
             h.update(arr.tobytes())
+
+
+def data_digest(tmp) -> str:
+    """The sha256 of each layout's dataset fields and cache file bytes."""
+    rng = np.random.default_rng(0)
+    raw = data.RawImageSet(images=rng.integers(0, 256, size=(IMAGES, SIDE, SIDE), dtype=np.uint8),
+                           labels=rng.integers(0, 10, size=IMAGES), class_count=10)
+    h = hashlib.sha256()
+    for seed, counts in SPLITS:
+        ds = data.build_complex_dataset(raw, k=K, seed=seed, split_counts=counts)
+        for f in dataclasses.fields(ds):
+            value = getattr(ds, f.name)
+            feed(h, f.name, value if isinstance(value, np.ndarray) else repr(value))
+        path = Path(tmp, f"seed{seed}.cvkc")
+        data.cache_dataset(ds, path)
+        feed(h, path.read_bytes())
+    return h.hexdigest()
 
 
 def main() -> int:
@@ -107,8 +132,9 @@ def main() -> int:
             if first.read_bytes() != second.read_bytes():
                 print(f"{label}: load then save changed the model file", file=sys.stderr)
                 ok = False
-    print(h.hexdigest())
-    print(files.hexdigest())
+        print(h.hexdigest())
+        print(files.hexdigest())
+        print(data_digest(tmp))
     return 0 if ok else 1
 
 
