@@ -14,11 +14,11 @@ Four families are implemented:
 Over the square dictionary grid every KAF-family layer is a sum of
 separable Gaussian terms ``scale * e_b^T A e_a``: ``A`` is the (m, m) grid
 of ``Re alpha`` or ``Im alpha``, ``e_b`` and ``e_a`` are per-axis Gaussians
-of ``Im z`` and ``Re z`` (or all ones), and each term adds to the real or
-the imaginary output. The term tables are:
+of ``Im z`` and ``Re z``, and each term adds to the real or the imaginary
+output. The term tables are:
 
 * ``kaf_real_gaussian``: 2 terms on one bandwidth;
-* ``kaf_independent``: 8 one-sided terms, each summing one grid axis out;
+* ``kaf_independent``: none; the engine adds its closed form (:class:`_KafBase`);
 * ``wlkaf_case1``: ``Re alpha`` on ``gamma_rr`` to the real part and
   ``Im alpha`` on ``gamma_ii`` to the imaginary part;
 * ``wlkaf_case2``: 2Q kernel terms plus 2Q pseudo-kernel terms scaled by
@@ -234,54 +234,37 @@ _PARTS = ("real", "imag")
 
 @dataclass(frozen=True)
 class _Term:
-    """``scale * sum_ij L[b,h,i] * A[h,i,j] * R[b,h,j]``, added to the ``out`` part.
+    """``scale * sum_ij Ei[b,h,i] * A[h,i,j] * Er[b,h,j]``, added to the ``out`` part.
 
     ``A`` is the (H, m, m) grid of the ``coef`` part of alpha; its rows
     follow the imaginary axis and its columns the real axis, in dictionary
-    point order. ``left`` and ``right`` name the part of z whose per-axis
-    Gaussian ``exp(-gamma * (x - axis)^2)`` forms L and R, or None for all
-    ones. ``gamma`` names the log-bandwidth parameter; ``col`` is its column
-    when that parameter is (H, Q).
+    point order. ``Ei`` and ``Er`` are the per-axis Gaussians
+    ``exp(-gamma * (x - axis)^2)`` of ``Im z`` and ``Re z``. ``gamma`` names
+    the log-bandwidth parameter; ``col`` is its column when that parameter
+    is (H, Q).
     """
 
     gamma: str
-    left: str | None
     coef: str
-    right: str | None
     out: str
     scale: float = 1.0
     col: int | None = None
 
 
 def _kernel_terms(gamma, col=None, scale=1.0, cross=False):
-    """Two-sided terms ``scale * e_imag^T A e_real`` for both alpha parts.
+    """Terms ``scale * e_imag^T A e_real`` for both alpha parts.
 
     ``cross`` routes ``Im alpha`` to the real output and ``Re alpha`` to the
     imaginary one, as the case-2 pseudo-kernel does.
     """
     return tuple(
-        _Term(gamma, "imag", coef, "real", out, scale, col)
+        _Term(gamma, coef, out, scale, col)
         for coef, out in zip(_PARTS, _PARTS[::-1] if cross else _PARTS)
     )
 
 
-# sum_ij alpha_ij (ka[j] + kb[i] + i*(ka[i] - kb[j])) with ka, kb the
-# per-axis Gaussians of Re z and Im z: every term sums one grid axis out
-_INDEPENDENT_TERMS = (
-    _Term("log_gamma", None, "real", "real", "real"),
-    _Term("log_gamma", None, "imag", "real", "imag"),
-    _Term("log_gamma", "imag", "real", None, "real"),
-    _Term("log_gamma", "imag", "imag", None, "imag"),
-    _Term("log_gamma", "real", "imag", None, "real", -1.0),
-    _Term("log_gamma", "real", "real", None, "imag"),
-    _Term("log_gamma", None, "imag", "imag", "real"),
-    _Term("log_gamma", None, "real", "imag", "imag", -1.0),
-)
-
-_KAF_TERMS = {
-    "real_gaussian": _kernel_terms("log_gamma"),
-    "independent": _INDEPENDENT_TERMS,
-}
+_KAF_KERNELS = {"real_gaussian": (_kernel_terms("log_gamma"), None),
+                "independent": ((), "log_gamma")}
 
 
 def _accumulate(sums: dict, key, value: np.ndarray) -> None:
@@ -292,23 +275,27 @@ def _accumulate(sums: dict, key, value: np.ndarray) -> None:
 
 
 class _KafBase:
-    """Forward and backward of a sum of :class:`_Term` over a square grid.
+    """Forward and backward of a sum of :class:`_Term` over a square grid, plus,
+    on the log-bandwidth ``closed_form`` names, ``h(Re z) - i*h(Im z)`` with
+    ``h(x) = w^T e(x)`` and ``w = c(alpha) + i*r(alpha)`` (grid column and row sums).
 
-    Subclasses provide ``terms``. They also bind ``init_params``, ``forward``
-    and ``backward`` as their own attributes, so per-class instrumentation
-    (``perfbench/harness.py``) can wrap one variant at a time. Arrays are
-    laid out (H, m, B): neuron, grid axis, batch row.
+    Subclasses provide ``terms``, and ``closed_form`` if any. They also bind
+    ``init_params``, ``forward`` and ``backward`` as their own attributes, so
+    per-class instrumentation (``perfbench/harness.py``) can wrap one variant
+    at a time. Arrays are laid out (H, m, B): neuron, grid axis, batch row.
     """
 
     terms: tuple[_Term, ...]
+    closed_form: str | None = None
 
     @cached_property
     def _plan(self) -> tuple[tuple, dict]:
         """The factor keys ``(gamma, col, part)`` in first-use order, and the
         last key that reads each part: that factor overwrites the part's
         squares, which are dead once it is formed."""
-        keys = tuple(dict.fromkeys((t.gamma, t.col, p) for t in self.terms
-                                   for p in (t.left, t.right) if p))
+        keys = [(t.gamma, t.col, p) for t in self.terms for p in ("imag", "real")]
+        keys = tuple(dict.fromkeys(keys + [(self.closed_form, None, p) for p in _PARTS
+                                           if self.closed_form]))
         return keys, {key[2]: key for key in keys}
 
     def forward(self, z, params, dictionary, cache=True):
@@ -334,27 +321,27 @@ class _KafBase:
             factors[key] = (gamma, np.exp(e, out=e))
 
         out = {p: np.zeros(zt.shape) for p in _PARTS}
-        bilinear = []  # two-sided terms: (term, left key, right key, A @ R)
-        linear = {}  # one-sided terms summed per (factor key, out part): scaled grid sums
+        bilinear = []  # (term, Ei key, Er key, A @ Er)
         for t in self.terms:
-            a = grids[t.coef]
-            if t.left and t.right:
-                left, right = (t.gamma, t.col, t.left), (t.gamma, t.col, t.right)
-                ar = a @ factors[right][1]
-                out[t.out] += t.scale * np.einsum("hib,hib->hb", factors[left][1], ar)
-                if cache:
-                    bilinear.append((t, left, right, ar))
-            else:
-                key = (t.gamma, t.col, t.left or t.right)
-                v = np.einsum("hij->hi" if t.left else "hij->hj", a)
-                _accumulate(linear, (key, t.out), t.scale * v)
-        for (key, part), v in linear.items():
-            out[part] += (v[:, None, :] @ factors[key][1])[:, 0, :]
+            left, right = (t.gamma, t.col, "imag"), (t.gamma, t.col, "real")
+            ar = grids[t.coef] @ factors[right][1]
+            out[t.out] += t.scale * np.einsum("hib,hib->hb", factors[left][1], ar)
+            if cache:
+                bilinear.append((t, left, right, ar))
+        w = None
+        if self.closed_form:  # c, r: column and row sums of each part's grid
+            c, r = ({p: np.einsum(s, a) for p, a in grids.items()} for s in ("hij->hj", "hij->hi"))
+            w = c["real"] - r["imag"], c["imag"] + r["real"]
+            e_re, e_im = (factors[self.closed_form, None, p][1] for p in _PARTS)
+            out["real"] += (w[0][:, None] @ e_re)[:, 0]
+            out["imag"] += (w[1][:, None] @ e_re)[:, 0]
+            out["real"] += (w[1][:, None] @ e_im)[:, 0]
+            out["imag"] -= (w[0][:, None] @ e_im)[:, 0]
         result = _complex_assemble(out["real"].T, out["imag"].T)
         if not cache:
             return result, None
         return result, {"offsets": offsets, "grids": grids, "factors": factors,
-                        "bilinear": bilinear, "linear": linear}
+                        "bilinear": bilinear, "w": w}
 
     def backward(self, g_out, cache, params, dictionary):
         offsets, grids, factors = cache["offsets"], cache["grids"], cache["factors"]
@@ -367,18 +354,22 @@ class _KafBase:
             g_grid[t.coef] += ge @ factors[right][1].transpose(0, 2, 1)
             _accumulate(weights, left, gs * ar)
             _accumulate(weights, right, grids[t.coef].transpose(0, 2, 1) @ ge)
-        g_sums = {}  # (factor key, out part) -> sum over the batch of dJ/dout * E
-        for (key, part), v in cache["linear"].items():
-            g = getattr(g_t, part)
-            g_sums[key, part] = (factors[key][1] @ g[:, :, None])[:, :, 0]
-            _accumulate(weights, key, np.einsum("hi,hb->hib", v, g))
-        for t in self.terms:
-            if not (t.left and t.right):
-                s = t.scale * g_sums[(t.gamma, t.col, t.left or t.right), t.out]
-                g_grid[t.coef] += s[:, :, None] if t.left else s[:, None, :]
+        if self.closed_form:
+            (w_re, w_im), g_re, g_im = cache["w"], g_t.real, g_t.imag
+            keys = [(self.closed_form, None, p) for p in _PARTS]
+            # s_pq = E_p @ g_q, the batch sum of dJ/dout_q times E_p
+            s_rr, s_ri, s_ir, s_ii = ((factors[key][1] @ g[:, :, None])[:, :, 0]
+                                      for key in keys for g in (g_re, g_im))
+            re, im = w_re[:, :, None], w_im[:, :, None]
+            _accumulate(weights, keys[0], re * g_re[:, None] + im * g_im[:, None])
+            _accumulate(weights, keys[1], im * g_re[:, None] - re * g_im[:, None])
+            # the adjoint of w: Re alpha[i, j] reaches Re w[j] and Im w[i],
+            # Im alpha[i, j] reaches Im w[j] and -Re w[i]
+            g_grid["real"] += s_rr[:, None] + s_ir[..., None] + s_ri[..., None] - s_ii[:, None]
+            g_grid["imag"] += s_ri[:, None] + s_ii[..., None] - s_rr[..., None] + s_ir[:, None]
         # E = exp(-gamma*o^2): dE/dx = -2*gamma*o*E, dE/dlog(gamma) = -gamma*o^2*E
         g_z = {p: np.zeros(g_t.shape) for p in _PARTS}
-        grads = {t.gamma: np.zeros_like(params[t.gamma]) for t in self.terms}
+        grads = {name: np.zeros_like(params[name]) for name, _, _ in factors}
         for (name, col, part), (gamma, e) in factors.items():
             o = offsets[part]
             w = weights[name, col, part]
@@ -398,14 +389,14 @@ class _KafBase:
     def init_params(self, width, dictionary, rng, alpha_init="identity"):
         """Every log-bandwidth at the rule of thumb; alpha fit or drawn.
 
-        The term table names each log-bandwidth; one with a ``col`` is
+        The factor plan names each log-bandwidth; one with a ``col`` is
         (width, Q). ``identity`` fits one neuron through :func:`fit_alpha`
         and repeats it; ``random`` draws alpha with complex std 0.3.
         """
         log_g0 = np.log(gamma_rule_of_thumb(dictionary))
         cols = {}  # log-bandwidth name -> Q, or 0 for one value per neuron
-        for t in self.terms:
-            cols[t.gamma] = max(cols.get(t.gamma, 0), 0 if t.col is None else t.col + 1)
+        for name, col, _ in self._plan[0]:
+            cols[name] = max(cols.get(name, 0), 0 if col is None else col + 1)
         bandwidths = {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
         check_alpha_init(alpha_init)
         if alpha_init == "identity":
@@ -425,12 +416,13 @@ class KafActivation(_KafBase):
     kernel: str = "real_gaussian"
 
     def __post_init__(self):
-        if self.kernel not in _KAF_TERMS:
+        if self.kernel not in _KAF_KERNELS:
             raise ParameterError(f"unknown kernel {self.kernel!r}; "
-                                 f"choose from {sorted(_KAF_TERMS)}")
+                                 f"choose from {sorted(_KAF_KERNELS)}")
 
     name = property(lambda self: f"kaf_{self.kernel}")
-    terms = property(lambda self: _KAF_TERMS[self.kernel])
+    terms = property(lambda self: _KAF_KERNELS[self.kernel][0])
+    closed_form = property(lambda self: _KAF_KERNELS[self.kernel][1])
 
     init_params = _KafBase.init_params
     forward = _KafBase.forward
@@ -446,10 +438,7 @@ class WlKafCase1Activation(_KafBase):
     """
 
     name = "wlkaf_case1"
-    terms = (
-        _Term("log_gamma_rr", "imag", "real", "real", "real"),
-        _Term("log_gamma_ii", "imag", "imag", "real", "imag"),
-    )
+    terms = (_Term("log_gamma_rr", "real", "real"), _Term("log_gamma_ii", "imag", "imag"))
 
     init_params = _KafBase.init_params
     forward = _KafBase.forward

@@ -28,8 +28,10 @@ import argparse
 import json
 import math
 import os
+import re
 import statistics
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -460,12 +462,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParameterError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        # no option name starts with a digit or ".": "-3..3", "-1e-4" and "-1,0" are values
+        return None if re.match(r"-[\d.]", arg_string) else super()._parse_optional(arg_string)
+
 
 class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
     """Ends each option's help with its declared default, if it has one."""
 
     def _get_help_string(self, action):
         return action.help if action.default is None else super()._get_help_string(action)
+
+    def _split_lines(self, text, width):
+        # a default wider than the column, such as the --models list, stays one token
+        return textwrap.wrap(" ".join(text.split()), width, break_long_words=False)
 
 
 def add_training_flags(p) -> None:

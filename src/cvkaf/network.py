@@ -432,7 +432,7 @@ class RealBaselineNetwork(_Network):
     _chain_scores = staticmethod(lambda g, logits: g)
 
 
-MODEL_VARIANTS = ("real_nn", "kaf_independent", "wlkaf_case1", "wlkaf_case2")  # compare's sweep
+MODEL_VARIANTS = ("real_nn", "kaf_independent", "kaf_real_gaussian", "wlkaf_case1", "wlkaf_case2")
 
 
 def build_model(

@@ -150,12 +150,16 @@ class TestCriterion4GradientCorrectness:
         host does not inflate; the wall time is reported next to it.
         """
         t0, c0 = time.perf_counter(), time.process_time()
-        worst = {v: max(gradcheck_variant(v, range(20)).values()) for v in ACTIVATION_VARIANTS}
+        worst, seconds = {}, {}  # per variant: worst error, CPU seconds
+        for v in ACTIVATION_VARIANTS:
+            start = time.process_time()
+            worst[v] = max(gradcheck_variant(v, range(20)).values())
+            seconds[v] = time.process_time() - start
         elapsed = time.perf_counter() - t0
         cpu = time.process_time() - c0
         bad = {v: e for v, e in worst.items() if e > 1e-5}
         ok = not bad and cpu < 30.0
-        detail = ", ".join(f"{v}={e:.1e}" for v, e in worst.items())
+        detail = ", ".join(f"{v}={e:.1e} in {seconds[v]:.1f}s" for v, e in worst.items())
         report(4, ok, f"worst rel err {detail}; runtime {cpu:.1f}s CPU, {elapsed:.1f}s wall")
         assert not bad, bad
         assert cpu < 30.0

@@ -236,29 +236,61 @@ class TestIndependentClosedForm:
     imaginary axis): its 2m^2 real alpha reach the output only through the 2m
     real values of w."""
 
-    def test_layer_and_dense_reference_equal_the_closed_form(self, dict8, rng):
+    @staticmethod
+    def _case(dictionary, rng):
+        """The layer, random alpha, per-neuron bandwidths and 300 inputs, with
+        w, gamma and the per-axis Gaussians e(x) of the closed form."""
         layer = act.ACTIVATION_VARIANTS["kaf_independent"]
-        width, m = 5, dict8.points_per_axis
-        params = layer.init_params(width, dict8, rng, alpha_init="random")
+        width, m = 5, dictionary.points_per_axis
+        params = layer.init_params(width, dictionary, rng, alpha_init="random")
         params["log_gamma"] = params["log_gamma"] + rng.normal(0.0, 0.5, width)
         z = random_complex(rng, (300, width), scale=1.5)
 
         grid = params["alpha"].reshape(width, m, m)
         col, row = (lambda a: a.sum(axis=1)), (lambda a: a.sum(axis=2))
         w = (col(grid.real) - row(grid.imag)) + 1j * (row(grid.real) + col(grid.imag))
-        axis = np.linspace(*dict8.axis_range, m)
+        axis = np.linspace(*dictionary.axis_range, m)
         gamma = np.exp(params["log_gamma"])
 
+        def e(x):  # (rows, width) -> (rows, width, m)
+            return np.exp(-gamma[:, None] * (x[..., None] - axis) ** 2)
+
+        return layer, params, z, w, gamma, axis, e
+
+    def test_layer_and_dense_reference_equal_the_closed_form(self, dict8, rng):
+        layer, params, z, w, gamma, _, e = self._case(dict8, rng)
+
         def h(x):  # (rows, width) -> (rows, width)
-            return np.einsum("hk,bhk->bh", w, np.exp(-gamma[:, None] * (x[..., None] - axis) ** 2))
+            return np.einsum("hk,bhk->bh", w, e(x))
 
         closed = h(z.real) - 1j * h(z.imag)
         out = layer.forward(z, params, dict8)[0]
         dense = np.stack([kaf_forward(z[:, j], params["alpha"][j], dict8, "independent", gamma[j])
-                          for j in range(width)], axis=1)
+                          for j in range(z.shape[1])], axis=1)
         assert np.max(np.abs(closed)) > 1.0
         assert np.max(np.abs(out - closed)) <= 1e-13
         assert np.max(np.abs(dense - closed)) <= 1e-13
+
+    def test_backward_is_the_closed_forms_adjoint(self, dict8, rng):
+        """The alpha cogradient is ``G_w[j] - i*G_w[i]`` at grid entry (i, j),
+        with ``G_w = sum_b g_b (e(Re z) + i*e(Im z))`` the cogradient of w, and
+        the input cogradient is the chain rule through ``h``."""
+        layer, params, z, w, gamma, axis, e = self._case(dict8, rng)
+        g = random_complex(rng, z.shape)
+        _, cache = layer.forward(z, params, dict8)
+        g_z, grads = layer.backward(g, cache, params, dict8)
+
+        g_w = np.einsum("bh,bhk->hk", g, e(z.real) + 1j * e(z.imag))
+        g_alpha = (g_w[:, None, :] - 1j * g_w[:, :, None]).reshape(w.shape[0], -1)
+
+        def dh(x):  # h'(x), (rows, width)
+            return np.einsum("hk,bhk->bh", w, -2.0 * gamma[:, None] * (x[..., None] - axis) * e(x))
+
+        # out = h(x) - i*h(y): dJ/dx = Re(conj(g) h'(x)), dJ/dy = Re(conj(g) (-i) h'(y))
+        expected_z = (np.conj(g) * dh(z.real)).real + 1j * (np.conj(g) * -1j * dh(z.imag)).real
+        assert np.max(np.abs(g_alpha)) > 1.0 and np.max(np.abs(expected_z)) > 1.0
+        assert np.max(np.abs(grads["alpha"] - g_alpha)) <= 1e-13
+        assert np.max(np.abs(g_z - expected_z)) <= 1e-13
 
 
 class TestParameterCounts:

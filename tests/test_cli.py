@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cvkaf import cli, data
-from cvkaf.cli import main
+from cvkaf.activations import ACTIVATION_VARIANTS, _KafBase
+from cvkaf.cli import build_parser, main
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
 from cvkaf.errors import NumericError
@@ -129,6 +130,13 @@ class TestTrain:
     def test_missing_cache_flag(self):
         assert main(["train", "--model", "wlkaf_case1"]) == 2
 
+    def test_range_below_zero_is_a_value(self, tiny_cache, tmp_path):
+        run_dir = tmp_path / "run"
+        rc = main(["train", "--cache", str(tiny_cache), "--out", str(run_dir), *TRAIN_FLAGS,
+                   "--dict-range", "-3..3"])
+        assert rc == 0
+        assert "dict_range = -3.0..3.0" in (run_dir / "config.txt").read_text().splitlines()
+
     def test_unreadable_batch_size_is_parameter_error(self, tiny_cache, tmp_path, capsys):
         argv = ["train", "--cache", str(tiny_cache), "--out", str(tmp_path / "run"),
                 *TRAIN_FLAGS]
@@ -138,7 +146,8 @@ class TestTrain:
         assert "--batch-size" in err and "'x'" in err
 
     @pytest.mark.parametrize("flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
-                                             ("--c", "nan"), ("--c", "inf"), ("--c", "-1")])
+                                             ("--c", "nan"), ("--c", "inf"), ("--c", "-1"),
+                                             ("--c", "-1e-4")])
     def test_non_finite_or_out_of_range_rate_is_parameter_error(self, flag, value, tiny_cache,
                                                                 tmp_path, capsys):
         run_dir = tmp_path / "run"
@@ -292,12 +301,12 @@ class TestCompare:
         assert record["models"]["wlkaf_case1"]["std"] is not None
 
     @pytest.mark.parametrize("grid, bad", [("0,nan", "nan"), ("0,inf", "inf"),
-                                           ("-1e-4,0", "-1e-4")])
+                                           ("-1e-4,0", "-1e-4"), ("-1,0", "-1")])
     def test_non_finite_or_negative_c_is_parameter_error(self, grid, bad, tiny_cache,
                                                           tmp_path, capsys):
         out_dir = tmp_path / "cmp"
         rc = main(["compare", "--cache", str(tiny_cache), "--models", "real_nn",
-                   "--seeds", "0", f"--c-grid={grid}", "--out", str(out_dir), *TRAIN_FLAGS])
+                   "--seeds", "0", "--c-grid", grid, "--out", str(out_dir), *TRAIN_FLAGS])
         assert rc == 2
         err = capsys.readouterr().err
         assert "argument --c-grid: expected a finite non-negative number" in err
@@ -821,7 +830,7 @@ class TestParser:
             "--model": "wlkaf_case1", "--seed": "0", "--c": "0.0", **TRAINING_DEFAULTS,
         }
         assert printed_defaults("compare", capsys) == {
-            "--models": "real_nn,kaf_independent,wlkaf_case1,wlkaf_case2",
+            "--models": "real_nn,kaf_independent,kaf_real_gaussian,wlkaf_case1,wlkaf_case2",
             "--seeds": "0,1,2,3,4", "--c-grid": "0,1e-5,1e-4,1e-3", "--out": "comparison",
             **TRAINING_DEFAULTS,
         }
@@ -844,6 +853,11 @@ class TestParser:
             build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
         assert sorted(listed("gradcheck")) == sorted(["all", *models[1:], case2])
         assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "digits"])
+
+    def test_compare_sweeps_the_baseline_and_every_kernel_family_layer(self):
+        kernel_family = [name for name, layer in ACTIVATION_VARIANTS.items()
+                         if isinstance(layer, _KafBase)]
+        assert build_parser().parse_args(["compare"]).models == ("real_nn", *kernel_family)
 
     def test_training_defaults_are_the_papers_protocol(self):
         assert TRAINING_DEFAULTS == {
