@@ -25,6 +25,7 @@ on a cache of another feature width), 4 numeric errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -46,7 +47,8 @@ from .errors import (
     ParameterError,
 )
 from .gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
-from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
+from .kernels import (DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, Dictionary,
+                      build_dictionary)
 from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
                       load_model, save_model)
 from .optim import TrainConfig
@@ -209,17 +211,32 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _train_one(ds, model_name, seed, c, args, out_dir: Path):
+def _run_settings(args, ds) -> tuple[TrainConfig, Dictionary]:
+    """Check the settings every run of ``train`` or ``compare`` shares, once and
+    before any output exists: the training config, whose seed each run sets,
+    and the network's ``--hidden``, ``--dict-points`` and ``--dict-range``.
+
+    Returns the training config and the dictionary.
+    """
+    config = TrainConfig(batch_size=args.batch_size, patience=args.patience,
+                         eval_every=args.eval_every, max_iterations=args.max_iterations,
+                         lr=args.lr)
+    NetworkConfig(ds.feature_dim, args.hidden, ds.class_count,
+                  dict_points=args.dict_points, dict_range=args.dict_range)
+    return config, build_dictionary(args.dict_points, args.dict_range)
+
+
+def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
     """Shared train-and-save routine for ``train`` and ``compare``.
 
-    ``ds`` is the dataset loaded from ``args.cache``; the path is recorded
-    in the run's log and config snapshot.
+    ``ds`` is the dataset loaded from ``args.cache``, whose path is recorded
+    in the run's log and config snapshot, and ``settings`` is what
+    :func:`_run_settings` returned. A run that diverges still writes its
+    artifacts, from the best checkpoint, and then raises its
+    :class:`NumericError`.
     """
-    config = TrainConfig(
-        batch_size=args.batch_size, patience=args.patience, eval_every=args.eval_every,
-        max_iterations=args.max_iterations, lr=args.lr, seed=seed,
-    )
-    dictionary = build_dictionary(args.dict_points, args.dict_range)
+    config, dictionary = settings
+    config = dataclasses.replace(config, seed=seed)
     model = build_model(
         model_name, ds.feature_dim, ds.class_count, seed,
         hidden_widths=args.hidden, dictionary=dictionary,
@@ -227,9 +244,14 @@ def _train_one(ds, model_name, seed, c, args, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
     log.write(f"training {model_name} seed={seed} C={c} on {args.cache}")
-    trace = optim.train(
-        model, ds.train_xy(), ds.val_xy(), config, TrainObjective("cross_entropy", c)
-    )
+    error = None
+    try:
+        trace = optim.train(
+            model, ds.train_xy(), ds.val_xy(), config, TrainObjective("cross_entropy", c)
+        )
+    except NumericError as exc:
+        trace, error = exc.trace, exc
+        log.write(f"numeric error at iteration {trace.total_iterations}: {exc}")
     log.write(
         f"stopped after {trace.total_iterations} iterations "
         f"({trace.stop_reason}), best val acc {trace.best_val_accuracy:.4f} "
@@ -256,7 +278,11 @@ def _train_one(ds, model_name, seed, c, args, out_dir: Path):
         "stop_reason": trace.stop_reason,
         "val_accuracy": val_acc, "test_accuracy": test_acc,
     }
+    if error is not None:
+        summary["error"] = str(error)
     _write_json(out_dir / "summary.json", summary)
+    if error is not None:
+        raise error
     return model, trace, summary
 
 
@@ -265,7 +291,8 @@ def cmd_train(args) -> int:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
     out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
     ds = data_mod.load_cached(args.cache)
-    _, trace, summary = _train_one(ds, args.model, args.seed, args.c, args, out_dir)
+    settings = _run_settings(args, ds)
+    _, trace, summary = _train_one(ds, args.model, args.seed, args.c, args, settings, out_dir)
     print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
@@ -304,12 +331,13 @@ def cmd_compare(args) -> int:
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
     out_dir = Path(args.out)
     ds = data_mod.load_cached(args.cache)  # one load serves every run
+    settings = _run_settings(args, ds)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, dict] = {}
     for model_name in args.models:
         try:
-            results[model_name] = _compare_one_model(ds, model_name, args, out_dir)
+            results[model_name] = _compare_one_model(ds, model_name, args, settings, out_dir)
         except CvkafError as exc:
             results[model_name] = {"error": f"{type(exc).__name__}: {exc}"}
 
@@ -321,7 +349,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _compare_one_model(ds, model_name, args, out_dir: Path) -> dict:
+def _compare_one_model(ds, model_name, args, settings, out_dir: Path) -> dict:
     """Grid-search C on the first seed, then rerun the remaining seeds at it."""
     seeds = args.seeds
     accuracies: list[float] = []
@@ -329,7 +357,7 @@ def _compare_one_model(ds, model_name, args, out_dir: Path) -> dict:
     best_c, best_acc = None, -1.0
     for c in sorted(args.c_grid):  # ties go to the smaller C
         run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
-        _, _, summary = _train_one(ds, model_name, seeds[0], c, args, run_dir)
+        _, _, summary = _train_one(ds, model_name, seeds[0], c, args, settings, run_dir)
         grid_accs[f"{c:g}"] = summary["val_accuracy"]
         if summary["val_accuracy"] > best_acc:
             best_acc = summary["val_accuracy"]
@@ -337,7 +365,7 @@ def _compare_one_model(ds, model_name, args, out_dir: Path) -> dict:
             accuracies = [summary["test_accuracy"]]
     for seed in seeds[1:]:
         run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{best_c:g}"
-        _, _, summary = _train_one(ds, model_name, seed, best_c, args, run_dir)
+        _, _, summary = _train_one(ds, model_name, seed, best_c, args, settings, run_dir)
         accuracies.append(summary["test_accuracy"])
     mean = statistics.fmean(accuracies)
     std = statistics.stdev(accuracies) if len(accuracies) >= 2 else None

@@ -28,6 +28,9 @@ as train, then validation, then test. It stores the row
 count of each split, which must sum to the rows of the block (checked on
 construction, and a cache that breaks this is a :class:`CacheError`), so
 the split accessors return read-only slices of that block, not copies.
+
+One dataset is built in and needs no files: ``glyphs``, seeded
+seven-segment digit images drawn by :func:`glyphs` with numpy alone.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ __all__ = [
     "cache_dataset",
     "load_cached",
     "load_named_dataset",
+    "glyphs",
     "DATASET_FILES",
     "DATASET_NAMES",
 ]
@@ -431,7 +435,10 @@ DATASET_FILES: dict[str, tuple[str, str]] = {
     ),
     "latin_ocr": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
 }
-DATASET_NAMES = (*DATASET_FILES, "digits")  # every name load_named_dataset accepts
+DATASET_NAMES = (*DATASET_FILES, "glyphs")  # every name load_named_dataset accepts
+
+_GLYPHS_COUNT = 1800  # images in the built-in ``glyphs`` set
+_GLYPHS_SEED = 0  # its generator seed
 
 
 def _find_file(directory: Path, stem: str) -> Path | None:
@@ -444,11 +451,13 @@ def _find_file(directory: Path, stem: str) -> Path | None:
 def load_named_dataset(name: str, data_dir) -> RawImageSet:
     """Load a benchmark dataset by name from a data directory.
 
-    ``digits`` is the built-in desk-scale set (bundled with scikit-learn,
-    1797 8x8 grayscale digits) and needs no files on disk.
+    ``glyphs`` is the built-in desk-scale set, ``glyphs(1800, 0)``, and needs
+    no files on disk; ``data_dir`` is not read for it.
     """
-    if name == "digits":
-        return _load_sklearn_digits()
+    if name == "glyphs":
+        images, labels = glyphs(_GLYPHS_COUNT, _GLYPHS_SEED)
+        return RawImageSet(images=images, labels=labels.astype(np.int64),
+                           class_count=_GLYPH_CLASSES)
     if name not in DATASET_FILES:
         raise ParameterError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
     base = Path(data_dir) / name
@@ -463,13 +472,92 @@ def load_named_dataset(name: str, data_dir) -> RawImageSet:
     return load_idx(img, lbl)
 
 
-def _load_sklearn_digits() -> RawImageSet:
-    try:
-        from sklearn.datasets import load_digits
-    except ImportError as exc:
-        raise DataFormatError(
-            "the 'digits' dataset needs scikit-learn (pip install scikit-learn)"
-        ) from exc
-    bunch = load_digits()
-    images = np.round(bunch.images * (255.0 / 16.0)).astype(np.uint8)
-    return RawImageSet(images=images, labels=bunch.target.astype(np.int64), class_count=10)
+# -- the glyph renderer ------------------------------------------------------
+#
+# Each class is a seven-segment digit drawn as anti-aliased strokes on a
+# 28x28 canvas. Every sample gets its own affine distortion, endpoint
+# jitter, stroke width and intensity, pixel noise, and with some
+# probability one segment dropped or one extra segment added. The dropped
+# and added segments turn some samples into another class's shape, so no
+# model reaches 100%. Only numpy is used, and a seed gives the same bytes.
+
+_GLYPH_SIDE = 28
+_GLYPH_CLASSES = 10
+
+# Seven segments in unit-box coordinates (x right, y down), as
+# (horizontal?, fixed coordinate, start, end): a top, b upper right,
+# c lower right, d bottom, e lower left, f upper left, g middle.
+_SEGMENTS = np.array([
+    (1, 0.15, 0.25, 0.75),
+    (0, 0.75, 0.15, 0.50),
+    (0, 0.75, 0.50, 0.85),
+    (1, 0.85, 0.25, 0.75),
+    (0, 0.25, 0.50, 0.85),
+    (0, 0.25, 0.15, 0.50),
+    (1, 0.50, 0.25, 0.75),
+])
+_DIGITS = ["abcdef", "bc", "abged", "abgcd", "fgbc", "afgcd", "afgedc", "abc",
+           "abcdefg", "abfgcd"]
+_MASKS = np.array([[s in segs for s in "abcdefg"] for segs in _DIGITS])
+
+_P_DROP = 0.15  # drop one of the class's segments
+_P_EXTRA = 0.25  # add one segment the class does not have
+_NOISE = 0.2  # pixel noise standard deviation, on a [0, 1] intensity scale
+_GLYPH_CHUNK = 1000  # images rendered per call of _render_glyphs
+
+
+def glyphs(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` (28, 28) uint8 images and balanced uint8 labels from ``seed``."""
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(np.arange(count) % _GLYPH_CLASSES)
+    images = np.empty((count, _GLYPH_SIDE, _GLYPH_SIDE), dtype=np.uint8)
+    for lo in range(0, count, _GLYPH_CHUNK):
+        images[lo:lo + _GLYPH_CHUNK] = _render_glyphs(labels[lo:lo + _GLYPH_CHUNK], rng)
+    return images, labels.astype(np.uint8)
+
+
+def _render_glyphs(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    side = _GLYPH_SIDE
+    n = labels.shape[0]
+    mask = _MASKS[labels].copy()
+    for i in np.flatnonzero(rng.random(n) < _P_DROP):
+        mask[i, rng.choice(np.flatnonzero(mask[i]))] = False
+    for i in np.flatnonzero(rng.random(n) < _P_EXTRA):
+        off = np.flatnonzero(~mask[i])
+        if off.size:
+            mask[i, rng.choice(off)] = True
+
+    # Map every pixel back into the unit box through the inverse of a
+    # per-sample affine distortion; the strokes stay axis-aligned there.
+    angle = rng.normal(0.0, 0.2, n)
+    scale = rng.uniform(0.75, 1.1, (n, 2)) * (side - 4)
+    shear = rng.normal(0.0, 0.15, n)
+    cos, sin = np.cos(angle), np.sin(angle)
+    lin = np.empty((n, 2, 2))
+    lin[:, 0, 0] = scale[:, 0] * cos
+    lin[:, 0, 1] = scale[:, 1] * (shear * cos - sin)
+    lin[:, 1, 0] = scale[:, 0] * sin
+    lin[:, 1, 1] = scale[:, 1] * (shear * sin + cos)
+    shift = side / 2 + rng.uniform(-2.5, 2.5, (n, 2))
+    det = lin[:, 0, 0] * lin[:, 1, 1] - lin[:, 0, 1] * lin[:, 1, 0]
+    inv = np.stack([lin[:, 1, 1], -lin[:, 0, 1], -lin[:, 1, 0], lin[:, 0, 0]], axis=1)
+    inv = (inv / det[:, None]).reshape(n, 2, 2)
+    yy, xx = np.mgrid[0:side, 0:side] + 0.5
+    rel = np.stack([xx.ravel(), yy.ravel()])[None] - shift[:, :, None]  # (n, 2, P)
+    unit = (inv @ rel).astype(np.float32) + np.float32(0.5)
+    u, v = unit[:, None, 0], unit[:, None, 1]  # (n, 1, P)
+
+    seg = _SEGMENTS[None] + np.concatenate(
+        [np.zeros((n, 7, 1)), rng.normal(0.0, 0.03, (n, 7, 3))], axis=2)
+    seg = seg.astype(np.float32)[..., None]  # (n, 7, 4, 1)
+    horiz = _SEGMENTS[:, 0] == 1
+    d2 = np.empty((n, 7, side * side), dtype=np.float32)
+    for rows, along, across in ((horiz, u, v), (~horiz, v, u)):
+        s = seg[:, rows]
+        outside = np.maximum(np.maximum(s[:, :, 2] - along, along - s[:, :, 3]), 0.0)
+        d2[:, rows] = outside * outside + (across - s[:, :, 1]) ** 2
+    d2 += np.where(mask, 0.0, np.inf).astype(np.float32)[:, :, None]
+    width = (rng.uniform(0.9, 1.8, n) / (side - 4))[:, None]
+    img = np.exp(-d2.min(axis=1) / (width * width)) * rng.uniform(0.6, 1.0, n)[:, None]
+    img += rng.normal(0.0, _NOISE, img.shape)
+    return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8).reshape(n, side, side)

@@ -20,6 +20,8 @@ class ParameterError(CvkafError, ValueError):
 class NumericError(CvkafError, ArithmeticError):
     """A computation produced (or would produce) a non-finite value."""
 
+    trace = None  # the trace so far, when raised out of optim.train
+
 
 class DataFormatError(CvkafError, ValueError):
     """An input file does not match its declared format."""

@@ -8,6 +8,7 @@ factors, and what serialized models rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,13 +50,23 @@ class Dictionary:
 
 def build_dictionary(points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
                      axis_range: tuple[float, float] = DEFAULT_AXIS_RANGE) -> Dictionary:
-    """Sample a ``m x m`` grid over ``axis_range`` on both axes."""
+    """Sample a ``m x m`` grid over ``axis_range`` on both axes.
+
+    The range must be finite, and so must its span and the rule-of-thumb
+    bandwidth ``1/(2*spacing^2)``: otherwise the points or the bandwidths
+    that start from them are not finite.
+    """
     m = int(points_per_axis)
     lo, hi = float(axis_range[0]), float(axis_range[1])
     if m < 2:
         raise ParameterError(f"points_per_axis must be >= 2, got {points_per_axis}")
     if not lo < hi:
         raise ParameterError(f"axis_range must satisfy lo < hi, got ({lo}, {hi})")
+    spacing = (hi - lo) / (m - 1)  # infinite if lo, hi or the span is
+    square = spacing * spacing
+    if not (square > 0.0 and 0.0 < 1.0 / (2.0 * square) < math.inf):
+        raise ParameterError(f"axis_range ({lo}, {hi}) gives grid spacing {spacing}, whose "
+                             f"bandwidth 1/(2*spacing^2) is not finite and positive")
     axis = np.linspace(lo, hi, m)
     re, im = np.meshgrid(axis, axis, indexing="xy")  # imaginary outer, real inner
     points = (re + 1j * im).reshape(-1).astype(np.complex128)

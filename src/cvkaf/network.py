@@ -169,9 +169,12 @@ class NetworkConfig:
         if self.input_dim < 1 or self.class_count < 1:
             raise ParameterError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
-            raise ParameterError(f"hidden widths must be positive, got {self.hidden_widths}")
-        # checked for every name, real_nn too, which builds no grid and fits no alpha
-        build_dictionary(self.dict_points, self.dict_range)
+            raise ParameterError(f"hidden_widths must be positive, got {self.hidden_widths}")
+        try:  # checked for every name, real_nn too, which builds no grid and fits no alpha
+            build_dictionary(self.dict_points, self.dict_range)
+        except ParameterError as exc:
+            raise ParameterError(f"dict_points {self.dict_points} and dict_range "
+                                 f"{self.dict_range}: {exc}") from exc
         act.check_alpha_init(self.alpha_init)
 
 

@@ -81,10 +81,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.eval_every < 1 or self.max_iterations < 1:
-            raise ParameterError("batch_size, eval_every and max_iterations must be positive")
+        for name in ("batch_size", "eval_every", "max_iterations"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.patience < 0:
-            raise ParameterError("patience must be nonnegative")
+            raise ParameterError(f"patience must be nonnegative, got {self.patience}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,10 @@ def train(
     """Mini-batch Adagrad with early stopping on validation accuracy.
 
     The model is left holding the parameters of the best-validation
-    checkpoint, not the last iterate.
+    checkpoint, not the last iterate. A :class:`NumericError` during the
+    iterations leaves it there too and is raised again with the trace so
+    far as its ``trace``: ``stop_reason`` ``"numeric_error"``, and
+    ``total_iterations`` the iteration that failed.
     """
     x_train, y_train = train_xy
     x_val, y_val = val_xy
@@ -156,27 +160,33 @@ def train(
     t0 = time.perf_counter()
     stop_reason = "max_iterations"
     it = 0
-    for it in range(1, config.max_iterations + 1):
-        idx = rng.choice(n, size=config.batch_size, replace=False)
-        loss, grads = model.loss_and_grads(x_train[idx], y_train[idx], objective)
-        opt.step(params, grads)
-        model.bump_version()
-        if it % config.eval_every == 0:
-            acc = evaluate(model, x_val, y_val)
-            trace.records.append(
-                TraceRecord(it, loss, acc, time.perf_counter() - t0)
-            )
-            if acc > best_acc:
-                best_acc, best_it = acc, it
-                best = model.snapshot()
-            if it - best_it >= config.patience:
-                stop_reason = "patience"
-                break
-    trace.best_iteration = best_it
-    trace.best_val_accuracy = best_acc
-    trace.total_iterations = it
-    trace.stop_reason = stop_reason
-    model.set_parameters(best)
+    try:
+        for it in range(1, config.max_iterations + 1):
+            idx = rng.choice(n, size=config.batch_size, replace=False)
+            loss, grads = model.loss_and_grads(x_train[idx], y_train[idx], objective)
+            opt.step(params, grads)
+            model.bump_version()
+            if it % config.eval_every == 0:
+                acc = evaluate(model, x_val, y_val)
+                trace.records.append(
+                    TraceRecord(it, loss, acc, time.perf_counter() - t0)
+                )
+                if acc > best_acc:
+                    best_acc, best_it = acc, it
+                    best = model.snapshot()
+                if it - best_it >= config.patience:
+                    stop_reason = "patience"
+                    break
+    except NumericError as exc:
+        stop_reason = "numeric_error"
+        exc.trace = trace
+        raise
+    finally:
+        trace.best_iteration = best_it
+        trace.best_val_accuracy = best_acc
+        trace.total_iterations = it
+        trace.stop_reason = stop_reason
+        model.set_parameters(best)
     return trace
 
 

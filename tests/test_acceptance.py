@@ -3,9 +3,10 @@ pass/fail line (run with ``pytest tests/test_acceptance.py -s`` to see them).
 
 Criteria 7 and 8 need the MNIST IDX files (60k training images). When they
 are absent the tests skip with a message naming the expected paths, and a
-desk-scale benchmark on the bundled digits dataset exercises the identical
-pipeline end to end with the absolute accuracy bar; the comparative claims
-are only meaningful at MNIST scale where models do not saturate.
+desk-scale surrogate on the built-in ``glyphs`` dataset runs the same
+pipeline end to end. It asserts absolute bars only, calibrated on split and
+training seeds it does not use; the comparative claims are left to the
+MNIST subset.
 """
 
 import os
@@ -294,15 +295,26 @@ class TestCriterion8ConvergenceOrdering:
         assert ok
 
 
-@pytest.fixture(scope="module")
-def digits_benchmark():
-    """Desk-scale surrogate: same pipeline on the bundled digits set.
+# The surrogate's bars, calibrated on the built-in glyphs with split seeds
+# 1-6, each with its own three training seeds (3-5, 6-8, ..., 18-20); the
+# test runs split seed 0 with training seeds 0-2. Each bar is the lowest
+# calibration value of what it bounds, less a margin of 0.05, rounded down
+# to 0.05: mean test accuracy was at least 0.565 for case 1 and 0.561 for
+# every variant, and the KAF loss ratios were at most 0.173.
+SURROGATE_ACCURACY_BAR = 0.50  # mean test accuracy of case 1, and of every variant
+SURROGATE_LOSS_RATIO_BAR = 0.2  # last train loss over first, for each KAF run
 
-    1437/180/180 split, 40 FFT coefficients, benchmark-shaped networks.
-    Every variant saturates near ceiling here, so only absolute bars are
-    asserted; the comparative claims run on the MNIST subset.
+
+@pytest.fixture(scope="module")
+def glyphs_benchmark():
+    """Desk-scale surrogate: the same pipeline on the built-in glyphs.
+
+    1440/180/180 split, 40 FFT coefficients, benchmark-shaped networks,
+    800 iterations. The variants do not differ beyond seed noise here, so
+    only absolute bars are asserted; the comparative claims run on the
+    MNIST subset.
     """
-    raw = load_named_dataset("digits", data_dir="unused")
+    raw = load_named_dataset("glyphs", data_dir="unused")
     ds = build_complex_dataset(raw, k=40, split=(0.8, 0.1, 0.1), seed=0)
     results = {}
     for variant in BENCH_VARIANTS:
@@ -320,24 +332,25 @@ def digits_benchmark():
 class TestDeskScaleSurrogate:
     """Environment-feasible stand-in exercising the criterion 7/8 pipeline."""
 
-    def test_wl_case1_meets_absolute_bar(self, digits_benchmark):
-        accs, _ = digits_benchmark["wlkaf_case1"]
+    def test_wl_case1_meets_absolute_bar(self, glyphs_benchmark):
+        accs, _ = glyphs_benchmark["wlkaf_case1"]
         mean = float(np.mean(accs))
-        ok = mean >= 0.93
-        report(7, ok, f"surrogate (digits): wlkaf_case1 mean test acc {mean:.4f} "
-                      f"(MNIST-gated test holds the comparative claims)")
+        ok = mean >= SURROGATE_ACCURACY_BAR
+        report(7, ok, f"surrogate (glyphs): wlkaf_case1 mean test acc {mean:.4f} "
+                      f"(bar {SURROGATE_ACCURACY_BAR}; MNIST-gated test holds the "
+                      f"comparative claims)")
         assert ok
 
-    def test_every_variant_learns(self, digits_benchmark):
-        for variant, (accs, _) in digits_benchmark.items():
-            assert float(np.mean(accs)) >= 0.90, (variant, accs)
+    def test_every_variant_learns(self, glyphs_benchmark):
+        for variant, (accs, _) in glyphs_benchmark.items():
+            assert float(np.mean(accs)) >= SURROGATE_ACCURACY_BAR, (variant, accs)
 
-    def test_losses_collapse_from_start(self, digits_benchmark):
+    def test_losses_collapse_from_start(self, glyphs_benchmark):
         for variant in ("kaf_independent", "wlkaf_case1", "wlkaf_case2"):
-            _, traces = digits_benchmark[variant]
+            _, traces = glyphs_benchmark[variant]
             for trace in traces:
                 first, last = trace.records[0].train_loss, trace.records[-1].train_loss
-                assert last < 0.2 * first, (variant, first, last)
+                assert last < SURROGATE_LOSS_RATIO_BAR * first, (variant, first, last)
 
 
 class TestCriterion9Determinism:
@@ -347,7 +360,7 @@ class TestCriterion9Determinism:
         caches = []
         for name in ("a", "b"):
             cache = tmp_path / f"{name}.cvkc"
-            assert main(["preprocess", "--dataset", "digits", "--k-coeffs", "16",
+            assert main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "16",
                          "--seed", "3", "--out", str(cache)]) == 0
             caches.append(cache.read_bytes())
         cache_ok = caches[0] == caches[1]

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from cvkaf import cli, data
+from cvkaf import cli, data, optim
 from cvkaf.activations import ACTIVATION_VARIANTS, _KafBase
 from cvkaf.cli import build_parser, main
 from cvkaf.container import read_container, write_container
@@ -59,18 +59,18 @@ TRAIN_FLAGS = [
 
 
 class TestPreprocess:
-    def test_digits_end_to_end(self, tmp_path, capsys):
-        out = tmp_path / "digits.cvkc"
-        rc = main(["preprocess", "--dataset", "digits", "--k-coeffs", "12",
+    def test_glyphs_end_to_end(self, tmp_path, capsys):
+        out = tmp_path / "glyphs.cvkc"
+        rc = main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "12",
                    "--out", str(out), "--seed", "1"])
         assert rc == 0
         assert out.exists()
         captured = capsys.readouterr().out
-        assert "selected:" in captured and "1797 images" in captured
+        assert "selected:" in captured and "1800 images" in captured
 
     def test_rerun_is_idempotent(self, tmp_path):
-        out = tmp_path / "digits.cvkc"
-        argv = ["preprocess", "--dataset", "digits", "--k-coeffs", "8",
+        out = tmp_path / "glyphs.cvkc"
+        argv = ["preprocess", "--dataset", "glyphs", "--k-coeffs", "8",
                 "--out", str(out), "--seed", "2"]
         assert main(argv) == 0
         first = out.read_bytes()
@@ -78,7 +78,7 @@ class TestPreprocess:
         assert out.read_bytes() == first
 
     def test_zero_k_is_parameter_error(self, tmp_path):
-        rc = main(["preprocess", "--dataset", "digits", "--k-coeffs", "0",
+        rc = main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "0",
                    "--out", str(tmp_path / "x.cvkc")])
         assert rc == 2
 
@@ -375,6 +375,93 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()  # rejected before any run
 
 
+# every flag of the settings train and compare share, with a value its check refuses;
+# the last four ranges have a span or a bandwidth 1/(2*spacing^2) that is not finite
+UNUSABLE_SETTINGS = [("--batch-size", "0"), ("--eval-every", "0"), ("--max-iterations", "0"),
+                     ("--patience", "-1"), ("--hidden", "8,0"), ("--dict-points", "1"),
+                     ("--dict-range", "1..-1"), ("--dict-range", "0..1e-320"),
+                     ("--dict-range", "-1e308..1e308"), ("--dict-range", "0..1e-160"),
+                     ("--dict-range", "-inf..inf")]
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+@pytest.mark.parametrize("flag, value", UNUSABLE_SETTINGS)
+def test_unusable_setting_exits_2_before_any_output(command, flag, value, tiny_cache, tmp_path,
+                                                    capsys):
+    out = tmp_path / "out"
+    argv = [command, "--cache", str(tiny_cache), "--out", str(out), *TRAIN_FLAGS,
+            f"{flag}={value}"]
+    if command == "compare":
+        argv += ["--models", "real_nn,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0"]
+    assert main(argv) == 2
+    # the message names the flag in its config-file spelling
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestDivergedRun:
+    """A run whose step fails at iteration 7 keeps what it had: the trace row of
+    iteration 5 and the best checkpoint, which a clean 5-iteration run also saves."""
+
+    FLAGS = ["--hidden", "8", "--dict-points", "3", "--batch-size", "10", "--eval-every", "5",
+             "--patience", "100"]
+
+    @pytest.fixture
+    def clean_run(self, tiny_cache, tmp_path):
+        run_dir = tmp_path / "clean"
+        assert main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case1", "--seed", "1",
+                     *self.FLAGS, "--max-iterations", "5", "--out", str(run_dir)]) == 0
+        return run_dir
+
+    @pytest.fixture
+    def step_fails_at_7(self, monkeypatch):
+        step, calls = optim.Adagrad.step, []
+
+        def failing_step(opt, params, grads):
+            calls.append(None)
+            if len(calls) == 7:
+                raise NumericError("non-finite gradient for 'layer0.W'; step aborted")
+            step(opt, params, grads)
+
+        monkeypatch.setattr(optim.Adagrad, "step", failing_step)
+
+    def test_train_writes_the_best_checkpoint_then_exits_4(self, clean_run, step_fails_at_7,
+                                                           tiny_cache, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case1", "--seed", "1",
+                     *self.FLAGS, "--max-iterations", "60", "--out", str(run_dir)]) == 4
+        assert capsys.readouterr().err.startswith("numeric error: non-finite gradient")
+        assert [r.iteration for r in read_trace_csv(run_dir / "trace.csv").records] == [5]
+        assert drop_elapsed((run_dir / "trace.csv").read_text()) == \
+            drop_elapsed((clean_run / "trace.csv").read_text())
+        assert (run_dir / "model.cvkm").read_bytes() == (clean_run / "model.cvkm").read_bytes()
+        best = load_model(clean_run / "model.cvkm").parameters()
+        for name, arr in load_model(run_dir / "model.cvkm").parameters().items():
+            assert np.array_equal(arr, best[name]), name
+        summary = json.loads((run_dir / "summary.json").read_text())
+        clean = json.loads((clean_run / "summary.json").read_text())
+        assert clean["best_iteration"] == 5  # so the checkpoint is not the start
+        assert set(summary) == {*clean, "error"}
+        assert summary["stop_reason"] == "numeric_error" and summary["total_iterations"] == 7
+        assert summary["error"].startswith("non-finite gradient")
+        for key in ("best_iteration", "val_accuracy", "test_accuracy"):
+            assert summary[key] == clean[key], key
+        assert "max_iterations = 60" in (run_dir / "config.txt").read_text().splitlines()
+
+    def test_compare_records_the_error_and_keeps_the_run(self, step_fails_at_7, tiny_cache,
+                                                         tmp_path):
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--cache", str(tiny_cache), *self.FLAGS,
+                     "--models", "wlkaf_case1", "--seeds", "1", "--c-grid", "0",
+                     "--max-iterations", "60", "--out", str(out_dir)]) == 0
+        record = json.loads((out_dir / "comparison.json").read_text())
+        assert record["models"]["wlkaf_case1"]["error"].startswith("NumericError: non-finite")
+        run_dir = out_dir / "runs" / "wlkaf_case1" / "seed1_C0"
+        assert json.loads((run_dir / "summary.json").read_text())["stop_reason"] == \
+            "numeric_error"
+        assert (run_dir / "model.cvkm").exists()
+
+
 CASE2 = "wlkaf_case2:0.7:0.2"
 
 # names that are not the canonical spelling or out of range, with what the
@@ -636,7 +723,7 @@ class TestConfigFile:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "# experiment defaults\n"
-            "dataset = digits\n"
+            "dataset = glyphs\n"
             "k-coeffs = 9\n"
             "seed = 5\n"
             f"out = {tmp_path / 'from_config.cvkc'}\n"
@@ -852,7 +939,7 @@ class TestParser:
         for name in [*models, "wlkaf_case2:0.7:0.2"]:  # each one builds
             build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
         assert sorted(listed("gradcheck")) == sorted(["all", *models[1:], case2])
-        assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "digits"])
+        assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "glyphs"])
 
     def test_compare_sweeps_the_baseline_and_every_kernel_family_layer(self):
         kernel_family = [name for name, layer in ACTIVATION_VARIANTS.items()

@@ -2,7 +2,9 @@
 
 import dataclasses
 import gzip
+import importlib.util
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,10 +492,14 @@ class TestCache:
 
 
 class TestNamedDatasets:
-    def test_digits_builtin(self):
-        raw = load_named_dataset("digits", data_dir="unused")
-        assert raw.images.shape == (1797, 8, 8)
-        assert raw.class_count == 10
+    def test_glyphs_builtin(self):
+        raw = load_named_dataset("glyphs", data_dir="unused")
+        assert raw.images.shape == (1800, 28, 28) and raw.images.dtype == np.uint8
+        assert raw.labels.dtype == np.int64 and raw.class_count == 10
+        assert np.bincount(raw.labels).tolist() == [180] * 10
+        again = load_named_dataset("glyphs", data_dir="elsewhere")
+        assert np.array_equal(again.images, raw.images)
+        assert np.array_equal(again.labels, raw.labels)
 
     def test_unknown_name(self):
         with pytest.raises(ParameterError, match="unknown dataset"):
@@ -512,3 +518,30 @@ class TestNamedDatasets:
         write_idx_labels(base / "train-labels-idx1-ubyte", labels)
         raw = load_named_dataset("latin_ocr", data_dir=tmp_path)
         assert raw.count == 6 and raw.class_count == 3
+
+
+def _perfbench_inputs():
+    """The benchmark's own copy of the glyph renderer, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGlyphs:
+    """``data.glyphs`` and the benchmark's renderer are one generator, bit for bit."""
+
+    # 1001 rows cross the renderer's 1000-row chunk
+    @pytest.mark.parametrize("count, seed", [(300, 0), (1001, 7)])
+    def test_equals_the_benchmark_copy(self, count, seed, tmp_path):
+        bench = _perfbench_inputs()
+        images, labels = data.glyphs(count, seed)
+        expected = bench.glyphs(count, seed)
+        assert np.array_equal(images, expected[0])
+        assert np.array_equal(labels, expected[1])
+        # the gzip IDX pair the benchmark writes is the same file from either copy
+        ours = bench.write_idx_pair(tmp_path / "ours", images, labels)
+        theirs = bench.write_idx_pair(tmp_path / "theirs", *expected)
+        for a, b in zip(ours, theirs):
+            assert a.read_bytes() == b.read_bytes()

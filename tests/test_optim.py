@@ -220,6 +220,38 @@ class TestTrain:
         for name, arr in model.parameters().items():
             np.testing.assert_array_equal(arr, snapshots[2][name])
 
+    def test_numeric_error_leaves_the_best_checkpoint_and_the_trace(self, monkeypatch):
+        x, y = toy_separable(60)
+        model = tiny_model(seed=6)
+        snapshots = []
+        schedule = [0.1, 0.9, 0.3]
+
+        def synthetic_metric(m, xv, yv):
+            snapshots.append(m.snapshot())
+            return schedule[len(snapshots) - 1]
+
+        step, calls = Adagrad.step, []
+
+        def failing_step(opt, params, grads):
+            calls.append(None)
+            if len(calls) == 60:
+                raise NumericError("non-finite gradient")
+            step(opt, params, grads)
+
+        monkeypatch.setattr(optim, "evaluate", synthetic_metric)
+        monkeypatch.setattr(Adagrad, "step", failing_step)
+        config = TrainConfig(batch_size=10, patience=100, eval_every=25,
+                             max_iterations=150, seed=7)
+        with pytest.raises(NumericError) as caught:
+            train(model, (x[:40], y[:40]), (x[40:], y[40:]),
+                  config, TrainObjective("cross_entropy", 0.0))
+        trace = caught.value.trace
+        assert trace.stop_reason == "numeric_error" and trace.total_iterations == 60
+        assert [r.iteration for r in trace.records] == [25, 50]
+        assert trace.best_iteration == 25 and trace.best_val_accuracy == 0.9
+        for name, arr in model.parameters().items():
+            np.testing.assert_array_equal(arr, snapshots[1][name])
+
     def test_batch_larger_than_train_set_rejected(self):
         x, y = toy_separable(30)
         model = tiny_model()
