@@ -29,8 +29,8 @@ every table; the backward follows from the real partial derivatives of the
 per-axis Gaussians. Initialization fits alpha through the layer's own map:
 for fixed bandwidths every table is real-linear in ``(Re alpha, Im alpha)``,
 so :func:`alpha_design` reads the design matrix off one forward run, and
-:func:`fit_alpha` solves one real ridge system in it on the grid, for any
-table and bandwidths (case 1 with ``gamma_rr != gamma_ii`` included).
+:func:`fit_alpha` solves one real ridge system in it for the identity on the
+grid.
 Layer classes vectorize over a (batch, width) activation matrix with
 per-neuron parameters.
 This engine is the one implementation of the kernels in the package; the
@@ -58,7 +58,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NumericError, ParameterError
+from .errors import ParameterError
 from .kernels import Dictionary
 
 __all__ = [
@@ -114,42 +114,30 @@ def alpha_design(layer, dictionary: Dictionary, bandwidths: dict, points) -> np.
     return np.concatenate([g.real, g.imag])
 
 
-def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict, target=None,
-              ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """Ridge-fit one neuron's mixing coefficients to ``target`` on the grid.
+def fit_alpha(layer, dictionary: Dictionary, bandwidths: dict) -> np.ndarray:
+    """Ridge-fit one neuron's mixing coefficients to the identity on the grid.
 
-    The fit solves one real ridge system in the design matrix of
-    :func:`alpha_design` on the D grid points. ``target`` is a callable on
-    complex points or a length-D array; the default is the identity
-    function, giving a near-linear initial activation. ``ridge=0`` requests
-    exact interpolation and fails on a singular system.
+    With ``X`` the design matrix of :func:`alpha_design` on the D grid points
+    and ``t = [Re z; Im z]`` there, the fit solves the real ridge system
+    ``(X^T X + DEFAULT_RIDGE*I) a = X^T t``, giving a near-linear initial
+    activation. The system is symmetric positive definite, so Gaussian
+    elimination needs no pivoting. The sums are ``np.einsum`` and the
+    elimination elementwise numpy: no BLAS or LAPACK call, so alpha's bits do
+    not depend on their thread count.
     """
-    if ridge < 0:
-        raise ParameterError(f"ridge must be nonnegative, got {ridge}")
     pts = dictionary.points
-    t = _target_values(target, pts)
-    d = dictionary.size
     design = alpha_design(layer, dictionary, bandwidths, pts)
-    rhs = np.concatenate([t.real, t.imag])
-    if ridge == 0:
-        try:
-            sol = np.linalg.solve(design, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular kernel fit system with ridge=0: {exc}") from exc
-    else:
-        sol = np.linalg.solve(design.T @ design + ridge * np.eye(2 * d), design.T @ rhs)
-    return _complex_assemble(sol[:d], sol[d:])
-
-
-def _target_values(target, pts: np.ndarray) -> np.ndarray:
-    if target is None:
-        return pts.copy()
-    if callable(target):
-        return np.asarray(target(pts), dtype=np.complex128)
-    t = np.asarray(target, dtype=np.complex128)
-    if t.shape != pts.shape:
-        raise ParameterError(f"target has shape {t.shape}, expected {pts.shape}")
-    return t
+    n = design.shape[1]
+    system = np.empty((n, n + 1))  # [X^T X + ridge*I | X^T t]
+    system[:, :n] = np.einsum("pi,pj->ij", design, design)
+    system[:, n] = np.einsum("pi,p->i", design, np.concatenate([pts.real, pts.imag]))
+    system[range(n), range(n)] += DEFAULT_RIDGE
+    for k in range(n - 1):  # forward elimination, on the trailing block only
+        system[k + 1:, k + 1:] -= (system[k + 1:, k] / system[k, k])[:, None] * system[k, k + 1:]
+    sol = np.zeros(n)
+    for k in reversed(range(n)):  # back substitution
+        sol[k] = (system[k, n] - np.einsum("i,i", system[k, k + 1:n], sol[k + 1:])) / system[k, k]
+    return _complex_assemble(sol[:n // 2], sol[n // 2:])
 
 
 def _complex_assemble(re: np.ndarray, im: np.ndarray) -> np.ndarray:

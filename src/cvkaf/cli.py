@@ -227,7 +227,8 @@ def _run_settings(args, ds) -> tuple[TrainConfig, Dictionary]:
 
 
 def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
-    """Shared train-and-save routine for ``train`` and ``compare``.
+    """Shared train-and-save routine for ``train`` and ``compare``; returns
+    the run's summary, as written to ``summary.json``.
 
     ``ds`` is the dataset loaded from ``args.cache``, whose path is recorded
     in the run's log and config snapshot, and ``settings`` is what
@@ -283,7 +284,7 @@ def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
     _write_json(out_dir / "summary.json", summary)
     if error is not None:
         raise error
-    return model, trace, summary
+    return summary
 
 
 def cmd_train(args) -> int:
@@ -292,7 +293,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
     ds = data_mod.load_cached(args.cache)
     settings = _run_settings(args, ds)
-    _, trace, summary = _train_one(ds, args.model, args.seed, args.c, args, settings, out_dir)
+    summary = _train_one(ds, args.model, args.seed, args.c, args, settings, out_dir)
     print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
@@ -357,7 +358,7 @@ def _compare_one_model(ds, model_name, args, settings, out_dir: Path) -> dict:
     best_c, best_acc = None, -1.0
     for c in sorted(args.c_grid):  # ties go to the smaller C
         run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
-        _, _, summary = _train_one(ds, model_name, seeds[0], c, args, settings, run_dir)
+        summary = _train_one(ds, model_name, seeds[0], c, args, settings, run_dir)
         grid_accs[f"{c:g}"] = summary["val_accuracy"]
         if summary["val_accuracy"] > best_acc:
             best_acc = summary["val_accuracy"]
@@ -365,7 +366,7 @@ def _compare_one_model(ds, model_name, args, settings, out_dir: Path) -> dict:
             accuracies = [summary["test_accuracy"]]
     for seed in seeds[1:]:
         run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{best_c:g}"
-        _, _, summary = _train_one(ds, model_name, seed, best_c, args, settings, run_dir)
+        summary = _train_one(ds, model_name, seed, best_c, args, settings, run_dir)
         accuracies.append(summary["test_accuracy"])
     mean = statistics.fmean(accuracies)
     std = statistics.stdev(accuracies) if len(accuracies) >= 2 else None
@@ -485,7 +486,11 @@ def _trace_label(path: Path) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are parameter errors (exit 2)."""
+    """An argument parser whose usage errors are parameter errors (exit 2);
+    an option is known only by its full name, never by a prefix of it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ParameterError(f"{self.prog}: {message}")

@@ -1,12 +1,17 @@
 """Activation functions: forward forms, parameter fits, backward passes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cvkaf import activations as act
 from cvkaf import network
 from cvkaf.cnum import finite_diff_cogradient
-from cvkaf.errors import NumericError, ParameterError
+from cvkaf.errors import ParameterError
 from cvkaf.kernels import build_dictionary
 
 from conftest import random_complex
@@ -146,17 +151,19 @@ class TestGammaRuleOfThumb:
 
 
 class TestInitAlpha:
-    def test_zero_target(self, dict4):
-        layer = act.KafActivation("real_gaussian")
-        alpha = act.fit_alpha(layer, dict4, {"log_gamma": 0.0},
-                              target=np.zeros(16, dtype=complex), ridge=1e-3)
-        np.testing.assert_allclose(alpha, 0, atol=1e-12)
+    @staticmethod
+    def _solve(layer, dictionary, bandwidths, target):
+        """The alpha whose layer output equals ``target`` on the grid, from the
+        square design of :func:`alpha_design`."""
+        design = act.alpha_design(layer, dictionary, bandwidths, dictionary.points)
+        sol = np.linalg.solve(design, np.concatenate([target.real, target.imag]))
+        return sol[:dictionary.size] + 1j * sol[dictionary.size:]
 
     def test_exact_interpolation_recovers_unit_vector(self, dict4):
         g = act.gamma_rule_of_thumb(dict4)
         target = gaussian_real_of_complex(dict4.points, dict4.points[5], g)
-        alpha = act.fit_alpha(act.KafActivation("real_gaussian"), dict4,
-                              {"log_gamma": np.log(g)}, target=target, ridge=0.0)
+        alpha = self._solve(act.KafActivation("real_gaussian"), dict4,
+                            {"log_gamma": np.log(g)}, target)
         expected = np.zeros(16, dtype=complex)
         expected[5] = 1.0
         np.testing.assert_allclose(alpha, expected, atol=1e-8)
@@ -164,7 +171,7 @@ class TestInitAlpha:
     def test_identity_fit_is_near_linear(self, dict4):
         g = act.gamma_rule_of_thumb(dict4)
         layer = act.KafActivation("real_gaussian")
-        alpha = act.fit_alpha(layer, dict4, {"log_gamma": np.log(g)}, ridge=1e-4)
+        alpha = act.fit_alpha(layer, dict4, {"log_gamma": np.log(g)})
         fitted = kaf_forward(dict4.points, alpha, dict4, "real_gaussian", g)
         assert np.max(np.abs(fitted - dict4.points)) < 0.05
 
@@ -172,20 +179,38 @@ class TestInitAlpha:
         g = act.gamma_rule_of_thumb(dict4)
         layer = act.WlKafCase2Activation((0.3,))
         bandwidths = {"log_gamma": np.log([g]), "log_gamma_tilde": np.log([g])}
-        alpha = act.fit_alpha(layer, dict4, bandwidths, ridge=1e-4)
+        alpha = act.fit_alpha(layer, dict4, bandwidths)
         fitted = wlkaf_forward_case2(dict4.points, alpha, dict4, [g], [g], [0.3])
         assert np.max(np.abs(fitted - dict4.points)) < 0.05
 
-    def test_rejects_negative_ridge(self, dict4):
-        with pytest.raises(ParameterError):
-            act.fit_alpha(act.KafActivation("real_gaussian"), dict4,
-                          {"log_gamma": 0.0}, ridge=-1.0)
-
-    def test_singular_exact_fit_is_numeric_error(self, dict4):
-        # exp(-800) underflows to a zero bandwidth: every atom's Gaussian is 1
-        with pytest.raises(NumericError):
-            act.fit_alpha(act.KafActivation("real_gaussian"), dict4,
-                          {"log_gamma": -800.0}, ridge=0.0)
+    def test_identity_fit_ignores_the_blas_thread_count(self):
+        """Every KAF variant's identity fit at 7, 8 and 10 points has the same
+        bytes under 1 and 2 BLAS threads."""
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("fewer than 2 CPUs: a second BLAS thread has no core of its own, so "
+                        "1 and 2 threads cannot be told apart")
+        script = (
+            "import hashlib\n"
+            "from cvkaf.activations import ACTIVATION_VARIANTS, _KafBase\n"
+            "from cvkaf.kernels import build_dictionary\n"
+            "for m in (7, 8, 10):\n"
+            "    for name, layer in ACTIVATION_VARIANTS.items():\n"
+            "        if isinstance(layer, _KafBase):\n"
+            "            alpha = layer.init_params(1, build_dictionary(m), None)['alpha']\n"
+            "            print(m, name, hashlib.sha256(alpha.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(act.__file__).parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            outputs.append(run.stdout.splitlines())
+        assert len(outputs[0]) == 12
+        assert outputs[0] == outputs[1]
 
     def test_random_fallback_scale(self, dict8, rng):
         layer = act.KafActivation("real_gaussian")
@@ -205,9 +230,9 @@ class TestInitAlpha:
         expected = np.zeros(16, dtype=complex)
         expected[6] = 1.0 - 1.0j
         target = wlkaf_forward_case1(dict4.points, expected, dict4, gamma_rr, gamma_ii)
-        alpha = act.fit_alpha(act.WlKafCase1Activation(), dict4,
-                              {"log_gamma_rr": np.log(gamma_rr), "log_gamma_ii": np.log(gamma_ii)},
-                              target=target, ridge=0.0)
+        alpha = self._solve(act.WlKafCase1Activation(), dict4,
+                            {"log_gamma_rr": np.log(gamma_rr), "log_gamma_ii": np.log(gamma_ii)},
+                            target)
         np.testing.assert_allclose(alpha, expected, atol=1e-8)
 
     def test_unknown_alpha_init_rejected(self, dict4, rng):

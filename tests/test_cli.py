@@ -399,6 +399,17 @@ def test_unusable_setting_exits_2_before_any_output(command, flag, value, tiny_c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["compare", "--seed", "1"], ["train", "--max-it", "7"],
+                                  ["gradcheck", "--tol", "1e-3"]])
+def test_option_prefix_exits_2_before_any_output(argv, tiny_cache, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] != "gradcheck":
+        argv = [*argv, "--cache", str(tiny_cache), "--out", str(out), *TRAIN_FLAGS]
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDivergedRun:
     """A run whose step fails at iteration 7 keeps what it had: the trace row of
     iteration 5 and the best checkpoint, which a clean 5-iteration run also saves."""
