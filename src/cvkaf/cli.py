@@ -101,7 +101,6 @@ def _list_parser(kind, noun):
     return parse
 
 
-_parse_floats = _list_parser(float, "numbers")
 _parse_c_grid = _list_parser(_parse_nonnegative, "non-negative numbers")
 _parse_ints = _list_parser(int, "integers")
 
@@ -199,7 +198,7 @@ def cmd_preprocess(args) -> int:
 
     raw = data_mod.load_named_dataset(args.dataset, args.data_dir)
     ds = data_mod.build_complex_dataset(
-        raw, k=args.k_coeffs, split=args.split, seed=args.seed, split_counts=args.split_counts
+        raw, k=args.k_coeffs, seed=args.seed, split_counts=args.split_counts
     )
     data_mod.cache_dataset(ds, out)
     print(f"dataset:  {args.dataset} ({raw.count} images, {raw.class_count} classes)")
@@ -327,7 +326,9 @@ def cmd_compare(args) -> int:
     seeds, c_grid = args.seeds, args.c_grid
     if not seeds or not c_grid:
         raise ParameterError("--seeds and --c-grid each need at least one value")
-    for flag, values in (("--models", args.models), ("--seeds", seeds), ("--c-grid", c_grid)):
+    # each C names a run directory and a result key by its :g spelling
+    for flag, values in (("--models", args.models), ("--seeds", seeds),
+                         ("--c-grid", [f"{c:g}" for c in c_grid])):
         if len(set(values)) != len(values):
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
     out_dir = Path(args.out)
@@ -474,9 +475,11 @@ def _trace_label(path: Path) -> str:
     summary = path.parent / "summary.json"
     if summary.exists():
         try:
-            return json.loads(summary.read_text(encoding="utf-8"))["model"]
+            model = json.loads(summary.read_text(encoding="utf-8"))["model"]
         except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or not an object
-            pass
+            model = None
+        if isinstance(model, str):
+            return model
     return path.parent.name or path.stem
 
 
@@ -552,10 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="split permutation seed")
     p.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV, "data"),
                    help=f"IDX file root, from ${DATA_DIR_ENV} when set")
-    p.add_argument("--split", type=_parse_floats, default=_list_text(data_mod.DEFAULT_SPLIT),
-                   help="train,val,test fractions")
     p.add_argument("--split-counts", type=_parse_ints,
-                   help="absolute train,val,test sizes (overrides --split)")
+                   help="absolute train,val,test sizes; 80/10/10 of the images if omitted")
     p.add_argument("--out", help="cache file path; <dataset>.cvkc if omitted")
 
     p = command("train", cmd_train, "train one model variant for one seed")

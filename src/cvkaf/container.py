@@ -7,6 +7,10 @@ Arrays are stored C-contiguous in their native dtype, so a write/read
 round trip is bit-exact. The header carries only JSON-serializable
 metadata; anything numeric of consequence travels as an array.
 
+A reader names the one format version it reads. A file of any other
+version, older or newer, is a :class:`CacheError` that asks for the file
+to be rebuilt; no older layout is translated.
+
 No timestamps are written anywhere: identical inputs produce identical
 files byte for byte.
 """
@@ -48,29 +52,24 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict[s
             fh.write(blob.data)  # the array's own buffer: no bytes copy
 
 
-def read_container(path, magic: bytes, version: int,
-                   upgrades=None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a container of format ``version``, or of an older one that ``upgrades`` maps to the
-    function turning its header into a ``version`` header; each array gets its own new buffer."""
+def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read a container of format ``version``; a file of any other version is a
+    :class:`CacheError` asking for it to be rebuilt. Each array gets its own new buffer."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
-            meta, arrays, found = _read_from(path, fh, os.fstat(fh.fileno()).st_size, magic,
-                                             {version, *(upgrades or {})})
+            return _read_from(path, fh, os.fstat(fh.fileno()).st_size, magic, version)
     except OSError as exc:
         raise CacheError(f"cannot read container {path}: {exc}") from exc
-    return (meta if found == version else upgrades[found](meta)), arrays
 
 
-def _read_from(path: Path, fh, size: int, magic: bytes, versions: set):
+def _read_from(path: Path, fh, size: int, magic: bytes, version: int):
     fixed = fh.read(_HEADER_FIXED)
     if len(fixed) < _HEADER_FIXED or fixed[:4] != magic:
         raise CacheError(f"{path} is not a {magic.decode('ascii', 'replace')} container")
     found = int.from_bytes(fixed[4:8], "little")
-    if found not in versions:
-        raise CacheError(
-            f"{path} has format version {found}, expected {max(versions)}; rebuild the file"
-        )
+    if found != version:
+        raise CacheError(f"{path} has format version {found}, expected {version}; rebuild the file")
     hlen = int.from_bytes(fixed[8:16], "little")
     end = _HEADER_FIXED + hlen
     if end > size:
@@ -104,4 +103,4 @@ def _read_from(path: Path, fh, size: int, magic: bytes, versions: set):
         offset += nbytes
     if offset != size:
         raise CacheError(f"{path} has {size - offset} trailing bytes")
-    return header, arrays, found
+    return header, arrays

@@ -65,7 +65,6 @@ __all__ = [
 ]
 
 DEFAULT_K = 100  # complex coefficients kept per image
-DEFAULT_SPLIT = (0.8, 0.1, 0.1)  # train, validation and test fractions
 
 _IMAGE_MAGIC = 2051
 _LABEL_MAGIC = 2049
@@ -335,36 +334,36 @@ _CACHE_ARRAYS = frozenset(f.name for f in dataclasses.fields(ComplexDataset)
 _CACHE_HEADER = frozenset(f.name for f in dataclasses.fields(ComplexDataset)) - _CACHE_ARRAYS
 
 
-def _split_sizes(n: int, split, split_counts) -> tuple[int, int, int]:
-    if split_counts is not None:
-        counts = tuple(int(c) for c in split_counts)
-        if len(counts) != 3 or any(c < 1 for c in counts):
-            raise ParameterError(f"need three positive split counts, got {split_counts}")
-        if sum(counts) > n:
-            raise ParameterError(f"split counts {counts} exceed dataset size {n}")
+def _split_sizes(n: int, split_counts) -> tuple[int, int, int]:
+    """``split_counts`` checked against ``n`` images, or 80/10/10 of them (rounded down)."""
+    if split_counts is None:
+        counts = (int(n * 0.8), int(n * 0.1), int(n * 0.1))
+        if any(c < 1 for c in counts):
+            raise ParameterError(f"the 80/10/10 split of {n} images leaves a split empty")
         return counts
-    fracs = tuple(float(f) for f in split)
-    if len(fracs) != 3 or any(f <= 0 for f in fracs) or sum(fracs) > 1 + 1e-12:
-        raise ParameterError(f"split fractions must be positive and sum to <= 1, got {split}")
-    counts = tuple(int(n * f) for f in fracs)
-    if any(c < 1 for c in counts):
-        raise ParameterError(f"split fractions {split} give an empty split for n={n}")
+    counts = tuple(int(c) for c in split_counts)
+    if len(counts) != 3 or any(c < 1 for c in counts):
+        raise ParameterError(f"need three positive split counts, got {split_counts}")
+    if sum(counts) > n:
+        raise ParameterError(f"split counts {counts} exceed dataset size {n}")
     return counts
 
 
 def build_complex_dataset(
     raw: RawImageSet,
     k: int = DEFAULT_K,
-    split=DEFAULT_SPLIT,
     seed: int = 0,
     split_counts=None,
 ) -> ComplexDataset:
     """FFT, rank on the training split, select top-k, standardize, split.
 
+    ``split_counts`` gives the train, validation and test sizes; without it
+    the splits take 80%, 10% and 10% of the images.
+
     The coefficient ranking and the standardization constants see training
     images only; validation and test reuse them unchanged.
     """
-    sizes = _split_sizes(raw.count, split, split_counts)
+    sizes = _split_sizes(raw.count, split_counts)
     n_train = sizes[0]
     src = np.random.default_rng(seed).permutation(raw.count)[:sum(sizes)]
     selected = rank_and_select(raw.images, k, src[:n_train])

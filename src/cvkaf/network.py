@@ -1,7 +1,7 @@
 """Network assembly, the softmax cross-entropy rule and the regularized objective.
 
 A :class:`NetworkConfig` is a model's whole description, and a model
-file's header (format version 2; version 1 is still read): its
+file's header (format version 2, the only one read): its
 ``activation`` name, ``real_nn`` or an activation name such as
 ``wlkaf_case2:0.7:0.2``, picks the class and the hidden activation.
 
@@ -468,8 +468,7 @@ def load_model(path):
     is a :class:`CacheError` that names the file.
     """
     try:
-        meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION,
-                                                {1: _v1_header})
+        meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         c, names = meta.pop("config"), sorted(f.name for f in dataclasses.fields(NetworkConfig))
         if meta or sorted(c) != names:
             raise ValueError(f"header {sorted(meta)} with config {sorted(c)}, expected {names}")
@@ -480,34 +479,3 @@ def load_model(path):
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CacheError(f"{path} does not hold a usable model: "
                          f"{type(exc).__name__}: {exc}") from exc
-
-
-# each registry name's ``activation`` entry in frozen version-1 headers, less case 2's q, omegas
-_V1_ACTIVATIONS = {
-    "split_tanh": {"variant": "split", "fn": "tanh"}, "wlkaf_case1": {"variant": "wlkaf_case1"},
-    "phase_amplitude": {"variant": "phase_amplitude"}, "wlkaf_case2": {"variant": "wlkaf_case2"},
-    "kaf_independent": {"variant": "kaf", "kernel": "independent"},
-    "kaf_real_gaussian": {"variant": "kaf", "kernel": "real_gaussian"}}
-
-
-def _v1_header(meta: dict) -> dict:
-    """The version-2 header of a version-1 one: ``kind`` (``real_baseline`` is ``real_nn``),
-    ``activation`` (which must agree with the config) and ``dictionary`` (else the default
-    grid) fold into the config, and ``ridge``, which must be the one fit ridge, leaves."""
-    config = dict(meta["config"])
-    if config.pop("ridge") != act.DEFAULT_RIDGE or meta["kind"] not in ("real_baseline", "complex"):
-        raise ValueError(f"version-1 ridge {meta['config']['ridge']} or kind {meta['kind']!r}")
-    if meta["kind"] == "real_baseline":
-        config["activation"] = "real_nn"
-    else:  # the activation entry must spell the config's registry name
-        spec, name = meta["activation"], config["activation"]
-        omegas = spec.get("omegas", [])
-        case2 = {"q": len(omegas), "omegas": omegas} if name == "wlkaf_case2" else {}
-        if spec != {**_V1_ACTIVATIONS.get(name, {}), **case2}:
-            raise ParameterError(f"activation {spec} does not match config.activation {name!r}")
-        if case2:
-            config["activation"] = act.WlKafCase2Activation(omegas).name
-    grid = meta.get("dictionary") or {"points_per_axis": DEFAULT_POINTS_PER_AXIS,
-                                      "axis_range": DEFAULT_AXIS_RANGE}
-    config.update(dict_points=grid["points_per_axis"], dict_range=grid["axis_range"])
-    return {"config": config}

@@ -315,7 +315,7 @@ def glyphs_benchmark():
     MNIST subset.
     """
     raw = load_named_dataset("glyphs", data_dir="unused")
-    ds = build_complex_dataset(raw, k=40, split=(0.8, 0.1, 0.1), seed=0)
+    ds = build_complex_dataset(raw, k=40, seed=0)
     results = {}
     for variant in BENCH_VARIANTS:
         accs, traces = [], []

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from cvkaf import activations as act
-from cvkaf import network
 from cvkaf.cnum import finite_diff_cogradient
 from cvkaf.errors import ParameterError
 from cvkaf.kernels import build_dictionary
@@ -486,22 +485,6 @@ class TestRegistry:
         # per-class instrumentation wraps these attributes one class at a time
         for cls in (act.KafActivation, act.WlKafCase1Activation, act.WlKafCase2Activation):
             assert {"init_params", "forward", "backward"} <= set(vars(cls))
-
-    @pytest.mark.parametrize("spec", [
-        {"variant": "split", "fn": "identity"},
-        {"variant": "kaf"},
-        {"variant": "kaf", "kernel": "independent", "q": 1},
-        {"variant": "kaf_independent"},
-        {"kernel": "independent"},
-    ], ids=["split_identity", "kaf_without_kernel", "extra_field", "name_as_tag", "no_tag"])
-    def test_unusable_spec_rejected(self, spec):
-        # activation specs are read only from version-1 model headers now,
-        # which pair one with the config's registry name: no name takes these
-        for name in act.ACTIVATION_VARIANTS:
-            meta = {"kind": "complex", "activation": spec,
-                    "config": {"activation": name, "ridge": act.DEFAULT_RIDGE}}
-            with pytest.raises(ParameterError):
-                network._v1_header(meta)
 
     @pytest.mark.parametrize("name", ["wlkaf_case2:0.7:0.2", "wlkaf_case2:0.3:0.6",
                                       "wlkaf_case2:0.1:0.2:0.3", "wlkaf_case2:1e-05"])

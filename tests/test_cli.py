@@ -24,7 +24,6 @@ from cvkaf.network import (
 from cvkaf.optim import TrainConfig, evaluate, read_trace_csv
 
 from test_data import synthetic_raw, write_idx_images, write_idx_labels
-from test_network import v1_header
 
 
 def drop_elapsed(csv_text: str) -> str:
@@ -35,7 +34,7 @@ def drop_elapsed(csv_text: str) -> str:
 @pytest.fixture
 def tiny_cache(tmp_path):
     ds = build_complex_dataset(synthetic_raw(n=120, classes=3), k=6,
-                               split=(0.6, 0.2, 0.2), seed=0)
+                               split_counts=(72, 24, 24), seed=0)
     path = tmp_path / "tiny.cvkc"
     cache_dataset(ds, path)
     return path
@@ -176,44 +175,39 @@ class TestEvaluate:
         assert rc == 0
         assert "val accuracy:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("spec", [
-        {"variant": "no_such_variant"},
-        {"variant": "kaf"},
-        {"variant": "wlkaf_case2", "q": 2, "omegas": [0.3]},
-    ])
-    def test_unusable_activation_spec_is_data_error(self, spec, tiny_cache, tmp_path):
-        # only a version-1 header carries an activation spec
-        ds = load_cached(tiny_cache)
-        path = tmp_path / "model.cvkm"
-        model = build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
-                            hidden_widths=(8,), dictionary=build_dictionary(3))
-        meta = v1_header(model)
-        meta["activation"] = spec
-        write_container(path, _MODEL_MAGIC, 1, meta, model.parameters())
-        rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
-        assert rc == 3
-
-    @pytest.mark.parametrize("doctor", [
-        lambda meta, arrays: meta.pop("config"),
-        lambda meta, arrays: meta["config"].pop("seed"),
-        lambda meta, arrays: meta["config"].pop("dict_range"),
-        lambda meta, arrays: meta["config"].update(input_dim=0),
-        lambda meta, arrays: meta["config"].update(alpha_init="bogus"),
-        lambda meta, arrays: arrays.update({"layer0.alpha": arrays["layer0.alpha"][:, :-1]}),
-        lambda meta, arrays: arrays.pop("layer0.b"),
+    @pytest.mark.parametrize("doctor, version", [
+        (lambda meta, arrays: meta.pop("config"), 2),
+        (lambda meta, arrays: meta["config"].pop("seed"), 2),
+        (lambda meta, arrays: meta["config"].pop("dict_range"), 2),
+        (lambda meta, arrays: meta["config"].update(input_dim=0), 2),
+        (lambda meta, arrays: meta["config"].update(alpha_init="bogus"), 2),
+        (lambda meta, arrays: arrays.update({"layer0.alpha": arrays["layer0.alpha"][:, :-1]}), 2),
+        (lambda meta, arrays: arrays.pop("layer0.b"), 2),
+        (lambda meta, arrays: meta["config"].update(activation="no_such_variant"), 2),
+        (lambda meta, arrays: meta["config"].update(activation="wlkaf_case2:0.70"), 2),
+        (lambda meta, arrays: meta["config"].update(activation="wlkaf_case2:1.5"), 2),
+        (lambda meta, arrays: meta["config"].update(activation=5), 2),
+        (lambda meta, arrays: None, 1),
+        (lambda meta, arrays: None, 3),
     ], ids=["no_config", "no_seed", "no_axis_range", "input_dim_0", "unknown_alpha_init",
-            "narrow_alpha", "missing_array"])
-    def test_malformed_model_file_is_data_error(self, doctor, tiny_cache, tmp_path, capsys):
+            "narrow_alpha", "missing_array", "unknown_activation", "unprinted_weight",
+            "weight_above_1", "activation_not_text", "version_1", "version_3"])
+    def test_malformed_model_file_is_data_error(self, doctor, version, tiny_cache, tmp_path,
+                                                capsys):
         ds = load_cached(tiny_cache)
         path = tmp_path / "model.cvkm"
         save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
                                      hidden_widths=(8,), dictionary=build_dictionary(3)))
         meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         doctor(meta, arrays)
-        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        write_container(path, _MODEL_MAGIC, version, meta, arrays)
         rc = main(["evaluate", "--model-file", str(path), "--cache", str(tiny_cache)])
         assert rc == 3
-        assert f"data error: {path} does not hold a usable model" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path} " + (
+            "does not hold a usable model" if version == _MODEL_VERSION
+            else f"has format version {version}, expected 2; rebuild the file"))
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case1"])
     def test_model_of_another_width_is_data_error(self, variant, tiny_cache, tmp_path, capsys):
@@ -365,7 +359,8 @@ class TestCompare:
                                              ("--models", "real_nn,wlkaf_cas1"),
                                              ("--models", "real_nn,"), ("--models", ""),
                                              ("--models", "real_nn,real_nn"),
-                                             ("--seeds", "0,0"), ("--c-grid", "0,1e-4,0.0")])
+                                             ("--seeds", "0,0"), ("--c-grid", "0,1e-4,0.0"),
+                                             ("--c-grid", "1e-4,1.000001e-4")])
     def test_unusable_list_is_parameter_error(self, flag, value, tiny_cache, tmp_path):
         argv = ["compare", "--cache", str(tiny_cache), "--models", "real_nn",
                 "--seeds", "0", "--c-grid", "0", "--out", str(tmp_path / "cmp"),
@@ -400,7 +395,8 @@ def test_unusable_setting_exits_2_before_any_output(command, flag, value, tiny_c
 
 
 @pytest.mark.parametrize("argv", [["compare", "--seed", "1"], ["train", "--max-it", "7"],
-                                  ["gradcheck", "--tol", "1e-3"]])
+                                  ["gradcheck", "--tol", "1e-3"],
+                                  ["preprocess", "--split", "0.8,0.1,0.1"]])
 def test_option_prefix_exits_2_before_any_output(argv, tiny_cache, tmp_path, capsys):
     out = tmp_path / "out"
     if argv[0] != "gradcheck":
@@ -681,8 +677,10 @@ class TestCurves:
         assert out.read_text().splitlines()[0] == \
             "iteration,wlkaf_case1_mean_loss,wlkaf_case1_std_loss"
 
-    @pytest.mark.parametrize("summary", [b"[]", b"{\"model\"", b"\xff"],
-                             ids=["not_an_object", "not_json", "not_utf8"])
+    @pytest.mark.parametrize("summary", [b"[]", b"{\"model\"", b"\xff", b'{"model": null}',
+                                         b'{"model": 5}'],
+                             ids=["not_an_object", "not_json", "not_utf8", "model_null",
+                                  "model_not_text"])
     def test_unusable_summary_falls_back_to_the_directory_name(self, summary, tmp_path):
         run_dir = tmp_path / "run7"
         run_dir.mkdir()
@@ -839,7 +837,7 @@ class TestConfigFile:
             "dataset = latin_ocr\n"
             f"data-dir = {idx_dir}\n"
             "k-coeffs = 9\n"
-            "split = 0.5,0.25,0.25\n"
+            "split-counts = 20,10,10\n"
             "seed = 5\n"
             f"out = {tmp_path / 'from_config.cvkc'}\n"
         )
@@ -922,7 +920,6 @@ class TestParser:
         monkeypatch.delenv("CVKAF_DATA_DIR", raising=False)
         assert printed_defaults("preprocess", capsys) == {
             "--dataset": "mnist", "--k-coeffs": "100", "--seed": "0", "--data-dir": "data",
-            "--split": "0.8,0.1,0.1",
         }
         assert printed_defaults("train", capsys) == {
             "--model": "wlkaf_case1", "--seed": "0", "--c": "0.0", **TRAINING_DEFAULTS,

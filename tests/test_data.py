@@ -268,7 +268,7 @@ def synthetic_raw(n=100, h=6, w=6, classes=4, seed=5):
 
 class TestBuildComplexDataset:
     def test_fraction_split_sizes_and_disjointness(self):
-        ds = build_complex_dataset(synthetic_raw(100), k=10, split=(0.8, 0.1, 0.1), seed=0)
+        ds = build_complex_dataset(synthetic_raw(100), k=10, seed=0)
         assert ds.split_sizes == (80, 10, 10)
         assert np.unique(ds.source_indices).size == 100
 
@@ -338,8 +338,8 @@ class TestBuildComplexDataset:
         assert not ds.features.any()
 
     def test_empty_split_rejected(self):
-        with pytest.raises(ParameterError):
-            build_complex_dataset(synthetic_raw(10), k=4, split=(0.5, 0.3, 0.01), seed=0)
+        with pytest.raises(ParameterError, match="80/10/10 split of 9 images leaves a split"):
+            build_complex_dataset(synthetic_raw(9), k=4, seed=0)
         with pytest.raises(ParameterError):
             build_complex_dataset(synthetic_raw(10), k=4, split_counts=(8, 2, 4), seed=0)
 

@@ -1,6 +1,5 @@
 """Network assembly, softmax over squared magnitudes, the cross-entropy rule, serialization."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,6 +18,7 @@ from cvkaf.errors import (
 )
 from cvkaf.kernels import build_dictionary
 from cvkaf.container import read_container, write_container
+from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
 from cvkaf.network import (
     _MODEL_MAGIC,
     _MODEL_VERSION,
@@ -37,6 +37,7 @@ from cvkaf.network import (
 )
 
 from conftest import random_complex
+from test_data import synthetic_raw
 
 
 class TestComplexSoftmax:
@@ -589,16 +590,9 @@ class TestSerialization:
             load_model(path)
         assert isinstance(caught.value.__cause__, error)
 
-    def test_real_nn_config_names_its_variant_and_old_files_still_load(self, tmp_path):
+    def test_real_nn_config_names_its_variant(self):
         model = build_model("real_nn", 4, 3, seed=0, hidden_widths=(5,))
         assert model.config.activation == "real_nn"
-        path = tmp_path / "model.cvkm"
-        save_model(path, model)
-        meta = v1_header(model)
-        meta["config"]["activation"] = "split_identity"  # what earlier versions wrote
-        write_container(tmp_path / "old.cvkm", _MODEL_MAGIC, 1, meta, model.parameters())
-        save_model(tmp_path / "again.cvkm", load_model(tmp_path / "old.cvkm"))
-        assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case2"])
     def test_load_draws_and_fits_nothing(self, variant, tmp_path, monkeypatch):
@@ -640,46 +634,8 @@ class TestSerialization:
             build_model("no_such_variant", 2, 2, seed=0)
 
 
-# The ``activation`` entry of a version-1 model header, per registry variant
-# and for case 2 at Q = 2, as :func:`_network` builds them.
-V1_ACTIVATION_HEADERS = {
-    "split_tanh": {"variant": "split", "fn": "tanh"},
-    "phase_amplitude": {"variant": "phase_amplitude"},
-    "kaf_independent": {"variant": "kaf", "kernel": "independent"},
-    "kaf_real_gaussian": {"variant": "kaf", "kernel": "real_gaussian"},
-    "wlkaf_case1": {"variant": "wlkaf_case1"},
-    "wlkaf_case2": {"variant": "wlkaf_case2", "q": 1, "omegas": [0.3]},
-    "case2_q2": {"variant": "wlkaf_case2", "q": 2, "omegas": [0.3, 0.6]},
-}
-
-
-def v1_header(model, label=None) -> dict:
-    """The header that format version 1 wrote for ``model``: ``kind``, a
-    config with ``ridge`` and without the dictionary fields, and for a
-    complex network the ``activation`` entry of ``label`` (default: the
-    model's name) and the ``dictionary`` entry."""
-    config = dataclasses.asdict(model.config)
-    del config["dict_points"], config["dict_range"]
-    config["ridge"] = 0.0001
-    if isinstance(model, RealBaselineNetwork):
-        return {"kind": "real_baseline", "config": config}
-    config["activation"] = model.activation.name.split(":")[0]  # a registry key
-    return {"kind": "complex", "config": config,
-            "activation": V1_ACTIVATION_HEADERS[label or model.activation.name],
-            "dictionary": {"points_per_axis": model.config.dict_points,
-                           "axis_range": list(model.config.dict_range)}}
-
-
-# a v1 baseline loads as real_nn whatever its config said
-V1_BASELINES = {"baseline_kaf_independent": "kaf_independent",
-                "baseline_split_identity": "split_identity"}
-
-
 class TestModelHeader:
-    def test_every_registry_variant_has_a_pinned_header(self):
-        assert set(ACTIVATION_VARIANTS) == set(V1_ACTIVATION_HEADERS) - {"case2_q2"}
-
-    @pytest.mark.parametrize("name", [*V1_ACTIVATION_HEADERS, "real_nn"])
+    @pytest.mark.parametrize("name", [*ACTIVATION_VARIANTS, "case2_q2", "real_nn"])
     def test_v2_header_is_the_config_and_rewrites_byte_identically(self, name, tmp_path):
         model = _network(name)
         path = tmp_path / "model.cvkm"
@@ -693,51 +649,71 @@ class TestModelHeader:
         save_model(tmp_path / "again.cvkm", load_model(path))
         assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize("name", [*V1_ACTIVATION_HEADERS, "real_nn", *V1_BASELINES])
-    def test_v1_header_and_byte_identical_rewrite(self, name, tmp_path, rng):
-        model = _network("real_nn" if name in V1_BASELINES else name)
-        meta = v1_header(model, name)
-        if name in V1_BASELINES:
-            meta["config"]["activation"] = V1_BASELINES[name]
-        old = tmp_path / "old.cvkm"
-        write_container(old, _MODEL_MAGIC, 1, meta, model.parameters())
-        restored = load_model(old)
+    @pytest.mark.parametrize("name", [*ACTIVATION_VARIANTS, "case2_q2", "real_nn"])
+    def test_load_restores_type_config_parameters_and_predictions(self, name, tmp_path, rng):
+        model = _network(name)
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        restored = load_model(path)
         assert type(restored) is type(model) and restored.config == model.config
+        assert restored.parameters().keys() == model.parameters().keys()
         for pname, arr in model.parameters().items():
             assert restored.parameters()[pname].tobytes() == arr.tobytes()
         x = random_complex(rng, (9, 5))
         assert restored.predict_proba(x).tobytes() == model.predict_proba(x).tobytes()
-        save_model(tmp_path / "model.cvkm", model)
-        save_model(tmp_path / "again.cvkm", restored)
-        assert (tmp_path / "again.cvkm").read_bytes() == (tmp_path / "model.cvkm").read_bytes()
+
+    @pytest.mark.parametrize("doctor", [
+        lambda meta: meta["config"].update(ridge=1e-4),
+        lambda meta: meta.update(kind="complex"),
+        lambda meta: meta.update(activation={"variant": "wlkaf_case2", "q": 2,
+                                             "omegas": [0.3, 0.6]}),
+        lambda meta: meta.update(dictionary={"points_per_axis": 8, "axis_range": [-2.0, 2.0]}),
+    ], ids=["ridge", "kind", "activation", "dictionary"])
+    def test_a_header_with_an_entry_besides_the_config_is_cache_error(self, doctor, tmp_path):
+        # the entries format version 1 wrote: the config is the one copy now
+        path = tmp_path / "model.cvkm"
+        save_model(path, _network("case2_q2"))
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        doctor(meta)
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        with pytest.raises(CacheError, match="does not hold a usable model") as caught:
+            load_model(path)
+        assert isinstance(caught.value.__cause__, ValueError)
+
+    @pytest.mark.parametrize("activation", ["split_identity", "kaf", "kaf_independent:0.5",
+                                            "wlkaf_case2:", ""],
+                             ids=["split_identity", "kaf_without_kernel", "extra_field",
+                                  "no_weights", "empty"])
+    def test_a_name_no_variant_takes_is_cache_error(self, activation, tmp_path):
+        path = tmp_path / "model.cvkm"
+        save_model(path, _network("kaf_independent"))
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        meta["config"]["activation"] = activation
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        with pytest.raises(CacheError, match="unknown activation variant") as caught:
+            load_model(path)
+        assert f"{path} does not hold a usable model" in str(caught.value)
+        assert isinstance(caught.value.__cause__, ParameterError)
+
+    @pytest.mark.parametrize("version", [0, 1, 3])
+    @pytest.mark.parametrize("kind", ["model", "cache"])
+    def test_models_and_caches_of_another_version_ask_for_a_rebuild(self, kind, version,
+                                                                    tmp_path):
+        path = tmp_path / f"file.{kind}"
+        if kind == "model":
+            save_model(path, _network("wlkaf_case1"))
+            load = load_model
+        else:
+            cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
+            load = load_cached
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = version.to_bytes(4, "little")  # format version field
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CacheError) as caught:
+            load(path)
+        assert str(caught.value) == \
+            f"{path} has format version {version}, expected 2; rebuild the file"
 
     def test_unknown_activation_name_is_parameter_error(self):
         with pytest.raises(ParameterError, match="unknown activation variant"):
             ComplexNetwork(NetworkConfig(2, (3,), 2, activation="split_identity"))
-
-    def test_header_whose_two_copies_disagree_is_cache_error(self, tmp_path):
-        # both KAF kernels have the same parameters, so only the names disagree
-        model = build_model("kaf_independent", 4, 3, seed=0, hidden_widths=(5,),
-                            dictionary=build_dictionary(4))
-        path = tmp_path / "model.cvkm"
-        meta = v1_header(model)
-        meta["activation"] = {"variant": "kaf", "kernel": "real_gaussian"}
-        write_container(path, _MODEL_MAGIC, 1, meta, model.parameters())
-        with pytest.raises(CacheError, match="does not match") as caught:
-            load_model(path)
-        assert isinstance(caught.value.__cause__, ParameterError)
-
-    @pytest.mark.parametrize("doctor", [
-        lambda meta: meta["config"].update(ridge=1e-3),
-        lambda meta: meta["activation"].update(q=3),
-        lambda meta: meta.update(kind="quantum"),
-        lambda meta: meta.pop("activation"),
-    ], ids=["ridge", "q", "kind", "no_activation"])
-    def test_unusable_v1_header_is_cache_error(self, doctor, tmp_path):
-        model = _network("case2_q2")
-        meta = v1_header(model, "case2_q2")
-        meta["activation"] = dict(meta["activation"])
-        doctor(meta)
-        write_container(tmp_path / "old.cvkm", _MODEL_MAGIC, 1, meta, model.parameters())
-        with pytest.raises(CacheError, match="does not hold a usable model"):
-            load_model(tmp_path / "old.cvkm")
