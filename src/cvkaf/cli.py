@@ -28,8 +28,10 @@ import argparse
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import re
+import signal
 import statistics
 import sys
 import textwrap
@@ -336,12 +338,35 @@ def cmd_compare(args) -> int:
     settings = _run_settings(args, ds)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # the C grid on the first seed, then the other seeds at each model's best C;
+    # ties go to the smaller C, and a model's entry is its first error
+    c_grid = sorted(c_grid)
+    grid = [(m, seeds[0], c) for m in args.models for c in c_grid]
+    outcomes = dict(zip(grid, _run_stage(ds, grid, args, settings, out_dir)))
+    best_c = {m: max(c_grid, key=lambda c: outcomes[m, seeds[0], c]["val_accuracy"])
+              for m in args.models
+              if all(isinstance(outcomes[m, seeds[0], c], dict) for c in c_grid)}
+    reruns = [(m, seed, best_c[m]) for m in best_c for seed in seeds[1:]]
+    outcomes.update(zip(reruns, _run_stage(ds, reruns, args, settings, out_dir)))
+
     results: dict[str, dict] = {}
-    for model_name in args.models:
-        try:
-            results[model_name] = _compare_one_model(ds, model_name, args, settings, out_dir)
-        except CvkafError as exc:
-            results[model_name] = {"error": f"{type(exc).__name__}: {exc}"}
+    for m in args.models:
+        runs = ([(m, seed, best_c[m]) for seed in seeds] if m in best_c
+                else [(m, seeds[0], c) for c in c_grid])
+        error = next((outcomes[run] for run in runs if isinstance(outcomes[run], str)), None)
+        if error is not None:
+            results[m] = {"error": error}
+            continue
+        accuracies = [outcomes[run]["test_accuracy"] for run in runs]
+        results[m] = {
+            "best_c": best_c[m],
+            "val_accuracy_per_c": {f"{c:g}": outcomes[m, seeds[0], c]["val_accuracy"]
+                                   for c in c_grid},
+            "test_accuracies": accuracies,
+            "mean": statistics.fmean(accuracies),
+            "std": statistics.stdev(accuracies) if len(accuracies) >= 2 else None,
+            "seed_count": len(accuracies),
+        }
 
     report = _render_comparison(results, seeds)
     print(report)
@@ -351,34 +376,74 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _compare_one_model(ds, model_name, args, settings, out_dir: Path) -> dict:
-    """Grid-search C on the first seed, then rerun the remaining seeds at it."""
-    seeds = args.seeds
-    accuracies: list[float] = []
-    grid_accs: dict[str, float] = {}
-    best_c, best_acc = None, -1.0
-    for c in sorted(args.c_grid):  # ties go to the smaller C
-        run_dir = out_dir / "runs" / model_name / f"seed{seeds[0]}_C{c:g}"
-        summary = _train_one(ds, model_name, seeds[0], c, args, settings, run_dir)
-        grid_accs[f"{c:g}"] = summary["val_accuracy"]
-        if summary["val_accuracy"] > best_acc:
-            best_acc = summary["val_accuracy"]
-            best_c = c
-            accuracies = [summary["test_accuracy"]]
-    for seed in seeds[1:]:
-        run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{best_c:g}"
-        summary = _train_one(ds, model_name, seed, best_c, args, settings, run_dir)
-        accuracies.append(summary["test_accuracy"])
-    mean = statistics.fmean(accuracies)
-    std = statistics.stdev(accuracies) if len(accuracies) >= 2 else None
-    return {
-        "best_c": best_c,
-        "val_accuracy_per_c": grid_accs,
-        "test_accuracies": accuracies,
-        "mean": mean,
-        "std": std,
-        "seed_count": len(accuracies),
-    }
+def usable_cpus() -> int:
+    """How many CPUs this process may run on: the trainings ``compare`` runs at once."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _attempt(ds, run, args, settings, out_dir: Path):
+    """One ``compare`` run: its summary, or its error as the comparison records it."""
+    model_name, seed, c = run
+    run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{c:g}"
+    try:
+        return _train_one(ds, model_name, seed, c, args, settings, run_dir)
+    except CvkafError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _helper(send, ds, runs, args, settings, out_dir: Path) -> None:
+    """A forked process's share of a stage: its outcomes, or what stopped them."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
+    try:
+        send.send([_attempt(ds, run, args, settings, out_dir) for run in runs])
+    except Exception as exc:  # such as an unwritable run directory: compare fails on it
+        send.send(exc)
+
+
+def _run_stage(ds, runs, args, settings, out_dir: Path) -> list:
+    """The outcomes of independent ``compare`` runs, in the order of ``runs``.
+
+    Run i goes to process i mod n, where n is the usable CPUs or the run count,
+    whichever is fewer (1 without the ``fork`` start method). Process 0 is this
+    one; the others are helpers forked from it, so they share the loaded
+    dataset and settings without a copy, and only the outcomes travel back
+    (``compare`` starts no thread of its own). The deal is fixed, so a
+    failing or slow run repeats in the same process. No helper outlives the
+    stage, whether it ends normally, on an error or on Ctrl-C.
+    """
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    n = max(1, min(usable_cpus(), len(runs))) if forks else 1
+    outcomes = [None] * len(runs)
+    helpers = []
+    try:
+        for k in range(1, n):
+            context = multiprocessing.get_context("fork")
+            receive, send = context.Pipe(duplex=False)
+            helper = context.Process(target=_helper,
+                                     args=(send, ds, runs[k::n], args, settings, out_dir))
+            helper.start()
+            send.close()  # so the pipe ends when the helper does
+            helpers.append((helper, receive))
+        outcomes[0::n] = [_attempt(ds, run, args, settings, out_dir) for run in runs[0::n]]
+        for k, (helper, receive) in enumerate(helpers, 1):
+            try:
+                share = receive.recv()
+            except EOFError:
+                helper.join()
+                raise RuntimeError(f"compare helper {k} of {n - 1} ended with exit code "
+                                   f"{helper.exitcode} before reporting") from None
+            if isinstance(share, Exception):
+                raise share
+            outcomes[k::n] = share
+    finally:
+        for helper, receive in helpers:
+            helper.terminate()
+            helper.join()
+            receive.close()
+    return outcomes
 
 
 def _render_comparison(results: dict[str, dict], seeds) -> str:

@@ -257,8 +257,13 @@ class _Network:
         if set(values) != set(self._params):
             raise ParameterError("parameter name sets differ")
         for name, arr in values.items():
-            if arr.shape != self._params[name].shape:
+            own = self._params[name]
+            if arr.shape != own.shape:
                 raise DimensionError(f"shape mismatch for {name}")
+            if arr.dtype != own.dtype:  # a cast would change the values
+                raise ParameterError(f"dtype mismatch for {name}: expected {own.dtype}, "
+                                     f"got {arr.dtype}")
+        for name, arr in values.items():
             self._params[name][...] = arr
         self.bump_version()
 

@@ -57,7 +57,7 @@ class Adagrad:
         A non-finite gradient aborts the step before any state is touched.
         """
         for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
+            if not np.all(np.isfinite(_components(g))):
                 raise NumericError(f"non-finite gradient for {name!r}; step aborted")
         for name, arr in params.items():
             acc = self.acc[name]

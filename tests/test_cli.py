@@ -1,6 +1,8 @@
 """CLI surface: subcommands, exit codes, config files, artifact layout."""
 
 import json
+import multiprocessing
+import os
 import re
 
 import numpy as np
@@ -187,11 +189,16 @@ class TestEvaluate:
         (lambda meta, arrays: meta["config"].update(activation="wlkaf_case2:0.70"), 2),
         (lambda meta, arrays: meta["config"].update(activation="wlkaf_case2:1.5"), 2),
         (lambda meta, arrays: meta["config"].update(activation=5), 2),
+        (lambda meta, arrays: arrays.update({"layer0.W": (64 * arrays["layer0.W"].real)
+                                             .astype(np.int8)}), 2),
+        (lambda meta, arrays: arrays.update({"layer0.log_gamma_rr":
+                                             arrays["layer0.log_gamma_rr"] + 0.5j}), 2),
         (lambda meta, arrays: None, 1),
         (lambda meta, arrays: None, 3),
     ], ids=["no_config", "no_seed", "no_axis_range", "input_dim_0", "unknown_alpha_init",
             "narrow_alpha", "missing_array", "unknown_activation", "unprinted_weight",
-            "weight_above_1", "activation_not_text", "version_1", "version_3"])
+            "weight_above_1", "activation_not_text", "int8_weights", "complex_bandwidth",
+            "version_1", "version_3"])
     def test_malformed_model_file_is_data_error(self, doctor, version, tiny_cache, tmp_path,
                                                 capsys):
         ds = load_cached(tiny_cache)
@@ -368,6 +375,154 @@ class TestCompare:
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
         assert not (tmp_path / "cmp").exists()  # rejected before any run
+
+
+class TestCompareHelpers:
+    """``compare`` deals each stage's runs over ``cli.usable_cpus()`` processes, run i
+    to process i mod n with this process as process 0, and writes the same bytes
+    whatever n is."""
+
+    GRID = ["--models", "real_nn,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0,1e-4"]
+
+    @pytest.fixture
+    def ran_in(self, tmp_path, monkeypatch):
+        """Record the process each run trains in; the call returns and clears the record,
+        {(model, seed, C): pid}."""
+        log = tmp_path / "ran"
+        log.mkdir()
+        train_one = cli._train_one
+
+        def recording(ds, model_name, seed, c, *rest):
+            (log / f"{model_name} {seed} {c:g} {os.getpid()}").touch()
+            return train_one(ds, model_name, seed, c, *rest)
+
+        def record():
+            ran = {}
+            for path in log.iterdir():
+                model_name, seed, c, pid = path.name.split(" ")
+                ran[model_name, int(seed), c] = int(pid)
+                path.unlink()
+            return ran
+
+        monkeypatch.setattr(cli, "_train_one", recording)
+        return record
+
+    @staticmethod
+    def compare(monkeypatch, cpus, tiny_cache, out_dir, *flags):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        rc = main(["compare", "--cache", str(tiny_cache), "--out", str(out_dir), *flags,
+                   *TRAIN_FLAGS])
+        assert multiprocessing.active_children() == []
+        return rc
+
+    @staticmethod
+    def outputs(out_dir) -> dict:
+        """Every file under ``out_dir`` but the run logs, traces without wall time."""
+        files = {}
+        for path in sorted(out_dir.rglob("*")):
+            if path.is_file() and path.name != "run.log":
+                content = path.read_bytes()
+                if path.name == "trace.csv":
+                    content = drop_elapsed(content.decode())
+                files[str(path.relative_to(out_dir))] = content
+        return files
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_helpers_change_no_byte_and_keep_the_deal(self, cpus, ran_in, tiny_cache,
+                                                        tmp_path, monkeypatch):
+        assert self.compare(monkeypatch, 1, tiny_cache, tmp_path / "one", *self.GRID) == 0
+        serial = ran_in()
+        assert self.compare(monkeypatch, cpus, tiny_cache, tmp_path / "many", *self.GRID) == 0
+        dealt = ran_in()
+        one, many = self.outputs(tmp_path / "one"), self.outputs(tmp_path / "many")
+        assert len(one) == 2 + 6 * 4  # the two reports, four files for each of six runs
+        assert one == many
+        assert set(serial.values()) == {os.getpid()}
+        # stage 1 is the C grid on seed 0, stage 2 the other seed at each best C
+        record = json.loads((tmp_path / "many" / "comparison.json").read_text())["models"]
+        stages = [[(m, 0, c) for m in ("real_nn", "wlkaf_case1") for c in ("0", "0.0001")],
+                  [(m, 1, f"{record[m]['best_c']:g}") for m in ("real_nn", "wlkaf_case1")]]
+        assert set(dealt) == set(serial) == {run for stage in stages for run in stage}
+        for stage in stages:
+            n = min(cpus, len(stage))
+            pids = [dealt[run] for run in stage]
+            assert pids[0::n] == [os.getpid()] * len(pids[0::n])
+            helpers = [set(pids[k::n]) for k in range(1, n)]
+            assert all(len(h) == 1 for h in helpers) and len(set.union(*helpers)) == n - 1
+            assert os.getpid() not in set.union(*helpers)
+
+    def test_a_model_records_its_first_failure_in_both_modes(self, tiny_cache, tmp_path,
+                                                             monkeypatch):
+        # with two processes, stage 1's runs alternate parent, helper; wlkaf_case1's
+        # first failure (run 3) is the helper's and its second (run 4) the parent's,
+        # and in stage 2 real_nn's seed 1 run is the parent's, its seed 2 run the helper's
+        train_one = cli._train_one
+
+        def failing(ds, model_name, seed, c, *rest):
+            if (model_name == "wlkaf_case1" and c < 1e-3) or (model_name == "real_nn"
+                                                              and seed > 0):
+                raise NumericError(f"{model_name} seed {seed} C {c:g}")
+            return train_one(ds, model_name, seed, c, *rest)
+
+        monkeypatch.setattr(cli, "_train_one", failing)
+        grid = ["--models", "real_nn,wlkaf_case1", "--seeds", "0,1,2",
+                "--c-grid", "0,1e-4,1e-3"]
+        records = []
+        for cpus, name in ((1, "one"), (2, "many")):
+            assert self.compare(monkeypatch, cpus, tiny_cache, tmp_path / name, *grid) == 0
+            records.append((tmp_path / name / "comparison.json").read_bytes())
+        assert records[0] == records[1]
+        models = json.loads(records[0])["models"]
+        assert models["wlkaf_case1"] == {"error": "NumericError: wlkaf_case1 seed 0 C 0"}
+        assert models["real_nn"]["error"].startswith("NumericError: real_nn seed 1 C ")
+
+    @pytest.mark.parametrize("where", ["parent", "helper"])
+    def test_an_error_that_stops_compare_leaves_no_process(self, where, tiny_cache, tmp_path,
+                                                           capsys, monkeypatch):
+        train_one = cli._train_one
+        failing_c = 0.0 if where == "parent" else 1e-4  # run 0 or run 1 of stage 1
+
+        def unwritable(ds, model_name, seed, c, *rest):
+            if c == failing_c:
+                raise OSError(f"cannot write the {where}'s run")
+            return train_one(ds, model_name, seed, c, *rest)
+
+        monkeypatch.setattr(cli, "_train_one", unwritable)
+        assert self.compare(monkeypatch, 2, tiny_cache, tmp_path / "cmp", *self.GRID) == 3
+        assert f"data error: cannot write the {where}'s run" in capsys.readouterr().err
+        assert not (tmp_path / "cmp" / "comparison.json").exists()
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("ctrl_c_in_parent", KeyboardInterrupt, None),
+        ("helper_dies", RuntimeError,
+         "compare helper 1 of 1 ended with exit code 7 before reporting"),
+    ])
+    def test_a_stage_cut_short_leaves_no_process(self, fault, error, message, tiny_cache,
+                                                 tmp_path, monkeypatch):
+        parent, train_one = os.getpid(), cli._train_one
+
+        def cut_short(ds, *rest):
+            if fault == "ctrl_c_in_parent" and os.getpid() == parent:
+                raise KeyboardInterrupt
+            if fault == "helper_dies" and os.getpid() != parent:
+                os._exit(7)
+            return train_one(ds, *rest)
+
+        monkeypatch.setattr(cli, "_train_one", cut_short)
+        with pytest.raises(error, match=message):
+            self.compare(monkeypatch, 2, tiny_cache, tmp_path / "cmp", *self.GRID)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("grid, methods", [
+        (["--models", "real_nn", "--seeds", "0", "--c-grid", "0"], ["fork", "spawn"]),
+        (GRID, ["spawn", "forkserver"]),
+    ], ids=["one_run", "no_fork"])
+    def test_no_helper_starts(self, grid, methods, ran_in, tiny_cache, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda process: pytest.fail("a helper started"))
+        assert self.compare(monkeypatch, 4, tiny_cache, tmp_path / "cmp", *grid) == 0
+        assert set(ran_in().values()) == {os.getpid()}
 
 
 # every flag of the settings train and compare share, with a value its check refuses;

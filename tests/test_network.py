@@ -1,5 +1,6 @@
 """Network assembly, softmax over squared magnitudes, the cross-entropy rule, serialization."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -589,6 +590,23 @@ class TestSerialization:
         with pytest.raises(CacheError, match=error.__name__) as caught:
             load_model(path)
         assert isinstance(caught.value.__cause__, error)
+
+    @pytest.mark.parametrize("name, rewrite", [
+        ("layer0.W", lambda arr: (64 * arr.real).astype(np.int8)),
+        ("layer0.log_gamma_rr", lambda arr: arr + 0.5j),
+    ])
+    def test_parameters_of_another_dtype_are_rejected(self, name, rewrite, tmp_path):
+        model = build_model("wlkaf_case1", input_dim=4, class_count=3, seed=2,
+                            hidden_widths=(5,), dictionary=build_dictionary(4))
+        path = tmp_path / "model.cvkm"
+        save_model(path, model)
+        meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
+        arrays[name] = rewrite(arrays[name])
+        write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
+        with pytest.raises(CacheError, match=re.escape(
+                f"{path} does not hold a usable model: ParameterError: dtype mismatch for "
+                f"{name}: expected {model.parameters()[name].dtype}, got {arrays[name].dtype}")):
+            load_model(path)
 
     def test_real_nn_config_names_its_variant(self):
         model = build_model("real_nn", 4, 3, seed=0, hidden_widths=(5,))

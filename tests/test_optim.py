@@ -104,6 +104,15 @@ class TestAdagrad:
         np.testing.assert_array_equal(params["w"], [1.0])
         assert not opt.acc["w"].any()
 
+    @pytest.mark.parametrize("bad", [complex(np.inf, 0.0), complex(0.0, np.nan)])
+    def test_non_finite_complex_gradient_aborts_without_mutation(self, bad):
+        params = {"w": np.array([1.0]), "v": np.array([2.0 + 0j])}
+        opt = Adagrad(params, lr=0.01)
+        with pytest.raises(NumericError, match="non-finite gradient for 'v'; step aborted"):
+            opt.step(params, {"w": np.zeros(1), "v": np.array([bad])})
+        np.testing.assert_array_equal(params["v"], [2.0 + 0j])
+        assert not opt.acc["w"].any() and not opt.acc["v"].any()
+
     def test_matches_separate_real_and_imaginary_updates(self, rng):
         def reference_step(params, acc, grads, lr, eps):
             for name, arr in params.items():
