@@ -63,7 +63,6 @@ from .kernels import Dictionary
 
 __all__ = [
     "alpha_design",
-    "check_alpha_init",
     "fit_alpha",
     "gamma_rule_of_thumb",
     "SplitActivation",
@@ -79,19 +78,12 @@ DEFAULT_RIDGE = 1e-4  # ridge weight of the identity fit in :func:`fit_alpha`
 _CASE2, _CASE2_OMEGAS = "wlkaf_case2", (0.3,)  # case 2's name and its default mixing weight
 
 
-def check_alpha_init(alpha_init: str) -> None:
-    """Refuse a start of alpha other than ``identity`` and ``random``."""
-    if alpha_init not in ("identity", "random"):
-        raise ParameterError(f"unknown alpha_init {alpha_init!r}")
-
-
 def gamma_rule_of_thumb(dictionary: Dictionary) -> float:
     """Default bandwidth ``1/(2*spacing^2)``.
 
-    Puts neighbouring dictionary atoms at roughly exp(-1/2) overlap.
+    Puts neighbouring dictionary atoms at roughly exp(-1/2) overlap;
+    :func:`~cvkaf.kernels.build_dictionary` makes it finite and positive.
     """
-    if dictionary.spacing <= 0:
-        raise ParameterError("dictionary spacing must be positive")
     return 1.0 / (2.0 * dictionary.spacing**2)
 
 
@@ -180,7 +172,7 @@ class SplitActivation:
 
     name = "split_tanh"
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity"):
+    def init_params(self, width, dictionary):
         return {}
 
     def forward(self, z, params, dictionary, cache=True):
@@ -196,7 +188,7 @@ class SplitActivation:
 class PhaseAmplitudeActivation:
     name = "phase_amplitude"
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity"):
+    def init_params(self, width, dictionary):
         return {}
 
     def forward(self, z, params, dictionary, cache=True):
@@ -374,25 +366,20 @@ class _KafBase:
                                            g_grid["imag"].reshape(h, -1))
         return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
-    def init_params(self, width, dictionary, rng, alpha_init="identity"):
-        """Every log-bandwidth at the rule of thumb; alpha fit or drawn.
+    def init_params(self, width, dictionary):
+        """Every log-bandwidth at the rule of thumb and every neuron's alpha at
+        the identity that :func:`fit_alpha` fits once; width 0 fits nothing.
 
         The factor plan names each log-bandwidth; one with a ``col`` is
-        (width, Q). ``identity`` fits one neuron through :func:`fit_alpha`
-        and repeats it; ``random`` draws alpha with complex std 0.3.
+        (width, Q).
         """
         log_g0 = np.log(gamma_rule_of_thumb(dictionary))
         cols = {}  # log-bandwidth name -> Q, or 0 for one value per neuron
         for name, col, _ in self._plan[0]:
             cols[name] = max(cols.get(name, 0), 0 if col is None else col + 1)
         bandwidths = {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
-        check_alpha_init(alpha_init)
-        if alpha_init == "identity":
-            alpha = np.tile(fit_alpha(self, dictionary, bandwidths), (width, 1))
-        else:  # random: std 0.3 for the complex value -> 0.3/sqrt(2) per component
-            s = 0.3 / np.sqrt(2.0)
-            alpha = (rng.normal(0.0, s, (width, dictionary.size))
-                     + 1j * rng.normal(0.0, s, (width, dictionary.size)))
+        alpha = (np.tile(fit_alpha(self, dictionary, bandwidths), (width, 1)) if width
+                 else np.empty((0, dictionary.size), np.complex128))
         return {"alpha": alpha,
                 **{name: np.full((width, *b.shape), log_g0) for name, b in bandwidths.items()}}
 

@@ -88,7 +88,7 @@ def _finite_parser(zero_ok: bool):
     return parse
 
 
-_parse_positive = _finite_parser(zero_ok=False)  # --lr and --tolerance
+_parse_positive = _finite_parser(zero_ok=False)  # --lr
 _parse_nonnegative = _finite_parser(zero_ok=True)  # --c and each --c-grid entry
 
 
@@ -215,13 +215,15 @@ def cmd_preprocess(args) -> int:
 def _run_settings(args, ds) -> tuple[TrainConfig, Dictionary]:
     """Check the settings every run of ``train`` or ``compare`` shares, once and
     before any output exists: the training config, whose seed each run sets,
-    and the network's ``--hidden``, ``--dict-points`` and ``--dict-range``.
+    with its batch size against ``ds``'s training rows, and the network's
+    ``--hidden``, ``--dict-points`` and ``--dict-range``.
 
     Returns the training config and the dictionary.
     """
     config = TrainConfig(batch_size=args.batch_size, patience=args.patience,
                          eval_every=args.eval_every, max_iterations=args.max_iterations,
                          lr=args.lr)
+    optim.check_batch_size(config, ds.split_sizes[0])
     NetworkConfig(ds.feature_dim, args.hidden, ds.class_count,
                   dict_points=args.dict_points, dict_range=args.dict_range)
     return config, build_dictionary(args.dict_points, args.dict_range)
@@ -470,7 +472,7 @@ def _render_comparison(results: dict[str, dict], seeds) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    n_seeds, tolerance = args.seeds, args.tolerance
+    n_seeds = args.seeds
     # an unknown name fails in the first check, where the network is built
     variants = tuple(ACTIVATION_VARIANTS) if args.model == "all" else (args.model,)
     if n_seeds < 1:
@@ -479,7 +481,7 @@ def cmd_gradcheck(args) -> int:
     for variant in variants:
         errors = gradcheck_variant(variant, range(n_seeds))
         worst = max(errors.values())
-        bad = [group for group, err in errors.items() if err > tolerance]
+        bad = [group for group, err in errors.items() if err > DEFAULT_TOLERANCE]
         status = "FAIL" if bad else "PASS"
         print(f"[{status}] {variant:<20} worst={worst:.3e} over {n_seeds} seeds")
         for group, err in sorted(errors.items()):
@@ -489,7 +491,7 @@ def cmd_gradcheck(args) -> int:
             failures.append(f"{variant} ({', '.join(bad)}: {worst:.2e})")
     if failures:
         raise NumericError(f"gradient check failed for {'; '.join(failures)}")
-    print(f"all {len(variants)} variants within {tolerance:g} relative tolerance")
+    print(f"all {len(variants)} variants within {DEFAULT_TOLERANCE:g} relative tolerance")
     return EXIT_OK
 
 
@@ -654,8 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="all",
                    help=" | ".join(("all", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
-    p.add_argument("--tolerance", type=_parse_positive, default=DEFAULT_TOLERANCE,
-                   help="relative tolerance")
 
     p = command("curves", cmd_curves, "merge trace CSVs into a convergence dataset")
     p.add_argument("traces", nargs="+", metavar="TRACE",

@@ -9,6 +9,7 @@ factors, and what serialized models rely on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,16 +49,27 @@ class Dictionary:
         return self.points.shape[0]
 
 
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` number; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def build_dictionary(points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
                      axis_range: tuple[float, float] = DEFAULT_AXIS_RANGE) -> Dictionary:
     """Sample a ``m x m`` grid over ``axis_range`` on both axes.
 
-    The range must be finite, and so must its span and the rule-of-thumb
-    bandwidth ``1/(2*spacing^2)``: otherwise the points or the bandwidths
-    that start from them are not finite.
+    The point count must be an integer and the range two real numbers, as
+    given: nothing else is coerced to them. The range must be finite, and so
+    must its span and the rule-of-thumb bandwidth ``1/(2*spacing^2)``:
+    otherwise the points or the bandwidths that start from them are not
+    finite.
     """
-    m = int(points_per_axis)
-    lo, hi = float(axis_range[0]), float(axis_range[1])
+    ends = tuple(axis_range)
+    if not _is_a(points_per_axis, numbers.Integral):
+        raise ParameterError(f"points_per_axis must be an integer, got {points_per_axis!r}")
+    if len(ends) != 2 or not all(_is_a(e, numbers.Real) for e in ends):
+        raise ParameterError(f"axis_range must be two real numbers, got {axis_range!r}")
+    m, (lo, hi) = int(points_per_axis), map(float, ends)
     if m < 2:
         raise ParameterError(f"points_per_axis must be >= 2, got {points_per_axis}")
     if not lo < hi:

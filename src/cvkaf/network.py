@@ -1,7 +1,7 @@
 """Network assembly, the softmax cross-entropy rule and the regularized objective.
 
 A :class:`NetworkConfig` is a model's whole description, and a model
-file's header (format version 2, the only one read): its
+file's header (format version 3, the only one read): its
 ``activation`` name, ``real_nn`` or an activation name such as
 ``wlkaf_case2:0.7:0.2``, picks the class and the hidden activation.
 
@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 _MODEL_MAGIC = b"CVKM"
-_MODEL_VERSION = 2
+_MODEL_VERSION = 3
 
 _P_FLOOR = 1e-12  # probability clamp inside the cross-entropy
 
@@ -159,7 +159,6 @@ class NetworkConfig:
     class_count: int = 10
     activation: str = "kaf_independent"  # real_nn, or an activation name
     seed: int = 0
-    alpha_init: str = "identity"
     dict_points: int = DEFAULT_POINTS_PER_AXIS
     dict_range: tuple[float, float] = DEFAULT_AXIS_RANGE
 
@@ -173,9 +172,8 @@ class NetworkConfig:
         try:  # checked for every name, real_nn too, which builds no grid and fits no alpha
             build_dictionary(self.dict_points, self.dict_range)
         except ParameterError as exc:
-            raise ParameterError(f"dict_points {self.dict_points} and dict_range "
+            raise ParameterError(f"dict_points {self.dict_points!r} and dict_range "
                                  f"{self.dict_range}: {exc}") from exc
-        act.check_alpha_init(self.alpha_init)
 
 
 class _Network:
@@ -191,18 +189,13 @@ class _Network:
 
     def __init__(self, config: NetworkConfig):
         """Draw each layer's weights from ``config.seed``, zero its biases and
-        start each hidden layer's activation parameters per ``config.alpha_init``."""
+        start each hidden layer's activation parameters at the activation's start."""
         self._setup(config)
         rng = np.random.default_rng(config.seed)
-        # the identity start draws nothing and fits the same neuron in every
-        # hidden layer: fit it once and repeat it to each layer's width
-        if config.alpha_init == "identity":
-            neuron = self.activation.init_params(1, self.dictionary, rng)
-            hidden = lambda width: {name: np.repeat(arr, width, axis=0)  # noqa: E731
-                                    for name, arr in neuron.items()}
-        else:
-            hidden = lambda width: self.activation.init_params(  # noqa: E731
-                width, self.dictionary, rng, alpha_init=config.alpha_init)
+        # every neuron starts alike: make one and repeat it to each layer's width
+        neuron = self.activation.init_params(1, self.dictionary)
+        hidden = lambda width: {name: np.repeat(arr, width, axis=0)  # noqa: E731
+                                for name, arr in neuron.items()}
         self._make_layers(lambda fan_out, fan_in: self._weights(rng, fan_out, fan_in), hidden)
 
     @classmethod
@@ -212,9 +205,8 @@ class _Network:
         model = cls.__new__(cls)
         model._setup(config)
         # a zero-width layer gives each activation parameter's name, trailing
-        # shape and dtype: random alphas skip the ridge fit, and no row is drawn
-        empty = model.activation.init_params(0, model.dictionary, np.random.default_rng(0),
-                                             alpha_init="random")
+        # shape and dtype, and fits nothing
+        empty = model.activation.init_params(0, model.dictionary)
         model._make_layers(lambda fan_out, fan_in: np.empty((fan_out, fan_in), cls._dtype),
                            lambda width: {name: np.empty((width, *arr.shape[1:]), arr.dtype)
                                           for name, arr in empty.items()})
@@ -400,7 +392,7 @@ class ComplexNetwork(_Network):
 class _Relu:
     """The real baseline's hidden activation ``max(z, 0)``; it has no parameters."""
 
-    def init_params(self, width, dictionary, rng, **settings):
+    def init_params(self, width, dictionary):
         return {}
 
     def forward(self, z, params, dictionary, cache=True):

@@ -29,6 +29,7 @@ __all__ = [
     "TrainConfig",
     "TraceRecord",
     "TrainTrace",
+    "check_batch_size",
     "train",
     "evaluate",
     "write_trace_csv",
@@ -106,6 +107,12 @@ class TrainTrace:
     eval_every: int = 0
 
 
+def check_batch_size(config: TrainConfig, rows: int) -> None:
+    """Refuse a batch larger than the ``rows`` of the training split."""
+    if config.batch_size > rows:
+        raise ParameterError(f"batch_size {config.batch_size} exceeds training set size {rows}")
+
+
 def _check_rows(x, labels) -> None:
     if len(x) != len(labels):
         raise ParameterError(f"a batch of {len(x)} rows has {len(labels)} labels")
@@ -148,8 +155,7 @@ def train(
     n = x_train.shape[0]
     if n == 0 or x_val.shape[0] == 0:
         raise ParameterError("train and validation splits must be nonempty")
-    if config.batch_size > n:
-        raise ParameterError(f"batch_size {config.batch_size} exceeds training set size {n}")
+    check_batch_size(config, n)
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     opt = Adagrad(params, lr=config.lr)

@@ -29,6 +29,7 @@ from cvkaf.network import (
 from cvkaf.optim import TrainConfig, evaluate, train
 from cvkaf.activations import ACTIVATION_VARIANTS, KafActivation, WlKafCase1Activation
 
+from conftest import random_complex
 from reference import (
     KernelBlockSet,
     blocks_from_complex_kernel,
@@ -128,7 +129,8 @@ class TestCriterion3Case1Degeneracy:
         # the layers train and evaluate run: 100 neurons, each with its own
         # alpha and one bandwidth shared by gamma_rr and gamma_ii
         case1 = WlKafCase1Activation()
-        params = case1.init_params(100, d8, rng, alpha_init="random")
+        params = case1.init_params(100, d8)
+        params["alpha"] = random_complex(rng, params["alpha"].shape, scale=0.3 / np.sqrt(2.0))
         log_gamma = np.log(gamma) + 0.3 * rng.normal(size=100)
         params["log_gamma_rr"] = params["log_gamma_ii"] = log_gamma
         zs = rng.normal(size=(1000, 100)) + 1j * rng.normal(size=(1000, 100))

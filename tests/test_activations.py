@@ -34,6 +34,14 @@ def _phase_amplitude(z):
     return act.PhaseAmplitudeActivation().forward(np.asarray(z, dtype=complex), {}, None)[0]
 
 
+def _random_start(layer, width, dictionary, rng):
+    """``layer``'s parameters with any alpha drawn at complex std 0.3 from ``rng``."""
+    params = layer.init_params(width, dictionary)
+    if "alpha" in params:
+        params["alpha"] = random_complex(rng, params["alpha"].shape, scale=0.3 / np.sqrt(2.0))
+    return params
+
+
 class TestSplitActivation:
     def test_tanh_at_origin(self):
         assert _split(0j) == 0
@@ -195,7 +203,7 @@ class TestInitAlpha:
             "for m in (7, 8, 10):\n"
             "    for name, layer in ACTIVATION_VARIANTS.items():\n"
             "        if isinstance(layer, _KafBase):\n"
-            "            alpha = layer.init_params(1, build_dictionary(m), None)['alpha']\n"
+            "            alpha = layer.init_params(1, build_dictionary(m))['alpha']\n"
             "            print(m, name, hashlib.sha256(alpha.tobytes()).hexdigest())\n"
         )
         src = str(Path(act.__file__).parents[1])
@@ -210,12 +218,6 @@ class TestInitAlpha:
             outputs.append(run.stdout.splitlines())
         assert len(outputs[0]) == 12
         assert outputs[0] == outputs[1]
-
-    def test_random_fallback_scale(self, dict8, rng):
-        layer = act.KafActivation("real_gaussian")
-        params = layer.init_params(200, dict8, rng, alpha_init="random")
-        std = np.sqrt(np.mean(np.abs(params["alpha"]) ** 2))
-        assert 0.25 < std < 0.35  # complex std 0.3
 
     def test_case1_equal_bandwidths_fit_is_the_standard_fit(self, dict8):
         lg = np.log(act.gamma_rule_of_thumb(dict8))
@@ -234,21 +236,17 @@ class TestInitAlpha:
                             target)
         np.testing.assert_allclose(alpha, expected, atol=1e-8)
 
-    def test_unknown_alpha_init_rejected(self, dict4, rng):
-        with pytest.raises(ParameterError):
-            act.WlKafCase1Activation().init_params(3, dict4, rng, alpha_init="zeros")
-
 
 class TestIndependentIdentityFit:
     """Pins a known weakness, not a goal: the independent kernel cannot
     represent the identity on the grid, so its identity fit is rounding noise."""
 
-    def test_identity_target_is_orthogonal_to_the_grid_gram_matrix(self, dict8, rng):
+    def test_identity_target_is_orthogonal_to_the_grid_gram_matrix(self, dict8):
         g = act.gamma_rule_of_thumb(dict8)
         k = kernel_matrix(dict8.points, dict8, "independent", g)
         assert np.linalg.matrix_rank(k) == dict8.points_per_axis
         assert np.max(np.abs(k.conj().T @ dict8.points)) < 1e-12
-        params = act.KafActivation("independent").init_params(4, dict8, rng)
+        params = act.KafActivation("independent").init_params(4, dict8)
         assert np.max(np.abs(params["alpha"])) < 1e-8
 
 
@@ -266,7 +264,7 @@ class TestIndependentClosedForm:
         w, gamma and the per-axis Gaussians e(x) of the closed form."""
         layer = act.ACTIVATION_VARIANTS["kaf_independent"]
         width, m = 5, dictionary.points_per_axis
-        params = layer.init_params(width, dictionary, rng, alpha_init="random")
+        params = _random_start(layer, width, dictionary, rng)
         params["log_gamma"] = params["log_gamma"] + rng.normal(0.0, 0.5, width)
         z = random_complex(rng, (300, width), scale=1.5)
 
@@ -318,11 +316,11 @@ class TestIndependentClosedForm:
 
 
 class TestParameterCounts:
-    def test_wl_variants_match_standard_alpha_count(self, dict8, rng):
+    def test_wl_variants_match_standard_alpha_count(self, dict8):
         width = 6
-        standard = act.KafActivation("independent").init_params(width, dict8, rng)
-        case1 = act.WlKafCase1Activation().init_params(width, dict8, rng)
-        case2 = act.WlKafCase2Activation().init_params(width, dict8, rng)
+        standard = act.KafActivation("independent").init_params(width, dict8)
+        case1 = act.WlKafCase1Activation().init_params(width, dict8)
+        case2 = act.WlKafCase2Activation().init_params(width, dict8)
         assert standard["alpha"].size == case1["alpha"].size == case2["alpha"].size
 
     def test_case2_validates_mixing_weights(self):
@@ -385,7 +383,7 @@ class TestLayersAgainstDenseOracles:
     def test_forward(self, variant, dict8, rng):
         layer = LAYERS[variant]
         width = 6
-        params = layer.init_params(width, dict8, rng, alpha_init="random")
+        params = _random_start(layer, width, dict8, rng)
         for name in params:
             if name.startswith("log_gamma"):
                 params[name] = params[name] + rng.normal(0.0, 0.5, params[name].shape)
@@ -414,7 +412,7 @@ class TestLayerBackwardAgainstFiniteDifferences:
     def test_gradients(self, variant, rng):
         dictionary = build_dictionary(3, (-2.0, 2.0))
         layer = LAYERS[variant]
-        params = layer.init_params(2, dictionary, rng, alpha_init="random")
+        params = _random_start(layer, 2, dictionary, rng)
         z = random_complex(rng, (3, 2), scale=0.9)
         r1 = rng.normal(size=(3, 2))
         r2 = rng.normal(size=(3, 2))
@@ -444,7 +442,7 @@ class TestLayerBackwardAgainstFiniteDifferences:
     def test_zero_cotangent_gives_zero_gradients(self, variant, rng):
         dictionary = build_dictionary(3, (-2.0, 2.0))
         layer = LAYERS[variant]
-        params = layer.init_params(2, dictionary, rng)
+        params = layer.init_params(2, dictionary)
         z = random_complex(rng, (4, 2))
         out, cache = layer.forward(z, params, dictionary)
         gz, grads = layer.backward(np.zeros_like(out), cache, params, dictionary)
@@ -459,7 +457,7 @@ class TestBoundedKernelFiniteness:
     )
     def test_finite_outputs_on_wild_inputs(self, variant, dict4, rng):
         layer = act.ACTIVATION_VARIANTS[variant]
-        params = layer.init_params(3, dict4, rng, alpha_init="random")
+        params = _random_start(layer, 3, dict4, rng)
         z = random_complex(rng, (8, 3), scale=50.0)
         out, _ = layer.forward(z, params, dict4)
         assert np.all(np.isfinite(out.view(np.float64)))

@@ -49,6 +49,17 @@ class TestBuildDictionary:
         with pytest.raises(ParameterError):
             build_dictionary(4, (2.0, -2.0))
 
+    @pytest.mark.parametrize("points, axis_range", [
+        (4.9, (-2.0, 2.0)), ("4", (-2.0, 2.0)), (True, (-2.0, 2.0)),
+        (4, ("-2", "2")), (4, (-2.0, 2.0j)), (4, (False, True)), (4, (-2.0, 0.0, 2.0))])
+    def test_refuses_a_grid_that_is_not_numbers(self, points, axis_range):
+        with pytest.raises(ParameterError, match="must be (an integer|two real numbers)"):
+            build_dictionary(points, axis_range)
+
+    def test_takes_numpy_and_integer_numbers_as_they_are(self):
+        d = build_dictionary(np.int64(3), (-1, np.float32(1.0)))
+        assert d.points_per_axis == 3 and d.axis_range == (-1.0, 1.0)
+
 
 class TestGaussianComplex:
     def test_reflected_diagonal_is_one(self, rng):

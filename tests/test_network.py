@@ -247,6 +247,23 @@ class TestObjectiveAndBackward:
         assert both == {group: max(errors[group] for errors in per_seed) for group in both}
         assert per_seed[0] != per_seed[1]
 
+    def test_gradcheck_draws_alpha_at_complex_std_0_3(self, monkeypatch):
+        from cvkaf import gradcheck
+
+        alphas = []
+        fd = gradcheck.finite_diff_cogradient
+
+        def recording(f, values):
+            if values.shape[-1] == 16:  # (width, 16) on the 4x4 grid: an alpha
+                alphas.append(values.copy())
+            return fd(f, values)
+
+        monkeypatch.setattr(gradcheck, "finite_diff_cogradient", recording)
+        gradcheck.gradcheck_variant("kaf_real_gaussian", range(5))
+        assert len(alphas) == 10  # two hidden layers per seed
+        std = np.sqrt(np.mean(np.abs(np.concatenate(alphas)) ** 2))
+        assert 0.25 < std < 0.35
+
     def test_descent_step_decreases_objective(self, rng):
         cfg = NetworkConfig(3, (4, 4), 2, activation="wlkaf_case1", seed=5, dict_points=4)
         net = ComplexNetwork(cfg)
@@ -376,7 +393,7 @@ class TestIdentityFitPerBuild:
         net = _network(name)
         assert len(calls) == 1
         for i, width in enumerate(net.config.hidden_widths):
-            own = net.activation.init_params(width, net.dictionary, np.random.default_rng(0))
+            own = net.activation.init_params(width, net.dictionary)
             for pname, arr in own.items():
                 shared = net.parameters()[f"layer{i}.{pname}"]
                 assert shared.dtype == arr.dtype and shared.shape == arr.shape
@@ -514,21 +531,22 @@ class TestRealBaseline:
 
 
 class TestConfigChecks:
-    """The grid and the start of alpha are checked for every name, through the
-    checks that building the grid and starting alpha run."""
+    """The grid is checked for every name, through the checks that building it runs."""
 
     @pytest.mark.parametrize("name", ["real_nn", *ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2"])
     @pytest.mark.parametrize("entry, value, message", [
         ("dict_points", 1, "points_per_axis must be >= 2, got 1"),
         ("dict_range", (2.0, -2.0), r"axis_range must satisfy lo < hi, got \(2.0, -2.0\)"),
-        ("alpha_init", "bogus", "unknown alpha_init 'bogus'"),
+        ("dict_points", 4.9, "points_per_axis must be an integer, got 4.9"),
+        ("dict_range", ("-2", "2"), r"axis_range must be two real numbers, got \('-2', '2'\)"),
     ])
-    def test_every_name_checks_the_grid_and_alpha_init(self, name, entry, value, message):
+    def test_every_name_checks_the_grid(self, name, entry, value, message):
         with pytest.raises(ParameterError, match=message):
             NetworkConfig(3, (4,), 5, activation=name, **{entry: value})
 
     @pytest.mark.parametrize("entry, value", [
-        ("dict_points", 1), ("dict_range", [2.0, -2.0]), ("alpha_init", "bogus"),
+        ("dict_points", 1), ("dict_range", [2.0, -2.0]),
+        ("dict_points", 4.9), ("dict_points", "4"), ("dict_range", ["-2", "2"]),
     ])
     @pytest.mark.parametrize("name", ["real_nn", "split_tanh"])
     def test_a_file_with_an_unusable_grid_or_start_is_cache_error(self, name, entry, value,
@@ -654,16 +672,15 @@ class TestSerialization:
 
 class TestModelHeader:
     @pytest.mark.parametrize("name", [*ACTIVATION_VARIANTS, "case2_q2", "real_nn"])
-    def test_v2_header_is_the_config_and_rewrites_byte_identically(self, name, tmp_path):
+    def test_v3_header_is_the_config_and_rewrites_byte_identically(self, name, tmp_path):
         model = _network(name)
         path = tmp_path / "model.cvkm"
         save_model(path, model)
-        assert _MODEL_VERSION == 2
-        meta, _ = read_container(path, _MODEL_MAGIC, 2)
+        assert _MODEL_VERSION == 3
+        meta, _ = read_container(path, _MODEL_MAGIC, 3)
         assert meta == {"config": {
             "input_dim": 5, "hidden_widths": [30, 20], "class_count": 4,
-            "activation": _NAMES.get(name, name), "seed": 2, "alpha_init": "identity",
-            "dict_points": 8, "dict_range": [-2.0, 2.0]}}
+            "activation": _NAMES.get(name, name), "seed": 2, "dict_points": 8, "dict_range": [-2.0, 2.0]}}
         save_model(tmp_path / "again.cvkm", load_model(path))
         assert (tmp_path / "again.cvkm").read_bytes() == path.read_bytes()
 
@@ -713,10 +730,10 @@ class TestModelHeader:
         assert f"{path} does not hold a usable model" in str(caught.value)
         assert isinstance(caught.value.__cause__, ParameterError)
 
-    @pytest.mark.parametrize("version", [0, 1, 3])
-    @pytest.mark.parametrize("kind", ["model", "cache"])
+    @pytest.mark.parametrize("kind, version, expected", [
+        *(("model", v, 3) for v in (0, 2, 4)), *(("cache", v, 2) for v in (0, 1, 3))])
     def test_models_and_caches_of_another_version_ask_for_a_rebuild(self, kind, version,
-                                                                    tmp_path):
+                                                                    expected, tmp_path):
         path = tmp_path / f"file.{kind}"
         if kind == "model":
             save_model(path, _network("wlkaf_case1"))
@@ -730,7 +747,7 @@ class TestModelHeader:
         with pytest.raises(CacheError) as caught:
             load(path)
         assert str(caught.value) == \
-            f"{path} has format version {version}, expected 2; rebuild the file"
+            f"{path} has format version {version}, expected {expected}; rebuild the file"
 
     def test_unknown_activation_name_is_parameter_error(self):
         with pytest.raises(ParameterError, match="unknown activation variant"):

@@ -16,15 +16,15 @@ BLAS or LAPACK call.
 
 On one seeded small problem the first line, the computation digest,
 covers, for ``real_nn``, every activation variant, case 2 at Q = 2 and
-case 1 with random alphas: the initial parameters; the trace records of a
-short ``optim.train`` (without the wall-clock ``elapsed_seconds``); the
-trained parameters; ``predict_proba``, ``predict``, ``objective`` and the
-``loss_and_grads`` value and gradients; and the config and the arrays of
-the model that ``save_model`` wrote, read back by ``load_model``. The
-second line is the digest of the saved files' bytes, so a change to the
-model-file header alone moves only the second line. The script also checks
-that loading a saved file and saving it again gives the same bytes, and
-exits 1 if not.
+case 1 with the alphas that ``gradcheck.draw_alphas`` draws: the initial
+parameters; the trace records of a short ``optim.train`` (without the
+wall-clock ``elapsed_seconds``); the trained parameters;
+``predict_proba``, ``predict``, ``objective`` and the ``loss_and_grads``
+value and gradients; and the config and the arrays of the model that
+``save_model`` wrote, read back by ``load_model``. The second line is the
+digest of the saved files' bytes, so a change to the model-file header
+alone moves only the second line. The script also checks that loading a
+saved file and saving it again gives the same bytes, and exits 1 if not.
 
 The third line, the data-path digest, covers every field of the
 ``ComplexDataset`` that ``build_complex_dataset`` makes from 700 seeded
@@ -45,6 +45,7 @@ import numpy as np
 
 from cvkaf import data, optim
 from cvkaf.activations import ACTIVATION_VARIANTS
+from cvkaf.gradcheck import draw_alphas
 from cvkaf.network import (
     ComplexNetwork,
     NetworkConfig,
@@ -65,12 +66,14 @@ SPLITS = ((0, (500, 100, 60)), (1, (333, 77, 90)))  # (seed, split counts)
 def models():
     """(label, fresh model) for every case the digest covers."""
     yield "real_nn", build_model("real_nn", INPUT_DIM, CLASSES, seed=1, hidden_widths=HIDDEN)
-    cases = [(name, name, "identity") for name in ACTIVATION_VARIANTS]
-    cases += [("wlkaf_case2_q2", "wlkaf_case2:0.3:0.6", "identity"),
-              ("wlkaf_case1_random", "wlkaf_case1", "random")]
-    for label, name, alpha_init in cases:
-        yield label, ComplexNetwork(NetworkConfig(INPUT_DIM, HIDDEN, CLASSES, activation=name,
-                                                  seed=1, alpha_init=alpha_init, dict_points=4))
+    cases = [(name, name) for name in ACTIVATION_VARIANTS]
+    cases += [("wlkaf_case2_q2", "wlkaf_case2:0.3:0.6"), ("wlkaf_case1_random", "wlkaf_case1")]
+    for label, name in cases:
+        model = ComplexNetwork(NetworkConfig(INPUT_DIM, HIDDEN, CLASSES, activation=name,
+                                             seed=1, dict_points=4))
+        if label.endswith("_random"):
+            draw_alphas(model, np.random.default_rng(2))
+        yield label, model
 
 
 def feed(h, *values) -> None:
