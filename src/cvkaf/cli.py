@@ -3,8 +3,10 @@
 Subcommands: ``preprocess`` (FFT feature cache), ``train`` (one model, one
 seed), ``evaluate`` (accuracy of a saved model on a split), ``compare``
 (grid search + multi-seed accuracy table across model variants),
-``gradcheck`` (finite-difference verification), ``curves`` (merge trace
-CSVs into a plot-ready convergence dataset).
+``gradcheck`` (finite-difference verification), ``report`` (the accuracy
+table and convergence CSV of a ``compare`` directory, from the ``config.txt``
+that ``compare`` writes first and the run directories it names; ``compare``
+ends by calling it).
 
 Each option is declared once, in :func:`build_parser`, with its type and
 its default (the library's, where the library owns it); ``cvkaf <command>
@@ -18,8 +20,8 @@ wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
 other artifacts byte-reproducible under a fixed seed.
 
 Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache, model or trace file, an unwritable output, and a model evaluated
-on a cache of another feature width), 4 numeric errors.
+cache, model, run summary or trace file, an unwritable output, and a model
+evaluated on a cache of another feature width), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -212,11 +214,11 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _run_settings(args, ds) -> tuple[TrainConfig, Dictionary]:
-    """Check the settings every run of ``train`` or ``compare`` shares, once and
+def _run_settings(args, ds, seeds) -> tuple[TrainConfig, Dictionary]:
+    """Check the settings the runs of ``train`` or ``compare`` share, once and
     before any output exists: the training config, whose seed each run sets,
     with its batch size against ``ds``'s training rows, and the network's
-    ``--hidden``, ``--dict-points`` and ``--dict-range``.
+    ``--hidden``, ``--dict-points`` and ``--dict-range`` with each of ``seeds``.
 
     Returns the training config and the dictionary.
     """
@@ -224,9 +226,18 @@ def _run_settings(args, ds) -> tuple[TrainConfig, Dictionary]:
                          eval_every=args.eval_every, max_iterations=args.max_iterations,
                          lr=args.lr)
     optim.check_batch_size(config, ds.split_sizes[0])
-    NetworkConfig(ds.feature_dim, args.hidden, ds.class_count,
-                  dict_points=args.dict_points, dict_range=args.dict_range)
+    for seed in seeds:
+        NetworkConfig(ds.feature_dim, args.hidden, ds.class_count, seed=seed,
+                      dict_points=args.dict_points, dict_range=args.dict_range)
     return config, build_dictionary(args.dict_points, args.dict_range)
+
+
+def _shared_settings(args) -> dict:
+    """The cache and training flags, as a ``config.txt`` spells them."""
+    return {"cache": args.cache, "batch_size": args.batch_size, "patience": args.patience,
+            "eval_every": args.eval_every, "max_iterations": args.max_iterations,
+            "lr": args.lr, "dict_points": args.dict_points,
+            "dict_range": _range_text(args.dict_range), "hidden": _list_text(args.hidden)}
 
 
 def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
@@ -241,49 +252,33 @@ def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
     """
     config, dictionary = settings
     config = dataclasses.replace(config, seed=seed)
-    model = build_model(
-        model_name, ds.feature_dim, ds.class_count, seed,
-        hidden_widths=args.hidden, dictionary=dictionary,
-    )
+    model = build_model(model_name, ds.feature_dim, ds.class_count, seed,
+                        hidden_widths=args.hidden, dictionary=dictionary)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
     log.write(f"training {model_name} seed={seed} C={c} on {args.cache}")
     error = None
     try:
-        trace = optim.train(
-            model, ds.train_xy(), ds.val_xy(), config, TrainObjective("cross_entropy", c)
-        )
+        trace = optim.train(model, ds.train_xy(), ds.val_xy(), config,
+                            TrainObjective("cross_entropy", c))
     except NumericError as exc:
         trace, error = exc.trace, exc
         log.write(f"numeric error at iteration {trace.total_iterations}: {exc}")
-    log.write(
-        f"stopped after {trace.total_iterations} iterations "
-        f"({trace.stop_reason}), best val acc {trace.best_val_accuracy:.4f} "
-        f"at iteration {trace.best_iteration}"
-    )
+    log.write(f"stopped after {trace.total_iterations} iterations ({trace.stop_reason}), "
+              f"best val acc {trace.best_val_accuracy:.4f} at iteration {trace.best_iteration}")
     val_acc = trace.best_val_accuracy  # train left the model at this checkpoint
     test_acc = optim.evaluate(model, *ds.test_xy())
     log.write(f"final checkpoint: val {val_acc:.4f}, test {test_acc:.4f}")
 
     save_model(out_dir / "model.cvkm", model)
     optim.write_trace_csv(trace, out_dir / "trace.csv")
-    snapshot = {
-        "cache": args.cache, "model": model_name, "seed": seed, "c": c,
-        "batch_size": config.batch_size, "patience": config.patience,
-        "eval_every": config.eval_every, "max_iterations": config.max_iterations,
-        "lr": config.lr, "dict_points": args.dict_points,
-        "dict_range": _range_text(args.dict_range), "hidden": _list_text(args.hidden),
-    }
-    _write_config_snapshot(out_dir / "config.txt", snapshot)
-    summary = {
-        "model": model_name, "seed": seed, "c": c,
-        "best_iteration": trace.best_iteration,
-        "total_iterations": trace.total_iterations,
-        "stop_reason": trace.stop_reason,
-        "val_accuracy": val_acc, "test_accuracy": test_acc,
-    }
+    _write_config_snapshot(out_dir / "config.txt",
+                           {**_shared_settings(args), "model": model_name, "seed": seed, "c": c})
+    summary = {"model": model_name, "seed": seed, "c": c, "best_iteration": trace.best_iteration,
+               "total_iterations": trace.total_iterations, "stop_reason": trace.stop_reason,
+               "val_accuracy": val_acc, "test_accuracy": test_acc}
     if error is not None:
-        summary["error"] = str(error)
+        summary["error"] = f"{type(error).__name__}: {error}"
     _write_json(out_dir / "summary.json", summary)
     if error is not None:
         raise error
@@ -295,7 +290,7 @@ def cmd_train(args) -> int:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
     out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
     ds = data_mod.load_cached(args.cache)
-    settings = _run_settings(args, ds)
+    settings = _run_settings(args, ds, (args.seed,))
     summary = _train_one(ds, args.model, args.seed, args.c, args, settings, out_dir)
     print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
@@ -337,44 +332,20 @@ def cmd_compare(args) -> int:
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
     out_dir = Path(args.out)
     ds = data_mod.load_cached(args.cache)  # one load serves every run
-    settings = _run_settings(args, ds)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    # the C grid on the first seed, then the other seeds at each model's best C;
-    # ties go to the smaller C, and a model's entry is its first error
+    settings = _run_settings(args, ds, seeds)
     c_grid = sorted(c_grid)
-    grid = [(m, seeds[0], c) for m in args.models for c in c_grid]
-    outcomes = dict(zip(grid, _run_stage(ds, grid, args, settings, out_dir)))
-    best_c = {m: max(c_grid, key=lambda c: outcomes[m, seeds[0], c]["val_accuracy"])
-              for m in args.models
-              if all(isinstance(outcomes[m, seeds[0], c], dict) for c in c_grid)}
-    reruns = [(m, seed, best_c[m]) for m in best_c for seed in seeds[1:]]
-    outcomes.update(zip(reruns, _run_stage(ds, reruns, args, settings, out_dir)))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_config_snapshot(out_dir / "config.txt", {
+        **_shared_settings(args), "models": _list_text(args.models),
+        "seeds": _list_text(seeds), "c_grid": _list_text(c_grid)})
 
-    results: dict[str, dict] = {}
-    for m in args.models:
-        runs = ([(m, seed, best_c[m]) for seed in seeds] if m in best_c
-                else [(m, seeds[0], c) for c in c_grid])
-        error = next((outcomes[run] for run in runs if isinstance(outcomes[run], str)), None)
-        if error is not None:
-            results[m] = {"error": error}
-            continue
-        accuracies = [outcomes[run]["test_accuracy"] for run in runs]
-        results[m] = {
-            "best_c": best_c[m],
-            "val_accuracy_per_c": {f"{c:g}": outcomes[m, seeds[0], c]["val_accuracy"]
-                                   for c in c_grid},
-            "test_accuracies": accuracies,
-            "mean": statistics.fmean(accuracies),
-            "std": statistics.stdev(accuracies) if len(accuracies) >= 2 else None,
-            "seed_count": len(accuracies),
-        }
-
-    report = _render_comparison(results, seeds)
-    print(report)
-    (out_dir / "comparison.txt").write_text(report + "\n", encoding="utf-8")
-    _write_json(out_dir / "comparison.json", {"seeds": list(seeds), "models": results})
-    print(f"\nreport written to {out_dir}/comparison.txt and comparison.json")
+    # the C grid on the first seed, then the other seeds at each model's best C
+    _run_stage(ds, [(m, seeds[0], c) for m in args.models for c in c_grid],
+               args, settings, out_dir)
+    best_c = {m: _best_c(out_dir, m, seeds[0], c_grid)[0] for m in args.models}
+    _run_stage(ds, [(m, seed, best_c[m]) for m in args.models if best_c[m] is not None
+                    for seed in seeds[1:]], args, settings, out_dir)
+    write_report(out_dir)
     return EXIT_OK
 
 
@@ -386,39 +357,45 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _attempt(ds, run, args, settings, out_dir: Path):
-    """One ``compare`` run: its summary, or its error as the comparison records it."""
+def _attempt(ds, run, args, settings, out_dir: Path) -> None:
+    """One ``compare`` run. A run that fails before it writes ``summary.json``
+    gets one holding its model, seed, C and error, for :func:`write_report`."""
     model_name, seed, c = run
-    run_dir = out_dir / "runs" / model_name / f"seed{seed}_C{c:g}"
+    run_dir = _run_dir(out_dir, model_name, seed, c)
+    (run_dir / "summary.json").unlink(missing_ok=True)  # an earlier compare's must not stand in
     try:
-        return _train_one(ds, model_name, seed, c, args, settings, run_dir)
+        _train_one(ds, model_name, seed, c, args, settings, run_dir)
     except CvkafError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        if not (run_dir / "summary.json").exists():
+            run_dir.mkdir(parents=True, exist_ok=True)
+            _write_json(run_dir / "summary.json", {"model": model_name, "seed": seed, "c": c,
+                                                   "error": f"{type(exc).__name__}: {exc}"})
 
 
 def _helper(send, ds, runs, args, settings, out_dir: Path) -> None:
-    """A forked process's share of a stage: its outcomes, or what stopped them."""
+    """A forked process's share of a stage: None once its runs are done, or what stopped them."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
     try:
-        send.send([_attempt(ds, run, args, settings, out_dir) for run in runs])
+        for run in runs:
+            _attempt(ds, run, args, settings, out_dir)
+        send.send(None)
     except Exception as exc:  # such as an unwritable run directory: compare fails on it
         send.send(exc)
 
 
-def _run_stage(ds, runs, args, settings, out_dir: Path) -> list:
-    """The outcomes of independent ``compare`` runs, in the order of ``runs``.
+def _run_stage(ds, runs, args, settings, out_dir: Path) -> None:
+    """Train independent ``compare`` runs, each into its run directory.
 
     Run i goes to process i mod n, where n is the usable CPUs or the run count,
     whichever is fewer (1 without the ``fork`` start method). Process 0 is this
     one; the others are helpers forked from it, so they share the loaded
-    dataset and settings without a copy, and only the outcomes travel back
+    dataset and settings without a copy, and only an exception travels back
     (``compare`` starts no thread of its own). The deal is fixed, so a
     failing or slow run repeats in the same process. No helper outlives the
     stage, whether it ends normally, on an error or on Ctrl-C.
     """
     forks = "fork" in multiprocessing.get_all_start_methods()
     n = max(1, min(usable_cpus(), len(runs))) if forks else 1
-    outcomes = [None] * len(runs)
     helpers = []
     try:
         for k in range(1, n):
@@ -429,32 +406,100 @@ def _run_stage(ds, runs, args, settings, out_dir: Path) -> list:
             helper.start()
             send.close()  # so the pipe ends when the helper does
             helpers.append((helper, receive))
-        outcomes[0::n] = [_attempt(ds, run, args, settings, out_dir) for run in runs[0::n]]
+        for run in runs[0::n]:
+            _attempt(ds, run, args, settings, out_dir)
         for k, (helper, receive) in enumerate(helpers, 1):
             try:
-                share = receive.recv()
+                error = receive.recv()
             except EOFError:
                 helper.join()
                 raise RuntimeError(f"compare helper {k} of {n - 1} ended with exit code "
                                    f"{helper.exitcode} before reporting") from None
-            if isinstance(share, Exception):
-                raise share
-            outcomes[k::n] = share
+            if error is not None:
+                raise error
     finally:
         for helper, receive in helpers:
             helper.terminate()
             helper.join()
             receive.close()
-    return outcomes
 
 
-def _render_comparison(results: dict[str, dict], seeds) -> str:
-    ok = {m: r for m, r in results.items() if "error" not in r}
-    best_mean = max((r["mean"] for r in ok.values()), default=None)
-    lines = [
-        f"{'Model':<22} {'Test accuracy':<20} {'Best C':<10} Seeds",
-        "-" * 62,
-    ]
+def _run_dir(out_dir: Path, model_name: str, seed: int, c: float) -> Path:
+    return out_dir / "runs" / model_name / f"seed{seed}_C{c:g}"
+
+
+def _read_compare_settings(path: Path):
+    """The models, seeds and C grid that ``compare`` wrote to ``path``."""
+    try:
+        values = read_config_file(path)
+        settings = (_parse_models(values["models"]), _parse_ints(values["seeds"]),
+                    _parse_c_grid(values["c_grid"]))
+        if not all(settings):
+            raise ValueError("no model, seed or C")
+    except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:  # ValueError: ParameterError
+        raise DataFormatError(f"{path} does not hold the settings of a compare: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    return settings
+
+
+def _read_summary(run_dir: Path) -> dict:
+    """A run's ``summary.json``: its ``error``, or else its accuracies."""
+    path = run_dir / "summary.json"
+    try:
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("error",) if "error" in summary else ("val_accuracy", "test_accuracy"):
+            if not isinstance(summary[key], str if key == "error" else float):
+                raise TypeError(f"{key} is {summary[key]!r}")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataFormatError(f"{path} is not a usable run summary: "
+                              f"{type(exc).__name__}: {exc}") from exc
+    return summary
+
+
+def _best_c(out_dir: Path, model_name: str, seed: int, c_grid):
+    """``model_name``'s C and {C: summary} of its runs at ``seed`` over ``c_grid``: the C
+    of the best validation accuracy, ties to the smaller C, or None if a run failed."""
+    grid = {c: _read_summary(_run_dir(out_dir, model_name, seed, c)) for c in c_grid}
+    if any("error" in summary for summary in grid.values()):
+        return None, grid
+    return max(c_grid, key=lambda c: (grid[c]["val_accuracy"], -c)), grid
+
+
+def write_report(out_dir: Path) -> None:
+    """Summarise the ``compare`` directory ``out_dir`` from the run directories its
+    ``config.txt`` names, into ``comparison.txt``, ``comparison.json`` and
+    ``convergence.csv``, the same bytes on every call. A model's row is its runs at
+    its :func:`_best_c` over every seed, or its C grid if a grid run failed; a row
+    with a failed run shows the first failure, in the order of training, and has
+    no convergence columns."""
+    models, seeds, c_grid = _read_compare_settings(out_dir / "config.txt")
+    results, traces = {}, {}
+    for m in models:
+        best, grid = _best_c(out_dir, m, seeds[0], c_grid)
+        runs = [(seeds[0], c) for c in c_grid] if best is None else [(s, best) for s in seeds]
+        row = [_read_summary(_run_dir(out_dir, m, *run)) for run in runs]
+        error = next((summary["error"] for summary in row if "error" in summary), None)
+        if error is not None:
+            results[m] = {"error": error}
+            continue
+        accuracies = [summary["test_accuracy"] for summary in row]
+        results[m] = {"best_c": best, "test_accuracies": accuracies,
+                      "val_accuracy_per_c": {f"{c:g}": grid[c]["val_accuracy"] for c in c_grid},
+                      "mean": statistics.fmean(accuracies), "seed_count": len(accuracies),
+                      "std": statistics.stdev(accuracies) if len(accuracies) >= 2 else None}
+        traces[m] = [optim.read_trace_csv(_run_dir(out_dir, m, *run) / "trace.csv")
+                     for run in runs]
+
+    table = _render_comparison(results)
+    (out_dir / "comparison.txt").write_text(table + "\n", encoding="utf-8")
+    _write_json(out_dir / "comparison.json", {"seeds": list(seeds), "models": results})
+    (out_dir / "convergence.csv").write_text(_convergence_csv(traces), encoding="utf-8")
+    print(table)
+    print(f"\nreport written to {out_dir}/comparison.txt, comparison.json and convergence.csv")
+
+
+def _render_comparison(results: dict[str, dict]) -> str:
+    lines = [f"{'Model':<22} {'Test accuracy':<20} {'Best C':<10} Seeds", "-" * 62]
     for model_name, r in results.items():
         if "error" in r:
             lines.append(f"{model_name:<22} FAILED: {r['error']}")
@@ -462,13 +507,29 @@ def _render_comparison(results: dict[str, dict], seeds) -> str:
         acc = f"{100 * r['mean']:.2f}"
         if r["std"] is not None:
             acc += f" +/- {100 * r['std']:.2f}"
-        marker = " *" if best_mean is not None and r["mean"] == best_mean else ""
-        lines.append(
-            f"{model_name:<22} {acc + marker:<20} {r['best_c']:<10g} {r['seed_count']}"
-        )
+        lines.append(f"{model_name:<22} {acc:<20} {r['best_c']:<10g} {r['seed_count']}")
     lines.append("-" * 62)
-    lines.append("* best mean accuracy")
     return "\n".join(lines)
+
+
+def _convergence_csv(traces: dict[str, list]) -> str:
+    """Per iteration, the mean and std of each label's training losses."""
+    labels = sorted(traces)
+    rows = [",".join(["iteration", *(f"{label}_{stat}_loss" for label in labels
+                                     for stat in ("mean", "std"))])]
+    for it in sorted({r.iteration for ts in traces.values() for t in ts for r in t.records}):
+        row = [str(it)]
+        for label in labels:
+            losses = [r.train_loss for t in traces[label] for r in t.records if r.iteration == it]
+            std = statistics.stdev(losses) if len(losses) >= 2 else 0.0
+            row += [repr(statistics.fmean(losses)), repr(std)] if losses else ["", ""]
+        rows.append(",".join(row))
+    return "\n".join(rows) + "\n"
+
+
+def cmd_report(args) -> int:
+    write_report(Path(args.dir))
+    return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
@@ -493,61 +554,6 @@ def cmd_gradcheck(args) -> int:
         raise NumericError(f"gradient check failed for {'; '.join(failures)}")
     print(f"all {len(variants)} variants within {DEFAULT_TOLERANCE:g} relative tolerance")
     return EXIT_OK
-
-
-def cmd_curves(args) -> int:
-    out = Path(args.out)
-    groups: dict[str, list[optim.TrainTrace]] = {}
-    for spec in args.traces:
-        label, _, path = spec.rpartition("=")
-        path = Path(path)
-        if not label:
-            label = _trace_label(path)
-        groups.setdefault(label, []).append(optim.read_trace_csv(path))
-
-    steps = {t.eval_every for traces in groups.values() for t in traces}
-    if len(steps) > 1:
-        raise DataFormatError(
-            f"traces disagree on the evaluation interval: {sorted(steps)}; "
-            "curves requires a common eval_every"
-        )
-    all_iters = sorted({r.iteration for traces in groups.values() for t in traces
-                        for r in t.records})
-    labels = sorted(groups)
-    header = ["iteration"]
-    for label in labels:
-        header += [f"{label}_mean_loss", f"{label}_std_loss"]
-    rows = [",".join(header)]
-    for it in all_iters:
-        row = [str(it)]
-        for label in labels:
-            losses = [
-                r.train_loss for t in groups[label] for r in t.records if r.iteration == it
-            ]
-            if losses:
-                mean = statistics.fmean(losses)
-                std = statistics.stdev(losses) if len(losses) >= 2 else 0.0
-                row += [repr(mean), repr(std)]
-            else:
-                row += ["", ""]
-        rows.append(",".join(row))
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    n_traces = sum(len(v) for v in groups.values())
-    print(f"merged {n_traces} traces into {out} ({len(labels)} models, "
-          f"{len(all_iters)} iteration points)")
-    return EXIT_OK
-
-
-def _trace_label(path: Path) -> str:
-    summary = path.parent / "summary.json"
-    if summary.exists():
-        try:
-            model = json.loads(summary.read_text(encoding="utf-8"))["model"]
-        except (ValueError, KeyError, TypeError):  # not UTF-8 JSON, or not an object
-            model = None
-        if isinstance(model, str):
-            return model
-    return path.parent.name or path.stem
 
 
 # ---------------------------------------------------------------------------
@@ -657,10 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help=" | ".join(("all", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
 
-    p = command("curves", cmd_curves, "merge trace CSVs into a convergence dataset")
-    p.add_argument("traces", nargs="+", metavar="TRACE",
-                   help="trace.csv paths, optionally label=path")
-    p.add_argument("--out", default="curves.csv", help="output CSV")
+    p = command("report", cmd_report,
+                "rewrite the comparison table and convergence CSV of a compare directory")
+    p.add_argument("dir", metavar="DIR", help="output directory of 'compare'")
 
     return parser
 

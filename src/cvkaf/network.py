@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ from .errors import (
     ParameterError,
     StateError,
 )
-from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
+from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, _is_a, build_dictionary
 
 __all__ = [
     "NetworkConfig",
@@ -169,6 +170,8 @@ class NetworkConfig:
             raise ParameterError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
             raise ParameterError(f"hidden_widths must be positive, got {self.hidden_widths}")
+        if not (_is_a(self.seed, numbers.Integral) and self.seed >= 0):  # as numpy's generator takes
+            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
         try:  # checked for every name, real_nn too, which builds no grid and fits no alpha
             build_dictionary(self.dict_points, self.dict_range)
         except ParameterError as exc:

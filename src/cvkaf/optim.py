@@ -104,7 +104,6 @@ class TrainTrace:
     best_val_accuracy: float = float("nan")
     total_iterations: int = 0
     stop_reason: str = ""
-    eval_every: int = 0
 
 
 def check_batch_size(config: TrainConfig, rows: int) -> None:
@@ -159,7 +158,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     opt = Adagrad(params, lr=config.lr)
-    trace = TrainTrace(eval_every=config.eval_every)
+    trace = TrainTrace()
     best = model.snapshot()
     best_acc = evaluate(model, x_val, y_val)
     best_it = 0
@@ -215,9 +214,8 @@ def read_trace_csv(path) -> TrainTrace:
     """Read a trace that :func:`write_trace_csv` wrote; an unreadable file, a
     wrong header or a bad row is a :class:`DataFormatError` naming file and line.
 
-    The trace read back holds its records, ``eval_every`` (the common step
-    between recorded iterations, else the first) and the last recorded
-    iteration as ``total_iterations``. ``best_iteration`` and
+    The trace read back holds its records and the last recorded iteration
+    as ``total_iterations``. ``best_iteration`` and
     ``best_val_accuracy`` stay unset (0 and NaN): ``train`` scores iteration
     0 without recording it, so the rows cannot tell which checkpoint was best.
     """
@@ -237,11 +235,5 @@ def read_trace_csv(path) -> TrainTrace:
                         f"{path}:{reader.line_num}: bad trace row {row}: {exc}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataFormatError(f"cannot read trace {path}: {exc}") from exc
-    trace = TrainTrace(records=records)
-    if records:
-        trace.total_iterations = records[-1].iteration
-        iters = [r.iteration for r in records]
-        steps = {b - a for a, b in zip(iters, iters[1:])}
-        trace.eval_every = steps.pop() if len(steps) == 1 else iters[0]
-    return trace
+    return TrainTrace(records=records, total_iterations=records[-1].iteration if records else 0)
 

@@ -4,6 +4,9 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
+import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,6 +183,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("doctor, version", [
         (lambda meta, arrays: meta.pop("config"), 3),
         (lambda meta, arrays: meta["config"].pop("seed"), 3),
+        (lambda meta, arrays: meta["config"].update(seed="abc"), 3),
+        (lambda meta, arrays: meta["config"].update(seed=1.5), 3),
         (lambda meta, arrays: meta["config"].pop("dict_range"), 3),
         (lambda meta, arrays: meta["config"].update(input_dim=0), 3),
         (lambda meta, arrays: meta["config"].update(alpha_init="identity"), 3),
@@ -195,7 +200,7 @@ class TestEvaluate:
                                              arrays["layer0.log_gamma_rr"] + 0.5j}), 3),
         (lambda meta, arrays: None, 2),
         (lambda meta, arrays: None, 4),
-    ], ids=["no_config", "no_seed", "no_axis_range", "input_dim_0", "alpha_init_entry",
+    ], ids=["no_config", "no_seed", "seed_text", "seed_not_integer", "no_axis_range", "input_dim_0", "alpha_init_entry",
             "narrow_alpha", "missing_array", "unknown_activation", "unprinted_weight",
             "weight_above_1", "activation_not_text", "int8_weights", "complex_bandwidth",
             "version_2", "version_4"])
@@ -435,7 +440,7 @@ class TestCompareHelpers:
         assert self.compare(monkeypatch, cpus, tiny_cache, tmp_path / "many", *self.GRID) == 0
         dealt = ran_in()
         one, many = self.outputs(tmp_path / "one"), self.outputs(tmp_path / "many")
-        assert len(one) == 2 + 6 * 4  # the two reports, four files for each of six runs
+        assert len(one) == 4 + 6 * 4  # config.txt, the three reports, four files per run
         assert one == many
         assert set(serial.values()) == {os.getpid()}
         # stage 1 is the C grid on seed 0, stage 2 the other seed at each best C
@@ -526,13 +531,14 @@ class TestCompareHelpers:
 
 
 # every flag of the settings train and compare share, with a value its check refuses:
-# a batch of 73 rows exceeds tiny_cache's 72 training rows, and the last four ranges
-# have a span or a bandwidth 1/(2*spacing^2) that is not finite
+# a batch of 73 rows exceeds tiny_cache's 72 training rows, the last four ranges
+# have a span or a bandwidth 1/(2*spacing^2) that is not finite, and a seed must
+# be a non-negative integer (compare's --seeds is a list of them)
 UNUSABLE_SETTINGS = [("--batch-size", "0"), ("--batch-size", "73"), ("--eval-every", "0"),
                      ("--max-iterations", "0"), ("--patience", "-1"), ("--hidden", "8,0"), ("--dict-points", "1"),
                      ("--dict-range", "1..-1"), ("--dict-range", "0..1e-320"),
                      ("--dict-range", "-1e308..1e308"), ("--dict-range", "0..1e-160"),
-                     ("--dict-range", "-inf..inf")]
+                     ("--dict-range", "-inf..inf"), ("--seed", "-1")]
 
 
 @pytest.mark.parametrize("command", ["train", "compare"])
@@ -540,13 +546,14 @@ UNUSABLE_SETTINGS = [("--batch-size", "0"), ("--batch-size", "73"), ("--eval-eve
 def test_unusable_setting_exits_2_before_any_output(command, flag, value, tiny_cache, tmp_path,
                                                     capsys):
     out = tmp_path / "out"
-    argv = [command, "--cache", str(tiny_cache), "--out", str(out), *TRAIN_FLAGS,
-            f"{flag}={value}"]
+    argv = [command, "--cache", str(tiny_cache), "--out", str(out), *TRAIN_FLAGS]
+    name = flag[2:].replace("-", "_")  # the setting as a config file spells it
     if command == "compare":
         argv += ["--models", "real_nn,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0"]
-    assert main(argv) == 2
-    # the message names the flag in its config-file spelling
-    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        if flag == "--seed":
+            flag, value = "--seeds", f"{value},2"
+    assert main([*argv, f"{flag}={value}"]) == 2
+    assert name in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -562,6 +569,20 @@ def test_option_prefix_exits_2_before_any_output(argv, tiny_cache, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.fixture
+def step_fails_at_7(monkeypatch):
+    """Every training's seventh Adagrad step raises a NumericError."""
+    step, calls = optim.Adagrad.step, []
+
+    def failing_step(opt, params, grads):
+        calls.append(None)
+        if len(calls) == 7:
+            raise NumericError("non-finite gradient for 'layer0.W'; step aborted")
+        step(opt, params, grads)
+
+    monkeypatch.setattr(optim.Adagrad, "step", failing_step)
+
+
 class TestDivergedRun:
     """A run whose step fails at iteration 7 keeps what it had: the trace row of
     iteration 5 and the best checkpoint, which a clean 5-iteration run also saves."""
@@ -575,18 +596,6 @@ class TestDivergedRun:
         assert main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case1", "--seed", "1",
                      *self.FLAGS, "--max-iterations", "5", "--out", str(run_dir)]) == 0
         return run_dir
-
-    @pytest.fixture
-    def step_fails_at_7(self, monkeypatch):
-        step, calls = optim.Adagrad.step, []
-
-        def failing_step(opt, params, grads):
-            calls.append(None)
-            if len(calls) == 7:
-                raise NumericError("non-finite gradient for 'layer0.W'; step aborted")
-            step(opt, params, grads)
-
-        monkeypatch.setattr(optim.Adagrad, "step", failing_step)
 
     def test_train_writes_the_best_checkpoint_then_exits_4(self, clean_run, step_fails_at_7,
                                                            tiny_cache, tmp_path, capsys):
@@ -606,7 +615,7 @@ class TestDivergedRun:
         assert clean["best_iteration"] == 5  # so the checkpoint is not the start
         assert set(summary) == {*clean, "error"}
         assert summary["stop_reason"] == "numeric_error" and summary["total_iterations"] == 7
-        assert summary["error"].startswith("non-finite gradient")
+        assert summary["error"].startswith("NumericError: non-finite gradient")
         for key in ("best_iteration", "val_accuracy", "test_accuracy"):
             assert summary[key] == clean[key], key
         assert "max_iterations = 60" in (run_dir / "config.txt").read_text().splitlines()
@@ -766,68 +775,129 @@ class TestGradcheckCommand:
         assert f"gradient check failed for wlkaf_case1 ({', '.join(marked)}: " in captured.err
 
 
-class TestCurves:
-    def _train_trace(self, tiny_cache, tmp_path, seed, name):
-        run_dir = tmp_path / name
-        main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case1",
-              "--seed", str(seed), "--out", str(run_dir), *TRAIN_FLAGS])
-        return run_dir / "trace.csv"
+class TestReport:
+    """``report`` rewrites a ``compare`` directory's three reports from its files alone."""
 
-    def test_single_trace_mean_equals_trace(self, tiny_cache, tmp_path, capsys):
-        trace_path = self._train_trace(tiny_cache, tmp_path, 0, "a")
-        out = tmp_path / "curves.csv"
-        rc = main(["curves", f"wl={trace_path}", "--out", str(out)])
-        assert rc == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "iteration,wl_mean_loss,wl_std_loss"
-        trace = read_trace_csv(trace_path)
-        for line, rec in zip(lines[1:], trace.records):
-            it, mean, std = line.split(",")
-            assert int(it) == rec.iteration
-            assert float(mean) == rec.train_loss
-            assert float(std) == 0.0
+    REPORTS = ("comparison.txt", "comparison.json", "convergence.csv")
 
-    def test_duplicate_traces_zero_std(self, tiny_cache, tmp_path):
-        trace_path = self._train_trace(tiny_cache, tmp_path, 1, "b")
-        out = tmp_path / "curves.csv"
-        rc = main(["curves", f"m={trace_path}", f"m={trace_path}", "--out", str(out)])
-        assert rc == 0
-        for line in out.read_text().splitlines()[1:]:
-            assert float(line.split(",")[2]) == 0.0
+    @pytest.fixture
+    def compared(self, tiny_cache, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--cache", str(tiny_cache), "--out", str(out_dir),
+                     "--models", "real_nn,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0,1e-4",
+                     *TRAIN_FLAGS]) == 0
+        capsys.readouterr()
+        return out_dir
 
-    def test_inconsistent_eval_interval_is_alignment_error(
-        self, tiny_cache, tmp_path
-    ):
-        a = self._train_trace(tiny_cache, tmp_path, 0, "c")
-        run_dir = tmp_path / "d"
-        main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case1",
-              "--seed", "0", "--out", str(run_dir), "--hidden", "8",
-              "--dict-points", "3", "--batch-size", "10", "--eval-every", "30",
-              "--patience", "60", "--max-iterations", "60"])
-        rc = main(["curves", f"m={a}", f"m={run_dir / 'trace.csv'}",
-                   "--out", str(tmp_path / "curves.csv")])
-        assert rc == 3
+    def reports(self, out_dir) -> dict:
+        return {name: (out_dir / name).read_bytes() for name in self.REPORTS}
 
-    def test_labels_from_summary(self, tiny_cache, tmp_path):
-        trace_path = self._train_trace(tiny_cache, tmp_path, 2, "e")
-        out = tmp_path / "curves.csv"
-        rc = main(["curves", str(trace_path), "--out", str(out)])
-        assert rc == 0
-        assert out.read_text().splitlines()[0] == \
-            "iteration,wlkaf_case1_mean_loss,wlkaf_case1_std_loss"
+    @staticmethod
+    def row_run(out_dir, model_name, seed) -> Path:
+        """The run directory of ``model_name``'s table row at ``seed``."""
+        best = json.loads((out_dir / "comparison.json").read_text())["models"][model_name]
+        return out_dir / "runs" / model_name / f"seed{seed}_C{best['best_c']:g}"
 
-    @pytest.mark.parametrize("summary", [b"[]", b"{\"model\"", b"\xff", b'{"model": null}',
-                                         b'{"model": 5}'],
-                             ids=["not_an_object", "not_json", "not_utf8", "model_null",
-                                  "model_not_text"])
-    def test_unusable_summary_falls_back_to_the_directory_name(self, summary, tmp_path):
-        run_dir = tmp_path / "run7"
-        run_dir.mkdir()
-        (run_dir / "trace.csv").write_text(f"{TRACE_HEADER}\n50,0.5,0.9,0.1\n")
-        (run_dir / "summary.json").write_bytes(summary)
-        out = tmp_path / "curves.csv"
-        assert main(["curves", str(run_dir / "trace.csv"), "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[0] == "iteration,run7_mean_loss,run7_std_loss"
+    def test_compare_writes_its_settings_first(self, compared):
+        settings = (compared / "config.txt").read_text().splitlines()
+        for line in ("models = real_nn,wlkaf_case1", "seeds = 0,1", "c_grid = 0.0,0.0001",
+                     "hidden = 8", "max_iterations = 60"):
+            assert line in settings, line
+
+    def test_rerun_gives_the_bytes_compare_wrote(self, compared, capsys):
+        written = self.reports(compared)
+        assert main(["report", str(compared)]) == 0
+        assert self.reports(compared) == written
+        for name in self.REPORTS:
+            (compared / name).unlink()
+        assert main(["report", str(compared)]) == 0
+        assert self.reports(compared) == written
+        assert capsys.readouterr().out.startswith(written["comparison.txt"].decode())
+        assert b"*" not in written["comparison.txt"]
+
+    def test_convergence_is_each_rows_mean_and_std(self, compared):
+        lines = (compared / "convergence.csv").read_text().splitlines()
+        assert lines[0] == ("iteration,real_nn_mean_loss,real_nn_std_loss,"
+                            "wlkaf_case1_mean_loss,wlkaf_case1_std_loss")
+        traces = [read_trace_csv(self.row_run(compared, "wlkaf_case1", seed) / "trace.csv")
+                  for seed in (0, 1)]
+        assert len(lines) == 1 + len(traces[0].records) == 1 + len(traces[1].records)
+        for line, *records in zip(lines[1:], traces[0].records, traces[1].records):
+            it, *cells = line.split(",")
+            losses = [r.train_loss for r in records]
+            assert int(it) == records[0].iteration == records[1].iteration
+            assert float(cells[2]) == statistics.fmean(losses)
+            assert float(cells[3]) == statistics.stdev(losses)
+
+    def test_ignores_run_directories_the_config_does_not_name(self, compared):
+        written = self.reports(compared)
+        winner = {"model": "real_nn", "seed": 0, "c": 0.5, "val_accuracy": 1.0,
+                  "test_accuracy": 1.0, "best_iteration": 20, "total_iterations": 60,
+                  "stop_reason": "max_iterations"}
+        for stray in ("real_nn/seed0_C0.5", "real_nn/seed7_C0", "kaf_independent/seed0_C0"):
+            shutil.copytree(compared / "runs" / "real_nn" / "seed0_C0", compared / "runs" / stray)
+            (compared / "runs" / stray / "summary.json").write_text(json.dumps(winner))
+        assert main(["report", str(compared)]) == 0
+        assert self.reports(compared) == written
+
+    @pytest.mark.parametrize("failure", ["diverged", "before_summary"])
+    def test_a_failed_run_renders_from_disk_alone(self, failure, tiny_cache, tmp_path, capsys,
+                                                  monkeypatch, request):
+        out_dir = tmp_path / "cmp"
+        argv = ["compare", "--cache", str(tiny_cache), *TestDivergedRun.FLAGS,
+                "--models", "wlkaf_case1", "--seeds", "1", "--c-grid", "0",
+                "--max-iterations", "60", "--out", str(out_dir)]
+        if failure == "diverged":
+            request.getfixturevalue("step_fails_at_7")
+            error = "NumericError: non-finite gradient for 'layer0.W'; step aborted"
+        else:
+            assert main(argv) == 0  # whose summary.json must not stand in for the failed run's
+            error = "NumericError: no run"
+            train_one = cli._train_one
+
+            def failing(ds, model_name, *rest):
+                if model_name == "wlkaf_case1":
+                    raise NumericError("no run")
+                return train_one(ds, model_name, *rest)
+
+            monkeypatch.setattr(cli, "_train_one", failing)
+        assert main(argv) == 0
+        written = self.reports(out_dir)
+        monkeypatch.undo()
+        for name in self.REPORTS:
+            (out_dir / name).unlink()
+        capsys.readouterr()
+        assert main(["report", str(out_dir)]) == 0
+        assert self.reports(out_dir) == written
+        assert f"wlkaf_case1            FAILED: {error}\n" in capsys.readouterr().out
+        summary = json.loads((out_dir / "runs" / "wlkaf_case1" / "seed1_C0" / "summary.json")
+                             .read_text())
+        assert summary["error"] == error
+        if failure == "before_summary":
+            assert summary == {"model": "wlkaf_case1", "seed": 1, "c": 0.0, "error": error}
+        assert written["convergence.csv"] == b"iteration\n"  # a failed model has no columns
+
+    def test_missing_config_is_data_error(self, compared, capsys):
+        (compared / "config.txt").unlink()
+        assert main(["report", str(compared)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(compared / "config.txt") in err
+
+    @pytest.mark.parametrize("summary", [b"[]", b'{"model"', b"\xff", b'{"val_accuracy": 0.5}',
+                                         b'{"val_accuracy": 0.5, "test_accuracy": "0.5"}',
+                                         b'{"val_accuracy": 0.5, "test_accuracy": true}',
+                                         b'{"error": 5}'],
+                             ids=["not_an_object", "not_json", "not_utf8", "no_test_accuracy",
+                                  "accuracy_text", "accuracy_bool", "error_not_text"])
+    def test_unusable_summary_is_data_error(self, summary, compared, capsys):
+        path = compared / "runs" / "real_nn" / "seed0_C0" / "summary.json"
+        path.write_bytes(summary)
+        for name in self.REPORTS:
+            (compared / name).unlink()
+        assert main(["report", str(compared)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path} is not a usable run summary")
+        assert not any((compared / name).exists() for name in self.REPORTS)
 
     @pytest.mark.parametrize("text, line", [
         (None, ""),
@@ -835,33 +905,32 @@ class TestCurves:
         (f"{TRACE_HEADER}\n50,0.5,0.9,0.1\n100,x,0.8,0.2\n", ":3:"),
         ("iteration,loss\n50,0.5\n", ":1:"),
     ], ids=["missing_file", "short_row", "non_numeric", "wrong_header"])
-    def test_unusable_trace_is_data_error(self, text, line, tmp_path, capsys):
-        path = tmp_path / "trace.csv"
+    def test_unusable_trace_is_data_error(self, text, line, compared, capsys):
+        path = self.row_run(compared, "wlkaf_case1", 1) / "trace.csv"
+        path.unlink()
         if text is not None:
             path.write_text(text)
-        out = tmp_path / "curves.csv"
-        assert main(["curves", str(path), "--out", str(out)]) == 3
+        for name in self.REPORTS:
+            (compared / name).unlink()
+        assert main(["report", str(compared)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and f"{path}{line}" in err
-        assert not out.exists()
+        assert not any((compared / name).exists() for name in self.REPORTS)
 
 
-@pytest.mark.parametrize("command", ["preprocess", "train", "compare", "curves"])
+@pytest.mark.parametrize("command", ["preprocess", "train", "compare", "report"])
 def test_output_under_a_regular_file_is_data_error(command, idx_dir, tiny_cache, tmp_path,
                                                    capsys):
     plain = tmp_path / "plain"
     plain.write_text("")
     out = plain / "out"
-    trace = tmp_path / "trace.csv"
-    trace.write_text(f"{TRACE_HEADER}\n50,0.5,0.9,0.1\n")
     argv = {
         "preprocess": ["--dataset", "latin_ocr", "--data-dir", str(idx_dir), "--k-coeffs", "4"],
         "train": ["--cache", str(tiny_cache), "--model", "real_nn", *TRAIN_FLAGS],
         "compare": ["--cache", str(tiny_cache), "--models", "real_nn", "--seeds", "0",
                     "--c-grid", "0", *TRAIN_FLAGS],
-        "curves": [str(trace)],
-    }[command]
-    assert main([command, *argv, "--out", str(out)]) == 3
+    }.get(command)
+    assert main([command, str(out)] if argv is None else [command, *argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(out) in err
 

@@ -544,9 +544,20 @@ class TestConfigChecks:
         with pytest.raises(ParameterError, match=message):
             NetworkConfig(3, (4,), 5, activation=name, **{entry: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "abc", "3", True, None, np.float64(2.0)])
+    def test_refuses_a_seed_that_is_not_a_non_negative_integer(self, seed):
+        with pytest.raises(ParameterError, match=f"seed must be a non-negative integer, got "
+                                                 f"{re.escape(repr(seed))}"):
+            NetworkConfig(3, (4,), 5, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, np.int64(3), 2**40])
+    def test_takes_a_non_negative_integer_seed(self, seed):
+        assert NetworkConfig(3, (4,), 5, seed=seed).seed == seed
+
     @pytest.mark.parametrize("entry, value", [
         ("dict_points", 1), ("dict_range", [2.0, -2.0]),
         ("dict_points", 4.9), ("dict_points", "4"), ("dict_range", ["-2", "2"]),
+        ("seed", "abc"), ("seed", 1.5), ("seed", -1),
     ])
     @pytest.mark.parametrize("name", ["real_nn", "split_tanh"])
     def test_a_file_with_an_unusable_grid_or_start_is_cache_error(self, name, entry, value,

@@ -1,6 +1,7 @@
-"""Three sha256 digests: one over everything a model computes, to check that
-a refactor is bit-identical, one over the model files it saves, and one over
-the feature pipeline's datasets and their cache files.
+"""Four sha256 digests: one over everything a model computes, to check that
+a refactor is bit-identical, one over the model files it saves, one over
+the feature pipeline's datasets and their cache files, and one over the
+reports of a small ``compare``.
 
 Run from the repository root as::
 
@@ -30,12 +31,22 @@ The third line, the data-path digest, covers every field of the
 ``ComplexDataset`` that ``build_complex_dataset`` makes from 700 seeded
 random 28x28 uint8 images, and the bytes ``cache_dataset`` writes for it, at
 two split layouts whose row counts do not fill a whole number of FFT chunks.
+
+The fourth line, the report digest, covers the three files that ``cvkaf
+report`` writes (``comparison.txt``, ``comparison.json`` and
+``convergence.csv``) for an in-process ``cvkaf compare`` of two models,
+seeds 0 and 1 and the C grid {0, 1e-3} at hidden width 8, a 4x4 grid and 30
+iterations, on the built-in glyphs at 8 FFT coefficients. A change to the
+table, its best-C rule or the convergence columns moves this line alone,
+unless it also changes what a run computes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 import tempfile
@@ -43,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cvkaf import data, optim
+from cvkaf import cli, data, optim
 from cvkaf.activations import ACTIVATION_VARIANTS
 from cvkaf.gradcheck import draw_alphas
 from cvkaf.network import (
@@ -61,6 +72,9 @@ TRAIN = optim.TrainConfig(batch_size=16, patience=1000, eval_every=5, max_iterat
                           lr=0.05, seed=3)
 IMAGES, SIDE, K = 700, 28, 100
 SPLITS = ((0, (500, 100, 60)), (1, (333, 77, 90)))  # (seed, split counts)
+COMPARE = ["--models", "kaf_real_gaussian,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0,1e-3",
+           "--hidden", "8", "--dict-points", "4", "--eval-every", "10", "--max-iterations", "30"]
+REPORTS = ("comparison.txt", "comparison.json", "convergence.csv")
 
 
 def models():
@@ -108,6 +122,21 @@ def data_digest(tmp) -> str:
     return h.hexdigest()
 
 
+def report_digest(tmp) -> str | None:
+    """The sha256 of the reports of a small glyph ``compare``; None if a command failed."""
+    cache, out = Path(tmp, "glyphs.cvkc"), Path(tmp, "comparison")
+    with contextlib.redirect_stdout(io.StringIO()):  # the commands' own output
+        codes = [cli.main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "8",
+                           "--out", str(cache)]),
+                 cli.main(["compare", "--cache", str(cache), "--out", str(out), *COMPARE])]
+    if codes != [0, 0]:
+        return None
+    h = hashlib.sha256()
+    for name in REPORTS:
+        feed(h, name, (out / name).read_bytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(ROWS, INPUT_DIM)) + 1j * rng.normal(size=(ROWS, INPUT_DIM))
@@ -140,7 +169,9 @@ def main() -> int:
         print(h.hexdigest())
         print(files.hexdigest())
         print(data_digest(tmp))
-    return 0 if ok else 1
+        report = report_digest(tmp)
+        print(report or "the report digest's preprocess or compare failed")
+    return 0 if ok and report else 1
 
 
 if __name__ == "__main__":
