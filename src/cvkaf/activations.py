@@ -43,12 +43,12 @@ parses back: a registry key, or case 2 at other mixing weights such as
 ``wlkaf_case2:0.7:0.2``. Model configs and files carry only the name.
 
 Every ``forward(z, params, dictionary, cache=True)`` returns ``(out,
-cache)``, where the cache holds what ``backward`` reads. Callers that
-only need ``out`` (prediction, the objective alone, :func:`fit_alpha`)
-pass ``cache=False`` and get ``(out, None)``: the KAF engine then
-computes each part's squares in place of its offsets and keeps no
-``A @ R`` product, with the same arithmetic in the same order, so ``out``
-is bit-identical to the cached pass.
+cache)``, where the cache holds what ``backward(g_out, cache, params)``
+reads. Callers that only need ``out`` (prediction, the objective alone,
+:func:`fit_alpha`) pass ``cache=False`` and get ``(out, None)``: the KAF
+engine then computes each part's squares in place of its offsets and
+keeps no ``A @ R`` product, with the same arithmetic in the same order, so
+``out`` is bit-identical to the cached pass.
 """
 
 from __future__ import annotations
@@ -179,7 +179,7 @@ class SplitActivation:
         re, im = np.tanh(z.real), np.tanh(z.imag)
         return re + 1j * im, {"d_re": 1.0 - re**2, "d_im": 1.0 - im**2} if cache else None
 
-    def backward(self, g_out, cache, params, dictionary):
+    def backward(self, g_out, cache, params):
         gz = g_out.real * cache["d_re"] + 1j * (g_out.imag * cache["d_im"])
         return gz, {}
 
@@ -196,7 +196,7 @@ class PhaseAmplitudeActivation:
         out = z * _tanh_over_r(r)
         return out, {"z": z, "r": r} if cache else None
 
-    def backward(self, g_out, cache, params, dictionary):
+    def backward(self, g_out, cache, params):
         z, r = cache["z"], cache["r"]
         t = np.tanh(r)
         dz = 0.5 * (_tanh_over_r(r) + (1.0 - t**2))  # d out/d z, real
@@ -323,7 +323,7 @@ class _KafBase:
         return result, {"offsets": offsets, "grids": grids, "factors": factors,
                         "bilinear": bilinear, "w": w}
 
-    def backward(self, g_out, cache, params, dictionary):
+    def backward(self, g_out, cache, params):
         offsets, grids, factors = cache["offsets"], cache["grids"], cache["factors"]
         g_t = np.ascontiguousarray(g_out.T)
         weights = {}  # factor key -> dJ/dE, (H, m, B)

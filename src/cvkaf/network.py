@@ -166,6 +166,11 @@ class NetworkConfig:
     def __post_init__(self):
         for name in ("hidden_widths", "dict_range"):  # a header holds lists
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        sizes = (self.input_dim, self.class_count, *self.hidden_widths)
+        if not all(_is_a(n, numbers.Integral) for n in sizes):
+            raise ParameterError(f"input_dim {self.input_dim!r}, class_count "
+                                 f"{self.class_count!r} and hidden_widths "
+                                 f"{self.hidden_widths!r} must be integers")
         if self.input_dim < 1 or self.class_count < 1:
             raise ParameterError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
@@ -177,6 +182,10 @@ class NetworkConfig:
         except ParameterError as exc:
             raise ParameterError(f"dict_points {self.dict_points!r} and dict_range "
                                  f"{self.dict_range}: {exc}") from exc
+        # plain ints, such as numpy's, go into the header's JSON
+        for name in ("input_dim", "class_count", "seed", "dict_points"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
 
 
 class _Network:
@@ -307,8 +316,7 @@ class _Network:
             w, _, hidden = self._layers[i]
             entry = cache["layers"][i]
             if hidden is not None:
-                g, act_grads = self.activation.backward(
-                    g, entry["act_cache"], hidden, self.dictionary)
+                g, act_grads = self.activation.backward(g, entry["act_cache"], hidden)
                 for name, garr in act_grads.items():
                     grads[f"layer{i}.{name}"] = garr
             grads[f"layer{i}.W"], g, grads[f"layer{i}.b"] = backward_affine(
@@ -401,7 +409,7 @@ class _Relu:
     def forward(self, z, params, dictionary, cache=True):
         return np.maximum(z, 0.0), {"active": z > 0} if cache else None
 
-    def backward(self, g_out, cache, params, dictionary):
+    def backward(self, g_out, cache, params):
         return g_out * cache["active"], {}
 
 

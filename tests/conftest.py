@@ -1,3 +1,4 @@
+import cvkaf  # noqa: F401  before numpy, so its one-BLAS-thread default takes effect
 import numpy as np
 import pytest
 

@@ -7,8 +7,14 @@ desk-scale surrogate on the built-in ``glyphs`` dataset runs the same
 pipeline end to end. It asserts absolute bars only, calibrated on split and
 training seeds it does not use; the comparative claims are left to the
 MNIST subset.
+
+The gate trains nothing itself: the surrogate and criteria 7 and 8 each run
+``cvkaf preprocess``, then ``cvkaf compare`` (which spreads its runs over the
+usable CPUs), and read the test accuracies from the report's
+``comparison.json`` and the training curves from each run's ``trace.csv``.
 """
 
+import json
 import os
 import time
 from pathlib import Path
@@ -16,17 +22,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvkaf.cli import main
-from cvkaf.data import build_complex_dataset, fft2, load_idx, load_named_dataset
+from cvkaf.cli import _run_dir, main, usable_cpus
+from cvkaf.data import fft2
 from cvkaf.gradcheck import gradcheck_variant
 from cvkaf.kernels import build_dictionary
-from cvkaf.network import (
-    build_model,
-    complex_softmax,
-    softmax_from_squared_magnitudes,
-    TrainObjective,
-)
-from cvkaf.optim import TrainConfig, evaluate, train
+from cvkaf.network import complex_softmax, softmax_from_squared_magnitudes
+from cvkaf.optim import read_trace_csv
 from cvkaf.activations import ACTIVATION_VARIANTS, KafActivation, WlKafCase1Activation
 
 from conftest import random_complex
@@ -229,42 +230,48 @@ BENCH_VARIANTS = ("real_nn", "kaf_independent", "wlkaf_case1", "wlkaf_case2")
 BENCH_SEEDS = (0, 1, 2)
 
 
-def _train_variant(ds, variant, seed, max_iterations, patience):
-    model = build_model(
-        variant, ds.feature_dim, ds.class_count, seed,
-        hidden_widths=(100, 100, 100), dictionary=build_dictionary(8, (-2.0, 2.0)),
-    )
-    config = TrainConfig(batch_size=40, patience=patience, eval_every=50,
-                         max_iterations=max_iterations, seed=seed)
-    trace = train(model, ds.train_xy(), ds.val_xy(), config,
-                  TrainObjective("cross_entropy", 0.0))
-    return model, trace
+def run_compare(cache: Path, out: Path, models, max_iterations: int, patience: int) -> dict:
+    """One ``cvkaf compare`` of ``models`` over ``BENCH_SEEDS`` at C = 0, with the
+    benchmark-shaped networks: three hidden layers of 100, an 8x8 dictionary,
+    batches of 40 and validation every 50 iterations.
+
+    Returns, per model, each seed's test accuracy from ``comparison.json`` and
+    each seed's trace, read back from its run directory's ``trace.csv``.
+    """
+    assert main(["compare", "--cache", str(cache), "--out", str(out),
+                 "--models", ",".join(models), "--seeds", ",".join(map(str, BENCH_SEEDS)),
+                 "--c-grid", "0", "--max-iterations", str(max_iterations),
+                 "--patience", str(patience), "--eval-every", "50", "--batch-size", "40",
+                 "--hidden", "100,100,100", "--dict-points", "8"]) == 0
+    rows = json.loads((out / "comparison.json").read_text())["models"]
+    failed = {m: row["error"] for m, row in rows.items() if "error" in row}
+    assert not failed, failed
+    return {m: (rows[m]["test_accuracies"],
+                [read_trace_csv(_run_dir(out, m, seed, 0.0) / "trace.csv") for seed in BENCH_SEEDS])
+            for m in models}
 
 
 @pytest.fixture(scope="module")
-def mnist_subset():
-    pair = find_mnist()
-    if pair is None:
+def mnist_cache(tmp_path_factory):
+    if find_mnist() is None:
         pytest.skip(MNIST_SKIP)
-    raw = load_idx(*pair)
-    return build_complex_dataset(raw, k=100, split_counts=(10000, 2000, 2000), seed=0)
+    cache = tmp_path_factory.mktemp("mnist") / "mnist.cvkc"
+    assert main(["preprocess", "--dataset", "mnist", "--data-dir", str(DATA_DIR),
+                 "--k-coeffs", "100", "--split-counts", "10000,2000,2000", "--seed", "0",
+                 "--out", str(cache)]) == 0
+    return cache
 
 
 @pytest.mark.slow
 class TestCriterion7MnistBenchmark:
-    def test_scaled_table_one(self, mnist_subset):
+    def test_scaled_table_one(self, mnist_cache, tmp_path):
         """10k/2k/2k MNIST subset, benchmark defaults, 3 seeds per variant."""
-        means = {}
-        runtimes = []
-        for variant in BENCH_VARIANTS:
-            accs = []
-            for seed in BENCH_SEEDS:
-                t0 = time.perf_counter()
-                model, _ = _train_variant(mnist_subset, variant, seed,
-                                          max_iterations=12000, patience=1000)
-                runtimes.append(time.perf_counter() - t0)
-                accs.append(evaluate(model, *mnist_subset.test_xy()))
-            means[variant] = float(np.mean(accs))
+        results = run_compare(mnist_cache, tmp_path, BENCH_VARIANTS,
+                              max_iterations=12000, patience=1000)
+        means = {v: float(np.mean(accs)) for v, (accs, _) in results.items()}
+        # runs train in compare's processes, so each run's time is its trace's clock
+        runtimes = [t.records[-1].elapsed_seconds for _, traces in results.values()
+                    for t in traces]
         ok = (
             means["wlkaf_case1"] >= 0.93
             and means["wlkaf_case1"] >= means["real_nn"]
@@ -280,17 +287,13 @@ class TestCriterion7MnistBenchmark:
 
 @pytest.mark.slow
 class TestCriterion8ConvergenceOrdering:
-    def test_wl_case1_trains_at_least_as_fast_as_kaf(self, mnist_subset):
+    def test_wl_case1_trains_at_least_as_fast_as_kaf(self, mnist_cache, tmp_path):
         """Mean training loss over iterations 500-4000, matched seeds."""
-        means = {}
-        for variant in ("kaf_independent", "wlkaf_case1"):
-            losses = []
-            for seed in BENCH_SEEDS:
-                _, trace = _train_variant(mnist_subset, variant, seed,
-                                          max_iterations=4000, patience=10**9)
-                losses.extend(r.train_loss for r in trace.records
-                              if 500 <= r.iteration <= 4000)
-            means[variant] = float(np.mean(losses))
+        results = run_compare(mnist_cache, tmp_path, ("kaf_independent", "wlkaf_case1"),
+                              max_iterations=4000, patience=10**9)
+        means = {v: float(np.mean([r.train_loss for t in traces for r in t.records
+                                   if 500 <= r.iteration <= 4000]))
+                 for v, (_, traces) in results.items()}
         ok = means["wlkaf_case1"] <= means["kaf_independent"]
         report(8, ok, f"mean loss wlkaf_case1={means['wlkaf_case1']:.4f} "
                       f"vs kaf={means['kaf_independent']:.4f}")
@@ -308,26 +311,22 @@ SURROGATE_LOSS_RATIO_BAR = 0.2  # last train loss over first, for each KAF run
 
 
 @pytest.fixture(scope="module")
-def glyphs_benchmark():
+def glyphs_benchmark(tmp_path_factory):
     """Desk-scale surrogate: the same pipeline on the built-in glyphs.
 
-    1440/180/180 split, 40 FFT coefficients, benchmark-shaped networks,
-    800 iterations. The variants do not differ beyond seed noise here, so
-    only absolute bars are asserted; the comparative claims run on the
-    MNIST subset.
+    ``cvkaf preprocess`` (1440/180/180 split, 40 FFT coefficients), then one
+    ``cvkaf compare`` of the benchmark-shaped networks for 800 iterations.
+    The variants do not differ beyond seed noise here, so only absolute bars
+    are asserted; the comparative claims run on the MNIST subset. Returns
+    :func:`run_compare`'s results and the wall seconds of both commands.
     """
-    raw = load_named_dataset("glyphs", data_dir="unused")
-    ds = build_complex_dataset(raw, k=40, seed=0)
-    results = {}
-    for variant in BENCH_VARIANTS:
-        accs, traces = [], []
-        for seed in BENCH_SEEDS:
-            model, trace = _train_variant(ds, variant, seed,
-                                          max_iterations=800, patience=10**9)
-            accs.append(evaluate(model, *ds.test_xy()))
-            traces.append(trace)
-        results[variant] = (accs, traces)
-    return results
+    t0 = time.perf_counter()
+    work = tmp_path_factory.mktemp("glyphs")
+    assert main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "40", "--seed", "0",
+                 "--out", str(work / "glyphs.cvkc")]) == 0
+    results = run_compare(work / "glyphs.cvkc", work / "comparison", BENCH_VARIANTS,
+                          max_iterations=800, patience=10**9)
+    return results, time.perf_counter() - t0
 
 
 @pytest.mark.slow
@@ -335,21 +334,23 @@ class TestDeskScaleSurrogate:
     """Environment-feasible stand-in exercising the criterion 7/8 pipeline."""
 
     def test_wl_case1_meets_absolute_bar(self, glyphs_benchmark):
-        accs, _ = glyphs_benchmark["wlkaf_case1"]
-        mean = float(np.mean(accs))
+        results, seconds = glyphs_benchmark
+        mean = float(np.mean(results["wlkaf_case1"][0]))
+        runs = len(BENCH_VARIANTS) * len(BENCH_SEEDS)
         ok = mean >= SURROGATE_ACCURACY_BAR
         report(7, ok, f"surrogate (glyphs): wlkaf_case1 mean test acc {mean:.4f} "
                       f"(bar {SURROGATE_ACCURACY_BAR}; MNIST-gated test holds the "
-                      f"comparative claims)")
+                      f"comparative claims); {runs} runs, compare in "
+                      f"{min(usable_cpus(), runs)} processes, {seconds:.1f}s wall")
         assert ok
 
     def test_every_variant_learns(self, glyphs_benchmark):
-        for variant, (accs, _) in glyphs_benchmark.items():
+        for variant, (accs, _) in glyphs_benchmark[0].items():
             assert float(np.mean(accs)) >= SURROGATE_ACCURACY_BAR, (variant, accs)
 
     def test_losses_collapse_from_start(self, glyphs_benchmark):
         for variant in ("kaf_independent", "wlkaf_case1", "wlkaf_case2"):
-            _, traces = glyphs_benchmark[variant]
+            _, traces = glyphs_benchmark[0][variant]
             for trace in traces:
                 first, last = trace.records[0].train_loss, trace.records[-1].train_loss
                 assert last < SURROGATE_LOSS_RATIO_BAR * first, (variant, first, last)

@@ -300,7 +300,7 @@ class TestIndependentClosedForm:
         layer, params, z, w, gamma, axis, e = self._case(dict8, rng)
         g = random_complex(rng, z.shape)
         _, cache = layer.forward(z, params, dict8)
-        g_z, grads = layer.backward(g, cache, params, dict8)
+        g_z, grads = layer.backward(g, cache, params)
 
         g_w = np.einsum("bh,bhk->hk", g, e(z.real) + 1j * e(z.imag))
         g_alpha = (g_w[:, None, :] - 1j * g_w[:, :, None]).reshape(w.shape[0], -1)
@@ -423,7 +423,7 @@ class TestLayerBackwardAgainstFiniteDifferences:
 
         out, cache = layer.forward(z, params, dictionary)
         g_out = r1 + 1j * r2 + out
-        gz, grads = layer.backward(g_out, cache, params, dictionary)
+        gz, grads = layer.backward(g_out, cache, params)
 
         fd_z = finite_diff_cogradient(
             lambda v: objective(layer.forward(v, params, dictionary)[0]), z
@@ -445,7 +445,7 @@ class TestLayerBackwardAgainstFiniteDifferences:
         params = layer.init_params(2, dictionary)
         z = random_complex(rng, (4, 2))
         out, cache = layer.forward(z, params, dictionary)
-        gz, grads = layer.backward(np.zeros_like(out), cache, params, dictionary)
+        gz, grads = layer.backward(np.zeros_like(out), cache, params)
         assert not gz.any()
         for g in grads.values():
             assert not g.any()

@@ -6,6 +6,8 @@ import os
 import re
 import shutil
 import statistics
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +384,27 @@ class TestCompare:
         assert not (tmp_path / "cmp").exists()  # rejected before any run
 
 
+class TestBlasThreadDefault:
+    """Importing ``cvkaf`` sets each BLAS thread variable the environment leaves
+    unset to 1, so ``compare``'s processes do not each start a BLAS thread per CPU."""
+
+    NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def seen(self, **given) -> str:
+        """The three variables as a fresh interpreter sees them after ``import cvkaf``."""
+        env = {k: v for k, v in os.environ.items() if k not in self.NAMES}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        code = f"import cvkaf, os; print(*(os.environ.get(n) for n in {self.NAMES!r}))"
+        return subprocess.run([sys.executable, "-c", code], env={**env, **given}, check=True,
+                              capture_output=True, text=True, timeout=60).stdout.strip()
+
+    def test_unset_variables_become_one(self):
+        assert self.seen() == "1 1 1"
+
+    def test_an_explicit_setting_wins(self):
+        assert self.seen(OPENBLAS_NUM_THREADS="2") == "2 1 1"
+
+
 class TestCompareHelpers:
     """``compare`` deals each stage's runs over ``cli.usable_cpus()`` processes, run i
     to process i mod n with this process as process 0, and writes the same bytes
@@ -718,8 +741,8 @@ class TestGradcheckCommand:
 
         true_backward = WlKafCase1Activation.backward
 
-        def corrupted(self, g_out, cache, params, dictionary):
-            gz, grads = true_backward(self, g_out, cache, params, dictionary)
+        def corrupted(self, g_out, cache, params):
+            gz, grads = true_backward(self, g_out, cache, params)
             grads["alpha"] = grads["alpha"] * factor
             return gz, grads
 

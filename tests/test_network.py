@@ -554,6 +554,12 @@ class TestConfigChecks:
     def test_takes_a_non_negative_integer_seed(self, seed):
         assert NetworkConfig(3, (4,), 5, seed=seed).seed == seed
 
+    @pytest.mark.parametrize("sizes", [(3.0, (4,), 5), (3, (4, 4.5), 5), (3, (4,), True),
+                                       ("3", (4,), 5)])
+    def test_refuses_sizes_that_are_not_integers(self, sizes):
+        with pytest.raises(ParameterError, match="must be integers"):
+            NetworkConfig(*sizes)
+
     @pytest.mark.parametrize("entry, value", [
         ("dict_points", 1), ("dict_range", [2.0, -2.0]),
         ("dict_points", 4.9), ("dict_points", "4"), ("dict_range", ["-2", "2"]),
@@ -586,6 +592,19 @@ class TestSerialization:
             np.testing.assert_array_equal(restored.parameters()[name], arr)
         x = random_complex(rng, (3, 4))
         np.testing.assert_array_equal(restored.predict_proba(x), model.predict_proba(x))
+
+    @pytest.mark.parametrize("make", [
+        lambda i: build_model("real_nn", 3, 2, i(3), hidden_widths=(i(4),)),
+        lambda i: ComplexNetwork(NetworkConfig(i(3), (i(4),), i(2), activation="wlkaf_case1",
+                                               seed=i(1), dict_points=i(4))),
+    ], ids=["real_nn", "wlkaf_case1"])
+    def test_numpy_integers_save_as_plain_ints(self, make, tmp_path):
+        """The config holds Python ints, so the header's JSON takes numpy's."""
+        plain, numpy_ints = tmp_path / "int.cvkm", tmp_path / "int64.cvkm"
+        save_model(plain, make(int))
+        save_model(numpy_ints, make(np.int64))
+        assert numpy_ints.read_bytes() == plain.read_bytes()
+        assert load_model(numpy_ints).config == make(int).config
 
     def test_activation_settings_survive_the_round_trip(self, tmp_path, rng):
         activation = WlKafCase2Activation((0.7, 0.2))

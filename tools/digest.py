@@ -8,7 +8,9 @@ Run from the repository root as::
     PYTHONPATH=src python tools/digest.py
 
 and compare the printed digests between two source trees (point
-``PYTHONPATH`` at the other tree's ``src``). The lines do not depend on the
+``PYTHONPATH`` at the other tree's ``src``). The script imports ``cvkaf``
+before numpy, so it runs with the package's one BLAS thread unless the
+environment sets the thread variables. The lines do not depend on the
 BLAS thread count: with OpenBLAS 0.3.31 and numpy 2.4.6 on a 2-core host,
 each line was equal under ``OPENBLAS_NUM_THREADS=1`` and ``=2`` (with
 ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set alike). The identity fit of
@@ -52,6 +54,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import cvkaf  # noqa: F401  before numpy, so its one-BLAS-thread default applies here too
 import numpy as np
 
 from cvkaf import cli, data, optim
