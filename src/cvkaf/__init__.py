@@ -12,12 +12,21 @@ environment already sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
 ``MKL_NUM_THREADS``: ``compare`` trains one run per usable CPU, and BLAS
 threads on top of that oversubscribe the CPUs. A BLAS library reads these
 variables once, when numpy first loads it, so they only take effect if
-``cvkaf`` is imported before numpy.
+``cvkaf`` is imported before numpy. Importing ``cvkaf`` after numpy with
+none of the three set issues a ``RuntimeWarning``.
 """
 
 import os
+import sys
+import warnings
 
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+if "numpy" in sys.modules and not any(name in os.environ for name in _BLAS_THREADS):
+    warnings.warn("numpy was imported before cvkaf, so BLAS may run a thread per CPU in each "
+                  f"process; import cvkaf first or set {', '.join(_BLAS_THREADS)}",
+                  RuntimeWarning, stacklevel=2)
+for _name in _BLAS_THREADS:
     os.environ.setdefault(_name, "1")
 
 __version__ = "0.1.0"

@@ -259,14 +259,19 @@ class _KafBase:
     on the log-bandwidth ``closed_form`` names, ``h(Re z) - i*h(Im z)`` with
     ``h(x) = w^T e(x)`` and ``w = c(alpha) + i*r(alpha)`` (grid column and row sums).
 
-    Subclasses provide ``terms``, and ``closed_form`` if any. They also bind
-    ``init_params``, ``forward`` and ``backward`` as their own attributes, so
-    per-class instrumentation (``perfbench/harness.py``) can wrap one variant
-    at a time. Arrays are laid out (H, m, B): neuron, grid axis, batch row.
+    Subclasses provide ``terms``, and ``closed_form`` if any. Arrays are laid
+    out (H, m, B): neuron, grid axis, batch row.
     """
 
     terms: tuple[_Term, ...]
     closed_form: str | None = None
+
+    def __init_subclass__(cls):
+        # per-class instrumentation (perfbench/harness.py) wraps a class's own
+        # attribute: each variant holds the passes, so each is timed alone
+        for name in ("init_params", "forward", "backward"):
+            if name not in vars(cls):
+                setattr(cls, name, vars(_KafBase)[name])
 
     @cached_property
     def _plan(self) -> tuple[tuple, dict]:
@@ -399,10 +404,6 @@ class KafActivation(_KafBase):
     terms = property(lambda self: _KAF_KERNELS[self.kernel][0])
     closed_form = property(lambda self: _KAF_KERNELS[self.kernel][1])
 
-    init_params = _KafBase.init_params
-    forward = _KafBase.forward
-    backward = _KafBase.backward
-
 
 @dataclass(frozen=True)
 class WlKafCase1Activation(_KafBase):
@@ -414,10 +415,6 @@ class WlKafCase1Activation(_KafBase):
 
     name = "wlkaf_case1"
     terms = (_Term("log_gamma_rr", "real", "real"), _Term("log_gamma_ii", "imag", "imag"))
-
-    init_params = _KafBase.init_params
-    forward = _KafBase.forward
-    backward = _KafBase.backward
 
 
 @dataclass(frozen=True)
@@ -446,10 +443,6 @@ class WlKafCase2Activation(_KafBase):
         pseudo = [_kernel_terms("log_gamma_tilde", q, 2.0 * w, cross=True)
                   for q, w in enumerate(self.omegas)]
         return sum(kernel + pseudo, ())
-
-    init_params = _KafBase.init_params
-    forward = _KafBase.forward
-    backward = _KafBase.backward
 
 
 # Every activation variant, keyed by its name: the one list that model

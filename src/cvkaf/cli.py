@@ -49,6 +49,7 @@ from .errors import (
     DataFormatError,
     NumericError,
     ParameterError,
+    describe,
 )
 from .gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
 from .kernels import (DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, Dictionary,
@@ -278,7 +279,7 @@ def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
                "total_iterations": trace.total_iterations, "stop_reason": trace.stop_reason,
                "val_accuracy": val_acc, "test_accuracy": test_acc}
     if error is not None:
-        summary["error"] = f"{type(error).__name__}: {error}"
+        summary["error"] = describe(error)
     _write_json(out_dir / "summary.json", summary)
     if error is not None:
         raise error
@@ -369,7 +370,7 @@ def _attempt(ds, run, args, settings, out_dir: Path) -> None:
         if not (run_dir / "summary.json").exists():
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_json(run_dir / "summary.json", {"model": model_name, "seed": seed, "c": c,
-                                                   "error": f"{type(exc).__name__}: {exc}"})
+                                                   "error": describe(exc)})
 
 
 def _helper(send, ds, runs, args, settings, out_dir: Path) -> None:
@@ -437,8 +438,8 @@ def _read_compare_settings(path: Path):
         if not all(settings):
             raise ValueError("no model, seed or C")
     except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:  # ValueError: ParameterError
-        raise DataFormatError(f"{path} does not hold the settings of a compare: "
-                              f"{type(exc).__name__}: {exc}") from exc
+        raise DataFormatError(
+            f"{path} does not hold the settings of a compare: {describe(exc)}") from exc
     return settings
 
 
@@ -451,8 +452,7 @@ def _read_summary(run_dir: Path) -> dict:
             if not isinstance(summary[key], str if key == "error" else float):
                 raise TypeError(f"{key} is {summary[key]!r}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataFormatError(f"{path} is not a usable run summary: "
-                              f"{type(exc).__name__}: {exc}") from exc
+        raise DataFormatError(f"{path} is not a usable run summary: {describe(exc)}") from exc
     return summary
 
 

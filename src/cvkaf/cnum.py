@@ -86,40 +86,30 @@ def finite_diff_cogradient(
 ) -> np.ndarray:
     """Central-difference cogradient of a real scalar function.
 
-    Real and imaginary parts of every entry are perturbed independently.
-    For real-valued ``w`` the result is a real array of plain central
-    differences. This is the reference oracle for every analytic backward
-    rule in the package; it must stay independent of them.
+    ``f`` sees a float64 or complex128 copy of ``w``, whatever ``w``'s dtype,
+    whose float64 values (a complex entry's real part, then its imaginary
+    part) are perturbed in turn; the result has the copy's dtype. This is the
+    reference oracle for every analytic backward rule in the package; it
+    must stay independent of them.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    w = np.array(w)
-    is_complex = np.iscomplexobj(w)
-    out = np.zeros(w.shape, dtype=np.complex128 if is_complex else np.float64)
-    flat_w = w.reshape(-1)
-    flat_out = out.reshape(-1)
+    w = np.array(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64, order="C")
+    values = w.reshape(-1).view(np.float64)  # a complex entry is its (re, im) pair
+    out = np.zeros(values.shape)
 
-    def _eval(v: np.ndarray) -> float:
-        val = f(v.reshape(w.shape))
+    def _eval() -> float:
+        val = f(w)
         if not np.isfinite(val):
             raise NumericError(f"objective returned non-finite value {val!r}")
         return float(val)
 
-    for i in range(flat_w.size):
-        orig = flat_w[i]
-        flat_w[i] = orig + eps
-        fp = _eval(flat_w)
-        flat_w[i] = orig - eps
-        fm = _eval(flat_w)
-        flat_w[i] = orig
-        d_re = (fp - fm) / (2 * eps)
-        if is_complex:
-            flat_w[i] = orig + 1j * eps
-            fp = _eval(flat_w)
-            flat_w[i] = orig - 1j * eps
-            fm = _eval(flat_w)
-            flat_w[i] = orig
-            flat_out[i] = d_re + 1j * (fp - fm) / (2 * eps)
-        else:
-            flat_out[i] = d_re
-    return out
+    for k in range(values.size):
+        orig = values[k]
+        values[k] = orig + eps
+        fp = _eval()
+        values[k] = orig - eps
+        fm = _eval()
+        values[k] = orig
+        out[k] = (fp - fm) / (2 * eps)
+    return out.view(w.dtype).reshape(w.shape)

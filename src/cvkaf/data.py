@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import CacheError, DataFormatError, ParameterError
+from .errors import CacheError, DataFormatError, ParameterError, check_seed, describe
 
 __all__ = [
     "RawImageSet",
@@ -363,6 +363,7 @@ def build_complex_dataset(
     The coefficient ranking and the standardization constants see training
     images only; validation and test reuse them unchanged.
     """
+    seed = check_seed(seed)
     sizes = _split_sizes(raw.count, split_counts)
     n_train = sizes[0]
     src = np.random.default_rng(seed).permutation(raw.count)[:sum(sizes)]
@@ -417,8 +418,8 @@ def load_cached(path) -> ComplexDataset:
             )
         return ComplexDataset(**meta, **arrays)
     except (TypeError, ValueError) as exc:  # DataFormatError is a ValueError
-        raise CacheError(f"{path} does not hold a usable feature cache: "
-                         f"{type(exc).__name__}: {exc}; rebuild the cache") from exc
+        raise CacheError(f"{path} does not hold a usable feature cache: {describe(exc)}; "
+                         "rebuild the cache") from exc
 
 
 # Conventional file names per dataset, resolved under <data_dir>/<dataset>/.
@@ -507,7 +508,7 @@ _GLYPH_CHUNK = 1000  # images rendered per call of _render_glyphs
 
 def glyphs(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` (28, 28) uint8 images and balanced uint8 labels from ``seed``."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     labels = rng.permutation(np.arange(count) % _GLYPH_CLASSES)
     images = np.empty((count, _GLYPH_SIDE, _GLYPH_SIDE), dtype=np.uint8)
     for lo in range(0, count, _GLYPH_CHUNK):

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, the seed rule and the error spelling.
 
 The CLI maps these onto distinct exit codes (parameter -> 2, data -> 3,
 numeric -> 4), so raising the right class matters beyond error messages.
 """
+
+import numbers
 
 
 class CvkafError(Exception):
@@ -33,3 +35,21 @@ class CacheError(CvkafError, ValueError):
 
 class StateError(CvkafError, RuntimeError):
     """A cached forward state no longer matches the model it came from."""
+
+
+def _is_a(value, kind) -> bool:
+    """Whether ``value`` is a ``kind`` number; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an ``int`` if it is a non-negative integer, as numpy's
+    generators take it; anything else, a bool too, is a :class:`ParameterError`."""
+    if not (_is_a(seed, numbers.Integral) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+def describe(exc: BaseException) -> str:
+    """``exc`` as ``"{Type}: {message}"``, the spelling ``summary.json``'s ``error`` holds."""
+    return f"{type(exc).__name__}: {exc}"

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _is_a
 
 __all__ = ["Dictionary", "build_dictionary"]
 
@@ -29,29 +29,18 @@ class Dictionary:
     ``points`` enumerates the Cartesian product of ``points_per_axis``
     equispaced values on each axis in row-major order: the imaginary axis
     varies in the outer loop, the real axis in the inner loop, both
-    ascending. Serialized models rely on this ordering.
+    ascending. Serialized models rely on this ordering. :func:`build_dictionary`
+    makes every one, with the ``spacing`` of neighbouring values on an axis.
     """
 
     points: np.ndarray
     points_per_axis: int
     axis_range: tuple[float, float]
-    spacing: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "spacing",
-            (self.axis_range[1] - self.axis_range[0]) / (self.points_per_axis - 1),
-        )
+    spacing: float
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-
-def _is_a(value, kind) -> bool:
-    """Whether ``value`` is a ``kind`` number; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def build_dictionary(points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
@@ -82,4 +71,4 @@ def build_dictionary(points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
     axis = np.linspace(lo, hi, m)
     re, im = np.meshgrid(axis, axis, indexing="xy")  # imaginary outer, real inner
     points = (re + 1j * im).reshape(-1).astype(np.complex128)
-    return Dictionary(points=points, points_per_axis=m, axis_range=(lo, hi))
+    return Dictionary(points=points, points_per_axis=m, axis_range=(lo, hi), spacing=spacing)

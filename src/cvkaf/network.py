@@ -46,8 +46,11 @@ from .errors import (
     NumericError,
     ParameterError,
     StateError,
+    _is_a,
+    check_seed,
+    describe,
 )
-from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, _is_a, build_dictionary
+from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
 
 __all__ = [
     "NetworkConfig",
@@ -175,8 +178,7 @@ class NetworkConfig:
             raise ParameterError("input_dim and class_count must be positive")
         if any(w < 1 for w in self.hidden_widths):
             raise ParameterError(f"hidden_widths must be positive, got {self.hidden_widths}")
-        if not (_is_a(self.seed, numbers.Integral) and self.seed >= 0):  # as numpy's generator takes
-            raise ParameterError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_seed(self.seed)
         try:  # checked for every name, real_nn too, which builds no grid and fits no alpha
             build_dictionary(self.dict_points, self.dict_range)
         except ParameterError as exc:
@@ -196,6 +198,13 @@ class _Network:
 
     _input_features = 1  # the first layer reads the complex input itself
     _input = staticmethod(lambda x: x)
+
+    def __init_subclass__(cls):
+        # per-class instrumentation (perfbench/harness.py) wraps a class's own
+        # attribute: each network class holds these, so each is timed alone
+        for name in ("forward", "backward", "predict", "loss_and_grads"):
+            if name not in vars(cls):
+                setattr(cls, name, vars(_Network)[name])
 
     # -- construction --------------------------------------------------------
 
@@ -380,13 +389,6 @@ class _Network:
 class ComplexNetwork(_Network):
     """Feedforward complex network with a shared hidden activation."""
 
-    # bound in each class so that each holds them as its own attributes, which
-    # is where perfbench's per-class wrappers look them up
-    forward = _Network.forward
-    backward = _Network.backward
-    predict = _Network.predict
-    loss_and_grads = _Network.loss_and_grads
-
     _dtype = np.complex128
 
     _hidden_activation = staticmethod(act.activation_named)
@@ -418,11 +420,6 @@ _RELU = _Relu()
 
 class RealBaselineNetwork(_Network):
     """Conventional real MLP fed [Re(x); Im(x)], ReLU hiddens, softmax output."""
-
-    forward = _Network.forward
-    backward = _Network.backward
-    predict = _Network.predict
-    loss_and_grads = _Network.loss_and_grads
 
     _dtype = np.float64
     _input_features = 2
@@ -485,5 +482,4 @@ def load_model(path):
     except CacheError:
         raise
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise CacheError(f"{path} does not hold a usable model: "
-                         f"{type(exc).__name__}: {exc}") from exc
+        raise CacheError(f"{path} does not hold a usable model: {describe(exc)}") from exc

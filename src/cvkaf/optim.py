@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError, ParameterError
+from .errors import DataFormatError, NumericError, ParameterError, check_seed
 from .network import TrainObjective
 
 __all__ = [
@@ -87,6 +87,7 @@ class TrainConfig:
                 raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
         if self.patience < 0:
             raise ParameterError(f"patience must be nonnegative, got {self.patience}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -83,10 +83,12 @@ class TestPreprocess:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
-    def test_zero_k_is_parameter_error(self, tmp_path):
-        rc = main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "0",
-                   "--out", str(tmp_path / "x.cvkc")])
-        assert rc == 2
+    @pytest.mark.parametrize("flag, value", [("--k-coeffs", "0"), ("--seed", "-1")])
+    def test_unusable_setting_is_parameter_error(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "x.cvkc"
+        assert main(["preprocess", "--dataset", "glyphs", flag, value, "--out", str(out)]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_is_data_error(self, tmp_path):
         rc = main(["preprocess", "--dataset", "mnist", "--data-dir", str(tmp_path),
@@ -390,19 +392,36 @@ class TestBlasThreadDefault:
 
     NAMES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def seen(self, **given) -> str:
-        """The three variables as a fresh interpreter sees them after ``import cvkaf``."""
+    def run(self, code: str, **given) -> subprocess.CompletedProcess:
+        """``code`` run by a fresh interpreter whose environment sets only ``given``
+        of the three variables."""
         env = {k: v for k, v in os.environ.items() if k not in self.NAMES}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
-        code = f"import cvkaf, os; print(*(os.environ.get(n) for n in {self.NAMES!r}))"
         return subprocess.run([sys.executable, "-c", code], env={**env, **given}, check=True,
-                              capture_output=True, text=True, timeout=60).stdout.strip()
+                              capture_output=True, text=True, timeout=60)
+
+    def seen(self, **given) -> str:
+        """The three variables as a fresh interpreter sees them after ``import cvkaf``."""
+        code = f"import cvkaf, os; print(*(os.environ.get(n) for n in {self.NAMES!r}))"
+        return self.run(code, **given).stdout.strip()
 
     def test_unset_variables_become_one(self):
         assert self.seen() == "1 1 1"
 
     def test_an_explicit_setting_wins(self):
         assert self.seen(OPENBLAS_NUM_THREADS="2") == "2 1 1"
+
+    @pytest.mark.parametrize("code, given, warns", [
+        ("import numpy, cvkaf", {}, True),
+        ("import cvkaf, numpy", {}, False),
+        ("import numpy, cvkaf", {"OPENBLAS_NUM_THREADS": "1"}, False),
+    ])
+    def test_importing_numpy_first_warns_unless_a_variable_is_set(self, code, given, warns):
+        """numpy loads its BLAS library when imported, so an import of ``cvkaf``
+        after it cannot pin the thread count any more, and says so."""
+        err = self.run(code, **given).stderr
+        assert ("RuntimeWarning" in err and all(n in err for n in self.NAMES)) is warns
+        assert (err == "") is not warns
 
 
 class TestCompareHelpers:

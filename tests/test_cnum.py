@@ -173,9 +173,17 @@ class TestHermitianNormSq:
 
 
 class TestFiniteDiffCogradient:
-    def test_norm_square_derivative(self):
-        fd = finite_diff_cogradient(lambda w: float(np.sum(np.abs(w) ** 2)), np.array([1.0 + 0j]))
-        np.testing.assert_allclose(fd, [2.0 + 0j], rtol=0, atol=1e-9)
+    # At 1-2j, f = 5 and its rounding over the 2*eps step leaves an error of 1.2e-9,
+    # so that point is checked at 1e-8; at 1+0j the error is 2e-12.
+    @pytest.mark.parametrize("w, expected, atol", [
+        (np.array([1.0 + 0j]), [2.0 + 0j], 1e-9),
+        (np.array([1.0 - 2.0j], dtype=np.complex128), [2.0 - 4.0j], 1e-8),
+        (np.array([1.0 - 2.0j], dtype=np.complex64), [2.0 - 4.0j], 1e-8),
+    ], ids=["complex128-at-1", "complex128-at-1-2j", "complex64-at-1-2j"])
+    def test_norm_square_derivative(self, w, expected, atol):
+        fd = finite_diff_cogradient(lambda v: float(np.sum(np.abs(v) ** 2)), w)
+        assert fd.dtype == np.complex128
+        np.testing.assert_allclose(fd, expected, rtol=0, atol=atol)
 
     def test_constant_function(self, rng):
         w = random_complex(rng, 4)
@@ -188,10 +196,33 @@ class TestFiniteDiffCogradient:
         np.testing.assert_allclose(fd[0], 1.0 + 0j, rtol=0, atol=1e-9)
         np.testing.assert_allclose(fd[1:], 0, rtol=0, atol=1e-9)
 
-    def test_real_parameter_array(self):
-        fd = finite_diff_cogradient(lambda v: float(np.sum(v**2)), np.array([1.0, -2.0]))
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+    def test_real_parameter_array(self, dtype):
+        fd = finite_diff_cogradient(lambda v: float(np.sum(v**2)), np.array([1, -2], dtype=dtype))
         assert fd.dtype == np.float64
         np.testing.assert_allclose(fd, [2.0, -4.0], rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float32, np.complex64])
+    def test_differences_a_double_precision_copy(self, dtype, rng):
+        """``w`` of another dtype gives the differences of its float64 or complex128
+        copy, bit for bit, and ``f`` sees that copy."""
+        w = (rng.normal(size=(3, 2)) * 4).astype(dtype)
+        double = w.astype(np.complex128 if np.iscomplexobj(w) else np.float64)
+        seen = set()
+
+        def f(v):
+            seen.add(v.dtype)
+            return float(np.sum(np.abs(v) ** 3 + np.sin(v).real))
+
+        fd = finite_diff_cogradient(f, w)
+        assert fd.dtype == double.dtype and seen == {double.dtype}
+        np.testing.assert_array_equal(fd, finite_diff_cogradient(f, double))
+
+    def test_fortran_order_input(self, rng):
+        coef = rng.normal(size=(2, 3))
+        w = np.asfortranarray(rng.normal(size=(2, 3)))
+        fd = finite_diff_cogradient(lambda v: float(np.sum(coef * v)), w)
+        np.testing.assert_allclose(fd, coef, rtol=0, atol=1e-8)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ from cvkaf.errors import (
 )
 from cvkaf.kernels import build_dictionary
 from cvkaf.container import read_container, write_container
-from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
+from cvkaf.data import build_complex_dataset, cache_dataset, glyphs, load_cached
 from cvkaf.network import (
     _MODEL_MAGIC,
     _MODEL_VERSION,
@@ -36,6 +36,7 @@ from cvkaf.network import (
     softmax_cross_entropy,
     softmax_from_squared_magnitudes,
 )
+from cvkaf.optim import TrainConfig
 
 from conftest import random_complex
 from test_data import synthetic_raw
@@ -554,6 +555,17 @@ class TestConfigChecks:
     def test_takes_a_non_negative_integer_seed(self, seed):
         assert NetworkConfig(3, (4,), 5, seed=seed).seed == seed
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    @pytest.mark.parametrize("seeded", [
+        lambda seed: TrainConfig(seed=seed),
+        lambda seed: build_complex_dataset(synthetic_raw(20, classes=2), k=4, seed=seed,
+                                           split_counts=(10, 5, 5)),
+        lambda seed: glyphs(10, seed),
+    ], ids=["TrainConfig", "build_complex_dataset", "glyphs"])
+    def test_the_other_generator_seeders_check_the_seed(self, seeded, seed):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            seeded(seed)
+
     @pytest.mark.parametrize("sizes", [(3.0, (4,), 5), (3, (4, 4.5), 5), (3, (4,), True),
                                        ("3", (4,), 5)])
     def test_refuses_sizes_that_are_not_integers(self, sizes):
@@ -577,6 +589,13 @@ class TestConfigChecks:
             load_model(path)
         assert f"{path} does not hold a usable model" in str(caught.value)
         assert isinstance(caught.value.__cause__, ParameterError)
+
+
+def test_each_network_class_holds_the_chain_methods_as_its_own():
+    """perfbench's per-class wrappers replace a class's own attribute."""
+    for cls in (ComplexNetwork, RealBaselineNetwork):
+        for name in ("forward", "backward", "predict", "loss_and_grads"):
+            assert vars(cls)[name] is vars(network._Network)[name], (cls, name)
 
 
 class TestSerialization:

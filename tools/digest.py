@@ -1,7 +1,7 @@
-"""Four sha256 digests: one over everything a model computes, to check that
+"""Five sha256 digests: one over everything a model computes, to check that
 a refactor is bit-identical, one over the model files it saves, one over
-the feature pipeline's datasets and their cache files, and one over the
-reports of a small ``compare``.
+the feature pipeline's datasets and their cache files, one over the
+reports of a small ``compare``, and one over the numeric gradients.
 
 Run from the repository root as::
 
@@ -41,6 +41,13 @@ seeds 0 and 1 and the C grid {0, 1e-3} at hidden width 8, a 4x4 grid and 30
 iterations, on the built-in glyphs at 8 FFT coefficients. A change to the
 table, its best-C rule or the convergence columns moves this line alone,
 unless it also changes what a run computes.
+
+The fifth line, the numeric-gradient digest, covers what
+``gradcheck.gradcheck_variant`` returns for seeds 0, 1 and 2 for every
+registry variant and ``wlkaf_case2:0.7:0.2``, and
+``cnum.finite_diff_cogradient`` of one function at a seeded real and a
+seeded complex array. It is the fingerprint that batched finite differences
+(ROADMAP.md, item 12) must keep, or move knowingly.
 """
 
 from __future__ import annotations
@@ -59,7 +66,8 @@ import numpy as np
 
 from cvkaf import cli, data, optim
 from cvkaf.activations import ACTIVATION_VARIANTS
-from cvkaf.gradcheck import draw_alphas
+from cvkaf.cnum import finite_diff_cogradient
+from cvkaf.gradcheck import draw_alphas, gradcheck_variant
 from cvkaf.network import (
     ComplexNetwork,
     NetworkConfig,
@@ -78,6 +86,7 @@ SPLITS = ((0, (500, 100, 60)), (1, (333, 77, 90)))  # (seed, split counts)
 COMPARE = ["--models", "kaf_real_gaussian,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0,1e-3",
            "--hidden", "8", "--dict-points", "4", "--eval-every", "10", "--max-iterations", "30"]
 REPORTS = ("comparison.txt", "comparison.json", "convergence.csv")
+GRADCHECKED = (*ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2")
 
 
 def models():
@@ -140,6 +149,17 @@ def report_digest(tmp) -> str | None:
     return h.hexdigest()
 
 
+def gradient_digest() -> str:
+    """The sha256 of each gradient check's worst errors and of two central-difference arrays."""
+    h = hashlib.sha256()
+    for name in GRADCHECKED:
+        feed(h, name, repr(sorted(gradcheck_variant(name, range(3)).items())))
+    rng = np.random.default_rng(4)
+    for w in (rng.normal(size=(3, 4)), rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))):
+        feed(h, finite_diff_cogradient(lambda v: float(np.sum((np.sin(v) * v * v).real)), w))
+    return h.hexdigest()
+
+
 def main() -> int:
     rng = np.random.default_rng(0)
     x = rng.normal(size=(ROWS, INPUT_DIM)) + 1j * rng.normal(size=(ROWS, INPUT_DIM))
@@ -174,6 +194,7 @@ def main() -> int:
         print(data_digest(tmp))
         report = report_digest(tmp)
         print(report or "the report digest's preprocess or compare failed")
+        print(gradient_digest())
     return 0 if ok and report else 1
 
 
