@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import multiprocessing
 import os
 import re
@@ -49,6 +48,8 @@ from .errors import (
     DataFormatError,
     NumericError,
     ParameterError,
+    check_int,
+    check_number,
     describe,
 )
 from .gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
@@ -76,23 +77,29 @@ def _parse_range(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected a range like -2..2, got {text!r}") from exc
 
 
-def _finite_parser(zero_ok: bool):
-    """The option type reading a finite number above zero, or at or above it."""
-    noun = "non-negative" if zero_ok else "positive"
-
-    def parse(text: str) -> float:
+def _option_type(read, rule):
+    """The option type applying the library rule ``rule`` to the text as ``read``
+    reads it, or to the text itself if ``read`` cannot; the rule's ParameterError
+    becomes argparse's type error."""
+    def parse(text: str):
         try:
-            value = float(text)
+            value = read(text)
         except ValueError:
-            value = math.nan
-        if not (0.0 <= value if zero_ok else 0.0 < value) or value == math.inf:
-            raise argparse.ArgumentTypeError(f"expected a finite {noun} number, got {text!r}")
-        return value
+            value = text  # for the rule to refuse
+        try:
+            return rule(value)
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
 
 
-_parse_positive = _finite_parser(zero_ok=False)  # --lr
-_parse_nonnegative = _finite_parser(zero_ok=True)  # --c and each --c-grid entry
+_parse_lr = _option_type(float, lambda value: check_number("lr", value))
+_parse_c = _option_type(float, lambda value: check_number("c", value, zero_ok=True))
+_parse_k = _option_type(int, lambda value: check_int("k_coeffs", value, 1))
+_parse_seed_count = _option_type(int, lambda value: check_int("seeds", value, 1))
+# --model: real_nn or an activation name
+_parse_model = _option_type(str, lambda name: name if name == "real_nn"
+                            else activation_named(name).name)
 
 
 def _list_parser(kind, noun):
@@ -106,16 +113,8 @@ def _list_parser(kind, noun):
     return parse
 
 
-_parse_c_grid = _list_parser(_parse_nonnegative, "non-negative numbers")
+_parse_c_grid = _list_parser(_parse_c, "non-negative numbers")
 _parse_ints = _list_parser(int, "integers")
-
-
-def _parse_model(text: str) -> str:
-    """The ``--model`` type: ``real_nn`` or an activation name."""
-    try:
-        return text if text == "real_nn" else activation_named(text).name
-    except ParameterError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_models(text: str) -> tuple[str, ...]:
@@ -197,8 +196,6 @@ def _write_json(path, payload: dict) -> None:
 
 
 def cmd_preprocess(args) -> int:
-    if args.k_coeffs < 1:
-        raise ParameterError(f"k_coeffs must be positive, got {args.k_coeffs}")
     out = args.out or f"{args.dataset}.cvkc"
 
     raw = data_mod.load_named_dataset(args.dataset, args.data_dir)
@@ -536,8 +533,6 @@ def cmd_gradcheck(args) -> int:
     n_seeds = args.seeds
     # an unknown name fails in the first check, where the network is built
     variants = tuple(ACTIVATION_VARIANTS) if args.model == "all" else (args.model,)
-    if n_seeds < 1:
-        raise ParameterError(f"--seeds must be at least 1, got {n_seeds}")
     failures = []
     for variant in variants:
         errors = gradcheck_variant(variant, range(n_seeds))
@@ -589,7 +584,7 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 def add_training_flags(p) -> None:
     """The training flags ``train`` and ``compare`` share, with the library's defaults."""
-    p.add_argument("--lr", type=_parse_positive, default=TrainConfig.lr,
+    p.add_argument("--lr", type=_parse_lr, default=TrainConfig.lr,
                    help="Adagrad learning rate")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="batch size")
     p.add_argument("--patience", type=int, default=TrainConfig.patience,
@@ -616,15 +611,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
+    def command(name, func, help, config=True):
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
-        p.add_argument("--config", help="key = value config file; flags win")
-        p.set_defaults(func=func, parser=p)
+        if config:
+            p.add_argument("--config", help="key = value config file; flags win")
+        p.set_defaults(func=func, parser=p, config=None)
         return p
 
     p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset")
     p.add_argument("--dataset", default="mnist", help=" | ".join(data_mod.DATASET_NAMES))
-    p.add_argument("--k-coeffs", type=int, default=data_mod.DEFAULT_K, help="coefficients to keep")
+    p.add_argument("--k-coeffs", type=_parse_k, default=data_mod.DEFAULT_K,
+                   help="coefficients to keep")
     p.add_argument("--seed", type=int, default=0, help="split permutation seed")
     p.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV, "data"),
                    help=f"IDX file root, from ${DATA_DIR_ENV} when set")
@@ -637,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=_parse_model, default="wlkaf_case1",
                    help=" | ".join(("real_nn", *ACTIVATION_VARIANTS, _CASE2_HELP)))
     p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
-    p.add_argument("--c", type=_parse_nonnegative, default=TrainObjective.reg_weight,
+    p.add_argument("--c", type=_parse_c, default=TrainObjective.reg_weight,
                    help="regularizer weight")
     add_training_flags(p)
     p.add_argument("--out", help="run directory; run_<model>_seed<seed> if omitted")
@@ -661,10 +658,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("gradcheck", cmd_gradcheck, "finite-difference check of all backward rules")
     p.add_argument("--model", default="all",
                    help=" | ".join(("all", *ACTIVATION_VARIANTS, _CASE2_HELP)))
-    p.add_argument("--seeds", type=int, default=20, help="number of random seeds")
+    p.add_argument("--seeds", type=_parse_seed_count, default=20, help="number of random seeds")
 
     p = command("report", cmd_report,
-                "rewrite the comparison table and convergence CSV of a compare directory")
+                "rewrite the comparison table and convergence CSV of a compare directory",
+                config=False)  # its one input is DIR
     p.add_argument("dir", metavar="DIR", help="output directory of 'compare'")
 
     return parser

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import DimensionError, NumericError, check_number
 
 __all__ = [
     "complex_affine",
@@ -92,8 +92,7 @@ def finite_diff_cogradient(
     reference oracle for every analytic backward rule in the package; it
     must stay independent of them.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    eps = check_number("eps", eps)
     w = np.array(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64, order="C")
     values = w.reshape(-1).view(np.float64)  # a complex entry is its (re, im) pair
     out = np.zeros(values.shape)

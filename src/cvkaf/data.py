@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import CacheError, DataFormatError, ParameterError, check_seed, describe
+from .errors import CacheError, DataFormatError, ParameterError, check_int, describe
 
 __all__ = [
     "RawImageSet",
@@ -239,7 +239,7 @@ def rank_and_select(images: np.ndarray, k: int, rows=None) -> np.ndarray:
     _, h, w = imgs.shape
     rows = np.arange(imgs.shape[0]) if rows is None else np.asarray(rows)
     n = rows.shape[0]
-    if not 1 <= k <= h * w:
+    if check_int("k", k, 1) > h * w:
         raise ParameterError(f"k must lie in [1, {h * w}], got {k}")
     total = np.zeros(h * (w // 2 + 1), dtype=np.float64)
     mags = None  # row 0 carries the running total, rows 1.. a chunk's |F|
@@ -291,13 +291,17 @@ class ComplexDataset:
                  if getattr(self, name).dtype.kind not in kind]
         if wrong:
             raise DataFormatError(f"arrays of the wrong dtype: {', '.join(wrong)}")
-        # a header holds lists
-        sizes = self.split_sizes = tuple(self.split_sizes)
-        self.image_dims = tuple(self.image_dims)
-        if len(sizes) != 3 or not all(isinstance(v, int) and v >= 0
-                                      for v in (*sizes, self.class_count)):
-            raise DataFormatError(f"need three split sizes and a class count, all non-negative "
-                                  f"integers; got {sizes} and {self.class_count!r}")
+        sizes, dims = tuple(self.split_sizes), tuple(self.image_dims)  # a header holds lists
+        if len(sizes) != 3 or len(dims) != 2:
+            raise DataFormatError(f"need three split sizes and two image dims, got {sizes} "
+                                  f"and {dims}")
+        try:
+            sizes = self.split_sizes = tuple(check_int("split_sizes entry", v, 0) for v in sizes)
+            self.image_dims = tuple(check_int("image_dims entry", v, 1) for v in dims)
+            self.class_count = check_int("class_count", self.class_count, 0)
+            self.seed = check_int("seed", self.seed, 0)
+        except ParameterError as exc:  # a header, not a setting
+            raise DataFormatError(str(exc)) from exc
         rows = sum(sizes)
         if self.features.ndim != 2 or self.features.shape[0] != rows \
                 or self.labels.shape != (rows,):
@@ -341,9 +345,9 @@ def _split_sizes(n: int, split_counts) -> tuple[int, int, int]:
         if any(c < 1 for c in counts):
             raise ParameterError(f"the 80/10/10 split of {n} images leaves a split empty")
         return counts
-    counts = tuple(int(c) for c in split_counts)
-    if len(counts) != 3 or any(c < 1 for c in counts):
-        raise ParameterError(f"need three positive split counts, got {split_counts}")
+    counts = tuple(check_int("split_counts entry", c, 1) for c in split_counts)
+    if len(counts) != 3:
+        raise ParameterError(f"need three split counts, got {split_counts}")
     if sum(counts) > n:
         raise ParameterError(f"split counts {counts} exceed dataset size {n}")
     return counts
@@ -363,7 +367,7 @@ def build_complex_dataset(
     The coefficient ranking and the standardization constants see training
     images only; validation and test reuse them unchanged.
     """
-    seed = check_seed(seed)
+    seed = check_int("seed", seed, 0)
     sizes = _split_sizes(raw.count, split_counts)
     n_train = sizes[0]
     src = np.random.default_rng(seed).permutation(raw.count)[:sum(sizes)]
@@ -508,7 +512,8 @@ _GLYPH_CHUNK = 1000  # images rendered per call of _render_glyphs
 
 def glyphs(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` (28, 28) uint8 images and balanced uint8 labels from ``seed``."""
-    rng = np.random.default_rng(check_seed(seed))
+    count = check_int("count", count, 0)
+    rng = np.random.default_rng(check_int("seed", seed, 0))
     labels = rng.permutation(np.arange(count) % _GLYPH_CLASSES)
     images = np.empty((count, _GLYPH_SIDE, _GLYPH_SIDE), dtype=np.uint8)
     for lo in range(0, count, _GLYPH_CHUNK):

@@ -1,9 +1,11 @@
-"""Exception taxonomy shared across the package, the seed rule and the error spelling.
+"""Exception taxonomy shared across the package, the integer and number rules
+every setting and file header is checked by, and the error spelling.
 
 The CLI maps these onto distinct exit codes (parameter -> 2, data -> 3,
 numeric -> 4), so raising the right class matters beyond error messages.
 """
 
+import math
 import numbers
 
 
@@ -42,12 +44,24 @@ def _is_a(value, kind) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
-def check_seed(seed) -> int:
-    """``seed`` as an ``int`` if it is a non-negative integer, as numpy's
-    generators take it; anything else, a bool too, is a :class:`ParameterError`."""
-    if not (_is_a(seed, numbers.Integral) and seed >= 0):
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int`` if it is an integer at or above ``minimum``; anything
+    else, a bool too, is a :class:`ParameterError` naming the setting ``name``."""
+    if not (_is_a(value, numbers.Integral) and value >= minimum):
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            minimum, f"an integer >= {minimum}")
+        raise ParameterError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
+def check_number(name: str, value, zero_ok: bool = False) -> float:
+    """``value`` as a ``float`` if it is a finite real number above zero (or at zero, with
+    ``zero_ok``); anything else, a bool too, is a :class:`ParameterError` naming ``name``."""
+    if not (_is_a(value, numbers.Real) and math.isfinite(value)
+            and (value >= 0 if zero_ok else value > 0)):
+        kind = "non-negative" if zero_ok else "positive"
+        raise ParameterError(f"{name} must be a finite {kind} number, got {value!r}")
+    return float(value)
 
 
 def describe(exc: BaseException) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _is_a
+from .errors import ParameterError, _is_a, check_int
 
 __all__ = ["Dictionary", "build_dictionary"]
 
@@ -53,14 +53,11 @@ def build_dictionary(points_per_axis: int = DEFAULT_POINTS_PER_AXIS,
     otherwise the points or the bandwidths that start from them are not
     finite.
     """
+    m = check_int("points_per_axis", points_per_axis, 2)
     ends = tuple(axis_range)
-    if not _is_a(points_per_axis, numbers.Integral):
-        raise ParameterError(f"points_per_axis must be an integer, got {points_per_axis!r}")
     if len(ends) != 2 or not all(_is_a(e, numbers.Real) for e in ends):
         raise ParameterError(f"axis_range must be two real numbers, got {axis_range!r}")
-    m, (lo, hi) = int(points_per_axis), map(float, ends)
-    if m < 2:
-        raise ParameterError(f"points_per_axis must be >= 2, got {points_per_axis}")
+    lo, hi = map(float, ends)
     if not lo < hi:
         raise ParameterError(f"axis_range must satisfy lo < hi, got ({lo}, {hi})")
     spacing = (hi - lo) / (m - 1)  # infinite if lo, hi or the span is

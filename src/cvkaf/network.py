@@ -31,8 +31,6 @@ is a :class:`DimensionError`.
 from __future__ import annotations
 
 import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +44,8 @@ from .errors import (
     NumericError,
     ParameterError,
     StateError,
-    _is_a,
-    check_seed,
+    check_int,
+    check_number,
     describe,
 )
 from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
@@ -149,9 +147,8 @@ class TrainObjective:
     def __post_init__(self):
         if self.loss != "cross_entropy":
             raise ParameterError(f"unknown loss {self.loss!r}; only 'cross_entropy' is defined")
-        if not 0 <= self.reg_weight < math.inf:
-            raise ParameterError(
-                f"regularization weight must be finite and nonnegative, got {self.reg_weight}")
+        object.__setattr__(self, "reg_weight",
+                           check_number("reg_weight", self.reg_weight, zero_ok=True))
 
 
 @dataclass(frozen=True)
@@ -167,27 +164,18 @@ class NetworkConfig:
     dict_range: tuple[float, float] = DEFAULT_AXIS_RANGE
 
     def __post_init__(self):
-        for name in ("hidden_widths", "dict_range"):  # a header holds lists
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        sizes = (self.input_dim, self.class_count, *self.hidden_widths)
-        if not all(_is_a(n, numbers.Integral) for n in sizes):
-            raise ParameterError(f"input_dim {self.input_dim!r}, class_count "
-                                 f"{self.class_count!r} and hidden_widths "
-                                 f"{self.hidden_widths!r} must be integers")
-        if self.input_dim < 1 or self.class_count < 1:
-            raise ParameterError("input_dim and class_count must be positive")
-        if any(w < 1 for w in self.hidden_widths):
-            raise ParameterError(f"hidden_widths must be positive, got {self.hidden_widths}")
-        check_seed(self.seed)
+        # a header holds lists, and its JSON takes plain ints, not numpy's
+        object.__setattr__(self, "dict_range", tuple(self.dict_range))
+        for name, minimum in (("input_dim", 1), ("class_count", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        object.__setattr__(self, "hidden_widths", tuple(
+            check_int("hidden_widths entry", w, 1) for w in self.hidden_widths))
         try:  # checked for every name, real_nn too, which builds no grid and fits no alpha
-            build_dictionary(self.dict_points, self.dict_range)
+            dictionary = build_dictionary(self.dict_points, self.dict_range)
         except ParameterError as exc:
             raise ParameterError(f"dict_points {self.dict_points!r} and dict_range "
                                  f"{self.dict_range}: {exc}") from exc
-        # plain ints, such as numpy's, go into the header's JSON
-        for name in ("input_dim", "class_count", "seed", "dict_points"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "dict_points", dictionary.points_per_axis)
 
 
 class _Network:

@@ -15,13 +15,12 @@ stopping on strict improvement).
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError, NumericError, ParameterError, check_seed
+from .errors import DataFormatError, NumericError, ParameterError, check_int, check_number
 from .network import TrainObjective
 
 __all__ = [
@@ -47,9 +46,7 @@ class Adagrad:
     epsilon = 1e-8  # added to sqrt(acc), so a zero accumulator divides safely
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
-        if not 0 < lr < math.inf:
-            raise ParameterError(f"learning rate must be finite and positive, got {lr}")
-        self.lr = lr
+        self.lr = check_number("lr", lr)
         self.acc = {name: np.zeros_like(_components(arr)) for name, arr in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -82,12 +79,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("batch_size", "eval_every", "max_iterations"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.patience < 0:
-            raise ParameterError(f"patience must be nonnegative, got {self.patience}")
-        check_seed(self.seed)
+        for name, minimum in (("batch_size", 1), ("patience", 0), ("eval_every", 1),
+                              ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
+        object.__setattr__(self, "lr", check_number("lr", self.lr))
 
 
 @dataclass(frozen=True)

@@ -163,7 +163,8 @@ class TestTrain:
                 flag, value]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: expected a finite" in err and f"got '{value}'" in err
+        assert f"argument {flag}: {flag[2:]} must be a finite" in err
+        assert f"got {float(value)!r}" in err
         assert not run_dir.exists()
 
     def test_unreadable_cache_is_data_error(self, tmp_path):
@@ -319,8 +320,8 @@ class TestCompare:
                    "--seeds", "0", "--c-grid", grid, "--out", str(out_dir), *TRAIN_FLAGS])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "argument --c-grid: expected a finite non-negative number" in err
-        assert f"got '{bad}'" in err
+        assert "argument --c-grid: c must be a finite non-negative number" in err
+        assert f"got {float(bad)!r}" in err
         assert not out_dir.exists()
 
     def test_grid_search_records_each_c(self, tiny_cache, tmp_path):
@@ -846,6 +847,16 @@ class TestReport:
                      "hidden = 8", "max_iterations = 60"):
             assert line in settings, line
 
+    def test_has_no_config_option(self, tmp_path, capsys):
+        for command in ("preprocess", "train", "evaluate", "compare", "gradcheck", "report"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert ("--config" in capsys.readouterr().out) == (command != "report")
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text(f"dir = {tmp_path}\n")
+        assert main(["report", "--config", str(cfg), str(tmp_path)]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+
     def test_rerun_gives_the_bytes_compare_wrote(self, compared, capsys):
         written = self.reports(compared)
         assert main(["report", str(compared)]) == 0
@@ -1051,8 +1062,10 @@ class TestConfigFile:
             argv += ["--models", "real_nn", "--seeds", "0"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        flag = "--" + line.split(" ")[0]
-        assert f"config file {cfg}: " in err and f"argument {flag}: expected a finite" in err
+        flag, value = "--" + line.split(" ")[0], line.split(",")[-1].split(" ")[-1]
+        name = "c" if flag == "--c-grid" else flag[2:]
+        assert f"config file {cfg}: " in err and f"argument {flag}: {name} must be a finite" in err
+        assert f"got {float(value)!r}" in err
         assert not out.exists()
 
     def test_bad_config_value_names_the_file(self, tiny_cache, tmp_path, capsys):

@@ -11,7 +11,7 @@ from cvkaf.cnum import (
     finite_diff_cogradient,
     hermitian_norm_sq,
 )
-from cvkaf.errors import DimensionError, NumericError
+from cvkaf.errors import DimensionError, NumericError, ParameterError
 
 from conftest import random_complex
 
@@ -224,9 +224,11 @@ class TestFiniteDiffCogradient:
         fd = finite_diff_cogradient(lambda v: float(np.sum(coef * v)), w)
         np.testing.assert_allclose(fd, coef, rtol=0, atol=1e-8)
 
-    def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            finite_diff_cogradient(lambda v: 0.0, np.zeros(1), eps=0.0)
+    @pytest.mark.parametrize("eps", [0.0, math.nan, math.inf])
+    def test_rejects_bad_eps(self, eps):
+        with pytest.raises(ParameterError, match=f"eps must be a finite positive number, "
+                                                 f"got {eps}"):
+            finite_diff_cogradient(lambda v: 0.0, np.zeros(1), eps=eps)
 
     def test_non_finite_objective_raises(self):
         with pytest.raises(NumericError):

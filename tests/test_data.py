@@ -23,7 +23,9 @@ from cvkaf.data import (
     load_named_dataset,
     rank_and_select,
 )
+from cvkaf.cli import main
 from cvkaf.errors import CacheError, DataFormatError, ParameterError
+from cvkaf.network import build_model, save_model
 
 from test_acceptance import naive_dft2_reference
 
@@ -337,6 +339,15 @@ class TestBuildComplexDataset:
         assert np.all(np.isfinite(ds.features.view(np.float64)))
         assert not ds.features.any()
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"split_counts": (300.9, 50, 50)}, "split_counts entry must be a positive integer, "
+                                            "got 300.9"),
+        ({"k": 3.5}, "k must be a positive integer, got 3.5"),
+    ], ids=["split_counts", "k"])
+    def test_refuses_a_count_that_is_not_an_integer(self, setting, message):
+        with pytest.raises(ParameterError, match=message):
+            build_complex_dataset(synthetic_raw(400), seed=0, **setting)
+
     def test_empty_split_rejected(self):
         with pytest.raises(ParameterError, match="80/10/10 split of 9 images leaves a split"):
             build_complex_dataset(synthetic_raw(9), k=4, seed=0)
@@ -481,6 +492,21 @@ class TestCache:
             for other in arrays[i + 1:]:
                 assert not np.shares_memory(arr, other)
 
+    @pytest.mark.parametrize("field, value", [("seed", "abc"), ("seed", -3), ("image_dims", "ab"),
+                                              ("split_sizes", [40, 5, True])])
+    def test_evaluate_refuses_a_header_value_outside_its_rule(self, field, value, tmp_path,
+                                                              capsys):
+        ds = build_complex_dataset(synthetic_raw(50), k=7, seed=6, split_counts=(40, 5, 1))
+        path, model_file = tmp_path / "ds.cvkc", tmp_path / "m.cvkm"
+        cache_dataset(ds, path)
+        meta, arrays = read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
+        meta[field] = value
+        write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
+        save_model(model_file, build_model("real_nn", ds.feature_dim, ds.class_count, 0,
+                                           hidden_widths=(4,)))
+        assert main(["evaluate", "--model-file", str(model_file), "--cache", str(path)]) == 3
+        assert field in capsys.readouterr().err
+
     def test_version_mismatch_prompts_rebuild(self, tmp_path):
         path = tmp_path / "ds.cvkc"
         cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
@@ -545,3 +571,9 @@ class TestGlyphs:
         theirs = bench.write_idx_pair(tmp_path / "theirs", *expected)
         for a, b in zip(ours, theirs):
             assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("count", [-1, 2.5])
+    def test_refuses_a_count_that_is_not_a_non_negative_integer(self, count):
+        with pytest.raises(ParameterError,
+                           match=f"count must be a non-negative integer, got {count}"):
+            data.glyphs(count, 0)

@@ -404,7 +404,8 @@ class TestIdentityFitPerBuild:
 class TestRegularizer:
     @pytest.mark.parametrize("weight", [-1e-3, np.inf, np.nan])
     def test_weight_outside_zero_to_infinity_rejected(self, weight):
-        with pytest.raises(ParameterError, match="finite and nonnegative"):
+        with pytest.raises(ParameterError, match="reg_weight must be a finite non-negative "
+                                                 f"number, got {weight!r}"):
             TrainObjective("cross_entropy", weight)
 
     @pytest.mark.parametrize("variant", ["real_nn", "wlkaf_case2"])
@@ -536,9 +537,9 @@ class TestConfigChecks:
 
     @pytest.mark.parametrize("name", ["real_nn", *ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2"])
     @pytest.mark.parametrize("entry, value, message", [
-        ("dict_points", 1, "points_per_axis must be >= 2, got 1"),
+        ("dict_points", 1, "points_per_axis must be an integer >= 2, got 1"),
         ("dict_range", (2.0, -2.0), r"axis_range must satisfy lo < hi, got \(2.0, -2.0\)"),
-        ("dict_points", 4.9, "points_per_axis must be an integer, got 4.9"),
+        ("dict_points", 4.9, "points_per_axis must be an integer >= 2, got 4.9"),
         ("dict_range", ("-2", "2"), r"axis_range must be two real numbers, got \('-2', '2'\)"),
     ])
     def test_every_name_checks_the_grid(self, name, entry, value, message):
@@ -569,7 +570,13 @@ class TestConfigChecks:
     @pytest.mark.parametrize("sizes", [(3.0, (4,), 5), (3, (4, 4.5), 5), (3, (4,), True),
                                        ("3", (4,), 5)])
     def test_refuses_sizes_that_are_not_integers(self, sizes):
-        with pytest.raises(ParameterError, match="must be integers"):
+        input_dim, widths, class_count = sizes
+        name, bad = next((name, v) for name, v in (("input_dim", input_dim),
+                                                   *(("hidden_widths entry", w) for w in widths),
+                                                   ("class_count", class_count))
+                         if type(v) is not int)
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be a positive integer, got {re.escape(repr(bad))}"):
             NetworkConfig(*sizes)
 
     @pytest.mark.parametrize("entry, value", [

@@ -1,6 +1,7 @@
 """Adagrad and the training loop with early stopping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,10 +41,20 @@ def tiny_model(seed=0, variant="wlkaf_case1"):
                        hidden_widths=(6,), dictionary=build_dictionary(4))
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name, value", [("batch_size", 2.5), ("batch_size", True),
+                                             ("batch_size", "3"), ("lr", -1.0), ("lr", math.nan)])
+    def test_refuses_a_count_or_rate_outside_its_rule(self, name, value):
+        with pytest.raises(ParameterError,
+                           match=f"{name} must be a .*, got {re.escape(repr(value))}"):
+            TrainConfig(**{name: value})
+
+
 class TestAdagrad:
     @pytest.mark.parametrize("lr", [0.0, -0.01, np.inf, np.nan])
     def test_lr_outside_zero_to_infinity_rejected(self, lr):
-        with pytest.raises(ParameterError, match="finite and positive"):
+        with pytest.raises(ParameterError,
+                           match=f"lr must be a finite positive number, got {lr!r}"):
             Adagrad({"w": np.zeros(2)}, lr=lr)
 
     def test_zero_gradient_is_a_no_op(self):
