@@ -9,10 +9,10 @@ classification benchmarks.
 
 Importing the package gives the process one BLAS thread unless the
 environment already sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
-``MKL_NUM_THREADS``: ``compare`` trains one run per usable CPU, and BLAS
-threads on top of that oversubscribe the CPUs. A BLAS library reads these
-variables once, when numpy first loads it, so they only take effect if
-``cvkaf`` is imported before numpy. Importing ``cvkaf`` after numpy with
+``MKL_NUM_THREADS``: ``compare`` and ``evaluate`` run one process per usable
+CPU, and BLAS threads on top of that oversubscribe the CPUs. A BLAS library
+reads these variables once, when numpy first loads it, so they only take
+effect if ``cvkaf`` is imported before numpy. Importing ``cvkaf`` after numpy with
 none of the three set issues a ``RuntimeWarning``.
 """
 

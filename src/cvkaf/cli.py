@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
-import multiprocessing
 import os
 import re
-import signal
 import statistics
 import sys
 import textwrap
@@ -58,6 +57,7 @@ from .kernels import (DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, Dictionary,
 from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
                       load_model, save_model)
 from .optim import TrainConfig
+from .pool import deal, usable_cpus
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -312,7 +312,7 @@ def cmd_evaluate(args) -> int:
         raise CacheError(f"{args.cache} has {ds.class_count} classes, but "
                          f"{args.model_file} scores {model.config.class_count}")
     x, y = getattr(ds, f"{args.split}_xy")()
-    acc = optim.evaluate(model, x, y)
+    acc = optim.evaluate(model, x, y, processes=usable_cpus())
     print(f"{args.split} accuracy: {acc:.6f} ({int(round(acc * y.size))}/{y.size})")
     return EXIT_OK
 
@@ -337,25 +337,19 @@ def cmd_compare(args) -> int:
         **_shared_settings(args), "models": _list_text(args.models),
         "seeds": _list_text(seeds), "c_grid": _list_text(c_grid)})
 
-    # the C grid on the first seed, then the other seeds at each model's best C
-    _run_stage(ds, [(m, seeds[0], c) for m in args.models for c in c_grid],
-               args, settings, out_dir)
+    # the C grid on the first seed, then the other seeds at each model's best C; the
+    # runs of a stage are independent, so they spread over the usable CPUs
+    attempt = functools.partial(_attempt, ds, args, settings, out_dir)
+    deal(attempt, [(m, seeds[0], c) for m in args.models for c in c_grid], usable_cpus(),
+         "compare")
     best_c = {m: _best_c(out_dir, m, seeds[0], c_grid)[0] for m in args.models}
-    _run_stage(ds, [(m, seed, best_c[m]) for m in args.models if best_c[m] is not None
-                    for seed in seeds[1:]], args, settings, out_dir)
+    deal(attempt, [(m, seed, best_c[m]) for m in args.models if best_c[m] is not None
+                   for seed in seeds[1:]], usable_cpus(), "compare")
     write_report(out_dir)
     return EXIT_OK
 
 
-def usable_cpus() -> int:
-    """How many CPUs this process may run on: the trainings ``compare`` runs at once."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _attempt(ds, run, args, settings, out_dir: Path) -> None:
+def _attempt(ds, args, settings, out_dir: Path, run) -> None:
     """One ``compare`` run. A run that fails before it writes ``summary.json``
     gets one holding its model, seed, C and error, for :func:`write_report`."""
     model_name, seed, c = run
@@ -368,58 +362,6 @@ def _attempt(ds, run, args, settings, out_dir: Path) -> None:
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_json(run_dir / "summary.json", {"model": model_name, "seed": seed, "c": c,
                                                    "error": describe(exc)})
-
-
-def _helper(send, ds, runs, args, settings, out_dir: Path) -> None:
-    """A forked process's share of a stage: None once its runs are done, or what stopped them."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the parent's to handle
-    try:
-        for run in runs:
-            _attempt(ds, run, args, settings, out_dir)
-        send.send(None)
-    except Exception as exc:  # such as an unwritable run directory: compare fails on it
-        send.send(exc)
-
-
-def _run_stage(ds, runs, args, settings, out_dir: Path) -> None:
-    """Train independent ``compare`` runs, each into its run directory.
-
-    Run i goes to process i mod n, where n is the usable CPUs or the run count,
-    whichever is fewer (1 without the ``fork`` start method). Process 0 is this
-    one; the others are helpers forked from it, so they share the loaded
-    dataset and settings without a copy, and only an exception travels back
-    (``compare`` starts no thread of its own). The deal is fixed, so a
-    failing or slow run repeats in the same process. No helper outlives the
-    stage, whether it ends normally, on an error or on Ctrl-C.
-    """
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    n = max(1, min(usable_cpus(), len(runs))) if forks else 1
-    helpers = []
-    try:
-        for k in range(1, n):
-            context = multiprocessing.get_context("fork")
-            receive, send = context.Pipe(duplex=False)
-            helper = context.Process(target=_helper,
-                                     args=(send, ds, runs[k::n], args, settings, out_dir))
-            helper.start()
-            send.close()  # so the pipe ends when the helper does
-            helpers.append((helper, receive))
-        for run in runs[0::n]:
-            _attempt(ds, run, args, settings, out_dir)
-        for k, (helper, receive) in enumerate(helpers, 1):
-            try:
-                error = receive.recv()
-            except EOFError:
-                helper.join()
-                raise RuntimeError(f"compare helper {k} of {n - 1} ended with exit code "
-                                   f"{helper.exitcode} before reporting") from None
-            if error is not None:
-                raise error
-    finally:
-        for helper, receive in helpers:
-            helper.terminate()
-            helper.join()
-            receive.close()
 
 
 def _run_dir(out_dir: Path, model_name: str, seed: int, c: float) -> Path:

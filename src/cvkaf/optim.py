@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DataFormatError, NumericError, ParameterError, check_int, check_number
 from .network import TrainObjective
+from .pool import deal
 
 __all__ = [
     "Adagrad",
@@ -113,20 +114,23 @@ def _check_rows(x, labels) -> None:
         raise ParameterError(f"a batch of {len(x)} rows has {len(labels)} labels")
 
 
-def evaluate(model, x: np.ndarray, labels: np.ndarray) -> float:
+def evaluate(model, x: np.ndarray, labels: np.ndarray, processes: int = 1) -> float:
     """Fraction of samples whose argmax class probability hits the label.
 
     Ties resolve to the lowest class index (argmax semantics); ``x`` needs one label per row.
+    The row chunks are dealt over ``processes`` processes (:func:`pool.deal`); the
+    accuracy is a sum of integer hit counts, so it is the same for any count.
     """
     labels = np.asarray(labels)
     _check_rows(x, labels)
     if labels.shape[0] == 0:
         raise ParameterError("cannot evaluate an empty split")
-    hits = 0
-    for lo in range(0, labels.shape[0], _EVAL_CHUNK):
-        pred = model.predict(x[lo:lo + _EVAL_CHUNK])
-        hits += int(np.sum(pred == labels[lo:lo + _EVAL_CHUNK]))
-    return hits / labels.shape[0]
+
+    def hits(lo):
+        return int(np.sum(model.predict(x[lo:lo + _EVAL_CHUNK]) == labels[lo:lo + _EVAL_CHUNK]))
+
+    chunks = range(0, labels.shape[0], _EVAL_CHUNK)
+    return sum(deal(hits, chunks, processes, "evaluate")) / labels.shape[0]
 
 
 def train(

@@ -23,7 +23,9 @@ from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
     _MODEL_MAGIC,
     _MODEL_VERSION,
+    ComplexNetwork,
     NetworkConfig,
+    TrainObjective,
     build_model,
     load_model,
     save_model,
@@ -571,6 +573,163 @@ class TestCompareHelpers:
                             lambda process: pytest.fail("a helper started"))
         assert self.compare(monkeypatch, 4, tiny_cache, tmp_path / "cmp", *grid) == 0
         assert set(ran_in().values()) == {os.getpid()}
+
+
+class TestEvaluateHelpers:
+    """``evaluate`` deals a split's row chunks over ``cli.usable_cpus()`` processes, chunk i
+    to process i mod n with this process as process 0, and prints the same bytes whatever
+    n is. With 5-row chunks, tiny_cache's 24-row test split has 5 chunks."""
+
+    @pytest.fixture
+    def model_file(self, tiny_cache, tmp_path, monkeypatch):
+        monkeypatch.setattr(optim, "_EVAL_CHUNK", 5)
+        ds = load_cached(tiny_cache)
+        path = tmp_path / "model.cvkm"
+        save_model(path, build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
+                                     hidden_widths=(8,), dictionary=build_dictionary(3)))
+        return path
+
+    @pytest.fixture
+    def ran_in(self, tiny_cache, tmp_path, monkeypatch):
+        """Record the process each chunk of the test split predicts in, and raise
+        ``fault(chunk)`` if it is not None; the call returns and clears the record,
+        {chunk: pid}."""
+        log = tmp_path / "ran"
+        log.mkdir()
+        rows = load_cached(tiny_cache).test_xy()[0]
+        predict = ComplexNetwork.predict
+        self.fault = lambda chunk: None
+
+        def recording(model, x):
+            chunk = next(i for i, row in enumerate(rows) if np.array_equal(row, x[0])) // 5
+            (log / f"{chunk} {os.getpid()}").touch()
+            error = self.fault(chunk)
+            if error is not None:
+                raise error
+            return predict(model, x)
+
+        def record():
+            ran = {}
+            for path in log.iterdir():
+                chunk, pid = map(int, path.name.split(" "))
+                ran[chunk] = pid
+                path.unlink()
+            return ran
+
+        monkeypatch.setattr(ComplexNetwork, "predict", recording)
+        return record
+
+    @staticmethod
+    def evaluate(monkeypatch, cpus, model_file, tiny_cache, capsys):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        rc = main(["evaluate", "--model-file", str(model_file), "--cache", str(tiny_cache),
+                   "--split", "test"])
+        assert multiprocessing.active_children() == []
+        return (rc, *capsys.readouterr())
+
+    def test_helpers_change_no_byte_and_keep_the_deal(self, model_file, ran_in, tiny_cache,
+                                                       capsys, monkeypatch):
+        x, y = load_cached(tiny_cache).test_xy()
+        hits = round(evaluate(load_model(model_file), x, y) * 24)
+        printed = {}
+        for cpus in (1, 2, 3):
+            printed[cpus] = self.evaluate(monkeypatch, cpus, model_file, tiny_cache, capsys)
+            pids = [pid for _, pid in sorted(ran_in().items())]
+            assert len(pids) == 5
+            n = min(cpus, 5)
+            assert pids[0::n] == [os.getpid()] * len(pids[0::n])
+            helpers = [set(pids[k::n]) for k in range(1, n)]
+            assert all(len(h) == 1 for h in helpers)
+            assert len(set().union(*helpers) - {os.getpid()}) == n - 1
+        assert printed[1] == (0, f"test accuracy: {hits / 24:.6f} ({hits}/24)\n", "")
+        assert printed[2] == printed[3] == printed[1]
+
+    @pytest.mark.parametrize("chunk_rows, methods", [(24, ["fork", "spawn"]),
+                                                     (5, ["spawn", "forkserver"])],
+                             ids=["one_chunk", "no_fork"])
+    def test_no_helper_starts(self, chunk_rows, methods, model_file, ran_in, tiny_cache, capsys,
+                              monkeypatch):
+        monkeypatch.setattr(optim, "_EVAL_CHUNK", chunk_rows)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda process: pytest.fail("a helper started"))
+        assert self.evaluate(monkeypatch, 4, model_file, tiny_cache, capsys)[0] == 0
+        assert set(ran_in().values()) == {os.getpid()}
+
+    def test_an_error_in_a_helper_is_the_serial_runs_error(self, model_file, ran_in, tiny_cache,
+                                                           capsys, monkeypatch):
+        self.fault = lambda chunk: NumericError("chunk 1 went wrong") if chunk == 1 else None
+        serial = self.evaluate(monkeypatch, 1, model_file, tiny_cache, capsys)
+        ran_in()
+        dealt = self.evaluate(monkeypatch, 2, model_file, tiny_cache, capsys)
+        assert ran_in()[1] != os.getpid()
+        assert dealt == serial == (4, "", "numeric error: chunk 1 went wrong\n")
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("ctrl_c_in_parent", KeyboardInterrupt, None),
+        ("helper_dies", RuntimeError,
+         "evaluate helper 1 of 1 ended with exit code 7 before reporting"),
+    ])
+    def test_an_evaluate_cut_short_leaves_no_process(self, fault, error, message, model_file,
+                                                     ran_in, tiny_cache, capsys, monkeypatch):
+        parent = os.getpid()
+
+        def cut_short(chunk):
+            if fault == "ctrl_c_in_parent" and os.getpid() == parent:
+                return KeyboardInterrupt()
+            if fault == "helper_dies" and os.getpid() != parent:
+                os._exit(7)
+
+        self.fault = cut_short
+        with pytest.raises(error, match=message):
+            self.evaluate(monkeypatch, 2, model_file, tiny_cache, capsys)
+        assert multiprocessing.active_children() == []
+
+
+class TestTrainingNeverForks:
+    """Validation during training, ``train``'s test score and the runs of ``compare``
+    evaluate in their own process: a fork per validation made training slower."""
+
+    @pytest.fixture(autouse=True)
+    def helpers_refused(self, monkeypatch):
+        """5-row evaluation chunks, and a process that forks a helper fails, unless it
+        is this one (``compare`` deals its runs)."""
+        monkeypatch.setattr(optim, "_EVAL_CHUNK", 5)
+        parent, start = os.getpid(), multiprocessing.process.BaseProcess.start
+
+        def start_in_parent(process):
+            if os.getpid() != parent:
+                pytest.fail("a helper forked a helper")
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_in_parent)
+
+    def test_train(self, tiny_cache, monkeypatch):
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda process: pytest.fail("a helper started"))
+        ds = load_cached(tiny_cache)
+        model = build_model("wlkaf_case1", ds.feature_dim, ds.class_count, seed=0,
+                            hidden_widths=(8,), dictionary=build_dictionary(3))
+        config = TrainConfig(batch_size=10, eval_every=20, patience=40, max_iterations=60)
+        trace = optim.train(model, ds.train_xy(), ds.val_xy(), config, TrainObjective())
+        assert trace.total_iterations == 60 and len(trace.records) == 3
+
+    def test_train_command(self, tiny_cache, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            lambda process: pytest.fail("a helper started"))
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        assert main(["train", "--cache", str(tiny_cache), "--model", "wlkaf_case1",
+                     "--out", str(tmp_path / "run"), *TRAIN_FLAGS]) == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_compare(self, cpus, tiny_cache, tmp_path, monkeypatch):
+        if cpus == 1:
+            monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                                lambda process: pytest.fail("a helper started"))
+        assert TestCompareHelpers.compare(monkeypatch, cpus, tiny_cache, tmp_path / "cmp",
+                                          *TestCompareHelpers.GRID) == 0
+        summary = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+        assert not any("error" in row for row in summary["models"].values())
 
 
 # every flag of the settings train and compare share, with a value its check refuses:
