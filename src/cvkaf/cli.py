@@ -2,7 +2,7 @@
 
 Subcommands: ``preprocess`` (FFT feature cache), ``train`` (one model, one
 seed), ``evaluate`` (accuracy of a saved model on a split), ``compare``
-(grid search + multi-seed accuracy table across model variants),
+(a search over (C, lr) cells + multi-seed accuracy table across model variants),
 ``gradcheck`` (finite-difference verification), ``report`` (the accuracy
 table and convergence CSV of a ``compare`` directory, from the ``config.txt``
 that ``compare`` writes first and the run directories it names; ``compare``
@@ -114,6 +114,7 @@ def _list_parser(kind, noun):
 
 
 _parse_c_grid = _list_parser(_parse_c, "non-negative numbers")
+_parse_lr_grid = _list_parser(_parse_lr, "positive numbers")
 _parse_ints = _list_parser(int, "integers")
 
 
@@ -214,15 +215,14 @@ def cmd_preprocess(args) -> int:
 
 def _run_settings(args, ds, seeds) -> tuple[TrainConfig, Dictionary]:
     """Check the settings the runs of ``train`` or ``compare`` share, once and
-    before any output exists: the training config, whose seed each run sets,
+    before any output exists: the training config, whose seed and lr each run sets,
     with its batch size against ``ds``'s training rows, and the network's
     ``--hidden``, ``--dict-points`` and ``--dict-range`` with each of ``seeds``.
 
     Returns the training config and the dictionary.
     """
     config = TrainConfig(batch_size=args.batch_size, patience=args.patience,
-                         eval_every=args.eval_every, max_iterations=args.max_iterations,
-                         lr=args.lr)
+                         eval_every=args.eval_every, max_iterations=args.max_iterations)
     optim.check_batch_size(config, ds.split_sizes[0])
     for seed in seeds:
         NetworkConfig(ds.feature_dim, args.hidden, ds.class_count, seed=seed,
@@ -231,14 +231,14 @@ def _run_settings(args, ds, seeds) -> tuple[TrainConfig, Dictionary]:
 
 
 def _shared_settings(args) -> dict:
-    """The cache and training flags, as a ``config.txt`` spells them."""
+    """The cache and training flags but ``lr``, as a ``config.txt`` spells them."""
     return {"cache": args.cache, "batch_size": args.batch_size, "patience": args.patience,
             "eval_every": args.eval_every, "max_iterations": args.max_iterations,
-            "lr": args.lr, "dict_points": args.dict_points,
+            "dict_points": args.dict_points,
             "dict_range": _range_text(args.dict_range), "hidden": _list_text(args.hidden)}
 
 
-def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
+def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
     """Shared train-and-save routine for ``train`` and ``compare``; returns
     the run's summary, as written to ``summary.json``.
 
@@ -249,12 +249,12 @@ def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
     :class:`NumericError`.
     """
     config, dictionary = settings
-    config = dataclasses.replace(config, seed=seed)
+    config = dataclasses.replace(config, seed=seed, lr=lr)
     model = build_model(model_name, ds.feature_dim, ds.class_count, seed,
                         hidden_widths=args.hidden, dictionary=dictionary)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
-    log.write(f"training {model_name} seed={seed} C={c} on {args.cache}")
+    log.write(f"training {model_name} seed={seed} C={c} lr={lr} on {args.cache}")
     error = None
     try:
         trace = optim.train(model, ds.train_xy(), ds.val_xy(), config,
@@ -270,9 +270,9 @@ def _train_one(ds, model_name, seed, c, args, settings, out_dir: Path):
 
     save_model(out_dir / "model.cvkm", model)
     optim.write_trace_csv(trace, out_dir / "trace.csv")
-    _write_config_snapshot(out_dir / "config.txt",
-                           {**_shared_settings(args), "model": model_name, "seed": seed, "c": c})
-    summary = {"model": model_name, "seed": seed, "c": c, "best_iteration": trace.best_iteration,
+    run = {"model": model_name, "seed": seed, "c": c, "lr": lr}
+    _write_config_snapshot(out_dir / "config.txt", {**_shared_settings(args), **run})
+    summary = {**run, "best_iteration": trace.best_iteration,
                "total_iterations": trace.total_iterations, "stop_reason": trace.stop_reason,
                "val_accuracy": val_acc, "test_accuracy": test_acc}
     if error is not None:
@@ -289,7 +289,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
     ds = data_mod.load_cached(args.cache)
     settings = _run_settings(args, ds, (args.seed,))
-    summary = _train_one(ds, args.model, args.seed, args.c, args, settings, out_dir)
+    summary = _train_one(ds, args.model, args.seed, args.c, args.lr, args, settings, out_dir)
     print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
@@ -320,30 +320,33 @@ def cmd_evaluate(args) -> int:
 def cmd_compare(args) -> int:
     if args.cache is None:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
-    seeds, c_grid = args.seeds, args.c_grid
-    if not seeds or not c_grid:
-        raise ParameterError("--seeds and --c-grid each need at least one value")
-    # each C names a run directory and a result key by its :g spelling
+    seeds, c_grid, lr_grid = args.seeds, args.c_grid, args.lr
+    if not seeds or not c_grid or not lr_grid:
+        raise ParameterError("--seeds, --c-grid and --lr each need at least one value")
+    # each C and lr names a run directory and a result key by its :g spelling
     for flag, values in (("--models", args.models), ("--seeds", seeds),
-                         ("--c-grid", [f"{c:g}" for c in c_grid])):
+                         ("--c-grid", [f"{c:g}" for c in c_grid]),
+                         ("--lr", [f"{lr:g}" for lr in lr_grid])):
         if len(set(values)) != len(values):
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
     out_dir = Path(args.out)
     ds = data_mod.load_cached(args.cache)  # one load serves every run
     settings = _run_settings(args, ds, seeds)
-    c_grid = sorted(c_grid)
+    c_grid, lr_grid = sorted(c_grid), sorted(lr_grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_config_snapshot(out_dir / "config.txt", {
         **_shared_settings(args), "models": _list_text(args.models),
-        "seeds": _list_text(seeds), "c_grid": _list_text(c_grid)})
+        "seeds": _list_text(seeds), "c_grid": _list_text(c_grid), "lr": _list_text(lr_grid)})
 
-    # the C grid on the first seed, then the other seeds at each model's best C; the
-    # runs of a stage are independent, so they spread over the usable CPUs
+    # every (C, lr) cell on the first seed, in the order report reads them, then the other
+    # seeds at each model's best cell; the runs of a stage are independent, so they
+    # spread over the usable CPUs
     attempt = functools.partial(_attempt, ds, args, settings, out_dir)
-    deal(attempt, [(m, seeds[0], c) for m in args.models for c in c_grid], usable_cpus(),
-         "compare")
-    best_c = {m: _best_c(out_dir, m, seeds[0], c_grid)[0] for m in args.models}
-    deal(attempt, [(m, seed, best_c[m]) for m in args.models if best_c[m] is not None
+    cells = _read_compare_settings(out_dir / "config.txt")[2]
+    deal(attempt, [(m, seeds[0], *cell) for m in args.models for cell in cells],
+         usable_cpus(), "compare")
+    best = {m: _best_cell(out_dir, m, seeds[0], cells)[0] for m in args.models}
+    deal(attempt, [(m, seed, *best[m]) for m in args.models if best[m] is not None
                    for seed in seeds[1:]], usable_cpus(), "compare")
     write_report(out_dir)
     return EXIT_OK
@@ -351,35 +354,41 @@ def cmd_compare(args) -> int:
 
 def _attempt(ds, args, settings, out_dir: Path, run) -> None:
     """One ``compare`` run. A run that fails before it writes ``summary.json``
-    gets one holding its model, seed, C and error, for :func:`write_report`."""
-    model_name, seed, c = run
-    run_dir = _run_dir(out_dir, model_name, seed, c)
+    gets one holding its model, seed, C, lr and error, for :func:`write_report`."""
+    model_name, seed, c, lr = run
+    run_dir = _run_dir(out_dir, model_name, seed, c, lr)
     (run_dir / "summary.json").unlink(missing_ok=True)  # an earlier compare's must not stand in
     try:
-        _train_one(ds, model_name, seed, c, args, settings, run_dir)
+        _train_one(ds, model_name, seed, c, lr, args, settings, run_dir)
     except CvkafError as exc:
         if not (run_dir / "summary.json").exists():
             run_dir.mkdir(parents=True, exist_ok=True)
             _write_json(run_dir / "summary.json", {"model": model_name, "seed": seed, "c": c,
-                                                   "error": describe(exc)})
+                                                   "lr": lr, "error": describe(exc)})
 
 
-def _run_dir(out_dir: Path, model_name: str, seed: int, c: float) -> Path:
-    return out_dir / "runs" / model_name / f"seed{seed}_C{c:g}"
+def _cell_name(c: float, lr: float) -> str:
+    """A (C, lr) cell as its run directory and its ``comparison.json`` key spell it."""
+    return f"C{c:g}_lr{lr:g}"
+
+
+def _run_dir(out_dir: Path, model_name: str, seed: int, c: float, lr: float) -> Path:
+    return out_dir / "runs" / model_name / f"seed{seed}_{_cell_name(c, lr)}"
 
 
 def _read_compare_settings(path: Path):
-    """The models, seeds and C grid that ``compare`` wrote to ``path``."""
+    """The models, seeds and (C, lr) cells, C outer, that ``compare`` wrote to ``path``."""
     try:
         values = read_config_file(path)
-        settings = (_parse_models(values["models"]), _parse_ints(values["seeds"]),
-                    _parse_c_grid(values["c_grid"]))
-        if not all(settings):
-            raise ValueError("no model, seed or C")
+        models, seeds, c_grid, lr_grid = (
+            _parse_models(values["models"]), _parse_ints(values["seeds"]),
+            _parse_c_grid(values["c_grid"]), _parse_lr_grid(values["lr"]))
+        if not (models and seeds and c_grid and lr_grid):
+            raise ValueError("no model, seed, C or lr")
     except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:  # ValueError: ParameterError
         raise DataFormatError(
             f"{path} does not hold the settings of a compare: {describe(exc)}") from exc
-    return settings
+    return models, seeds, [(c, lr) for c in c_grid for lr in lr_grid]
 
 
 def _read_summary(run_dir: Path) -> dict:
@@ -395,35 +404,37 @@ def _read_summary(run_dir: Path) -> dict:
     return summary
 
 
-def _best_c(out_dir: Path, model_name: str, seed: int, c_grid):
-    """``model_name``'s C and {C: summary} of its runs at ``seed`` over ``c_grid``: the C
-    of the best validation accuracy, ties to the smaller C, or None if a run failed."""
-    grid = {c: _read_summary(_run_dir(out_dir, model_name, seed, c)) for c in c_grid}
+def _best_cell(out_dir: Path, model_name: str, seed: int, cells):
+    """``model_name``'s (C, lr) cell and {cell: summary} of its runs at ``seed`` over
+    ``cells``: the cell of the best validation accuracy, ties to the smaller C, then to
+    the smaller lr, or None if a run failed."""
+    grid = {cell: _read_summary(_run_dir(out_dir, model_name, seed, *cell)) for cell in cells}
     if any("error" in summary for summary in grid.values()):
         return None, grid
-    return max(c_grid, key=lambda c: (grid[c]["val_accuracy"], -c)), grid
+    return max(cells, key=lambda cell: (grid[cell]["val_accuracy"], -cell[0], -cell[1])), grid
 
 
 def write_report(out_dir: Path) -> None:
     """Summarise the ``compare`` directory ``out_dir`` from the run directories its
     ``config.txt`` names, into ``comparison.txt``, ``comparison.json`` and
     ``convergence.csv``, the same bytes on every call. A model's row is its runs at
-    its :func:`_best_c` over every seed, or its C grid if a grid run failed; a row
+    its :func:`_best_cell` over every seed, or its grid if a grid run failed; a row
     with a failed run shows the first failure, in the order of training, and has
     no convergence columns."""
-    models, seeds, c_grid = _read_compare_settings(out_dir / "config.txt")
+    models, seeds, cells = _read_compare_settings(out_dir / "config.txt")
     results, traces = {}, {}
     for m in models:
-        best, grid = _best_c(out_dir, m, seeds[0], c_grid)
-        runs = [(seeds[0], c) for c in c_grid] if best is None else [(s, best) for s in seeds]
+        best, grid = _best_cell(out_dir, m, seeds[0], cells)
+        runs = [(s, *best) for s in seeds] if best else [(seeds[0], *cell) for cell in cells]
         row = [_read_summary(_run_dir(out_dir, m, *run)) for run in runs]
         error = next((summary["error"] for summary in row if "error" in summary), None)
         if error is not None:
             results[m] = {"error": error}
             continue
         accuracies = [summary["test_accuracy"] for summary in row]
-        results[m] = {"best_c": best, "test_accuracies": accuracies,
-                      "val_accuracy_per_c": {f"{c:g}": grid[c]["val_accuracy"] for c in c_grid},
+        results[m] = {"best_c": best[0], "best_lr": best[1], "test_accuracies": accuracies,
+                      "val_accuracy_per_cell": {_cell_name(*cell): grid[cell]["val_accuracy"]
+                                                for cell in cells},
                       "mean": statistics.fmean(accuracies), "seed_count": len(accuracies),
                       "std": statistics.stdev(accuracies) if len(accuracies) >= 2 else None}
         traces[m] = [optim.read_trace_csv(_run_dir(out_dir, m, *run) / "trace.csv")
@@ -438,7 +449,8 @@ def write_report(out_dir: Path) -> None:
 
 
 def _render_comparison(results: dict[str, dict]) -> str:
-    lines = [f"{'Model':<22} {'Test accuracy':<20} {'Best C':<10} Seeds", "-" * 62]
+    lines = [f"{'Model':<22} {'Test accuracy':<20} {'Best C':<10} {'Best lr':<10} Seeds",
+             "-" * 73]
     for model_name, r in results.items():
         if "error" in r:
             lines.append(f"{model_name:<22} FAILED: {r['error']}")
@@ -446,8 +458,9 @@ def _render_comparison(results: dict[str, dict]) -> str:
         acc = f"{100 * r['mean']:.2f}"
         if r["std"] is not None:
             acc += f" +/- {100 * r['std']:.2f}"
-        lines.append(f"{model_name:<22} {acc:<20} {r['best_c']:<10g} {r['seed_count']}")
-    lines.append("-" * 62)
+        lines.append(f"{model_name:<22} {acc:<20} {r['best_c']:<10g} {r['best_lr']:<10g} "
+                     f"{r['seed_count']}")
+    lines.append("-" * 73)
     return "\n".join(lines)
 
 
@@ -526,8 +539,6 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 def add_training_flags(p) -> None:
     """The training flags ``train`` and ``compare`` share, with the library's defaults."""
-    p.add_argument("--lr", type=_parse_lr, default=TrainConfig.lr,
-                   help="Adagrad learning rate")
     p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="batch size")
     p.add_argument("--patience", type=int, default=TrainConfig.patience,
                    help="iterations without a validation gain before stopping")
@@ -578,6 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
     p.add_argument("--c", type=_parse_c, default=TrainObjective.reg_weight,
                    help="regularizer weight")
+    p.add_argument("--lr", type=_parse_lr, default=TrainConfig.lr, help="Adagrad learning rate")
     add_training_flags(p)
     p.add_argument("--out", help="run directory; run_<model>_seed<seed> if omitted")
 
@@ -586,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--split", default="test", help="train | val | test")
 
-    p = command("compare", cmd_compare, "grid search + multi-seed comparison table")
+    p = command("compare", cmd_compare, "(C, lr) grid search + multi-seed comparison table")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--models", type=_parse_models,
                    default=_list_text(MODEL_VARIANTS),
@@ -594,6 +606,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
     p.add_argument("--c-grid", type=_parse_c_grid, default="0,1e-5,1e-4,1e-3",
                    help="regularization weights to search")
+    p.add_argument("--lr", type=_parse_lr_grid, default=str(TrainConfig.lr),
+                   help="Adagrad learning rates to search")
     add_training_flags(p)
     p.add_argument("--out", default="comparison", help="output directory")
 

@@ -247,7 +247,8 @@ def run_compare(cache: Path, out: Path, models, max_iterations: int, patience: i
     failed = {m: row["error"] for m, row in rows.items() if "error" in row}
     assert not failed, failed
     return {m: (rows[m]["test_accuracies"],
-                [read_trace_csv(_run_dir(out, m, seed, 0.0) / "trace.csv") for seed in BENCH_SEEDS])
+                [read_trace_csv(_run_dir(out, m, seed, 0.0, 0.01) / "trace.csv")
+                 for seed in BENCH_SEEDS])
             for m in models}
 
 

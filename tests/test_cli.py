@@ -66,6 +66,20 @@ TRAIN_FLAGS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def two_lr_compare(tmp_path_factory):
+    """A finished glyph ``compare`` of two models over two C values and two lrs, given
+    unsorted: ``real_nn`` wins at C 1e-3 and lr 0.3, ``wlkaf_case1`` at C 0 and lr 0.03."""
+    tmp = tmp_path_factory.mktemp("two_lr")
+    cache, out = tmp / "glyphs.cvkc", tmp / "cmp"
+    assert main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "8", "--out", str(cache)]) == 0
+    assert main(["compare", "--cache", str(cache), "--out", str(out),
+                 "--models", "real_nn,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0,1e-3",
+                 "--lr", "0.3,0.03", "--hidden", "8", "--dict-points", "4",
+                 "--eval-every", "10", "--max-iterations", "30"]) == 0
+    return out
+
+
 class TestPreprocess:
     def test_glyphs_end_to_end(self, tmp_path, capsys):
         out = tmp_path / "glyphs.cvkc"
@@ -333,8 +347,8 @@ class TestCompare:
                    *TRAIN_FLAGS])
         assert rc == 0
         record = json.loads((out_dir / "comparison.json").read_text())
-        per_c = record["models"]["real_nn"]["val_accuracy_per_c"]
-        assert set(per_c) == {"0", "0.0001"}
+        per_cell = record["models"]["real_nn"]["val_accuracy_per_cell"]
+        assert set(per_cell) == {"C0_lr0.01", "C0.0001_lr0.01"}
 
     def test_reads_the_cache_once(self, tiny_cache, tmp_path, monkeypatch):
         loads = []
@@ -379,14 +393,39 @@ class TestCompare:
                                              ("--models", "real_nn,"), ("--models", ""),
                                              ("--models", "real_nn,real_nn"),
                                              ("--seeds", "0,0"), ("--c-grid", "0,1e-4,0.0"),
-                                             ("--c-grid", "1e-4,1.000001e-4")])
+                                             ("--c-grid", "1e-4,1.000001e-4"), ("--lr", ""),
+                                             ("--lr", "0.01,0.0100000001"), ("--lr", "0.01,0"),
+                                             ("--lr", "0.01,nan"), ("--lr", "0.01,abc")])
     def test_unusable_list_is_parameter_error(self, flag, value, tiny_cache, tmp_path):
         argv = ["compare", "--cache", str(tiny_cache), "--models", "real_nn",
-                "--seeds", "0", "--c-grid", "0", "--out", str(tmp_path / "cmp"),
+                "--seeds", "0", "--c-grid", "0", "--lr", "0.01", "--out", str(tmp_path / "cmp"),
                 *TRAIN_FLAGS]
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
         assert not (tmp_path / "cmp").exists()  # rejected before any run
+
+    def test_each_model_trains_at_its_own_best_cell(self, two_lr_compare):
+        out = two_lr_compare
+        settings = (out / "config.txt").read_text().splitlines()
+        assert "c_grid = 0.0,0.001" in settings and "lr = 0.03,0.3" in settings
+        models = json.loads((out / "comparison.json").read_text())["models"]
+        assert [(models[m]["best_c"], models[m]["best_lr"]) for m in ("real_nn", "wlkaf_case1")] \
+            == [(1e-3, 0.3), (0.0, 0.03)]
+        for m, row in models.items():
+            per_cell = row["val_accuracy_per_cell"]
+            assert set(per_cell) == {"C0_lr0.03", "C0_lr0.3", "C0.001_lr0.03", "C0.001_lr0.3"}
+            cell = f"C{row['best_c']:g}_lr{row['best_lr']:g}"
+            assert per_cell[cell] == max(per_cell.values())
+            # stage 2 trained seed 1 at that cell alone, and the row is its two runs there
+            assert [p.name for p in (out / "runs" / m).glob("seed1_*")] == [f"seed1_{cell}"]
+            runs = [out / "runs" / m / f"seed{seed}_{cell}" for seed in (0, 1)]
+            summaries = [json.loads((run / "summary.json").read_text()) for run in runs]
+            assert [(s["c"], s["lr"]) for s in summaries] == [(row["best_c"], row["best_lr"])] * 2
+            assert row["test_accuracies"] == [s["test_accuracy"] for s in summaries]
+            assert f"lr = {row['best_lr']}" in (runs[1] / "config.txt").read_text().splitlines()
+        table = (out / "comparison.txt").read_text()
+        assert re.search(r"^real_nn +[\d.]+ \+/- [\d.]+ +0\.001 +0\.3 +2$", table, re.M)
+        assert re.search(r"^wlkaf_case1 +[\d.]+ \+/- [\d.]+ +0 +0\.03 +2$", table, re.M)
 
 
 class TestBlasThreadDefault:
@@ -735,8 +774,10 @@ class TestTrainingNeverForks:
 # every flag of the settings train and compare share, with a value its check refuses:
 # a batch of 73 rows exceeds tiny_cache's 72 training rows, the last four ranges
 # have a span or a bandwidth 1/(2*spacing^2) that is not finite, and a seed must
-# be a non-negative integer (compare's --seeds is a list of them)
-UNUSABLE_SETTINGS = [("--batch-size", "0"), ("--batch-size", "73"), ("--eval-every", "0"),
+# be a non-negative integer (compare's --seeds is a list of them, and its --lr a list
+# of rates)
+UNUSABLE_SETTINGS = [("--lr", "0"), ("--lr", "nan"), ("--lr", "abc"),
+                     ("--batch-size", "0"), ("--batch-size", "73"), ("--eval-every", "0"),
                      ("--max-iterations", "0"), ("--patience", "-1"), ("--hidden", "8,0"), ("--dict-points", "1"),
                      ("--dict-range", "1..-1"), ("--dict-range", "0..1e-320"),
                      ("--dict-range", "-1e308..1e308"), ("--dict-range", "0..1e-160"),
@@ -754,6 +795,8 @@ def test_unusable_setting_exits_2_before_any_output(command, flag, value, tiny_c
         argv += ["--models", "real_nn,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0"]
         if flag == "--seed":
             flag, value = "--seeds", f"{value},2"
+        elif flag == "--lr":
+            value = f"0.01,{value}"
     assert main([*argv, f"{flag}={value}"]) == 2
     assert name in capsys.readouterr().err
     assert not out.exists()
@@ -830,7 +873,7 @@ class TestDivergedRun:
                      "--max-iterations", "60", "--out", str(out_dir)]) == 0
         record = json.loads((out_dir / "comparison.json").read_text())
         assert record["models"]["wlkaf_case1"]["error"].startswith("NumericError: non-finite")
-        run_dir = out_dir / "runs" / "wlkaf_case1" / "seed1_C0"
+        run_dir = out_dir / "runs" / "wlkaf_case1" / "seed1_C0_lr0.01"
         assert json.loads((run_dir / "summary.json").read_text())["stop_reason"] == \
             "numeric_error"
         assert (run_dir / "model.cvkm").exists()
@@ -876,7 +919,7 @@ class TestCase2ByName:
         assert list(record["models"]) == ["real_nn", CASE2]
         assert "error" not in record["models"][CASE2]
         assert CASE2 in capsys.readouterr().out
-        model = load_model(out_dir / "runs" / CASE2 / "seed0_C0" / "model.cvkm")
+        model = load_model(out_dir / "runs" / CASE2 / "seed0_C0_lr0.01" / "model.cvkm")
         assert model.activation.omegas == (0.7, 0.2)
 
     def test_gradcheck(self, capsys):
@@ -998,12 +1041,13 @@ class TestReport:
     def row_run(out_dir, model_name, seed) -> Path:
         """The run directory of ``model_name``'s table row at ``seed``."""
         best = json.loads((out_dir / "comparison.json").read_text())["models"][model_name]
-        return out_dir / "runs" / model_name / f"seed{seed}_C{best['best_c']:g}"
+        cell = f"C{best['best_c']:g}_lr{best['best_lr']:g}"
+        return out_dir / "runs" / model_name / f"seed{seed}_{cell}"
 
     def test_compare_writes_its_settings_first(self, compared):
         settings = (compared / "config.txt").read_text().splitlines()
         for line in ("models = real_nn,wlkaf_case1", "seeds = 0,1", "c_grid = 0.0,0.0001",
-                     "hidden = 8", "max_iterations = 60"):
+                     "lr = 0.01", "hidden = 8", "max_iterations = 60"):
             assert line in settings, line
 
     def test_has_no_config_option(self, tmp_path, capsys):
@@ -1027,6 +1071,51 @@ class TestReport:
         assert capsys.readouterr().out.startswith(written["comparison.txt"].decode())
         assert b"*" not in written["comparison.txt"]
 
+    def test_rerun_on_a_two_lr_directory_gives_the_same_bytes(self, two_lr_compare, tmp_path):
+        out = tmp_path / "cmp"
+        shutil.copytree(two_lr_compare, out)
+        written = self.reports(out)
+        for name in self.REPORTS:
+            (out / name).unlink()
+        assert main(["report", str(out)]) == 0
+        assert self.reports(out) == written
+
+    @pytest.mark.parametrize("accuracies, best", [((0.5, 0.5, 0.5, 0.5), (0.0, 0.01)),
+                                                  ((0.4, 0.5, 0.5, 0.5), (0.0, 0.1)),
+                                                  ((0.4, 0.4, 0.5, 0.5), (1e-4, 0.01))])
+    def test_a_validation_tie_goes_to_the_smaller_c_then_the_smaller_lr(
+            self, accuracies, best, tiny_cache, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--cache", str(tiny_cache), "--out", str(out_dir),
+                     "--models", "real_nn", "--seeds", "0", "--c-grid", "0,1e-4",
+                     "--lr", "0.01,0.1", *TRAIN_FLAGS]) == 0
+        cells = ["C0_lr0.01", "C0_lr0.1", "C0.0001_lr0.01", "C0.0001_lr0.1"]
+        for cell, accuracy in zip(cells, accuracies):
+            path = out_dir / "runs" / "real_nn" / f"seed0_{cell}" / "summary.json"
+            path.write_text(json.dumps({**json.loads(path.read_text()),
+                                        "val_accuracy": accuracy}))
+        assert main(["report", str(out_dir)]) == 0
+        row = json.loads((out_dir / "comparison.json").read_text())["models"]["real_nn"]
+        assert (row["best_c"], row["best_lr"]) == best
+        assert row["val_accuracy_per_cell"] == dict(zip(cells, accuracies))
+        run = out_dir / "runs" / "real_nn" / f"seed0_C{best[0]:g}_lr{best[1]:g}"
+        assert row["test_accuracies"] == [json.loads((run / "summary.json").read_text())
+                                          ["test_accuracy"]]
+
+    def test_a_directory_from_before_the_lr_grid_is_data_error(self, compared, capsys):
+        # compare wrote each run to seed<s>_C<c:g> while lr was one shared value, and
+        # its config.txt held the same "lr = 0.01" line, which now reads as a grid of one
+        assert "lr = 0.01" in (compared / "config.txt").read_text().splitlines()
+        for run in sorted((compared / "runs").glob("*/*")):
+            run.rename(run.with_name(run.name.removesuffix("_lr0.01")))
+        for name in self.REPORTS:
+            (compared / name).unlink()
+        assert main(["report", str(compared)]) == 3
+        missing = compared / "runs" / "real_nn" / "seed0_C0_lr0.01" / "summary.json"
+        assert capsys.readouterr().err.startswith(
+            f"data error: {missing} is not a usable run summary: FileNotFoundError")
+        assert not any((compared / name).exists() for name in self.REPORTS)
+
     def test_convergence_is_each_rows_mean_and_std(self, compared):
         lines = (compared / "convergence.csv").read_text().splitlines()
         assert lines[0] == ("iteration,real_nn_mean_loss,real_nn_std_loss,"
@@ -1046,8 +1135,10 @@ class TestReport:
         winner = {"model": "real_nn", "seed": 0, "c": 0.5, "val_accuracy": 1.0,
                   "test_accuracy": 1.0, "best_iteration": 20, "total_iterations": 60,
                   "stop_reason": "max_iterations"}
-        for stray in ("real_nn/seed0_C0.5", "real_nn/seed7_C0", "kaf_independent/seed0_C0"):
-            shutil.copytree(compared / "runs" / "real_nn" / "seed0_C0", compared / "runs" / stray)
+        for stray in ("real_nn/seed0_C0.5_lr0.01", "real_nn/seed0_C0_lr0.5",
+                      "real_nn/seed7_C0_lr0.01", "kaf_independent/seed0_C0_lr0.01"):
+            shutil.copytree(compared / "runs" / "real_nn" / "seed0_C0_lr0.01",
+                            compared / "runs" / stray)
             (compared / "runs" / stray / "summary.json").write_text(json.dumps(winner))
         assert main(["report", str(compared)]) == 0
         assert self.reports(compared) == written
@@ -1082,11 +1173,12 @@ class TestReport:
         assert main(["report", str(out_dir)]) == 0
         assert self.reports(out_dir) == written
         assert f"wlkaf_case1            FAILED: {error}\n" in capsys.readouterr().out
-        summary = json.loads((out_dir / "runs" / "wlkaf_case1" / "seed1_C0" / "summary.json")
-                             .read_text())
+        summary = json.loads((out_dir / "runs" / "wlkaf_case1" / "seed1_C0_lr0.01" /
+                              "summary.json").read_text())
         assert summary["error"] == error
         if failure == "before_summary":
-            assert summary == {"model": "wlkaf_case1", "seed": 1, "c": 0.0, "error": error}
+            assert summary == {"model": "wlkaf_case1", "seed": 1, "c": 0.0, "lr": 0.01,
+                               "error": error}
         assert written["convergence.csv"] == b"iteration\n"  # a failed model has no columns
 
     def test_missing_config_is_data_error(self, compared, capsys):
@@ -1102,7 +1194,7 @@ class TestReport:
                              ids=["not_an_object", "not_json", "not_utf8", "no_test_accuracy",
                                   "accuracy_text", "accuracy_bool", "error_not_text"])
     def test_unusable_summary_is_data_error(self, summary, compared, capsys):
-        path = compared / "runs" / "real_nn" / "seed0_C0" / "summary.json"
+        path = compared / "runs" / "real_nn" / "seed0_C0_lr0.01" / "summary.json"
         path.write_bytes(summary)
         for name in self.REPORTS:
             (compared / name).unlink()
@@ -1178,7 +1270,7 @@ class TestConfigFile:
             argv = ["compare", "--models", "wlkaf_case1", "--seeds", "0", "--c-grid", "0",
                     *common]
         assert main(argv) == 0
-        run_dir = out if command == "train" else out / "runs" / "wlkaf_case1" / "seed0_C0"
+        run_dir = out if command == "train" else out / "runs" / "wlkaf_case1" / "seed0_C0_lr0.02"
         snapshot = (run_dir / "config.txt").read_text().splitlines()
         for line in ("lr = 0.02", "batch_size = 10", "patience = 40", "eval_every = 20",
                      "max_iterations = 40", "dict_points = 3", "dict_range = -1.5..1.5",
@@ -1198,6 +1290,19 @@ class TestConfigFile:
         key = first.split(" ")[0].replace("-", "_")
         assert f"{cfg}: lines 2 and 4 both give '{key}'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_every_config_txt_replays(self, two_lr_compare, tmp_path):
+        """``compare``'s ``config.txt`` holds its lr list and gives the same reports; a
+        run's holds its one lr and, through ``train``, gives the same model."""
+        other = tmp_path / "other"
+        assert main(["compare", "--config", str(two_lr_compare / "config.txt"),
+                     "--out", str(other)]) == 0
+        for name in TestReport.REPORTS:
+            assert (other / name).read_bytes() == (two_lr_compare / name).read_bytes(), name
+        run = two_lr_compare / "runs" / "real_nn" / "seed1_C0.001_lr0.3"
+        assert main(["train", "--config", str(run / "config.txt"),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "model.cvkm").read_bytes() == (run / "model.cvkm").read_bytes()
 
     def test_unreadable_config_value_is_parameter_error(self, tiny_cache, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

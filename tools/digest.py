@@ -37,10 +37,11 @@ two split layouts whose row counts do not fill a whole number of FFT chunks.
 The fourth line, the report digest, covers the three files that ``cvkaf
 report`` writes (``comparison.txt``, ``comparison.json`` and
 ``convergence.csv``) for an in-process ``cvkaf compare`` of two models,
-seeds 0 and 1 and the C grid {0, 1e-3} at hidden width 8, a 4x4 grid and 30
-iterations, on the built-in glyphs at 8 FFT coefficients. A change to the
-table, its best-C rule or the convergence columns moves this line alone,
-unless it also changes what a run computes.
+seeds 0 and 1, the C grid {0, 1e-3} and the lr grid {0.01, 0.1} at hidden
+width 8, a 4x4 grid and 30 iterations, on the built-in glyphs at 8 FFT
+coefficients. A change to the table, its best-cell rule over (C, lr) or the
+convergence columns moves this line alone, unless it also changes what a
+run computes.
 
 The fifth line, the numeric-gradient digest, covers what
 ``gradcheck.gradcheck_variant`` returns for seeds 0, 1 and 2 for every
@@ -84,6 +85,7 @@ TRAIN = optim.TrainConfig(batch_size=16, patience=1000, eval_every=5, max_iterat
 IMAGES, SIDE, K = 700, 28, 100
 SPLITS = ((0, (500, 100, 60)), (1, (333, 77, 90)))  # (seed, split counts)
 COMPARE = ["--models", "kaf_real_gaussian,wlkaf_case1", "--seeds", "0,1", "--c-grid", "0,1e-3",
+           "--lr", "0.01,0.1",
            "--hidden", "8", "--dict-points", "4", "--eval-every", "10", "--max-iterations", "30"]
 REPORTS = ("comparison.txt", "comparison.json", "convergence.csv")
 GRADCHECKED = (*ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2")
