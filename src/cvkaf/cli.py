@@ -5,13 +5,14 @@ seed), ``evaluate`` (accuracy of a saved model on a split), ``compare``
 (a search over (C, lr) cells + multi-seed accuracy table across model variants),
 ``gradcheck`` (finite-difference verification), ``report`` (the accuracy
 table and convergence CSV of a ``compare`` directory, from the ``config.txt``
-that ``compare`` writes first and the run directories it names; ``compare``
-ends by calling it).
+that ``compare`` writes first, which records the cache's absolute path and so
+replays from any working directory, and the run directories it names;
+``compare`` ends by calling it).
 
 Each option is declared once, in :func:`build_parser`, with its type and
 its default (the library's, where the library owns it); ``cvkaf <command>
 --help`` prints every default. A ``key = value`` config file passed with
-``--config`` is applied once, in :func:`main`, as the chosen command's
+``--config`` is applied once, in :func:`parse_command`, as the chosen command's
 defaults, so explicit flags win; an unreadable file, a key it gives twice
 or a value its option rejects is a parameter error naming the file. Each
 training run writes a directory containing the resolved config snapshot,
@@ -20,7 +21,8 @@ wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
 other artifacts byte-reproducible under a fixed seed.
 
 Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache, model, run summary or trace file, an unwritable output, and a model
+cache, model, run summary or trace file, a compare directory's ``config.txt``
+that ``compare --config`` would refuse, an unwritable output, and a model
 evaluated on a cache of another feature width), 4 numeric errors.
 """
 
@@ -113,8 +115,6 @@ def _list_parser(kind, noun):
     return parse
 
 
-_parse_c_grid = _list_parser(_parse_c, "non-negative numbers")
-_parse_lr_grid = _list_parser(_parse_lr, "positive numbers")
 _parse_ints = _list_parser(int, "integers")
 
 
@@ -231,10 +231,10 @@ def _run_settings(args, ds, seeds) -> tuple[TrainConfig, Dictionary]:
 
 
 def _shared_settings(args) -> dict:
-    """The cache and training flags but ``lr``, as a ``config.txt`` spells them."""
-    return {"cache": args.cache, "batch_size": args.batch_size, "patience": args.patience,
-            "eval_every": args.eval_every, "max_iterations": args.max_iterations,
-            "dict_points": args.dict_points,
+    """The cache's absolute path and the training flags but ``lr``, as config.txt spells them."""
+    return {"cache": os.path.abspath(args.cache), "batch_size": args.batch_size,
+            "patience": args.patience, "eval_every": args.eval_every,
+            "max_iterations": args.max_iterations, "dict_points": args.dict_points,
             "dict_range": _range_text(args.dict_range), "hidden": _list_text(args.hidden)}
 
 
@@ -317,36 +317,38 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
+def _compare_plan(args):
+    """The models, seeds and sorted (C, lr) cells, C outer, of ``args``: no list is empty or
+    gives a model or seed twice, and no two cells share a :func:`_cell_name`."""
     if args.cache is None:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
-    seeds, c_grid, lr_grid = args.seeds, args.c_grid, args.lr
-    if not seeds or not c_grid or not lr_grid:
+    if not args.seeds or not args.c_grid or not args.lr:
         raise ParameterError("--seeds, --c-grid and --lr each need at least one value")
-    # each C and lr names a run directory and a result key by its :g spelling
-    for flag, values in (("--models", args.models), ("--seeds", seeds),
-                         ("--c-grid", [f"{c:g}" for c in c_grid]),
-                         ("--lr", [f"{lr:g}" for lr in lr_grid])):
+    cells = [(c, lr) for c in sorted(args.c_grid) for lr in sorted(args.lr)]
+    for flag, values in (("--models", args.models), ("--seeds", args.seeds),
+                         ("--c-grid x --lr", [_cell_name(*cell) for cell in cells])):
         if len(set(values)) != len(values):
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
+    return args.models, args.seeds, cells
+
+
+def cmd_compare(args) -> int:
+    models, seeds, cells = _compare_plan(args)
     out_dir = Path(args.out)
     ds = data_mod.load_cached(args.cache)  # one load serves every run
     settings = _run_settings(args, ds, seeds)
-    c_grid, lr_grid = sorted(c_grid), sorted(lr_grid)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_config_snapshot(out_dir / "config.txt", {
-        **_shared_settings(args), "models": _list_text(args.models),
-        "seeds": _list_text(seeds), "c_grid": _list_text(c_grid), "lr": _list_text(lr_grid)})
+        **_shared_settings(args), "models": _list_text(models), "seeds": _list_text(seeds),
+        "c_grid": _list_text(sorted(args.c_grid)), "lr": _list_text(sorted(args.lr))})
 
-    # every (C, lr) cell on the first seed, in the order report reads them, then the other
-    # seeds at each model's best cell; the runs of a stage are independent, so they
-    # spread over the usable CPUs
+    # every (C, lr) cell on the first seed, then the other seeds at each model's best cell;
+    # the runs of a stage are independent, so they spread over the usable CPUs
     attempt = functools.partial(_attempt, ds, args, settings, out_dir)
-    cells = _read_compare_settings(out_dir / "config.txt")[2]
-    deal(attempt, [(m, seeds[0], *cell) for m in args.models for cell in cells],
+    deal(attempt, [(m, seeds[0], *cell) for m in models for cell in cells],
          usable_cpus(), "compare")
-    best = {m: _best_cell(out_dir, m, seeds[0], cells)[0] for m in args.models}
-    deal(attempt, [(m, seed, *best[m]) for m in args.models if best[m] is not None
+    best = {m: _best_cell(out_dir, m, seeds[0], cells)[0] for m in models}
+    deal(attempt, [(m, seed, *best[m]) for m in models if best[m] is not None
                    for seed in seeds[1:]], usable_cpus(), "compare")
     write_report(out_dir)
     return EXIT_OK
@@ -374,21 +376,6 @@ def _cell_name(c: float, lr: float) -> str:
 
 def _run_dir(out_dir: Path, model_name: str, seed: int, c: float, lr: float) -> Path:
     return out_dir / "runs" / model_name / f"seed{seed}_{_cell_name(c, lr)}"
-
-
-def _read_compare_settings(path: Path):
-    """The models, seeds and (C, lr) cells, C outer, that ``compare`` wrote to ``path``."""
-    try:
-        values = read_config_file(path)
-        models, seeds, c_grid, lr_grid = (
-            _parse_models(values["models"]), _parse_ints(values["seeds"]),
-            _parse_c_grid(values["c_grid"]), _parse_lr_grid(values["lr"]))
-        if not (models and seeds and c_grid and lr_grid):
-            raise ValueError("no model, seed, C or lr")
-    except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:  # ValueError: ParameterError
-        raise DataFormatError(
-            f"{path} does not hold the settings of a compare: {describe(exc)}") from exc
-    return models, seeds, [(c, lr) for c in c_grid for lr in lr_grid]
 
 
 def _read_summary(run_dir: Path) -> dict:
@@ -420,8 +407,13 @@ def write_report(out_dir: Path) -> None:
     ``convergence.csv``, the same bytes on every call. A model's row is its runs at
     its :func:`_best_cell` over every seed, or its grid if a grid run failed; a row
     with a failed run shows the first failure, in the order of training, and has
-    no convergence columns."""
-    models, seeds, cells = _read_compare_settings(out_dir / "config.txt")
+    no convergence columns. ``config.txt`` reads as ``compare --config`` replays it."""
+    path = out_dir / "config.txt"
+    try:
+        models, seeds, cells = _compare_plan(parse_command(["compare", f"--config={path}"]))
+    except ParameterError as exc:
+        raise DataFormatError(
+            f"{path} does not hold the settings of a compare: {describe(exc)}") from exc
     results, traces = {}, {}
     for m in models:
         best, grid = _best_cell(out_dir, m, seeds[0], cells)
@@ -604,10 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default=_list_text(MODEL_VARIANTS),
                    help="comma-separated names train accepts, e.g. real_nn,wlkaf_case2:0.7:0.2")
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
-    p.add_argument("--c-grid", type=_parse_c_grid, default="0,1e-5,1e-4,1e-3",
-                   help="regularization weights to search")
-    p.add_argument("--lr", type=_parse_lr_grid, default=str(TrainConfig.lr),
-                   help="Adagrad learning rates to search")
+    p.add_argument("--c-grid", type=_list_parser(_parse_c, "non-negative numbers"),
+                   default="0,1e-5,1e-4,1e-3", help="regularization weights to search")
+    p.add_argument("--lr", type=_list_parser(_parse_lr, "positive numbers"),
+                   default=str(TrainConfig.lr), help="Adagrad learning rates to search")
     add_training_flags(p)
     p.add_argument("--out", default="comparison", help="output directory")
 
@@ -624,16 +616,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def parse_command(argv=None) -> argparse.Namespace:
+    """The command line ``argv``, with its ``--config`` file's values as the chosen
+    command's defaults, so that flags win."""
     parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:  # parse again with the file's values as the command's defaults
+        _apply_config_file(args.parser, args.config)
+        try:
+            args = parser.parse_args(argv)
+        except ParameterError as exc:  # flags parsed once already: a file value failed
+            raise ParameterError(f"config file {args.config}: {exc}") from exc
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
-        if args.config:  # parse again with the file's values as the command's defaults
-            _apply_config_file(args.parser, args.config)
-            try:
-                args = parser.parse_args(argv)
-            except ParameterError as exc:  # flags parsed once already: a file value failed
-                raise ParameterError(f"config file {args.config}: {exc}") from exc
+        args = parse_command(argv)
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

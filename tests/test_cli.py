@@ -1181,6 +1181,29 @@ class TestReport:
                                "error": error}
         assert written["convergence.csv"] == b"iteration\n"  # a failed model has no columns
 
+    @pytest.mark.parametrize("key, line", [
+        ("lr", "lr = 0.01,0.0100000001"), ("c_grid", "c_grid = 0,0.0"),
+        ("models", "models = real_nn,real_nn"), ("seeds", "seeds = 0,0"),
+        (None, "no_such_key = 1"), ("batch_size", "batch_size = abc"),
+    ], ids=["lr_spelled_twice", "c_spelled_twice", "model_twice", "seed_twice",
+            "unknown_key", "unreadable_value"])
+    def test_unusable_config_is_data_error(self, key, line, compared, tmp_path, capsys):
+        """``report`` refuses, with exit 3, each ``config.txt`` that ``compare --config``
+        refuses with exit 2."""
+        path = compared / "config.txt"
+        kept = [s for s in path.read_text().splitlines() if s.split(" = ")[0] != key]
+        path.write_text("\n".join([*kept, line]) + "\n")
+        for name in self.REPORTS:
+            (compared / name).unlink()
+        assert main(["report", str(compared)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: {path} does not hold the settings of a compare: ParameterError: ")
+        assert not any((compared / name).exists() for name in self.REPORTS)
+        again = tmp_path / "again"
+        assert main(["compare", "--config", str(path), "--out", str(again)]) == 2
+        assert capsys.readouterr().err.startswith("parameter error: ")
+        assert not again.exists()
+
     def test_missing_config_is_data_error(self, compared, capsys):
         (compared / "config.txt").unlink()
         assert main(["report", str(compared)]) == 3
@@ -1303,6 +1326,21 @@ class TestConfigFile:
         assert main(["train", "--config", str(run / "config.txt"),
                      "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "model.cvkm").read_bytes() == (run / "model.cvkm").read_bytes()
+
+    def test_a_relative_cache_replays_from_another_directory(self, tiny_cache, tmp_path,
+                                                              monkeypatch):
+        """Every ``config.txt`` records the cache as an absolute path."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare", "--cache", tiny_cache.name, "--out", "cmp", "--models",
+                     "real_nn", "--seeds", "0,1", "--c-grid", "0", *TRAIN_FLAGS]) == 0
+        line = f"cache = {Path.cwd() / tiny_cache.name}"
+        for config in (Path("cmp/config.txt"), *Path("cmp/runs").glob("*/*/config.txt")):
+            assert line in config.read_text().splitlines(), config
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "sub")
+        assert main(["compare", "--config", "../cmp/config.txt", "--out", "again"]) == 0
+        for name in TestReport.REPORTS:
+            assert Path("again", name).read_bytes() == Path("../cmp", name).read_bytes(), name
 
     def test_unreadable_config_value_is_parameter_error(self, tiny_cache, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
