@@ -21,9 +21,10 @@ wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
 other artifacts byte-reproducible under a fixed seed.
 
 Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache, model, run summary or trace file, a compare directory's ``config.txt``
-that ``compare --config`` would refuse, an unwritable output, and a model
-evaluated on a cache of another feature width), 4 numeric errors.
+cache or one with an empty split, an unreadable model, run summary or trace
+file, a compare directory's ``config.txt`` that ``compare --config`` would
+refuse, an unwritable output, and a model evaluated on a cache of another
+feature width), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from . import data as data_mod
 from . import optim
 from .activations import ACTIVATION_VARIANTS, activation_named
 from .errors import (
-    CacheError,
     CvkafError,
     DataFormatError,
     NumericError,
@@ -116,11 +116,6 @@ def _list_parser(kind, noun):
 
 
 _parse_ints = _list_parser(int, "integers")
-
-
-def _parse_models(text: str) -> tuple[str, ...]:
-    """The ``--models`` type: comma-separated names that ``train`` accepts."""
-    return tuple(_parse_model(name) for name in text.split(","))
 
 
 def _range_text(r) -> str:
@@ -306,11 +301,11 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model_file)
     ds = data_mod.load_cached(args.cache)
     if ds.feature_dim != model.config.input_dim:
-        raise CacheError(f"{args.cache} has {ds.feature_dim} features per row, but "
-                         f"{args.model_file} takes {model.config.input_dim}")
+        raise DataFormatError(f"{args.cache} has {ds.feature_dim} features per row, but "
+                              f"{args.model_file} takes {model.config.input_dim}")
     if ds.class_count != model.config.class_count:
-        raise CacheError(f"{args.cache} has {ds.class_count} classes, but "
-                         f"{args.model_file} scores {model.config.class_count}")
+        raise DataFormatError(f"{args.cache} has {ds.class_count} classes, but "
+                              f"{args.model_file} scores {model.config.class_count}")
     x, y = getattr(ds, f"{args.split}_xy")()
     acc = optim.evaluate(model, x, y, processes=usable_cpus())
     print(f"{args.split} accuracy: {acc:.6f} ({int(round(acc * y.size))}/{y.size})")
@@ -322,8 +317,8 @@ def _compare_plan(args):
     gives a model or seed twice, and no two cells share a :func:`_cell_name`."""
     if args.cache is None:
         raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
-    if not args.seeds or not args.c_grid or not args.lr:
-        raise ParameterError("--seeds, --c-grid and --lr each need at least one value")
+    if not args.models or not args.seeds or not args.c_grid or not args.lr:
+        raise ParameterError("--models, --seeds, --c-grid and --lr each need at least one value")
     cells = [(c, lr) for c in sorted(args.c_grid) for lr in sorted(args.lr)]
     for flag, values in (("--models", args.models), ("--seeds", args.seeds),
                          ("--c-grid x --lr", [_cell_name(*cell) for cell in cells])):
@@ -410,10 +405,13 @@ def write_report(out_dir: Path) -> None:
     no convergence columns. ``config.txt`` reads as ``compare --config`` replays it."""
     path = out_dir / "config.txt"
     try:
-        models, seeds, cells = _compare_plan(parse_command(["compare", f"--config={path}"]))
+        args = parse_command(["compare", f"--config={path}"])
+    except ParameterError as exc:  # each of its config file errors names the file
+        raise DataFormatError(str(exc)) from exc
+    try:
+        models, seeds, cells = _compare_plan(args)
     except ParameterError as exc:
-        raise DataFormatError(
-            f"{path} does not hold the settings of a compare: {describe(exc)}") from exc
+        raise DataFormatError(f"config file {path}: {exc}") from exc
     results, traces = {}, {}
     for m in models:
         best, grid = _best_cell(out_dir, m, seeds[0], cells)
@@ -592,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("compare", cmd_compare, "(C, lr) grid search + multi-seed comparison table")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--models", type=_parse_models,
+    p.add_argument("--models", type=_list_parser(_parse_model, "model names"),
                    default=_list_text(MODEL_VARIANTS),
                    help="comma-separated names train accepts, e.g. real_nn,wlkaf_case2:0.7:0.2")
     p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
@@ -637,7 +635,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
-    except (DataFormatError, CacheError, OSError) as exc:  # OSError: an unwritable path
+    except (DataFormatError, OSError) as exc:  # OSError: an unwritable path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, check_number
+from .errors import NumericError, ParameterError, check_number
 
 __all__ = [
     "complex_affine",
@@ -33,11 +33,11 @@ def complex_affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``y = x @ W.T + b`` for a (B, K) batch ``x``; the result is (B, M)."""
     W, x, b = np.asarray(W), np.asarray(x), np.asarray(b)
     if W.ndim != 2 or b.ndim != 1 or x.ndim != 2:
-        raise DimensionError(
+        raise ParameterError(
             f"expected W (M,K), b (M,), x (B,K); got {W.shape}, {b.shape}, {x.shape}"
         )
     if b.shape[0] != W.shape[0] or x.shape[1] != W.shape[1]:
-        raise DimensionError(
+        raise ParameterError(
             f"shapes do not conform: W {W.shape}, x {x.shape}, b {b.shape}"
         )
     return x @ W.T + b
@@ -62,7 +62,7 @@ def backward_affine(
     g, x = np.asarray(cograd_y), np.asarray(x)
     if (g.ndim != 2 or x.ndim != 2 or g.shape[0] != x.shape[0]
             or W is not None and np.shape(W) != (g.shape[1], x.shape[1])):
-        raise DimensionError(
+        raise ParameterError(
             f"shapes do not conform: cograd_y {g.shape}, W {np.shape(W)}, x {x.shape}"
         )
     g_x = None if W is None else g @ np.asarray(W).conj()

@@ -7,9 +7,10 @@ Arrays are stored C-contiguous in their native dtype, so a write/read
 round trip is bit-exact. The header carries only JSON-serializable
 metadata; anything numeric of consequence travels as an array.
 
-A reader names the one format version it reads. A file of any other
-version, older or newer, is a :class:`CacheError` that asks for the file
-to be rebuilt; no older layout is translated.
+A reader names the one format version it reads. A file it cannot read, a
+file whose bytes do not match its header, and a file of any other version,
+older or newer, are each a :class:`DataFormatError` naming the file; the
+last asks for the file to be rebuilt, and no older layout is translated.
 
 No timestamps are written anywhere: identical inputs produce identical
 files byte for byte.
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheError
+from .errors import DataFormatError
 
 _HEADER_FIXED = 16  # magic + version + header length
 
@@ -54,32 +55,33 @@ def write_container(path, magic: bytes, version: int, meta: dict, arrays: dict[s
 
 def read_container(path, magic: bytes, version: int) -> tuple[dict, dict[str, np.ndarray]]:
     """Read a container of format ``version``; a file of any other version is a
-    :class:`CacheError` asking for it to be rebuilt. Each array gets its own new buffer."""
+    :class:`DataFormatError` asking for it to be rebuilt. Each array gets its own new buffer."""
     path = Path(path)
     try:
         with open(path, "rb") as fh:
             return _read_from(path, fh, os.fstat(fh.fileno()).st_size, magic, version)
     except OSError as exc:
-        raise CacheError(f"cannot read container {path}: {exc}") from exc
+        raise DataFormatError(f"cannot read container {path}: {exc}") from exc
 
 
 def _read_from(path: Path, fh, size: int, magic: bytes, version: int):
     fixed = fh.read(_HEADER_FIXED)
     if len(fixed) < _HEADER_FIXED or fixed[:4] != magic:
-        raise CacheError(f"{path} is not a {magic.decode('ascii', 'replace')} container")
+        raise DataFormatError(f"{path} is not a {magic.decode('ascii', 'replace')} container")
     found = int.from_bytes(fixed[4:8], "little")
     if found != version:
-        raise CacheError(f"{path} has format version {found}, expected {version}; rebuild the file")
+        raise DataFormatError(
+            f"{path} has format version {found}, expected {version}; rebuild the file")
     hlen = int.from_bytes(fixed[8:16], "little")
     end = _HEADER_FIXED + hlen
     if end > size:
-        raise CacheError(f"{path} is truncated: header claims {hlen} bytes")
+        raise DataFormatError(f"{path} is truncated: header claims {hlen} bytes")
     try:
         header = json.loads(fh.read(hlen).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheError(f"{path} has a corrupted header: {exc}") from exc
+        raise DataFormatError(f"{path} has a corrupted header: {exc}") from exc
     if not isinstance(header, dict) or not isinstance(header.get("arrays", []), list):
-        raise CacheError(f"{path} has a corrupted header: unexpected JSON structure")
+        raise DataFormatError(f"{path} has a corrupted header: unexpected JSON structure")
     arrays = {}
     offset = end
     for entry in header.pop("arrays", []):
@@ -88,19 +90,19 @@ def _read_from(path: Path, fh, size: int, magic: bytes, version: int):
             dtype = np.dtype(entry["dtype"])
             shape = tuple(int(d) for d in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise CacheError(f"{path} has a corrupted array entry {entry!r}") from exc
+            raise DataFormatError(f"{path} has a corrupted array entry {entry!r}") from exc
         # only plain numeric data is ever written; bytes read into an object
         # array would become pointers
         if dtype.kind not in "biufc" or any(d < 0 for d in shape):
-            raise CacheError(f"{path} has an unusable array entry {entry!r}")
+            raise DataFormatError(f"{path} has an unusable array entry {entry!r}")
         nbytes = dtype.itemsize * math.prod(shape)
         if offset + nbytes > size:
-            raise CacheError(f"{path} is truncated in array {name!r}")
+            raise DataFormatError(f"{path} is truncated in array {name!r}")
         arr = np.empty(shape, dtype=dtype)
         if fh.readinto(arr.data) != nbytes:
-            raise CacheError(f"{path} is truncated in array {name!r}")
+            raise DataFormatError(f"{path} is truncated in array {name!r}")
         arrays[name] = arr
         offset += nbytes
     if offset != size:
-        raise CacheError(f"{path} has {size - offset} trailing bytes")
+        raise DataFormatError(f"{path} has {size - offset} trailing bytes")
     return header, arrays

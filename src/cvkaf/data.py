@@ -24,10 +24,10 @@ straight into its final array, the ranking gathers the training images a
 chunk at a time into one pixel buffer and one magnitude buffer, the
 features are gathered from each chunk's spectrum straight into their
 rows, and a :class:`ComplexDataset` keeps its rows in one block laid out
-as train, then validation, then test. It stores the row
-count of each split, which must sum to the rows of the block (checked on
-construction, and a cache that breaks this is a :class:`CacheError`), so
-the split accessors return read-only slices of that block, not copies.
+as train, then validation, then test. It stores the row count of each split,
+each positive and together the rows of the block (checked on construction,
+and a cache that breaks this is a :class:`DataFormatError`), so the split
+accessors return read-only slices of that block, not copies.
 
 One dataset is built in and needs no files: ``glyphs``, seeded
 seven-segment digit images drawn by :func:`glyphs` with numpy alone.
@@ -47,7 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .errors import CacheError, DataFormatError, ParameterError, check_int, describe
+from .errors import DataFormatError, ParameterError, check_int, describe
 
 __all__ = [
     "RawImageSet",
@@ -296,7 +296,7 @@ class ComplexDataset:
             raise DataFormatError(f"need three split sizes and two image dims, got {sizes} "
                                   f"and {dims}")
         try:
-            sizes = self.split_sizes = tuple(check_int("split_sizes entry", v, 0) for v in sizes)
+            sizes = self.split_sizes = tuple(check_int("split_sizes entry", v, 1) for v in sizes)
             self.image_dims = tuple(check_int("image_dims entry", v, 1) for v in dims)
             self.class_count = check_int("class_count", self.class_count, 0)
             self.seed = check_int("seed", self.seed, 0)
@@ -309,7 +309,7 @@ class ComplexDataset:
                 f"features {self.features.shape} and labels {self.labels.shape} "
                 f"do not hold the {rows} rows of the three splits"
             )
-        if rows and not 0 <= self.labels.min() <= self.labels.max() < self.class_count:
+        if not 0 <= self.labels.min() <= self.labels.max() < self.class_count:
             raise DataFormatError(f"labels fall outside [0, {self.class_count})")
 
     @property
@@ -411,8 +411,9 @@ def cache_dataset(ds: ComplexDataset, path) -> None:
 
 
 def load_cached(path) -> ComplexDataset:
-    """The dataset :func:`cache_dataset` wrote, bit-exact; a file that does not
-    hold exactly a valid dataset's fields is a :class:`CacheError` naming it."""
+    """The dataset :func:`cache_dataset` wrote, bit-exact; a file that cannot be read or
+    does not hold exactly a valid dataset's fields, each split nonempty, is a
+    :class:`DataFormatError` naming it."""
     meta, arrays = container.read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
     try:
         if set(meta) != _CACHE_HEADER or set(arrays) != _CACHE_ARRAYS:
@@ -422,8 +423,8 @@ def load_cached(path) -> ComplexDataset:
             )
         return ComplexDataset(**meta, **arrays)
     except (TypeError, ValueError) as exc:  # DataFormatError is a ValueError
-        raise CacheError(f"{path} does not hold a usable feature cache: {describe(exc)}; "
-                         "rebuild the cache") from exc
+        raise DataFormatError(f"{path} does not hold a usable feature cache: {describe(exc)}; "
+                              "rebuild the cache") from exc
 
 
 # Conventional file names per dataset, resolved under <data_dir>/<dataset>/.

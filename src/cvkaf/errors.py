@@ -1,8 +1,10 @@
 """Exception taxonomy shared across the package, the integer and number rules
 every setting and file header is checked by, and the error spelling.
 
-The CLI maps these onto distinct exit codes (parameter -> 2, data -> 3,
-numeric -> 4), so raising the right class matters beyond error messages.
+One class per exit code of the CLI: :class:`ParameterError` exits 2,
+:class:`DataFormatError` 3 and :class:`NumericError` 4, so raising the right
+class matters beyond error messages. :class:`StateError` is a program bug,
+which no command raises, and stays a traceback.
 """
 
 import math
@@ -13,12 +15,8 @@ class CvkafError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DimensionError(CvkafError, ValueError):
-    """Operand shapes do not conform."""
-
-
 class ParameterError(CvkafError, ValueError):
-    """A configuration value or hyper-parameter is out of its valid range."""
+    """A setting, hyper-parameter or operand is out of its valid range or shape."""
 
 
 class NumericError(CvkafError, ArithmeticError):
@@ -28,11 +26,7 @@ class NumericError(CvkafError, ArithmeticError):
 
 
 class DataFormatError(CvkafError, ValueError):
-    """An input file does not match its declared format."""
-
-
-class CacheError(CvkafError, ValueError):
-    """A serialized container is unreadable or has an unsupported version."""
+    """An input file is unreadable, of another format version, or not what it declares."""
 
 
 class StateError(CvkafError, RuntimeError):

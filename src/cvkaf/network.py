@@ -25,7 +25,7 @@ cache=False)``, which returns no cache and keeps no per-layer entry.
 
 Every entry point takes only a complex (rows, ``config.input_dim``) batch,
 one sample being a one-row batch; any other shape, a 1-D vector included,
-is a :class:`DimensionError`.
+is a :class:`ParameterError`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from . import activations as act
 from . import container
 from .cnum import backward_affine, complex_affine, hermitian_norm_sq
 from .errors import (
-    CacheError,
-    DimensionError,
+    DataFormatError,
     NumericError,
     ParameterError,
     StateError,
@@ -260,7 +259,7 @@ class _Network:
         for name, arr in values.items():
             own = self._params[name]
             if arr.shape != own.shape:
-                raise DimensionError(f"shape mismatch for {name}")
+                raise ParameterError(f"shape mismatch for {name}")
             if arr.dtype != own.dtype:  # a cast would change the values
                 raise ParameterError(f"dtype mismatch for {name}: expected {own.dtype}, "
                                      f"got {arr.dtype}")
@@ -273,10 +272,10 @@ class _Network:
 
     def _batch(self, x) -> np.ndarray:
         """``x`` as a complex (rows, input_dim) batch, the one input form; any
-        other shape is a :class:`DimensionError`."""
+        other shape is a :class:`ParameterError`."""
         x = np.asarray(x, dtype=np.complex128)
         if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise DimensionError(f"expected a (rows, {self.config.input_dim}) batch, "
+            raise ParameterError(f"expected a (rows, {self.config.input_dim}) batch, "
                                  f"got shape {x.shape}")
         return x
 
@@ -457,17 +456,15 @@ def save_model(path, model) -> None:
 def load_model(path):
     """Reconstruct a model saved by :func:`save_model`, bit-exact.
 
-    A file whose header or arrays do not describe a model of this package
-    is a :class:`CacheError` that names the file.
+    A file that cannot be read, or whose header or arrays do not describe a
+    model of this package, is a :class:`DataFormatError` that names the file.
     """
+    meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
     try:
-        meta, arrays = container.read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         c, names = meta.pop("config"), sorted(f.name for f in dataclasses.fields(NetworkConfig))
         if meta or sorted(c) != names:
             raise ValueError(f"header {sorted(meta)} with config {sorted(c)}, expected {names}")
         cls = RealBaselineNetwork if c["activation"] == "real_nn" else ComplexNetwork
         return cls._from_parameters(NetworkConfig(**c), arrays)
-    except CacheError:
-        raise
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
-        raise CacheError(f"{path} does not hold a usable model: {describe(exc)}") from exc
+        raise DataFormatError(f"{path} does not hold a usable model: {describe(exc)}") from exc

@@ -18,7 +18,7 @@ from cvkaf.activations import ACTIVATION_VARIANTS, _KafBase
 from cvkaf.cli import build_parser, main
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
-from cvkaf.errors import NumericError
+from cvkaf.errors import DataFormatError, NumericError, ParameterError, StateError
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
     _MODEL_MAGIC,
@@ -390,7 +390,7 @@ class TestCompare:
     @pytest.mark.parametrize("flag, value", [("--c-grid", ""), ("--seeds", ""),
                                              ("--c-grid", "0,-1e-4"),
                                              ("--models", "real_nn,wlkaf_cas1"),
-                                             ("--models", "real_nn,"), ("--models", ""),
+                                             ("--models", ""), ("--models", ","),
                                              ("--models", "real_nn,real_nn"),
                                              ("--seeds", "0,0"), ("--c-grid", "0,1e-4,0.0"),
                                              ("--c-grid", "1e-4,1.000001e-4"), ("--lr", ""),
@@ -403,6 +403,12 @@ class TestCompare:
         argv[argv.index(flag) + 1] = value
         assert main(argv) == 2
         assert not (tmp_path / "cmp").exists()  # rejected before any run
+
+    def test_a_list_drops_empty_entries(self):
+        """``--models real_nn,`` reads as ``real_nn``, the way ``--seeds 0,`` reads as ``0``."""
+        args = cli.parse_command(["compare", "--cache", "c.cvkc", "--models", "real_nn,",
+                                  "--seeds", "0,", "--c-grid", ",0", "--lr", "0.01,,"])
+        assert cli._compare_plan(args) == (("real_nn",), (0,), [(0.0, 0.01)])
 
     def test_each_model_trains_at_its_own_best_cell(self, two_lr_compare):
         out = two_lr_compare
@@ -1196,8 +1202,9 @@ class TestReport:
         for name in self.REPORTS:
             (compared / name).unlink()
         assert main(["report", str(compared)]) == 3
-        assert capsys.readouterr().err.startswith(
-            f"data error: {path} does not hold the settings of a compare: ParameterError: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: config file {path}: ")
+        assert err.count(str(path)) == 1 and "ParameterError" not in err
         assert not any((compared / name).exists() for name in self.REPORTS)
         again = tmp_path / "again"
         assert main(["compare", "--config", str(path), "--out", str(again)]) == 2
@@ -1260,6 +1267,50 @@ def test_output_under_a_regular_file_is_data_error(command, idx_dir, tiny_cache,
     assert main([command, str(out)] if argv is None else [command, *argv, "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(out) in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ParameterError, 2, "parameter error: "), (DataFormatError, 3, "data error: "),
+    (OSError, 3, "data error: "), (NumericError, 4, "numeric error: "),
+], ids=["parameter", "data", "os", "numeric"])
+def test_each_error_class_has_its_exit_code(error, code, prefix, tmp_path, monkeypatch,
+                                            capsys):
+    def failing(out_dir):
+        raise error("no report")
+
+    monkeypatch.setattr(cli, "write_report", failing)
+    assert main(["report", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"{prefix}no report\n"
+
+
+def test_a_stale_forward_cache_is_a_traceback(tmp_path, monkeypatch):
+    """A StateError is a program bug, so no exit code hides it."""
+    def failing(out_dir):
+        raise StateError("forward cache is stale")
+
+    monkeypatch.setattr(cli, "write_report", failing)
+    with pytest.raises(StateError):
+        main(["report", str(tmp_path)])
+
+
+@pytest.mark.parametrize("sizes", [(96, 0, 24), (96, 24, 0)], ids=["no_val", "no_test"])
+@pytest.mark.parametrize("command", ["train", "compare", "evaluate"])
+def test_a_cache_with_an_empty_split_exits_3_before_any_output(command, sizes, tiny_cache,
+                                                               tmp_path, capsys):
+    meta, arrays = read_container(tiny_cache, data._CACHE_MAGIC, data._CACHE_VERSION)
+    meta["split_sizes"] = list(sizes)
+    write_container(tiny_cache, data._CACHE_MAGIC, data._CACHE_VERSION, meta, arrays)
+    out, model_file = tmp_path / "out", tmp_path / "model.cvkm"
+    save_model(model_file, build_model("real_nn", 6, 3, seed=0, hidden_widths=(4,)))
+    argv = {"train": ["--model", "real_nn", "--out", str(out), *TRAIN_FLAGS],
+            "compare": ["--models", "real_nn", "--seeds", "0", "--c-grid", "0",
+                        "--out", str(out), *TRAIN_FLAGS],
+            "evaluate": ["--model-file", str(model_file)]}[command]
+    assert main([command, "--cache", str(tiny_cache), *argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {tiny_cache} does not hold a usable feature cache: ")
+    assert "split_sizes entry must be a positive integer, got 0" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cvkm", "tiny.cvkc"]
 
 
 class TestConfigFile:

@@ -11,7 +11,7 @@ from cvkaf.cnum import (
     finite_diff_cogradient,
     hermitian_norm_sq,
 )
-from cvkaf.errors import DimensionError, NumericError, ParameterError
+from cvkaf.errors import NumericError, ParameterError
 
 from conftest import random_complex
 
@@ -42,11 +42,11 @@ class TestComplexAffine:
         np.testing.assert_allclose(batched, rows, rtol=1e-13, atol=1e-13)
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match="shapes do not conform"):
             complex_affine(np.eye(2), np.zeros((1, 3), dtype=complex), np.zeros(2))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match="shapes do not conform"):
             complex_affine(np.eye(2), np.zeros((1, 2), dtype=complex), np.zeros(3))
-        with pytest.raises(DimensionError):  # one sample is a one-row batch
+        with pytest.raises(ParameterError, match="expected W"):  # one sample is a one-row batch
             complex_affine(np.eye(2), np.zeros(2, dtype=complex), np.zeros(2))
 
     def test_linearity(self, rng):
@@ -66,9 +66,9 @@ class TestComplexAffine:
 
 class TestBackwardAffine:
     def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionError):  # one sample is a one-row batch
+        with pytest.raises(ParameterError, match="shapes do not conform"):  # one-row batch
             backward_affine(np.zeros(2, dtype=complex), np.eye(2), np.zeros(2, dtype=complex))
-        with pytest.raises(DimensionError):  # rows of cograd_y and x differ
+        with pytest.raises(ParameterError, match="shapes do not conform"):  # rows differ
             backward_affine(np.zeros((3, 2), dtype=complex), np.eye(2),
                             np.zeros((2, 2), dtype=complex))
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gzip
 import importlib.util
+import re
 import struct
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from cvkaf.data import (
     rank_and_select,
 )
 from cvkaf.cli import main
-from cvkaf.errors import CacheError, DataFormatError, ParameterError
+from cvkaf.errors import DataFormatError, ParameterError
 from cvkaf.network import build_model, save_model
 
 from test_acceptance import naive_dft2_reference
@@ -382,7 +383,7 @@ class TestSplitViews:
         meta, arrays = read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
         arrays["labels"][-1] = label
         write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
-        with pytest.raises(CacheError, match="labels"):
+        with pytest.raises(DataFormatError, match="labels"):
             load_cached(path)
 
     @pytest.mark.parametrize("doctored", [
@@ -403,7 +404,7 @@ class TestSplitViews:
         meta, arrays = read_container(path, _CACHE_MAGIC, _CACHE_VERSION)
         meta.update(doctored)
         write_container(path, _CACHE_MAGIC, _CACHE_VERSION, meta, arrays)
-        with pytest.raises(CacheError, match="rebuild"):
+        with pytest.raises(DataFormatError, match="rebuild"):
             load_cached(path)
 
 
@@ -446,7 +447,7 @@ class TestCache:
         raw = bytearray(path.read_bytes())
         raw[20] ^= 0xFF  # inside the JSON header
         path.write_bytes(bytes(raw))
-        with pytest.raises(CacheError):
+        with pytest.raises(DataFormatError, match="corrupted header"):
             load_cached(path)
 
     def test_every_truncation_fails_closed(self, tmp_path):
@@ -455,14 +456,14 @@ class TestCache:
         raw = path.read_bytes()
         for size in range(len(raw)):
             path.write_bytes(raw[:size])
-            with pytest.raises(CacheError):
+            with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))} "):
                 load_cached(path)
 
     def test_appended_byte_fails_closed(self, tmp_path):
         path = tmp_path / "ds.cvkc"
         cache_dataset(build_complex_dataset(synthetic_raw(30), k=4, seed=0), path)
         path.write_bytes(path.read_bytes() + b"\0")
-        with pytest.raises(CacheError, match="trailing"):
+        with pytest.raises(DataFormatError, match="trailing"):
             load_cached(path)
 
     @pytest.mark.parametrize("mask", [0x01, 0xFF])
@@ -477,7 +478,8 @@ class TestCache:
             path.write_bytes(bytes(corrupt))
             try:
                 load_cached(path)
-            except CacheError:
+            except DataFormatError as exc:
+                assert str(exc).startswith(f"{path} ")
                 failures += 1
         assert 0 < failures < len(raw)
 
@@ -513,7 +515,7 @@ class TestCache:
         raw = bytearray(path.read_bytes())
         raw[4] = 99  # format version field
         path.write_bytes(bytes(raw))
-        with pytest.raises(CacheError, match="version"):
+        with pytest.raises(DataFormatError, match="version"):
             load_cached(path)
 
 

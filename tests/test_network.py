@@ -11,8 +11,7 @@ from cvkaf import network
 from cvkaf.activations import ACTIVATION_VARIANTS, WlKafCase2Activation
 from cvkaf.cnum import complex_affine, finite_diff_cogradient
 from cvkaf.errors import (
-    CacheError,
-    DimensionError,
+    DataFormatError,
     NumericError,
     ParameterError,
     StateError,
@@ -162,7 +161,7 @@ class TestNetworkForward:
 
     def test_input_dimension_checked(self):
         net = ComplexNetwork(NetworkConfig(3, (4,), 2, activation="split_tanh"))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ParameterError, match=r"\(rows, 3\) batch"):
             net.forward(np.zeros((2, 5), dtype=complex))
 
     def test_deterministic_construction(self):
@@ -199,7 +198,7 @@ class TestBlockedPredict:
             assert p.shape == (n, 4)
             np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(net.predict(x[:n]), np.argmax(expected, axis=-1))
-        with pytest.raises(DimensionError):  # one sample is x[:1], covered above
+        with pytest.raises(ParameterError, match=r"\(rows, 5\) batch"):  # one sample is x[:1]
             net.predict_proba(x[0])
 
     # 51200 elements at width 100: (rows, 100, 8) KAF temporaries, (rows, 100) otherwise
@@ -327,7 +326,7 @@ class TestBatchInput:
                random_complex(rng, (3, 6)), np.complex128(1j), random_complex(rng, (1, 3, 5))]
         for call in calls:
             for x in bad:
-                with pytest.raises(DimensionError, match=r"\(rows, 5\) batch"):
+                with pytest.raises(ParameterError, match=r"\(rows, 5\) batch"):
                     call(x, [0, 1, 2])
             call(random_complex(rng, (1, 5)), [2])  # one sample is a one-row batch
 
@@ -585,14 +584,14 @@ class TestConfigChecks:
         ("seed", "abc"), ("seed", 1.5), ("seed", -1),
     ])
     @pytest.mark.parametrize("name", ["real_nn", "split_tanh"])
-    def test_a_file_with_an_unusable_grid_or_start_is_cache_error(self, name, entry, value,
-                                                                   tmp_path):
+    def test_a_file_with_an_unusable_grid_or_start_is_data_error(self, name, entry, value,
+                                                                  tmp_path):
         path = tmp_path / "model.cvkm"
         save_model(path, build_model(name, 3, 5, seed=0, hidden_widths=(4,)))
         meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         meta["config"][entry] = value
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        with pytest.raises(CacheError) as caught:
+        with pytest.raises(DataFormatError) as caught:
             load_model(path)
         assert f"{path} does not hold a usable model" in str(caught.value)
         assert isinstance(caught.value.__cause__, ParameterError)
@@ -644,12 +643,12 @@ class TestSerialization:
         x = random_complex(rng, (3, 4))
         np.testing.assert_array_equal(restored.predict_proba(x), model.predict_proba(x))
 
-    @pytest.mark.parametrize("doctor, error", [
-        ("narrower", DimensionError),  # one dictionary point short
-        ("missing", ParameterError),
-        ("renamed", ParameterError),
-    ])
-    def test_parameters_that_do_not_fit_the_config_are_rejected(self, doctor, error, tmp_path):
+    @pytest.mark.parametrize("doctor, message", [
+        ("narrower", "shape mismatch for layer1.alpha"),  # one dictionary point short
+        ("missing", "parameter name sets differ"),
+        ("renamed", "parameter name sets differ"),
+    ], ids=["narrower", "missing", "renamed"])
+    def test_parameters_that_do_not_fit_the_config_are_rejected(self, doctor, message, tmp_path):
         model = build_model("wlkaf_case2", input_dim=4, class_count=3, seed=2,
                             hidden_widths=(5, 5), dictionary=build_dictionary(4))
         path = tmp_path / "model.cvkm"
@@ -661,9 +660,10 @@ class TestSerialization:
         elif doctor == "renamed":
             arrays["layer1.alpha_"] = alpha
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        with pytest.raises(CacheError, match=error.__name__) as caught:
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{path} does not hold a usable model: ParameterError: {message}")) as caught:
             load_model(path)
-        assert isinstance(caught.value.__cause__, error)
+        assert type(caught.value.__cause__) is ParameterError
 
     @pytest.mark.parametrize("name, rewrite", [
         ("layer0.W", lambda arr: (64 * arr.real).astype(np.int8)),
@@ -677,7 +677,7 @@ class TestSerialization:
         meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         arrays[name] = rewrite(arrays[name])
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        with pytest.raises(CacheError, match=re.escape(
+        with pytest.raises(DataFormatError, match=re.escape(
                 f"{path} does not hold a usable model: ParameterError: dtype mismatch for "
                 f"{name}: expected {model.parameters()[name].dtype}, got {arrays[name].dtype}")):
             load_model(path)
@@ -718,7 +718,7 @@ class TestSerialization:
         raw = bytearray(path.read_bytes())
         raw[0] = ord("X")
         path.write_bytes(bytes(raw))
-        with pytest.raises(CacheError):
+        with pytest.raises(DataFormatError, match="is not a CVKM container"):
             load_model(path)
 
     def test_unknown_variant_rejected(self):
@@ -760,14 +760,14 @@ class TestModelHeader:
                                              "omegas": [0.3, 0.6]}),
         lambda meta: meta.update(dictionary={"points_per_axis": 8, "axis_range": [-2.0, 2.0]}),
     ], ids=["ridge", "kind", "activation", "dictionary"])
-    def test_a_header_with_an_entry_besides_the_config_is_cache_error(self, doctor, tmp_path):
+    def test_a_header_with_an_entry_besides_the_config_is_data_error(self, doctor, tmp_path):
         # the entries format version 1 wrote: the config is the one copy now
         path = tmp_path / "model.cvkm"
         save_model(path, _network("case2_q2"))
         meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         doctor(meta)
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        with pytest.raises(CacheError, match="does not hold a usable model") as caught:
+        with pytest.raises(DataFormatError, match="does not hold a usable model") as caught:
             load_model(path)
         assert isinstance(caught.value.__cause__, ValueError)
 
@@ -775,13 +775,13 @@ class TestModelHeader:
                                             "wlkaf_case2:", ""],
                              ids=["split_identity", "kaf_without_kernel", "extra_field",
                                   "no_weights", "empty"])
-    def test_a_name_no_variant_takes_is_cache_error(self, activation, tmp_path):
+    def test_a_name_no_variant_takes_is_data_error(self, activation, tmp_path):
         path = tmp_path / "model.cvkm"
         save_model(path, _network("kaf_independent"))
         meta, arrays = read_container(path, _MODEL_MAGIC, _MODEL_VERSION)
         meta["config"]["activation"] = activation
         write_container(path, _MODEL_MAGIC, _MODEL_VERSION, meta, arrays)
-        with pytest.raises(CacheError, match="unknown activation variant") as caught:
+        with pytest.raises(DataFormatError, match="unknown activation variant") as caught:
             load_model(path)
         assert f"{path} does not hold a usable model" in str(caught.value)
         assert isinstance(caught.value.__cause__, ParameterError)
@@ -800,7 +800,7 @@ class TestModelHeader:
         raw = bytearray(path.read_bytes())
         raw[4:8] = version.to_bytes(4, "little")  # format version field
         path.write_bytes(bytes(raw))
-        with pytest.raises(CacheError) as caught:
+        with pytest.raises(DataFormatError) as caught:
             load(path)
         assert str(caught.value) == \
             f"{path} has format version {version}, expected {expected}; rebuild the file"
