@@ -5,26 +5,26 @@ seed), ``evaluate`` (accuracy of a saved model on a split), ``compare``
 (a search over (C, lr) cells + multi-seed accuracy table across model variants),
 ``gradcheck`` (finite-difference verification), ``report`` (the accuracy
 table and convergence CSV of a ``compare`` directory, from the ``config.txt``
-that ``compare`` writes first, which records the cache's absolute path and so
-replays from any working directory, and the run directories it names;
-``compare`` ends by calling it).
+``compare`` writes first, which holds the cache's absolute path, and the run
+directories it names; ``compare`` ends by calling it).
 
 Each option is declared once, in :func:`build_parser`, with its type and
 its default (the library's, where the library owns it); ``cvkaf <command>
 --help`` prints every default. A ``key = value`` config file passed with
-``--config`` is applied once, in :func:`parse_command`, as the chosen command's
-defaults, so explicit flags win; an unreadable file, a key it gives twice
-or a value its option rejects is a parameter error naming the file. Each
-training run writes a directory containing the resolved config snapshot,
-the serialized model, the trace CSV, and a machine-readable summary;
-wall-clock timestamps are confined to the sidecar ``run.log``, keeping the
-other artifacts byte-reproducible under a fixed seed.
+``--config`` (a comment is a whole line starting with '#') is applied once,
+in :func:`parse_command`, as the chosen command's defaults, so flags win;
+then the command's one check of its settings, which reads no file, runs
+there, so a settings error exits 2 before any file is read or written and,
+with ``--config``, names the file. Each training run writes a directory
+holding the resolved config snapshot, the model, the trace CSV, and a
+summary; wall-clock timestamps are confined to the sidecar ``run.log``,
+keeping the other artifacts byte-reproducible under a fixed seed.
 
-Exit codes: 0 success, 2 parameter errors, 3 data errors (an unreadable
-cache or one with an empty split, an unreadable model, run summary or trace
-file, a compare directory's ``config.txt`` that ``compare --config`` would
-refuse, an unwritable output, and a model evaluated on a cache of another
-feature width), 4 numeric errors.
+Exit codes: 0 success, 2 parameter errors (only the batch and split sizes are
+checked against the data, once read), 3 data errors (an unreadable cache or
+one with an empty split, an unreadable model, run summary or trace file, a
+``config.txt`` that ``compare --config`` refuses, an unwritable output, and a
+model evaluated on a cache of another feature width), 4 numeric errors.
 """
 
 from __future__ import annotations
@@ -129,16 +129,16 @@ def _list_text(values) -> str:
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a flat ``key = value`` UTF-8 config file ('#' starts a comment);
-    a key given twice, in either spelling, is a parameter error."""
+    """Parse a flat ``key = value`` UTF-8 config file; a line starting with '#' (after blanks)
+    is a comment, and a key given twice, in either spelling, is a parameter error."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read config file {path}: {exc}") from exc
     entries: dict[str, tuple[int, str]] = {}  # key -> (line number, value)
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ParameterError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
@@ -208,21 +208,37 @@ def cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _run_settings(args, ds, seeds) -> tuple[TrainConfig, Dictionary]:
-    """Check the settings the runs of ``train`` or ``compare`` share, once and
-    before any output exists: the training config, whose seed and lr each run sets,
-    with its batch size against ``ds``'s training rows, and the network's
-    ``--hidden``, ``--dict-points`` and ``--dict-range`` with each of ``seeds``.
+def _require(args, *flags) -> None:
+    """Refuse ``args`` unless each of ``flags`` was given, by a flag or a config line."""
+    missing = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is None]
+    if missing:
+        raise ParameterError(f"the following arguments are required: {', '.join(missing)}")
 
-    Returns the training config and the dictionary.
-    """
+
+def _check_runs(args, seeds) -> None:
+    """The settings check ``train`` and ``compare`` share: ``args.settings`` is the training
+    config, whose seed and lr each run sets, and the dictionary, once ``--hidden`` and the
+    grid are checked with each of ``seeds`` (the cache gives the input and class counts)."""
+    _require(args, "--cache")
     config = TrainConfig(batch_size=args.batch_size, patience=args.patience,
                          eval_every=args.eval_every, max_iterations=args.max_iterations)
-    optim.check_batch_size(config, ds.split_sizes[0])
     for seed in seeds:
-        NetworkConfig(ds.feature_dim, args.hidden, ds.class_count, seed=seed,
+        NetworkConfig(1, args.hidden, 1, seed=seed,
                       dict_points=args.dict_points, dict_range=args.dict_range)
-    return config, build_dictionary(args.dict_points, args.dict_range)
+    args.settings = config, build_dictionary(args.dict_points, args.dict_range)
+
+
+def _check_compare(args) -> None:
+    """``compare``'s settings check: no list is empty or repeats a model, a seed or the
+    :func:`_cell_name` of one of ``args.cells``, the sorted (C, lr) cells, C outer."""
+    if not args.models or not args.seeds or not args.c_grid or not args.lr:
+        raise ParameterError("--models, --seeds, --c-grid and --lr each need at least one value")
+    args.cells = [(c, lr) for c in sorted(args.c_grid) for lr in sorted(args.lr)]
+    for flag, values in (("--models", args.models), ("--seeds", args.seeds),
+                         ("--c-grid x --lr", [_cell_name(*cell) for cell in args.cells])):
+        if len(set(values)) != len(values):
+            raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
+    _check_runs(args, args.seeds)
 
 
 def _shared_settings(args) -> dict:
@@ -238,8 +254,8 @@ def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
     the run's summary, as written to ``summary.json``.
 
     ``ds`` is the dataset loaded from ``args.cache``, whose path is recorded
-    in the run's log and config snapshot, and ``settings`` is what
-    :func:`_run_settings` returned. A run that diverges still writes its
+    in the run's log and config snapshot, and ``settings`` is ``args.settings``
+    (:func:`_check_runs`). A run that diverges still writes its
     artifacts, from the best checkpoint, and then raises its
     :class:`NumericError`.
     """
@@ -279,12 +295,10 @@ def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
 
 
 def cmd_train(args) -> int:
-    if args.cache is None:
-        raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
     out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
     ds = data_mod.load_cached(args.cache)
-    settings = _run_settings(args, ds, (args.seed,))
-    summary = _train_one(ds, args.model, args.seed, args.c, args.lr, args, settings, out_dir)
+    optim.check_batch_size(args.settings[0], ds.split_sizes[0])
+    summary = _train_one(ds, args.model, args.seed, args.c, args.lr, args, args.settings, out_dir)
     print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
@@ -294,10 +308,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.model_file is None or args.cache is None:
-        raise ParameterError("--model-file and --cache are required")
-    if args.split not in ("train", "val", "test"):
-        raise ParameterError(f"split must be train, val or test, got {args.split!r}")
     model = load_model(args.model_file)
     ds = data_mod.load_cached(args.cache)
     if ds.feature_dim != model.config.input_dim:
@@ -312,26 +322,11 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _compare_plan(args):
-    """The models, seeds and sorted (C, lr) cells, C outer, of ``args``: no list is empty or
-    gives a model or seed twice, and no two cells share a :func:`_cell_name`."""
-    if args.cache is None:
-        raise ParameterError("--cache is required (run 'cvkaf preprocess' first)")
-    if not args.models or not args.seeds or not args.c_grid or not args.lr:
-        raise ParameterError("--models, --seeds, --c-grid and --lr each need at least one value")
-    cells = [(c, lr) for c in sorted(args.c_grid) for lr in sorted(args.lr)]
-    for flag, values in (("--models", args.models), ("--seeds", args.seeds),
-                         ("--c-grid x --lr", [_cell_name(*cell) for cell in cells])):
-        if len(set(values)) != len(values):
-            raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
-    return args.models, args.seeds, cells
-
-
 def cmd_compare(args) -> int:
-    models, seeds, cells = _compare_plan(args)
+    models, seeds, cells = args.models, args.seeds, args.cells
     out_dir = Path(args.out)
     ds = data_mod.load_cached(args.cache)  # one load serves every run
-    settings = _run_settings(args, ds, seeds)
+    optim.check_batch_size(args.settings[0], ds.split_sizes[0])
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_config_snapshot(out_dir / "config.txt", {
         **_shared_settings(args), "models": _list_text(models), "seeds": _list_text(seeds),
@@ -339,7 +334,7 @@ def cmd_compare(args) -> int:
 
     # every (C, lr) cell on the first seed, then the other seeds at each model's best cell;
     # the runs of a stage are independent, so they spread over the usable CPUs
-    attempt = functools.partial(_attempt, ds, args, settings, out_dir)
+    attempt = functools.partial(_attempt, ds, args, args.settings, out_dir)
     deal(attempt, [(m, seeds[0], *cell) for m in models for cell in cells],
          usable_cpus(), "compare")
     best = {m: _best_cell(out_dir, m, seeds[0], cells)[0] for m in models}
@@ -403,15 +398,11 @@ def write_report(out_dir: Path) -> None:
     its :func:`_best_cell` over every seed, or its grid if a grid run failed; a row
     with a failed run shows the first failure, in the order of training, and has
     no convergence columns. ``config.txt`` reads as ``compare --config`` replays it."""
-    path = out_dir / "config.txt"
     try:
-        args = parse_command(["compare", f"--config={path}"])
+        args = parse_command(["compare", f"--config={out_dir / 'config.txt'}"])
     except ParameterError as exc:  # each of its config file errors names the file
         raise DataFormatError(str(exc)) from exc
-    try:
-        models, seeds, cells = _compare_plan(args)
-    except ParameterError as exc:
-        raise DataFormatError(f"config file {path}: {exc}") from exc
+    models, seeds, cells = args.models, args.seeds, args.cells
     results, traces = {}, {}
     for m in models:
         best, grid = _best_cell(out_dir, m, seeds[0], cells)
@@ -554,14 +545,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, config=True):
+    def command(name, func, help, check=lambda args: None, config=True):
         p = sub.add_parser(name, help=help, formatter_class=_HelpFormatter)
         if config:
             p.add_argument("--config", help="key = value config file; flags win")
-        p.set_defaults(func=func, parser=p, config=None)
+        p.set_defaults(func=func, check=check, parser=p, config=None)
         return p
 
-    p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset")
+    p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset",
+                lambda args: check_int("seed", args.seed, 0))
     p.add_argument("--dataset", default="mnist", help=" | ".join(data_mod.DATASET_NAMES))
     p.add_argument("--k-coeffs", type=_parse_k, default=data_mod.DEFAULT_K,
                    help="coefficients to keep")
@@ -572,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="absolute train,val,test sizes; 80/10/10 of the images if omitted")
     p.add_argument("--out", help="cache file path; <dataset>.cvkc if omitted")
 
-    p = command("train", cmd_train, "train one model variant for one seed")
+    p = command("train", cmd_train, "train one model variant for one seed",
+                lambda args: _check_runs(args, (args.seed,)))
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--model", type=_parse_model, default="wlkaf_case1",
                    help=" | ".join(("real_nn", *ACTIVATION_VARIANTS, _CASE2_HELP)))
@@ -583,12 +576,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_training_flags(p)
     p.add_argument("--out", help="run directory; run_<model>_seed<seed> if omitted")
 
-    p = command("evaluate", cmd_evaluate, "accuracy of a saved model on a split")
+    p = command("evaluate", cmd_evaluate, "accuracy of a saved model on a split",
+                lambda args: _require(args, "--model-file", "--cache"))
     p.add_argument("--model-file", help="model from 'train'")
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--split", default="test", help="train | val | test")
+    p.add_argument("--split", default="test", choices=("train", "val", "test"),
+                   help="train | val | test")
 
-    p = command("compare", cmd_compare, "(C, lr) grid search + multi-seed comparison table")
+    p = command("compare", cmd_compare, "(C, lr) grid search + multi-seed comparison table",
+                _check_compare)
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--models", type=_list_parser(_parse_model, "model names"),
                    default=_list_text(MODEL_VARIANTS),
@@ -616,15 +612,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_command(argv=None) -> argparse.Namespace:
     """The command line ``argv``, with its ``--config`` file's values as the chosen
-    command's defaults, so that flags win."""
+    command's defaults, so that flags win, once the command's check of its settings,
+    which reads no file, has passed and left its results on the namespace."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:  # parse again with the file's values as the command's defaults
+    if args.config:
         _apply_config_file(args.parser, args.config)
-        try:
+    try:
+        if args.config:  # parse again with the file's values as the command's defaults
             args = parser.parse_args(argv)
-        except ParameterError as exc:  # flags parsed once already: a file value failed
+        args.check(args)
+    except ParameterError as exc:
+        if args.config:  # the flags alone parsed, so a file value or the check failed
             raise ParameterError(f"config file {args.config}: {exc}") from exc
+        raise
     return args
 
 

@@ -158,8 +158,6 @@ def load_idx(images_path, labels_path) -> RawImageSet:
     """Decode an images/labels IDX pair (gzip handled transparently)."""
     images = _read_idx(images_path, _IMAGE_MAGIC)
     labels = _read_idx(labels_path, _LABEL_MAGIC).astype(np.int64)
-    if images.ndim != 3:
-        raise DataFormatError(f"{images_path}: expected 3 dimensions, got {images.ndim}")
     return RawImageSet(images=images, labels=labels,
                        class_count=int(labels.max()) + 1 if labels.size else 0)
 
@@ -422,8 +420,9 @@ def load_cached(path) -> ComplexDataset:
                 f"{sorted(_CACHE_HEADER)} and {sorted(_CACHE_ARRAYS)}"
             )
         return ComplexDataset(**meta, **arrays)
-    except (TypeError, ValueError) as exc:  # DataFormatError is a ValueError
-        raise DataFormatError(f"{path} does not hold a usable feature cache: {describe(exc)}; "
+    except (TypeError, ValueError) as exc:  # a DataFormatError is a ValueError, quoted bare
+        detail = str(exc) if isinstance(exc, DataFormatError) else describe(exc)
+        raise DataFormatError(f"{path} does not hold a usable feature cache: {detail}; "
                               "rebuild the cache") from exc
 
 

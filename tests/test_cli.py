@@ -101,8 +101,10 @@ class TestPreprocess:
 
     @pytest.mark.parametrize("flag, value", [("--k-coeffs", "0"), ("--seed", "-1")])
     def test_unusable_setting_is_parameter_error(self, flag, value, tmp_path, capsys):
+        """Refused before the data is read: the data directory holds no IDX files."""
         out = tmp_path / "x.cvkc"
-        assert main(["preprocess", "--dataset", "glyphs", flag, value, "--out", str(out)]) == 2
+        assert main(["preprocess", "--dataset", "mnist", "--data-dir", str(tmp_path), flag, value,
+                     "--out", str(out)]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not out.exists()
 
@@ -408,7 +410,7 @@ class TestCompare:
         """``--models real_nn,`` reads as ``real_nn``, the way ``--seeds 0,`` reads as ``0``."""
         args = cli.parse_command(["compare", "--cache", "c.cvkc", "--models", "real_nn,",
                                   "--seeds", "0,", "--c-grid", ",0", "--lr", "0.01,,"])
-        assert cli._compare_plan(args) == (("real_nn",), (0,), [(0.0, 0.01)])
+        assert (args.models, args.seeds, args.cells) == (("real_nn",), (0,), [(0.0, 0.01)])
 
     def test_each_model_trains_at_its_own_best_cell(self, two_lr_compare):
         out = two_lr_compare
@@ -804,7 +806,8 @@ def test_unusable_setting_exits_2_before_any_output(command, flag, value, tiny_c
         elif flag == "--lr":
             value = f"0.01,{value}"
     assert main([*argv, f"{flag}={value}"]) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err and "config file" not in err
     assert not out.exists()
 
 
@@ -1191,8 +1194,12 @@ class TestReport:
         ("lr", "lr = 0.01,0.0100000001"), ("c_grid", "c_grid = 0,0.0"),
         ("models", "models = real_nn,real_nn"), ("seeds", "seeds = 0,0"),
         (None, "no_such_key = 1"), ("batch_size", "batch_size = abc"),
+        ("batch_size", "batch_size = 0"), ("hidden", "hidden = 4,0"),
+        ("dict_points", "dict_points = 1"), ("patience", "patience = -1"),
+        ("seeds", "seeds = -1"),
     ], ids=["lr_spelled_twice", "c_spelled_twice", "model_twice", "seed_twice",
-            "unknown_key", "unreadable_value"])
+            "unknown_key", "unreadable_value", "batch_size_zero", "hidden_width_zero",
+            "one_dict_point", "negative_patience", "negative_seed"])
     def test_unusable_config_is_data_error(self, key, line, compared, tmp_path, capsys):
         """``report`` refuses, with exit 3, each ``config.txt`` that ``compare --config``
         refuses with exit 2."""
@@ -1208,7 +1215,7 @@ class TestReport:
         assert not any((compared / name).exists() for name in self.REPORTS)
         again = tmp_path / "again"
         assert main(["compare", "--config", str(path), "--out", str(again)]) == 2
-        assert capsys.readouterr().err.startswith("parameter error: ")
+        assert capsys.readouterr().err.startswith(f"parameter error: config file {path}: ")
         assert not again.exists()
 
     def test_missing_config_is_data_error(self, compared, capsys):
@@ -1308,8 +1315,8 @@ def test_a_cache_with_an_empty_split_exits_3_before_any_output(command, sizes, t
             "evaluate": ["--model-file", str(model_file)]}[command]
     assert main([command, "--cache", str(tiny_cache), *argv]) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"data error: {tiny_cache} does not hold a usable feature cache: ")
-    assert "split_sizes entry must be a positive integer, got 0" in err
+    assert err == (f"data error: {tiny_cache} does not hold a usable feature cache: "
+                   "split_sizes entry must be a positive integer, got 0; rebuild the cache\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["model.cvkm", "tiny.cvkc"]
 
 
@@ -1374,6 +1381,23 @@ class TestConfigFile:
         for name in TestReport.REPORTS:
             assert (other / name).read_bytes() == (two_lr_compare / name).read_bytes(), name
         run = two_lr_compare / "runs" / "real_nn" / "seed1_C0.001_lr0.3"
+        assert main(["train", "--config", str(run / "config.txt"),
+                     "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "model.cvkm").read_bytes() == (run / "model.cvkm").read_bytes()
+
+    def test_a_cache_path_holding_a_hash_replays(self, tiny_cache, tmp_path):
+        """Only a whole line is a comment, so ``cache = .../a#b/tiny.cvkc`` reads whole."""
+        (tmp_path / "a#b").mkdir()
+        cache = tiny_cache.rename(tmp_path / "a#b" / tiny_cache.name)
+        cmp = tmp_path / "cmp"
+        assert main(["compare", "--cache", str(cache), "--out", str(cmp), "--models", "real_nn",
+                     "--seeds", "0,1", "--c-grid", "0", *TRAIN_FLAGS]) == 0
+        assert f"cache = {cache}" in (cmp / "config.txt").read_text().splitlines()
+        assert main(["compare", "--config", str(cmp / "config.txt"),
+                     "--out", str(tmp_path / "again")]) == 0
+        for name in TestReport.REPORTS:
+            assert (tmp_path / "again" / name).read_bytes() == (cmp / name).read_bytes(), name
+        run = cmp / "runs" / "real_nn" / "seed1_C0_lr0.01"
         assert main(["train", "--config", str(run / "config.txt"),
                      "--out", str(tmp_path / "run")]) == 0
         assert (tmp_path / "run" / "model.cvkm").read_bytes() == (run / "model.cvkm").read_bytes()
