@@ -1,24 +1,24 @@
 """Command-line harness for the benchmark experiments.
 
 Subcommands: ``preprocess`` (FFT feature cache), ``train`` (one model, one
-seed), ``evaluate`` (accuracy of a saved model on a split), ``compare``
-(a search over (C, lr) cells + multi-seed accuracy table across model variants),
-``gradcheck`` (finite-difference verification), ``report`` (the accuracy
-table and convergence CSV of a ``compare`` directory, from the ``config.txt``
-``compare`` writes first, which holds the cache's absolute path, and the run
-directories it names; ``compare`` ends by calling it).
+seed), ``evaluate`` (accuracy of a saved model on a split), ``compare`` (a
+(C, lr) search + multi-seed accuracy table across models), ``gradcheck``
+(finite differences of every model ``train`` accepts, over the usable CPUs),
+``report`` (the accuracy table and convergence CSV of a ``compare``
+directory, from its ``config.txt``, which holds the cache's absolute path,
+and the run directories it names; ``compare`` ends by calling it).
 
-Each option is declared once, in :func:`build_parser`, with its type and
-its default (the library's, where the library owns it); ``cvkaf <command>
---help`` prints every default. A ``key = value`` config file passed with
-``--config`` (a comment is a whole line starting with '#') is applied once,
-in :func:`parse_command`, as the chosen command's defaults, so flags win;
-then the command's one check of its settings, which reads no file, runs
-there, so a settings error exits 2 before any file is read or written and,
-with ``--config``, names the file. Each training run writes a directory
-holding the resolved config snapshot, the model, the trace CSV, and a
-summary; wall-clock timestamps are confined to the sidecar ``run.log``,
-keeping the other artifacts byte-reproducible under a fixed seed.
+Each option is declared once, in :func:`build_parser`, with its default (the
+library's, where the library owns it) and its type, which applies the
+library's rule to one value; ``cvkaf <command> --help`` prints every default.
+A ``key = value`` config file given with ``--config`` (a comment is a whole
+line starting with '#') becomes the command's defaults in :func:`parse_command`
+once the flags alone parse, so flags win; the command's one check of its
+settings together, which reads no file, runs there too. So a settings error
+exits 2 before any file is read or written, naming the config file if a value
+from it, or that check, failed. Each training run writes a directory: the
+config snapshot, model, trace CSV and summary, byte-reproducible under a fixed
+seed, and the sidecar ``run.log``, the only artifact with wall-clock times.
 
 Exit codes: 0 success, 2 parameter errors (only the batch and split sizes are
 checked against the data, once read), 3 data errors (an unreadable cache or
@@ -43,7 +43,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from . import optim
-from .activations import ACTIVATION_VARIANTS, activation_named
+from .activations import activation_named
 from .errors import (
     CvkafError,
     DataFormatError,
@@ -53,9 +53,8 @@ from .errors import (
     check_number,
     describe,
 )
-from .gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
-from .kernels import (DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, Dictionary,
-                      build_dictionary)
+from .gradcheck import ALL_MODELS, DEFAULT_TOLERANCE, gradcheck_variant
+from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
 from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
                       load_model, save_model)
 from .optim import TrainConfig
@@ -95,11 +94,15 @@ def _option_type(read, rule):
     return parse
 
 
+def _int_option(name, minimum, read=int):
+    """The option type of an integer setting, or a list of them, checked as the library does."""
+    rule = functools.partial(check_int, name, minimum=minimum)
+    return _option_type(read, rule if read is int else lambda values: tuple(map(rule, values)))
+
+
 _parse_lr = _option_type(float, lambda value: check_number("lr", value))
 _parse_c = _option_type(float, lambda value: check_number("c", value, zero_ok=True))
-_parse_k = _option_type(int, lambda value: check_int("k_coeffs", value, 1))
-_parse_seed_count = _option_type(int, lambda value: check_int("seeds", value, 1))
-# --model: real_nn or an activation name
+# --model: real_nn or an activation name; gradcheck's also takes "all"
 _parse_model = _option_type(str, lambda name: name if name == "real_nn"
                             else activation_named(name).name)
 
@@ -116,6 +119,7 @@ def _list_parser(kind, noun):
 
 
 _parse_ints = _list_parser(int, "integers")
+_parse_seed = _int_option("seed", 0)
 
 
 def _range_text(r) -> str:
@@ -215,16 +219,14 @@ def _require(args, *flags) -> None:
         raise ParameterError(f"the following arguments are required: {', '.join(missing)}")
 
 
-def _check_runs(args, seeds) -> None:
+def _check_runs(args) -> None:
     """The settings check ``train`` and ``compare`` share: ``args.settings`` is the training
-    config, whose seed and lr each run sets, and the dictionary, once ``--hidden`` and the
-    grid are checked with each of ``seeds`` (the cache gives the input and class counts)."""
+    config, whose seed and lr each run sets, and the dictionary, once the network flags
+    pass together (each passed its option type alone; the cache gives the other sizes)."""
     _require(args, "--cache")
     config = TrainConfig(batch_size=args.batch_size, patience=args.patience,
                          eval_every=args.eval_every, max_iterations=args.max_iterations)
-    for seed in seeds:
-        NetworkConfig(1, args.hidden, 1, seed=seed,
-                      dict_points=args.dict_points, dict_range=args.dict_range)
+    NetworkConfig(1, args.hidden, 1, dict_points=args.dict_points, dict_range=args.dict_range)
     args.settings = config, build_dictionary(args.dict_points, args.dict_range)
 
 
@@ -238,7 +240,7 @@ def _check_compare(args) -> None:
                          ("--c-grid x --lr", [_cell_name(*cell) for cell in args.cells])):
         if len(set(values)) != len(values):
             raise ParameterError(f"{flag} names an entry twice: {_list_text(values)}")
-    _check_runs(args, args.seeds)
+    _check_runs(args)
 
 
 def _shared_settings(args) -> dict:
@@ -466,16 +468,17 @@ def cmd_report(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    n_seeds = args.seeds
-    # an unknown name fails in the first check, where the network is built
-    variants = tuple(ACTIVATION_VARIANTS) if args.model == "all" else (args.model,)
+    def check(variant):  # its errors and the CPU seconds they took, in the process that ran it
+        start = time.process_time()
+        return gradcheck_variant(variant, range(n_seeds)), time.process_time() - start
+
+    n_seeds, variants = args.seeds, ALL_MODELS if args.model == "all" else (args.model,)
     failures = []
-    for variant in variants:
-        errors = gradcheck_variant(variant, range(n_seeds))
+    for variant, (errors, cpu) in zip(variants, deal(check, variants, usable_cpus(), "gradcheck")):
         worst = max(errors.values())
-        bad = [group for group, err in errors.items() if err > DEFAULT_TOLERANCE]
+        bad = sorted(group for group, err in errors.items() if err > DEFAULT_TOLERANCE)
         status = "FAIL" if bad else "PASS"
-        print(f"[{status}] {variant:<20} worst={worst:.3e} over {n_seeds} seeds")
+        print(f"[{status}] {variant:<20} worst={worst:.3e} over {n_seeds} seeds, {cpu:.1f} s CPU")
         for group, err in sorted(errors.items()):
             mark = "  <-- exceeds tolerance" if group in bad else ""
             print(f"    {group:<18} {err:.3e}{mark}")
@@ -483,7 +486,7 @@ def cmd_gradcheck(args) -> int:
             failures.append(f"{variant} ({', '.join(bad)}: {worst:.2e})")
     if failures:
         raise NumericError(f"gradient check failed for {'; '.join(failures)}")
-    print(f"all {len(variants)} variants within {DEFAULT_TOLERANCE:g} relative tolerance")
+    print(f"all {len(variants)} models within {DEFAULT_TOLERANCE:g} relative tolerance")
     return EXIT_OK
 
 
@@ -520,19 +523,20 @@ class _HelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
 
 def add_training_flags(p) -> None:
     """The training flags ``train`` and ``compare`` share, with the library's defaults."""
-    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size, help="batch size")
-    p.add_argument("--patience", type=int, default=TrainConfig.patience,
+    p.add_argument("--batch-size", type=_int_option("batch_size", 1),
+                   default=TrainConfig.batch_size, help="batch size")
+    p.add_argument("--patience", type=_int_option("patience", 0), default=TrainConfig.patience,
                    help="iterations without a validation gain before stopping")
-    p.add_argument("--eval-every", type=int, default=TrainConfig.eval_every,
-                   help="validation interval")
-    p.add_argument("--max-iterations", type=int, default=TrainConfig.max_iterations,
-                   help="iteration budget")
-    p.add_argument("--dict-points", type=int, default=DEFAULT_POINTS_PER_AXIS,
-                   help="dictionary points per axis")
+    p.add_argument("--eval-every", type=_int_option("eval_every", 1),
+                   default=TrainConfig.eval_every, help="validation interval")
+    p.add_argument("--max-iterations", type=_int_option("max_iterations", 1),
+                   default=TrainConfig.max_iterations, help="iteration budget")
+    p.add_argument("--dict-points", type=_int_option("dict_points", 2),
+                   default=DEFAULT_POINTS_PER_AXIS, help="dictionary points per axis")
     p.add_argument("--dict-range", type=_parse_range, default=_range_text(DEFAULT_AXIS_RANGE),
                    help="dictionary axis range")
-    p.add_argument("--hidden", type=_parse_ints, default=_list_text(NetworkConfig.hidden_widths),
-                   help="hidden widths")
+    p.add_argument("--hidden", type=_int_option("hidden_widths entry", 1, _parse_ints),
+                   default=_list_text(NetworkConfig.hidden_widths), help="hidden widths")
 
 
 _CASE2_HELP = "wlkaf_case2:w1:w2..., case 2 at mixing weights strictly between 0 and 1"
@@ -552,24 +556,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func, check=check, parser=p, config=None)
         return p
 
-    p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset",
-                lambda args: check_int("seed", args.seed, 0))
+    p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset")
     p.add_argument("--dataset", default="mnist", help=" | ".join(data_mod.DATASET_NAMES))
-    p.add_argument("--k-coeffs", type=_parse_k, default=data_mod.DEFAULT_K,
+    p.add_argument("--k-coeffs", type=_int_option("k_coeffs", 1), default=data_mod.DEFAULT_K,
                    help="coefficients to keep")
-    p.add_argument("--seed", type=int, default=0, help="split permutation seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="split permutation seed")
     p.add_argument("--data-dir", default=os.environ.get(DATA_DIR_ENV, "data"),
                    help=f"IDX file root, from ${DATA_DIR_ENV} when set")
-    p.add_argument("--split-counts", type=_parse_ints,
+    p.add_argument("--split-counts", type=_option_type(_parse_ints, data_mod.check_split_counts),
                    help="absolute train,val,test sizes; 80/10/10 of the images if omitted")
     p.add_argument("--out", help="cache file path; <dataset>.cvkc if omitted")
 
     p = command("train", cmd_train, "train one model variant for one seed",
-                lambda args: _check_runs(args, (args.seed,)))
+                _check_runs)
     p.add_argument("--cache", help="feature cache from 'preprocess'")
     p.add_argument("--model", type=_parse_model, default="wlkaf_case1",
-                   help=" | ".join(("real_nn", *ACTIVATION_VARIANTS, _CASE2_HELP)))
-    p.add_argument("--seed", type=int, default=0, help="initialization and batch seed")
+                   help=" | ".join((*ALL_MODELS, _CASE2_HELP)))
+    p.add_argument("--seed", type=_parse_seed, default=0, help="initialization and batch seed")
     p.add_argument("--c", type=_parse_c, default=TrainObjective.reg_weight,
                    help="regularizer weight")
     p.add_argument("--lr", type=_parse_lr, default=TrainConfig.lr, help="Adagrad learning rate")
@@ -589,7 +592,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=_list_parser(_parse_model, "model names"),
                    default=_list_text(MODEL_VARIANTS),
                    help="comma-separated names train accepts, e.g. real_nn,wlkaf_case2:0.7:0.2")
-    p.add_argument("--seeds", type=_parse_ints, default="0,1,2,3,4", help="comma-separated seeds")
+    p.add_argument("--seeds", type=_int_option("seed", 0, _parse_ints), default="0,1,2,3,4",
+                   help="comma-separated seeds")
     p.add_argument("--c-grid", type=_list_parser(_parse_c, "non-negative numbers"),
                    default="0,1e-5,1e-4,1e-3", help="regularization weights to search")
     p.add_argument("--lr", type=_list_parser(_parse_lr, "positive numbers"),
@@ -597,10 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_training_flags(p)
     p.add_argument("--out", default="comparison", help="output directory")
 
-    p = command("gradcheck", cmd_gradcheck, "finite-difference check of all backward rules")
-    p.add_argument("--model", default="all",
-                   help=" | ".join(("all", *ACTIVATION_VARIANTS, _CASE2_HELP)))
-    p.add_argument("--seeds", type=_parse_seed_count, default=20, help="number of random seeds")
+    p = command("gradcheck", cmd_gradcheck, "finite-difference check of every model's gradients")
+    p.add_argument("--model", type=lambda name: name if name == "all" else _parse_model(name),
+                   default="all", help=" | ".join(("all", *ALL_MODELS, _CASE2_HELP)))
+    p.add_argument("--seeds", type=_int_option("seeds", 1), default=20, help="number of seeds")
 
     p = command("report", cmd_report,
                 "rewrite the comparison table and convergence CSV of a compare directory",

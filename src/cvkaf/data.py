@@ -56,6 +56,7 @@ __all__ = [
     "fft2",
     "rank_and_select",
     "build_complex_dataset",
+    "check_split_counts",
     "cache_dataset",
     "load_cached",
     "load_named_dataset",
@@ -336,17 +337,21 @@ _CACHE_ARRAYS = frozenset(f.name for f in dataclasses.fields(ComplexDataset)
 _CACHE_HEADER = frozenset(f.name for f in dataclasses.fields(ComplexDataset)) - _CACHE_ARRAYS
 
 
+def check_split_counts(split_counts) -> tuple[int, int, int]:
+    """``split_counts`` if it holds three positive integers: the rules that need no images."""
+    counts = tuple(check_int("split_counts entry", c, 1) for c in split_counts)
+    if len(counts) != 3:
+        raise ParameterError(f"need three split counts, got {split_counts}")
+    return counts
+
+
 def _split_sizes(n: int, split_counts) -> tuple[int, int, int]:
     """``split_counts`` checked against ``n`` images, or 80/10/10 of them (rounded down)."""
     if split_counts is None:
         counts = (int(n * 0.8), int(n * 0.1), int(n * 0.1))
         if any(c < 1 for c in counts):
             raise ParameterError(f"the 80/10/10 split of {n} images leaves a split empty")
-        return counts
-    counts = tuple(check_int("split_counts entry", c, 1) for c in split_counts)
-    if len(counts) != 3:
-        raise ParameterError(f"need three split counts, got {split_counts}")
-    if sum(counts) > n:
+    elif sum(counts := check_split_counts(split_counts)) > n:
         raise ParameterError(f"split counts {counts} exceed dataset size {n}")
     return counts
 

@@ -19,6 +19,7 @@ from cvkaf.cli import build_parser, main
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, load_cached
 from cvkaf.errors import DataFormatError, NumericError, ParameterError, StateError
+from cvkaf.gradcheck import ALL_MODELS
 from cvkaf.kernels import build_dictionary
 from cvkaf.network import (
     _MODEL_MAGIC,
@@ -99,7 +100,8 @@ class TestPreprocess:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
-    @pytest.mark.parametrize("flag, value", [("--k-coeffs", "0"), ("--seed", "-1")])
+    @pytest.mark.parametrize("flag, value", [("--k-coeffs", "0"), ("--seed", "-1"),
+                                             ("--split-counts", "0,1,2")])
     def test_unusable_setting_is_parameter_error(self, flag, value, tmp_path, capsys):
         """Refused before the data is read: the data directory holds no IDX files."""
         out = tmp_path / "x.cvkc"
@@ -998,13 +1000,14 @@ class TestGradcheckCommand:
     def test_all_checks_exactly_the_registry(self, capsys):
         assert main(["gradcheck", "--model", "all", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
-        assert re.findall(r"^\[PASS\] (\S+)", out, re.M) == [
-            "split_tanh", "phase_amplitude", "kaf_independent", "kaf_real_gaussian",
+        assert re.findall(r"^\[PASS\] (\S+)", out, re.M) == list(ALL_MODELS) == [
+            "real_nn", "split_tanh", "phase_amplitude", "kaf_independent", "kaf_real_gaussian",
             "wlkaf_case1", "wlkaf_case2",
         ]
-        assert "all 6 variants within" in out
+        assert "all 7 models within" in out
 
-    def test_unknown_variant(self, capsys):
+    def test_unknown_variant(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gradcheck_variant", lambda *args: pytest.fail("a check ran"))
         assert main(["gradcheck", "--model", "bogus"]) == 2
         assert "unknown activation variant 'bogus'" in capsys.readouterr().err
 
@@ -1452,6 +1455,12 @@ class TestConfigFile:
                 "--out", str(tmp_path / "run")]
         assert main(argv) == 2
         assert f"parameter error: config file {cfg}: " in capsys.readouterr().err
+        # a bad flag beside a good file is the flag's error alone
+        cfg.write_text("lr = 0.02\n")
+        assert main([*argv, "--batch-size", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --batch-size: batch_size must be" in err and "config file" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_file_is_parameter_error(self, tiny_cache, tmp_path, capsys):
         cfg = tmp_path / "nonexistent.cfg"
@@ -1586,7 +1595,7 @@ class TestParser:
         assert sorted(listed("train")) == sorted([*models, case2])
         for name in [*models, "wlkaf_case2:0.7:0.2"]:  # each one builds
             build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
-        assert sorted(listed("gradcheck")) == sorted(["all", *models[1:], case2])
+        assert sorted(listed("gradcheck")) == sorted(["all", *models, case2])
         assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "glyphs"])
 
     def test_compare_sweeps_the_baseline_and_every_kernel_family_layer(self):

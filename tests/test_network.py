@@ -9,13 +9,14 @@ import pytest
 from cvkaf import activations as act
 from cvkaf import network
 from cvkaf.activations import ACTIVATION_VARIANTS, WlKafCase2Activation
-from cvkaf.cnum import complex_affine, finite_diff_cogradient
+from cvkaf.cnum import complex_affine
 from cvkaf.errors import (
     DataFormatError,
     NumericError,
     ParameterError,
     StateError,
 )
+from cvkaf.gradcheck import ALL_MODELS
 from cvkaf.kernels import build_dictionary
 from cvkaf.container import read_container, write_container
 from cvkaf.data import build_complex_dataset, cache_dataset, glyphs, load_cached
@@ -228,10 +229,7 @@ class TestObjectiveAndBackward:
         _, grads = net.loss_and_grads(x, [0], obj)
         np.testing.assert_allclose(grads["layer0.W"], [[2 * (1 + 1j)]], rtol=1e-15)
 
-    @pytest.mark.parametrize("variant", [
-        "split_tanh", "phase_amplitude", "kaf_independent",
-        "kaf_real_gaussian", "wlkaf_case1", "wlkaf_case2",
-    ])
+    @pytest.mark.parametrize("variant", ALL_MODELS)
     def test_full_network_gradient_matches_fd(self, variant):
         from cvkaf.gradcheck import DEFAULT_TOLERANCE, gradcheck_variant
 
@@ -247,21 +245,24 @@ class TestObjectiveAndBackward:
         assert both == {group: max(errors[group] for errors in per_seed) for group in both}
         assert per_seed[0] != per_seed[1]
 
-    def test_gradcheck_draws_alpha_at_complex_std_0_3(self, monkeypatch):
+    @pytest.mark.parametrize("variant, drawn, count", [
+        ("kaf_real_gaussian", lambda v: v.shape[-1] == 16, 10),  # (width, 16) alphas, 2 layers
+        ("real_nn", lambda v: v.ndim == 1, 15),  # real_nn's only vectors: 3 layers' biases
+    ])
+    def test_gradcheck_draws_at_std_0_3(self, variant, drawn, count, monkeypatch):
         from cvkaf import gradcheck
 
-        alphas = []
-        fd = gradcheck.finite_diff_cogradient
+        values_drawn, fd = [], gradcheck.finite_diff_cogradient
 
         def recording(f, values):
-            if values.shape[-1] == 16:  # (width, 16) on the 4x4 grid: an alpha
-                alphas.append(values.copy())
+            if drawn(values):
+                values_drawn.append(values.copy())
             return fd(f, values)
 
         monkeypatch.setattr(gradcheck, "finite_diff_cogradient", recording)
-        gradcheck.gradcheck_variant("kaf_real_gaussian", range(5))
-        assert len(alphas) == 10  # two hidden layers per seed
-        std = np.sqrt(np.mean(np.abs(np.concatenate(alphas)) ** 2))
+        gradcheck.gradcheck_variant(variant, range(5))
+        assert len(values_drawn) == count  # over the 5 seeds
+        std = np.sqrt(np.mean(np.abs(np.concatenate(values_drawn)) ** 2))
         assert 0.25 < std < 0.35
 
     def test_descent_step_decreases_objective(self, rng):
@@ -463,31 +464,6 @@ class TestRealBaseline:
         xr = np.hstack([x.real, x.imag])
         expected = xr @ net.parameters()["layer0.W"].T + net.parameters()["layer0.b"]
         np.testing.assert_array_equal(logits, expected)
-
-    def test_gradients_match_finite_differences(self, rng):
-        cfg = NetworkConfig(3, (4, 4), 2, activation="real_nn", seed=2)
-        net = RealBaselineNetwork(cfg)
-        # zero biases can park a fully-dead sample exactly on the ReLU kink,
-        # where central differences and the one-sided derivative disagree;
-        # random biases keep every pre-activation away from it
-        for name, arr in net.parameters().items():
-            if name.endswith(".b"):
-                arr[...] = rng.normal(0.0, 0.3, arr.shape)
-        x = random_complex(rng, (5, 3))
-        y = rng.integers(0, 2, size=5)
-        obj = TrainObjective("cross_entropy", 1e-3)
-        _, grads = net.loss_and_grads(x, y, obj)
-        for name, arr in net.parameters().items():
-            original = arr.copy()
-
-            def f(v, _arr=arr):
-                _arr[...] = v
-                return net.objective(x, y, obj)
-
-            fd = finite_diff_cogradient(f, original)
-            arr[...] = original
-            np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7)
-
 
     @pytest.mark.parametrize("label", [-1, 3])
     @pytest.mark.parametrize("method", ["loss_and_grads", "objective"])

@@ -45,7 +45,8 @@ run computes.
 
 The fifth line, the numeric-gradient digest, covers what
 ``gradcheck.gradcheck_variant`` returns for seeds 0, 1 and 2 for every
-registry variant and ``wlkaf_case2:0.7:0.2``, and
+model in ``gradcheck.ALL_MODELS`` (``real_nn`` and every registry variant)
+and ``wlkaf_case2:0.7:0.2``, each at the alphas and biases it draws, and
 ``cnum.finite_diff_cogradient`` of one function at a seeded real and a
 seeded complex array. It is the fingerprint that batched finite differences
 (ROADMAP.md, item 12) must keep, or move knowingly.
@@ -68,7 +69,7 @@ import numpy as np
 from cvkaf import cli, data, optim
 from cvkaf.activations import ACTIVATION_VARIANTS
 from cvkaf.cnum import finite_diff_cogradient
-from cvkaf.gradcheck import draw_alphas, gradcheck_variant
+from cvkaf.gradcheck import ALL_MODELS, draw_alphas, gradcheck_variant
 from cvkaf.network import (
     ComplexNetwork,
     NetworkConfig,
@@ -88,7 +89,7 @@ COMPARE = ["--models", "kaf_real_gaussian,wlkaf_case1", "--seeds", "0,1", "--c-g
            "--lr", "0.01,0.1",
            "--hidden", "8", "--dict-points", "4", "--eval-every", "10", "--max-iterations", "30"]
 REPORTS = ("comparison.txt", "comparison.json", "convergence.csv")
-GRADCHECKED = (*ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2")
+GRADCHECKED = (*ALL_MODELS, "wlkaf_case2:0.7:0.2")
 
 
 def models():
