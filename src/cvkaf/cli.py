@@ -102,9 +102,25 @@ def _int_option(name, minimum, read=int):
 
 _parse_lr = _option_type(float, lambda value: check_number("lr", value))
 _parse_c = _option_type(float, lambda value: check_number("c", value, zero_ok=True))
-# --model: real_nn or an activation name; gradcheck's also takes "all"
-_parse_model = _option_type(str, lambda name: name if name == "real_nn"
-                            else activation_named(name).name)
+
+
+def _model_option(*extra):
+    """The type and help of a ``--model`` option taking ``extra`` names and every
+    name ``train`` takes; an unknown name's message lists what the help lists."""
+    names = (*extra, *ALL_MODELS)
+    listed = " | ".join((*names, "wlkaf_case2:w1:w2..., case 2 at mixing weights "
+                         "strictly between 0 and 1"))
+
+    def rule(name):
+        if ":" in name:  # only case 2 takes weights; activation_named words their errors
+            return activation_named(name).name
+        if name not in names:
+            raise ParameterError(f"unknown model {name!r}; choose from {listed}")
+        return name
+    return _option_type(str, rule), listed
+
+
+_parse_model, _MODEL_HELP = _model_option()
 
 
 def _list_parser(kind, noun):
@@ -539,9 +555,6 @@ def add_training_flags(p) -> None:
                    default=_list_text(NetworkConfig.hidden_widths), help="hidden widths")
 
 
-_CASE2_HELP = "wlkaf_case2:w1:w2..., case 2 at mixing weights strictly between 0 and 1"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="cvkaf",
@@ -570,8 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", cmd_train, "train one model variant for one seed",
                 _check_runs)
     p.add_argument("--cache", help="feature cache from 'preprocess'")
-    p.add_argument("--model", type=_parse_model, default="wlkaf_case1",
-                   help=" | ".join((*ALL_MODELS, _CASE2_HELP)))
+    p.add_argument("--model", type=_parse_model, default="wlkaf_case1", help=_MODEL_HELP)
     p.add_argument("--seed", type=_parse_seed, default=0, help="initialization and batch seed")
     p.add_argument("--c", type=_parse_c, default=TrainObjective.reg_weight,
                    help="regularizer weight")
@@ -602,8 +614,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="comparison", help="output directory")
 
     p = command("gradcheck", cmd_gradcheck, "finite-difference check of every model's gradients")
-    p.add_argument("--model", type=lambda name: name if name == "all" else _parse_model(name),
-                   default="all", help=" | ".join(("all", *ALL_MODELS, _CASE2_HELP)))
+    parse, listed = _model_option("all")
+    p.add_argument("--model", type=parse, default="all", help=listed)
     p.add_argument("--seeds", type=_int_option("seeds", 1), default=20, help="number of seeds")
 
     p = command("report", cmd_report,

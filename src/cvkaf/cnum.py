@@ -6,11 +6,11 @@ derivative). Under this convention the plain descent update
 ``w -= lr * grad`` is correct without a conjugation step, and the analytic
 rules can be checked directly against :func:`finite_diff_cogradient`.
 
-All arrays are double precision; complex data is ``complex128``. Data
-comes in batches only: the affine rules take (rows, features) inputs, and a
-single sample is a one-row batch. The affine rules keep their operands'
-dtype: float64 operands give float64 results, so the real baseline's
-layers run through the same rules as the complex network's.
+All arrays are double precision; complex data is ``complex128``, which
+:func:`components`, the package's one float64 view, reads as (re, im) pairs.
+Data comes in batches only: the affine rules take (rows, features) inputs,
+a single sample being a one-row batch, and keep their operands' dtype, so
+the real baseline's float64 layers run through the same rules.
 """
 
 from __future__ import annotations
@@ -22,11 +22,17 @@ import numpy as np
 from .errors import NumericError, ParameterError, check_number
 
 __all__ = [
+    "components",
     "complex_affine",
     "backward_affine",
     "hermitian_norm_sq",
     "finite_diff_cogradient",
 ]
+
+
+def components(a: np.ndarray) -> np.ndarray:
+    """Writable float64 view of ``a``; complex entries become (..., 2) (re, im) pairs."""
+    return a[..., None].view(np.float64) if np.iscomplexobj(a) else a
 
 
 def complex_affine(W: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -72,12 +78,11 @@ def backward_affine(
 def hermitian_norm_sq(w: np.ndarray) -> float:
     """Return ``sum_i |w_i|^2`` as a real scalar.
 
-    One pass over the float64 parts. ``einsum`` runs numpy's own loop, not
+    One pass over the :func:`components`. ``einsum`` runs numpy's own loop, not
     BLAS, so the sum does not depend on the BLAS thread count.
     """
     w = np.asarray(w)
-    dtype = np.complex128 if np.iscomplexobj(w) else np.float64
-    parts = np.ascontiguousarray(w, dtype=dtype).reshape(-1).view(np.float64)
+    parts = components(np.ascontiguousarray(w, dtype=np.result_type(w, np.float64))).reshape(-1)
     return float(np.einsum("i,i->", parts, parts))
 
 
@@ -87,14 +92,13 @@ def finite_diff_cogradient(
     """Central-difference cogradient of a real scalar function.
 
     ``f`` sees a float64 or complex128 copy of ``w``, whatever ``w``'s dtype,
-    whose float64 values (a complex entry's real part, then its imaginary
-    part) are perturbed in turn; the result has the copy's dtype. This is the
-    reference oracle for every analytic backward rule in the package; it
-    must stay independent of them.
+    whose :func:`components` are perturbed in turn; the result has the copy's
+    dtype. The reference oracle for every analytic backward rule, it shares
+    their view of complex numbers, not their derivatives.
     """
     eps = check_number("eps", eps)
-    w = np.array(w, dtype=np.complex128 if np.iscomplexobj(w) else np.float64, order="C")
-    values = w.reshape(-1).view(np.float64)  # a complex entry is its (re, im) pair
+    w = np.array(w, dtype=np.result_type(np.asarray(w), np.float64), order="C")
+    values = components(w).reshape(-1)  # a view: f sees each perturbation
     out = np.zeros(values.shape)
 
     def _eval() -> float:

@@ -46,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import container
+from . import cnum, container
 from .errors import DataFormatError, ParameterError, check_int, describe
 
 __all__ = [
@@ -386,7 +386,7 @@ def build_complex_dataset(
     train = features[:n_train]  # a view: the training rows come first
     mean = train.mean(axis=0)
     train -= mean
-    parts = train.view(np.float64).reshape(n_train, k, 2)
+    parts = cnum.components(train)  # (n_train, k, 2)
     std = np.sqrt(np.einsum("ijc,ijc->j", parts, parts) / n_train)
     std = np.where(std < 1e-12, 1.0, std)
     features[n_train:] -= mean

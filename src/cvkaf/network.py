@@ -427,7 +427,9 @@ class RealBaselineNetwork(_Network):
     _chain_scores = staticmethod(lambda g, logits: g)
 
 
-MODEL_VARIANTS = ("real_nn", "kaf_independent", "kaf_real_gaussian", "wlkaf_case1", "wlkaf_case2")
+# the baseline, then every kernel-family layer: what ``compare`` sweeps by default
+MODEL_VARIANTS = ("real_nn", *(name for name, layer in act.ACTIVATION_VARIANTS.items()
+                               if isinstance(layer, act._KafBase)))
 
 
 def build_model(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cnum import components
 from .errors import DataFormatError, NumericError, ParameterError, check_int, check_number
 from .network import TrainObjective
 from .pool import deal
@@ -48,7 +49,7 @@ class Adagrad:
 
     def __init__(self, params: dict[str, np.ndarray], lr: float):
         self.lr = check_number("lr", lr)
-        self.acc = {name: np.zeros_like(_components(arr)) for name, arr in params.items()}
+        self.acc = {name: np.zeros_like(components(arr)) for name, arr in params.items()}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Accumulate squared gradients and update parameters in place.
@@ -56,18 +57,13 @@ class Adagrad:
         A non-finite gradient aborts the step before any state is touched.
         """
         for name, g in grads.items():
-            if not np.all(np.isfinite(_components(g))):
+            if not np.all(np.isfinite(components(g))):
                 raise NumericError(f"non-finite gradient for {name!r}; step aborted")
         for name, arr in params.items():
             acc = self.acc[name]
-            w, g = _components(arr), _components(grads[name])
+            w, g = components(arr), components(grads[name])
             acc += g**2
             w -= self.lr * (g / (np.sqrt(acc) + self.epsilon))
-
-
-def _components(a: np.ndarray) -> np.ndarray:
-    """Writable float64 view of ``a``; complex entries become (..., 2) (re, im) pairs."""
-    return a[..., None].view(np.float64) if np.iscomplexobj(a) else a
 
 
 @dataclass(frozen=True)

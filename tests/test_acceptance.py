@@ -27,7 +27,7 @@ from cvkaf.cli import _run_dir, main, usable_cpus
 from cvkaf.data import fft2
 from cvkaf.gradcheck import ALL_MODELS
 from cvkaf.kernels import build_dictionary
-from cvkaf.network import complex_softmax, softmax_from_squared_magnitudes
+from cvkaf.network import complex_softmax, load_model, softmax_from_squared_magnitudes
 from cvkaf.optim import read_trace_csv
 from cvkaf.activations import KafActivation, WlKafCase1Activation
 
@@ -44,12 +44,16 @@ from reference import (
 pytestmark = pytest.mark.acceptance
 
 
-def report(criterion: int, ok: bool, detail: str) -> None:
+def show(line: str) -> None:
+    """Print ``line`` and repeat it in the run's closing summary."""
     import conftest
 
-    line = f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     conftest.ACCEPTANCE_LINES.append(line)
+
+
+def report(criterion: int, ok: bool, detail: str) -> None:
+    show(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
 DATA_DIR = Path(os.environ.get("CVKAF_DATA_DIR", "data"))
@@ -311,6 +315,8 @@ class TestCriterion8ConvergenceOrdering:
 # every variant, and the KAF loss ratios were at most 0.173.
 SURROGATE_ACCURACY_BAR = 0.50  # mean test accuracy of case 1, and of every variant
 SURROGATE_LOSS_RATIO_BAR = 0.2  # last train loss over first, for each KAF run
+# criteria 7 and 8's arms plus kaf_real_gaussian, case 1 at d = 0, for the printed comparison
+SURROGATE_VARIANTS = (*BENCH_VARIANTS, "kaf_real_gaussian")
 
 
 @pytest.fixture(scope="module")
@@ -321,15 +327,16 @@ def glyphs_benchmark(tmp_path_factory):
     ``cvkaf compare`` of the benchmark-shaped networks for 800 iterations.
     The variants do not differ beyond seed noise here, so only absolute bars
     are asserted; the comparative claims run on the MNIST subset. Returns
-    :func:`run_compare`'s results and the wall seconds of both commands.
+    :func:`run_compare`'s results, the wall seconds of both commands and the
+    ``compare`` directory.
     """
     t0 = time.perf_counter()
     work = tmp_path_factory.mktemp("glyphs")
     assert main(["preprocess", "--dataset", "glyphs", "--k-coeffs", "40", "--seed", "0",
                  "--out", str(work / "glyphs.cvkc")]) == 0
-    results = run_compare(work / "glyphs.cvkc", work / "comparison", BENCH_VARIANTS,
+    results = run_compare(work / "glyphs.cvkc", work / "comparison", SURROGATE_VARIANTS,
                           max_iterations=800, patience=10**9)
-    return results, time.perf_counter() - t0
+    return results, time.perf_counter() - t0, work / "comparison"
 
 
 @pytest.mark.slow
@@ -337,9 +344,9 @@ class TestDeskScaleSurrogate:
     """Environment-feasible stand-in exercising the criterion 7/8 pipeline."""
 
     def test_wl_case1_meets_absolute_bar(self, glyphs_benchmark):
-        results, seconds = glyphs_benchmark
+        results, seconds, _ = glyphs_benchmark
         mean = float(np.mean(results["wlkaf_case1"][0]))
-        runs = len(BENCH_VARIANTS) * len(BENCH_SEEDS)
+        runs = len(SURROGATE_VARIANTS) * len(BENCH_SEEDS)
         ok = mean >= SURROGATE_ACCURACY_BAR
         report(7, ok, f"surrogate (glyphs): wlkaf_case1 mean test acc {mean:.4f} "
                       f"(bar {SURROGATE_ACCURACY_BAR}; MNIST-gated test holds the "
@@ -357,6 +364,37 @@ class TestDeskScaleSurrogate:
             for trace in traces:
                 first, last = trace.records[0].train_loss, trace.records[-1].train_loss
                 assert last < SURROGATE_LOSS_RATIO_BAR * first, (variant, first, last)
+
+    def test_prints_case1_against_each_kaf(self, glyphs_benchmark):
+        """No assertion: for each comparator, one line of case 1's per-seed differences
+        from it (case 1 minus the comparator) in test accuracy and in mean train loss
+        over iterations 500-800, their sign counts, and per seed case 1's median
+        |d| = |log gamma_rr - log gamma_ii| per hidden layer of its saved model."""
+        results, _, out = glyphs_benchmark
+
+        def window_loss(trace):
+            return float(np.mean([r.train_loss for r in trace.records
+                                  if 500 <= r.iteration <= 800]))
+
+        def paired(case1, kaf):
+            diffs = [a - b for a, b in zip(case1, kaf)]
+            return (" ".join(f"{x:+.4f}" for x in diffs)
+                    + f" ({sum(x > 0 for x in diffs)}+ {sum(x < 0 for x in diffs)}-)")
+
+        splits = []
+        for seed in BENCH_SEEDS:
+            model = load_model(_run_dir(out, "wlkaf_case1", seed, 0.0, 0.01) / "model.cvkm")
+            params = model.parameters()
+            splits.append("/".join(
+                f"{np.median(np.abs(params[rr] - params[rr.replace('_rr', '_ii')])):.4f}"
+                for rr in params if rr.endswith(".log_gamma_rr")))
+        accs, traces = results["wlkaf_case1"]
+        for kaf in ("kaf_real_gaussian", "kaf_independent"):
+            kaf_accs, kaf_traces = results[kaf]
+            show(f"[surrogate] wlkaf_case1 - {kaf}, seeds {list(BENCH_SEEDS)}: test acc "
+                 f"{paired(accs, kaf_accs)}; mean train loss it. 500-800 "
+                 f"{paired(map(window_loss, traces), map(window_loss, kaf_traces))}; "
+                 f"case 1 median |d| by layer {', '.join(splits)}")
 
 
 class TestCriterion9Determinism:

@@ -66,6 +66,15 @@ TRAIN_FLAGS = [
     "--eval-every", "20", "--patience", "40", "--max-iterations", "60",
 ]
 
+# how every --model help text and unknown-model message spells case 2 at other weights
+CASE2_FORM = "wlkaf_case2:w1:w2..., case 2 at mixing weights strictly between 0 and 1"
+
+
+def unknown_model_message(name, *extra):
+    """The message of an unknown model ``name``: ``extra`` names, then every name
+    ``train`` takes, as the option's help lists them."""
+    return f"unknown model {name!r}; choose from {' | '.join((*extra, *ALL_MODELS, CASE2_FORM))}"
+
 
 @pytest.fixture(scope="module")
 def two_lr_compare(tmp_path_factory):
@@ -128,6 +137,16 @@ class TestTrain:
         assert summary["model"] == "wlkaf_case1"
         assert 0.0 <= summary["test_accuracy"] <= 1.0
         assert "test acc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("option", ["train --model", "compare --models"])
+    def test_unknown_model_lists_every_name_train_takes(self, option, tiny_cache, tmp_path,
+                                                        capsys):
+        out = tmp_path / "out"
+        argv = [*option.split(), "bogus", "--cache", str(tiny_cache), "--out", str(out)]
+        assert main([*argv, *TRAIN_FLAGS]) == 2
+        err = " ".join(capsys.readouterr().err.split())
+        assert unknown_model_message("bogus") in err and "real_nn | split_tanh" in err
+        assert not out.exists()
 
     def test_deterministic_reruns(self, tiny_cache, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
@@ -1009,7 +1028,9 @@ class TestGradcheckCommand:
     def test_unknown_variant(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradcheck_variant", lambda *args: pytest.fail("a check ran"))
         assert main(["gradcheck", "--model", "bogus"]) == 2
-        assert "unknown activation variant 'bogus'" in capsys.readouterr().err
+        err = " ".join(capsys.readouterr().err.split())
+        assert unknown_model_message("bogus", "all") in err
+        assert "all | real_nn | split_tanh" in err
 
     def test_zero_seeds_is_parameter_error(self):
         assert main(["gradcheck", "--model", "split_tanh", "--seeds", "0"]) == 2
@@ -1591,11 +1612,10 @@ class TestParser:
 
         models = ["real_nn", "split_tanh", "phase_amplitude", "kaf_real_gaussian",
                   "kaf_independent", "wlkaf_case1", "wlkaf_case2"]
-        case2 = "wlkaf_case2:w1:w2..., case 2 at mixing weights strictly between 0 and 1"
-        assert sorted(listed("train")) == sorted([*models, case2])
+        assert sorted(listed("train")) == sorted([*models, CASE2_FORM])
         for name in [*models, "wlkaf_case2:0.7:0.2"]:  # each one builds
             build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
-        assert sorted(listed("gradcheck")) == sorted(["all", *models, case2])
+        assert sorted(listed("gradcheck")) == sorted(["all", *models, CASE2_FORM])
         assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "glyphs"])
 
     def test_compare_sweeps_the_baseline_and_every_kernel_family_layer(self):

@@ -168,6 +168,45 @@ class TestAdagrad:
         assert {name: a.shape for name, a in opt.acc.items()} == shapes
 
 
+class TestCase1WithTiedBandwidths:
+    def test_trains_step_for_step_like_the_real_gaussian_kaf(self):
+        """Case 1 built at the real-Gaussian KAF's seed (so W, b and alpha are drawn
+        alike), whose gamma_rr and gamma_ii take one shared Adagrad step (each gets
+        the sum of their two gradients), trains like the KAF: the only difference
+        between them is the bandwidth split d. C is 0, since the regulariser would
+        count the tied bandwidth twice."""
+        x, labels = toy_separable(n=60, seed=3)
+        dictionary = build_dictionary(4)
+        models = {v: build_model(v, input_dim=2, class_count=2, seed=7, hidden_widths=(5, 4),
+                                 dictionary=dictionary)
+                  for v in ("kaf_real_gaussian", "wlkaf_case1")}
+        params = {v: model.parameters() for v, model in models.items()}
+        start = {name: a.copy() for name, a in params["kaf_real_gaussian"].items()}
+        opts = {v: Adagrad(p, lr=0.05) for v, p in params.items()}
+        losses = {v: [] for v in models}
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            idx = rng.choice(60, size=10, replace=False)
+            for v, model in models.items():
+                loss, grads = model.loss_and_grads(x[idx], labels[idx], TrainObjective())
+                for rr in [name for name in grads if name.endswith(".log_gamma_rr")]:
+                    ii = rr.replace("_rr", "_ii")
+                    grads[rr] = grads[ii] = grads[rr] + grads[ii]
+                opts[v].step(params[v], grads)
+                model.bump_version()
+                losses[v].append(loss)
+        np.testing.assert_allclose(losses["wlkaf_case1"], losses["kaf_real_gaussian"],
+                                   rtol=0, atol=1e-12)
+        assert losses["kaf_real_gaussian"][-1] < 0.5 * losses["kaf_real_gaussian"][0]
+        case1 = params["wlkaf_case1"]
+        for name, kaf in params["kaf_real_gaussian"].items():
+            assert not np.array_equal(kaf, start[name]), name  # every group trained
+            if name.endswith(".log_gamma"):
+                np.testing.assert_array_equal(case1[name + "_rr"], case1[name + "_ii"])
+                name += "_rr"
+            np.testing.assert_allclose(case1[name], kaf, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestTrain:
     def test_separable_toy_reaches_full_accuracy(self):
         x, y = toy_separable(160)
