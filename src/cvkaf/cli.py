@@ -54,9 +54,9 @@ from .errors import (
     describe,
 )
 from .gradcheck import ALL_MODELS, DEFAULT_TOLERANCE, gradcheck_variant
-from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS, build_dictionary
-from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, build_model,
-                      load_model, save_model)
+from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS
+from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, bandwidth_split,
+                      build_model, load_model, parameter_count, save_model)
 from .optim import TrainConfig
 from .pool import deal, usable_cpus
 
@@ -112,11 +112,10 @@ def _model_option(*extra):
                          "strictly between 0 and 1"))
 
     def rule(name):
-        if ":" in name:  # only case 2 takes weights; activation_named words their errors
-            return activation_named(name).name
-        if name not in names:
+        if name.partition(":")[0] not in names:
             raise ParameterError(f"unknown model {name!r}; choose from {listed}")
-        return name
+        # only case 2 takes weights; activation_named words their errors
+        return activation_named(name).name if ":" in name else name
     return _option_type(str, rule), listed
 
 
@@ -242,8 +241,8 @@ def _check_runs(args) -> None:
     _require(args, "--cache")
     config = TrainConfig(batch_size=args.batch_size, patience=args.patience,
                          eval_every=args.eval_every, max_iterations=args.max_iterations)
-    NetworkConfig(1, args.hidden, 1, dict_points=args.dict_points, dict_range=args.dict_range)
-    args.settings = config, build_dictionary(args.dict_points, args.dict_range)
+    args.settings = config, NetworkConfig(1, args.hidden, 1, dict_points=args.dict_points,
+                                          dict_range=args.dict_range).dictionary
 
 
 def _check_compare(args) -> None:
@@ -303,7 +302,9 @@ def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
     _write_config_snapshot(out_dir / "config.txt", {**_shared_settings(args), **run})
     summary = {**run, "best_iteration": trace.best_iteration,
                "total_iterations": trace.total_iterations, "stop_reason": trace.stop_reason,
-               "val_accuracy": val_acc, "test_accuracy": test_acc}
+               "val_accuracy": val_acc, "test_accuracy": test_acc,
+               "parameter_count": parameter_count(model),
+               "bandwidth_split": bandwidth_split(model)}
     if error is not None:
         summary["error"] = describe(error)
     _write_json(out_dir / "summary.json", summary)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ParameterError, check_number
+from .errors import NumericError, ParameterError
 
 __all__ = [
     "components",
@@ -28,6 +28,8 @@ __all__ = [
     "hermitian_norm_sq",
     "finite_diff_cogradient",
 ]
+
+_FD_STEP = 1e-6  # the central-difference step of each (re, im) component
 
 
 def components(a: np.ndarray) -> np.ndarray:
@@ -86,17 +88,14 @@ def hermitian_norm_sq(w: np.ndarray) -> float:
     return float(np.einsum("i,i->", parts, parts))
 
 
-def finite_diff_cogradient(
-    f: Callable[[np.ndarray], float], w: np.ndarray, eps: float = 1e-6
-) -> np.ndarray:
-    """Central-difference cogradient of a real scalar function.
+def finite_diff_cogradient(f: Callable[[np.ndarray], float], w: np.ndarray) -> np.ndarray:
+    """Central-difference cogradient of a real scalar function, at step 1e-6.
 
     ``f`` sees a float64 or complex128 copy of ``w``, whatever ``w``'s dtype,
     whose :func:`components` are perturbed in turn; the result has the copy's
     dtype. The reference oracle for every analytic backward rule, it shares
     their view of complex numbers, not their derivatives.
     """
-    eps = check_number("eps", eps)
     w = np.array(w, dtype=np.result_type(np.asarray(w), np.float64), order="C")
     values = components(w).reshape(-1)  # a view: f sees each perturbation
     out = np.zeros(values.shape)
@@ -109,10 +108,10 @@ def finite_diff_cogradient(
 
     for k in range(values.size):
         orig = values[k]
-        values[k] = orig + eps
+        values[k] = orig + _FD_STEP
         fp = _eval()
-        values[k] = orig - eps
+        values[k] = orig - _FD_STEP
         fm = _eval()
         values[k] = orig
-        out[k] = (fp - fm) / (2 * eps)
+        out[k] = (fp - fm) / (2 * _FD_STEP)
     return out.view(w.dtype).reshape(w.shape)

@@ -3,20 +3,21 @@
 A :class:`NetworkConfig` is a model's whole description, and a model
 file's header (format version 3, the only one read): its
 ``activation`` name, ``real_nn`` or an activation name such as
-``wlkaf_case2:0.7:0.2``, picks the class and the hidden activation.
+``wlkaf_case2:0.7:0.2``, picks the class and the hidden activation, by the
+one rule :func:`_network_kind`.
 
 Both network classes are one chain, :class:`_Network`, of affine layers
 whose hidden outputs pass through a shared activation descriptor with each
-layer's own parameters. Construction, loading, ``forward``, ``backward``,
-``parameters()`` (a name->array dict the optimizer mutates in place),
-``objective``, ``loss_and_grads`` and ``predict_proba`` are written there
-once, beside :func:`softmax_cross_entropy` and :func:`regularize`, the one
-loss and the one penalty rule. Each class supplies only hooks: its weights'
-dtype and draw, its hidden activation, its first layer's input and its
-softmax scores. The complex network reads the input as it is and scores
-the squared magnitudes of its complex logits; the real baseline is an MLP
-with float64 weights and ReLU hiddens that reads [Re x, Im x] and scores
-its logits.
+layer's own parameters. The one constructor (it draws a network or holds a
+loaded model's arrays), ``forward``, ``backward``, ``parameters()`` (a
+name->array dict the optimizer mutates in place), ``objective``,
+``loss_and_grads`` and ``predict_proba`` are written there once, beside
+:func:`softmax_cross_entropy` and :func:`regularize`, the one loss and the
+one penalty rule. Each class supplies only hooks: its weights'
+dtype and draw, its first layer's input and its softmax scores. The complex
+network reads the input as it is and scores the squared magnitudes of its
+complex logits; the real baseline is an MLP with float64 weights and ReLU
+hiddens that reads [Re x, Im x] and scores its logits.
 
 Forward caches are tied to a parameter version counter so a backward pass
 against a mutated network fails loudly instead of silently using stale
@@ -31,13 +32,14 @@ is a :class:`ParameterError`.
 from __future__ import annotations
 
 import dataclasses
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import activations as act
 from . import container
-from .cnum import backward_affine, complex_affine, hermitian_norm_sq
+from .cnum import backward_affine, complex_affine, components, hermitian_norm_sq
 from .errors import (
     DataFormatError,
     NumericError,
@@ -60,6 +62,8 @@ __all__ = [
     "build_model",
     "save_model",
     "load_model",
+    "parameter_count",
+    "bandwidth_split",
     "MODEL_VARIANTS",
 ]
 
@@ -152,7 +156,8 @@ class TrainObjective:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Everything a model is built from; a model file's header holds it."""
+    """Everything a model is built from; a model file's header holds it. Its
+    ``dictionary``, the grid its fields give, is not a field."""
 
     input_dim: int
     hidden_widths: tuple[int, ...] = (100, 100, 100)
@@ -169,19 +174,20 @@ class NetworkConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         object.__setattr__(self, "hidden_widths", tuple(
             check_int("hidden_widths entry", w, 1) for w in self.hidden_widths))
-        try:  # checked for every name, real_nn too, which builds no grid and fits no alpha
+        try:  # built for every name, real_nn too, whose ReLU reads no grid
             dictionary = build_dictionary(self.dict_points, self.dict_range)
         except ParameterError as exc:
             raise ParameterError(f"dict_points {self.dict_points!r} and dict_range "
                                  f"{self.dict_range}: {exc}") from exc
         object.__setattr__(self, "dict_points", dictionary.points_per_axis)
+        object.__setattr__(self, "dictionary", dictionary)
 
 
 class _Network:
     """The one layer chain and training surface of both network classes; a subclass
-    sets the hooks ``_dtype``, ``_weights``, ``_hidden_activation`` (a name to its
-    descriptor), ``_scores`` (logits to softmax scores) and ``_chain_scores`` (a score
-    gradient to a logit gradient), and may replace ``_input`` and ``_input_features``."""
+    sets the hooks ``_dtype``, ``_weights``, ``_scores`` (logits to softmax scores) and
+    ``_chain_scores`` (a score gradient to a logit gradient), and may replace ``_input``
+    and ``_input_features``. :func:`_network_kind` gives each class its model names."""
 
     _input_features = 1  # the first layer reads the complex input itself
     _input = staticmethod(lambda x: x)
@@ -195,53 +201,38 @@ class _Network:
 
     # -- construction --------------------------------------------------------
 
-    def __init__(self, config: NetworkConfig):
-        """Draw each layer's weights from ``config.seed``, zero its biases and
-        start each hidden layer's activation parameters at the activation's start."""
-        self._setup(config)
-        rng = np.random.default_rng(config.seed)
-        # every neuron starts alike: make one and repeat it to each layer's width
-        neuron = self.activation.init_params(1, self.dictionary)
-        hidden = lambda width: {name: np.repeat(arr, width, axis=0)  # noqa: E731
-                                for name, arr in neuron.items()}
-        self._make_layers(lambda fan_out, fan_in: self._weights(rng, fan_out, fan_in), hidden)
-
-    @classmethod
-    def _from_parameters(cls, config: NetworkConfig, values: dict[str, np.ndarray]):
-        """The network holding ``values``, whose names and shapes must fit
-        exactly, as :meth:`set_parameters` checks; nothing is drawn or fit."""
-        model = cls.__new__(cls)
-        model._setup(config)
-        # a zero-width layer gives each activation parameter's name, trailing
-        # shape and dtype, and fits nothing
-        empty = model.activation.init_params(0, model.dictionary)
-        model._make_layers(lambda fan_out, fan_in: np.empty((fan_out, fan_in), cls._dtype),
-                           lambda width: {name: np.empty((width, *arr.shape[1:]), arr.dtype)
-                                          for name, arr in empty.items()})
-        model.set_parameters(values)
-        return model
-
-    def _setup(self, config: NetworkConfig) -> None:
-        """Set everything but the parameters."""
-        self.config = config
-        self.activation = self._hidden_activation(config.activation)
-        self.dictionary = (None if self.activation is _RELU  # ReLU reads no dictionary
-                           else build_dictionary(config.dict_points, config.dict_range))
-        self._version = 0
-
-    def _make_layers(self, weights, hidden) -> None:
-        """Make each layer's (W, b, activation parameters or None for the last)
-        from ``weights(fan_out, fan_in)``, zeros and ``hidden(width)``, in that
-        order, and the flat name->array view that :meth:`parameters` returns."""
-        c = self.config
-        widths = [self._input_features * c.input_dim, *c.hidden_widths, c.class_count]
+    def __init__(self, config: NetworkConfig, values: dict[str, np.ndarray] | None = None):
+        """Draw each layer's weights from ``config.seed``, zero its biases and start
+        each hidden layer's activation parameters at the activation's start; or hold
+        ``values``, whose names, shapes and dtypes must fit exactly, as
+        :meth:`set_parameters` checks, drawing and fitting nothing."""
+        kind, activation = _network_kind(config.activation)
+        if not isinstance(self, kind):
+            raise ParameterError(f"the real baseline is named 'real_nn', not {config.activation!r}"
+                                 if kind is ComplexNetwork else
+                                 f"'real_nn' is the real baseline, not a {type(self).__name__}")
+        self.config, self.activation, self._version = config, activation(), 0
+        self.dictionary = None if self.activation is _RELU else config.dictionary  # ReLU reads none
+        draw = values is None
+        rng = np.random.default_rng(config.seed) if draw else None
+        # drawing makes one neuron and repeats it to each layer's width, as every neuron starts
+        # alike; loading reads each activation parameter's name, trailing shape and dtype from
+        # a zero-width layer, which fits nothing
+        neuron = self.activation.init_params(1 if draw else 0, self.dictionary)
+        widths = [self._input_features * config.input_dim, *config.hidden_widths,
+                  config.class_count]
         self._layers = []
         for i, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
-            w = weights(fan_out, fan_in)
-            self._layers.append((w, np.zeros(fan_out, dtype=w.dtype),
-                                 hidden(fan_out) if i < len(widths) - 2 else None))
+            w = (self._weights(rng, fan_out, fan_in) if draw
+                 else np.empty((fan_out, fan_in), self._dtype))
+            hidden = {name: np.repeat(arr, fan_out, axis=0) if draw
+                      else np.empty((fan_out, *arr.shape[1:]), arr.dtype)
+                      for name, arr in neuron.items()} if i < len(widths) - 2 else None
+            self._layers.append((w, np.zeros(fan_out, dtype=w.dtype), hidden))
         self._params = {f"layer{i}.{name}": arr for i, (w, b, act_params) in enumerate(self._layers)
                         for name, arr in {"W": w, "b": b, **(act_params or {})}.items()}
+        if not draw:
+            self.set_parameters(values)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -378,8 +369,6 @@ class ComplexNetwork(_Network):
 
     _dtype = np.complex128
 
-    _hidden_activation = staticmethod(act.activation_named)
-
     @staticmethod
     def _weights(rng, fan_out: int, fan_in: int) -> np.ndarray:
         s = np.sqrt(1.0 / (2.0 * fan_in))  # per part, so each weight has variance 1/fan_in
@@ -414,17 +403,21 @@ class RealBaselineNetwork(_Network):
     _input = staticmethod(lambda x: np.hstack([x.real, x.imag]))
 
     @staticmethod
-    def _hidden_activation(name: str):
-        if name != "real_nn":
-            raise ParameterError(f"the real baseline is named 'real_nn', not {name!r}")
-        return _RELU
-
-    @staticmethod
     def _weights(rng, fan_out: int, fan_in: int) -> np.ndarray:
         return rng.normal(0.0, np.sqrt(2.0 / fan_in), (fan_out, fan_in))
 
     _scores = staticmethod(lambda logits: logits)  # the softmax runs over the logits
     _chain_scores = staticmethod(lambda g, logits: g)
+
+
+def _network_kind(name: str):
+    """The network class of the model named ``name`` and its hidden activation's lookup:
+    ``real_nn`` is the real baseline with ReLU hiddens, any other name a complex network
+    with the activation of that name. The lookup waits, so that a class refuses a name
+    of the other class before an unknown activation name is looked up."""
+    if name == "real_nn":
+        return RealBaselineNetwork, lambda: _RELU
+    return ComplexNetwork, lambda: act.activation_named(name)
 
 
 # the baseline, then every kernel-family layer: what ``compare`` sweeps by default
@@ -446,7 +439,7 @@ def build_model(
                                           "dict_range": dictionary.axis_range}
     cfg = NetworkConfig(input_dim, hidden_widths, class_count, activation=variant, seed=seed,
                         **grid)
-    return (RealBaselineNetwork if variant == "real_nn" else ComplexNetwork)(cfg)
+    return _network_kind(variant)[0](cfg)
 
 
 def save_model(path, model) -> None:
@@ -466,7 +459,22 @@ def load_model(path):
         c, names = meta.pop("config"), sorted(f.name for f in dataclasses.fields(NetworkConfig))
         if meta or sorted(c) != names:
             raise ValueError(f"header {sorted(meta)} with config {sorted(c)}, expected {names}")
-        cls = RealBaselineNetwork if c["activation"] == "real_nn" else ComplexNetwork
-        return cls._from_parameters(NetworkConfig(**c), arrays)
+        return _network_kind(c["activation"])[0](NetworkConfig(**c), arrays)
     except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise DataFormatError(f"{path} does not hold a usable model: {describe(exc)}") from exc
+
+
+def parameter_count(model) -> int:
+    """The real values ``model`` trains: each complex entry counts two, its (re, im) pair."""
+    return sum(components(arr).size for arr in model.parameters().values())
+
+
+def bandwidth_split(model) -> list[dict[str, float]] | None:
+    """Per hidden layer of a ``wlkaf_case1`` model, the median and max over its neurons
+    of |log gamma_rr - log gamma_ii|; None for every other model."""
+    if model.config.activation != "wlkaf_case1":
+        return None
+    splits = [np.abs(hidden["log_gamma_rr"] - hidden["log_gamma_ii"]).tolist()
+              for _, _, hidden in model._layers[:-1]]
+    # np.median would import numpy.ma on its first call, 0.5 MB more resident memory
+    return [{"median": statistics.median(d), "max": max(d)} for d in splits]

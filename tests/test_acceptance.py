@@ -27,7 +27,7 @@ from cvkaf.cli import _run_dir, main, usable_cpus
 from cvkaf.data import fft2
 from cvkaf.gradcheck import ALL_MODELS
 from cvkaf.kernels import build_dictionary
-from cvkaf.network import complex_softmax, load_model, softmax_from_squared_magnitudes
+from cvkaf.network import complex_softmax, softmax_from_squared_magnitudes
 from cvkaf.optim import read_trace_csv
 from cvkaf.activations import KafActivation, WlKafCase1Activation
 
@@ -369,7 +369,7 @@ class TestDeskScaleSurrogate:
         """No assertion: for each comparator, one line of case 1's per-seed differences
         from it (case 1 minus the comparator) in test accuracy and in mean train loss
         over iterations 500-800, their sign counts, and per seed case 1's median
-        |d| = |log gamma_rr - log gamma_ii| per hidden layer of its saved model."""
+        |d| = |log gamma_rr - log gamma_ii| per hidden layer, from its summary.json."""
         results, _, out = glyphs_benchmark
 
         def window_loss(trace):
@@ -383,11 +383,10 @@ class TestDeskScaleSurrogate:
 
         splits = []
         for seed in BENCH_SEEDS:
-            model = load_model(_run_dir(out, "wlkaf_case1", seed, 0.0, 0.01) / "model.cvkm")
-            params = model.parameters()
-            splits.append("/".join(
-                f"{np.median(np.abs(params[rr] - params[rr.replace('_rr', '_ii')])):.4f}"
-                for rr in params if rr.endswith(".log_gamma_rr")))
+            run_dir = _run_dir(out, "wlkaf_case1", seed, 0.0, 0.01)
+            summary = json.loads((run_dir / "summary.json").read_text())
+            splits.append("/".join(f"{layer['median']:.4f}"
+                                   for layer in summary["bandwidth_split"]))
         accs, traces = results["wlkaf_case1"]
         for kaf in ("kaf_real_gaussian", "kaf_independent"):
             kaf_accs, kaf_traces = results[kaf]

@@ -27,8 +27,10 @@ from cvkaf.network import (
     ComplexNetwork,
     NetworkConfig,
     TrainObjective,
+    bandwidth_split,
     build_model,
     load_model,
+    parameter_count,
     save_model,
 )
 from cvkaf.optim import TrainConfig, evaluate, read_trace_csv
@@ -136,17 +138,22 @@ class TestTrain:
         summary = json.loads((run_dir / "summary.json").read_text())
         assert summary["model"] == "wlkaf_case1"
         assert 0.0 <= summary["test_accuracy"] <= 1.0
+        model = load_model(run_dir / "model.cvkm")  # the kept checkpoint
+        assert summary["parameter_count"] == parameter_count(model)
+        assert summary["bandwidth_split"] == bandwidth_split(model)
+        assert len(summary["bandwidth_split"]) == len(model.config.hidden_widths)
         assert "test acc" in capsys.readouterr().out
 
     @pytest.mark.parametrize("option", ["train --model", "compare --models"])
     def test_unknown_model_lists_every_name_train_takes(self, option, tiny_cache, tmp_path,
                                                         capsys):
         out = tmp_path / "out"
-        argv = [*option.split(), "bogus", "--cache", str(tiny_cache), "--out", str(out)]
-        assert main([*argv, *TRAIN_FLAGS]) == 2
-        err = " ".join(capsys.readouterr().err.split())
-        assert unknown_model_message("bogus") in err and "real_nn | split_tanh" in err
-        assert not out.exists()
+        for name in ("bogus", "bogus:1"):  # a colon alone does not make a case 2 spelling
+            argv = [*option.split(), name, "--cache", str(tiny_cache), "--out", str(out)]
+            assert main([*argv, *TRAIN_FLAGS]) == 2
+            err = " ".join(capsys.readouterr().err.split())
+            assert unknown_model_message(name) in err and "real_nn | split_tanh" in err
+            assert not out.exists()
 
     def test_deterministic_reruns(self, tiny_cache, tmp_path):
         dirs = [tmp_path / "r1", tmp_path / "r2"]
@@ -1027,10 +1034,11 @@ class TestGradcheckCommand:
 
     def test_unknown_variant(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradcheck_variant", lambda *args: pytest.fail("a check ran"))
-        assert main(["gradcheck", "--model", "bogus"]) == 2
-        err = " ".join(capsys.readouterr().err.split())
-        assert unknown_model_message("bogus", "all") in err
-        assert "all | real_nn | split_tanh" in err
+        for name in ("bogus", "bogus:1"):
+            assert main(["gradcheck", "--model", name]) == 2
+            err = " ".join(capsys.readouterr().err.split())
+            assert unknown_model_message(name, "all") in err
+            assert "all | real_nn | split_tanh" in err
 
     def test_zero_seeds_is_parameter_error(self):
         assert main(["gradcheck", "--model", "split_tanh", "--seeds", "0"]) == 2

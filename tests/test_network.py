@@ -28,9 +28,11 @@ from cvkaf.network import (
     NetworkConfig,
     RealBaselineNetwork,
     TrainObjective,
+    bandwidth_split,
     build_model,
     complex_softmax,
     load_model,
+    parameter_count,
     regularize,
     save_model,
     softmax_cross_entropy,
@@ -784,3 +786,46 @@ class TestModelHeader:
     def test_unknown_activation_name_is_parameter_error(self):
         with pytest.raises(ParameterError, match="unknown activation variant"):
             ComplexNetwork(NetworkConfig(2, (3,), 2, activation="split_identity"))
+
+    def test_the_baselines_name_is_not_a_complex_network(self):
+        with pytest.raises(ParameterError, match="'real_nn' is the real baseline, not a "
+                                                 "ComplexNetwork"):
+            ComplexNetwork(NetworkConfig(2, (3,), 2, activation="real_nn"))
+
+
+class TestRunFigures:
+    """The figures a run's summary.json records from its kept model."""
+
+    @pytest.mark.parametrize("variant, count", [
+        # W0 4x6 + b0 4, W1 2x4 + b1 2, all real
+        ("real_nn", 24 + 4 + 8 + 2),
+        # complex W0 4x3, b0 4, alpha 4x4 (2x2 grid), W1 2x4, b1 2, two parts each,
+        # plus one real log bandwidth per hidden neuron
+        ("kaf_real_gaussian", 2 * (12 + 4 + 16 + 8 + 2) + 4),
+        ("wlkaf_case1", 2 * (12 + 4 + 16 + 8 + 2) + 2 * 4),  # gamma_rr and gamma_ii
+    ])
+    def test_parameter_count_is_a_hand_count(self, variant, count):
+        model = build_model(variant, 3, 2, seed=0, hidden_widths=(4,),
+                            dictionary=build_dictionary(2))
+        assert parameter_count(model) == count
+
+    @pytest.mark.parametrize("variant, count", [
+        ("real_nn", 41310), ("kaf_real_gaussian", 101320), ("kaf_independent", 101320),
+        ("wlkaf_case1", 101620), ("wlkaf_case2", 101620)])
+    def test_paper_shape_counts(self, variant, count):
+        assert parameter_count(build_model(variant, 100, 10, 0)) == count
+
+    def test_bandwidth_split_is_case1s_per_layer_median_and_max(self):
+        model = build_model("wlkaf_case1", 3, 2, seed=0, hidden_widths=(3, 4),
+                            dictionary=build_dictionary(2))
+        params = model.parameters()
+        params["layer0.log_gamma_rr"][...] = [0.5, 1.0, -2.0]
+        params["layer0.log_gamma_ii"][...] = [0.0, 0.0, 0.0]
+        params["layer1.log_gamma_rr"][...] = [1.0, 1.0, 1.0, 1.0]
+        params["layer1.log_gamma_ii"][...] = [1.0, 1.25, 0.0, 4.0]
+        assert bandwidth_split(model) == [{"median": 1.0, "max": 2.0},
+                                          {"median": 0.625, "max": 3.0}]
+
+    @pytest.mark.parametrize("variant", ["real_nn", "kaf_real_gaussian", "wlkaf_case2"])
+    def test_bandwidth_split_is_none_for_other_models(self, variant):
+        assert bandwidth_split(build_model(variant, 3, 2, seed=0, hidden_widths=(4,))) is None
