@@ -371,22 +371,23 @@ class _KafBase:
                                            g_grid["imag"].reshape(h, -1))
         return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
-    def init_params(self, width, dictionary):
-        """Every log-bandwidth at the rule of thumb and every neuron's alpha at
-        the identity that :func:`fit_alpha` fits once; width 0 fits nothing.
-
-        The factor plan names each log-bandwidth; one with a ``col`` is
-        (width, Q).
-        """
+    def start_bandwidths(self, dictionary) -> dict[str, np.ndarray]:
+        """One neuron's log-bandwidths by name, each at the rule of thumb. The
+        factor plan names each; one with a ``col`` holds Q values."""
         log_g0 = np.log(gamma_rule_of_thumb(dictionary))
         cols = {}  # log-bandwidth name -> Q, or 0 for one value per neuron
         for name, col, _ in self._plan[0]:
             cols[name] = max(cols.get(name, 0), 0 if col is None else col + 1)
-        bandwidths = {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
+        return {name: np.full((q,) if q else (), log_g0) for name, q in cols.items()}
+
+    def init_params(self, width, dictionary):
+        """Every log-bandwidth at its start and every neuron's alpha at the
+        identity that :func:`fit_alpha` fits once; width 0 fits nothing."""
+        bandwidths = self.start_bandwidths(dictionary)
         alpha = (np.tile(fit_alpha(self, dictionary, bandwidths), (width, 1)) if width
                  else np.empty((0, dictionary.size), np.complex128))
-        return {"alpha": alpha,
-                **{name: np.full((width, *b.shape), log_g0) for name, b in bandwidths.items()}}
+        return {"alpha": alpha, **{name: np.repeat(b[None], width, axis=0)
+                                   for name, b in bandwidths.items()}}
 
 
 @dataclass(frozen=True)

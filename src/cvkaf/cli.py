@@ -56,7 +56,8 @@ from .errors import (
 from .gradcheck import ALL_MODELS, DEFAULT_TOLERANCE, gradcheck_variant
 from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS
 from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, bandwidth_split,
-                      build_model, load_model, parameter_count, save_model)
+                      build_model, effective_parameter_count, load_model, parameter_count,
+                      save_model)
 from .optim import TrainConfig
 from .pool import deal, usable_cpus
 
@@ -112,10 +113,11 @@ def _model_option(*extra):
                          "strictly between 0 and 1"))
 
     def rule(name):
-        if name.partition(":")[0] not in names:
+        if name.startswith("wlkaf_case2:"):  # only case 2 takes weights
+            activation_named(name)  # words their errors
+        elif name not in names:
             raise ParameterError(f"unknown model {name!r}; choose from {listed}")
-        # only case 2 takes weights; activation_named words their errors
-        return activation_named(name).name if ":" in name else name
+        return name
     return _option_type(str, rule), listed
 
 
@@ -304,6 +306,7 @@ def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
                "total_iterations": trace.total_iterations, "stop_reason": trace.stop_reason,
                "val_accuracy": val_acc, "test_accuracy": test_acc,
                "parameter_count": parameter_count(model),
+               "effective_parameter_count": effective_parameter_count(model),
                "bandwidth_split": bandwidth_split(model)}
     if error is not None:
         summary["error"] = describe(error)

@@ -16,12 +16,12 @@ members of a conjugate pair are read from the same half-spectrum entry.
 Their mean magnitudes are therefore equal bit for bit, and the documented
 tie rule (ascending flat index) orders every pair. Selected indices keep
 their full-spectrum meaning, ``u * W + v``. The transform runs in chunks
-whose float64 pixel buffer fits ``_CHUNK_BYTES`` (41 images at 28x28), so
+whose float64 pixels fit ``_CHUNK_BYTES`` (41 images at 28x28), so
 its temporaries stay a few hundred KiB whatever the image or dataset size.
 
 Each byte of the data path is held once. The IDX payload is decoded
 straight into its final array, the ranking gathers the training images a
-chunk at a time into one pixel buffer and one magnitude buffer, the
+chunk at a time and sums their magnitudes in one buffer, the
 features are gathered from each chunk's spectrum straight into their
 rows, and a :class:`ComplexDataset` keeps its rows in one block laid out
 as train, then validation, then test. It stores the row count of each split,
@@ -168,19 +168,12 @@ def _half_spectra(images: np.ndarray, rows: np.ndarray):
 
     Yields ``(lo, spectrum)``: the half spectra of rows ``lo:lo + n`` as an
     (n, H * (W//2 + 1)) array. A chunk holds as many images as fit
-    ``_CHUNK_BYTES`` of float64 pixels, at least one. The pixel buffer is
-    allocated once for all chunks; only ``rfft2``'s result is new per chunk.
-    Freed and allocated again per chunk, a pixel buffer can make glibc
-    return its pages to the system and fault them back in on every chunk,
-    in a process that has not yet freed a larger block.
+    ``_CHUNK_BYTES`` of float64 pixels, at least one.
     """
     _, h, w = images.shape
-    n = rows.shape[0]
     step = max(1, _CHUNK_BYTES // (8 * h * w))
-    pixels = np.empty((min(step, n), h, w))
-    for lo in range(0, n, step):
-        chunk = pixels[:min(step, n - lo)]
-        chunk[...] = images[rows[lo:lo + step]]
+    for lo in range(0, rows.shape[0], step):
+        chunk = images[rows[lo:lo + step]]
         yield lo, np.fft.rfft2(chunk).reshape(chunk.shape[0], -1)
 
 

@@ -63,6 +63,7 @@ __all__ = [
     "save_model",
     "load_model",
     "parameter_count",
+    "effective_parameter_count",
     "bandwidth_split",
     "MODEL_VARIANTS",
 ]
@@ -467,6 +468,20 @@ def load_model(path):
 def parameter_count(model) -> int:
     """The real values ``model`` trains: each complex entry counts two, its (re, im) pair."""
     return sum(components(arr).size for arr in model.parameters().values())
+
+
+def effective_parameter_count(model) -> int:
+    """:func:`parameter_count` less, per hidden neuron of a KAF-family model, the
+    alpha directions that do not reach the output: 2D less the rank of the layer's
+    ``alpha_design`` on the D grid points. The rank is taken there at the start
+    bandwidths, not the trained ones. Every other model loses nothing."""
+    count, layer = parameter_count(model), model.activation
+    if not isinstance(layer, act._KafBase):
+        return count
+    d = model.dictionary
+    design = act.alpha_design(layer, d, layer.start_bandwidths(d), d.points)
+    unreached = 2 * d.size - int(np.linalg.matrix_rank(design))
+    return count - unreached * sum(model.config.hidden_widths)
 
 
 def bandwidth_split(model) -> list[dict[str, float]] | None:

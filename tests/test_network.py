@@ -31,6 +31,7 @@ from cvkaf.network import (
     bandwidth_split,
     build_model,
     complex_softmax,
+    effective_parameter_count,
     load_model,
     parameter_count,
     regularize,
@@ -814,6 +815,26 @@ class TestRunFigures:
         ("wlkaf_case1", 101620), ("wlkaf_case2", 101620)])
     def test_paper_shape_counts(self, variant, count):
         assert parameter_count(build_model(variant, 100, 10, 0)) == count
+
+    @pytest.mark.parametrize("variant, count", [
+        ("real_nn", 24 + 4 + 8 + 2),
+        ("split_tanh", 2 * (12 + 4 + 8 + 2)),
+        ("phase_amplitude", 2 * (12 + 4 + 8 + 2)),
+        # complex W0 4x3, b0 4, alpha 4x16 (4x4 grid), W1 2x4, b1 2, plus the bandwidths;
+        # kaf_independent's alpha reaches the output in 8 of 32 directions per neuron
+        ("kaf_independent", 2 * (12 + 4 + 64 + 8 + 2) + 4 - 4 * 24),
+        ("kaf_real_gaussian", 2 * (12 + 4 + 64 + 8 + 2) + 4),
+        ("wlkaf_case1", 2 * (12 + 4 + 64 + 8 + 2) + 2 * 4),
+        ("wlkaf_case2", 2 * (12 + 4 + 64 + 8 + 2) + 2 * 4),  # gamma and gamma_tilde
+    ])
+    def test_effective_parameter_count_is_a_hand_count(self, variant, count):
+        model = build_model(variant, 3, 2, seed=0, hidden_widths=(4,),
+                            dictionary=build_dictionary(4))
+        assert effective_parameter_count(model) == count
+
+    def test_paper_shape_kaf_independent_loses_112_per_hidden_neuron(self):
+        model = build_model("kaf_independent", 100, 10, 0)
+        assert effective_parameter_count(model) == 101320 - 300 * 112 == 67720
 
     def test_bandwidth_split_is_case1s_per_layer_median_and_max(self):
         model = build_model("wlkaf_case1", 3, 2, seed=0, hidden_widths=(3, 4),
