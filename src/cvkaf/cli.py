@@ -56,8 +56,8 @@ from .errors import (
 from .gradcheck import ALL_MODELS, DEFAULT_TOLERANCE, gradcheck_variant
 from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS
 from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, bandwidth_split,
-                      build_model, effective_parameter_count, load_model, parameter_count,
-                      save_model)
+                      build_model, effective_parameter_count, load_model, outside_grid_share,
+                      parameter_count, save_model)
 from .optim import TrainConfig
 from .pool import deal, usable_cpus
 
@@ -113,7 +113,8 @@ def _model_option(*extra):
                          "strictly between 0 and 1"))
 
     def rule(name):
-        if name.startswith("wlkaf_case2:"):  # only case 2 takes weights
+        kind, _, weights = name.partition(":")
+        if kind == "wlkaf_case2" and weights:  # case 2 at weights, by activation_named's rule
             activation_named(name)  # words their errors
         elif name not in names:
             raise ParameterError(f"unknown model {name!r}; choose from {listed}")
@@ -307,7 +308,8 @@ def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
                "val_accuracy": val_acc, "test_accuracy": test_acc,
                "parameter_count": parameter_count(model),
                "effective_parameter_count": effective_parameter_count(model),
-               "bandwidth_split": bandwidth_split(model)}
+               "bandwidth_split": bandwidth_split(model),
+               "outside_grid_share": outside_grid_share(model, ds.val_xy()[0])}
     if error is not None:
         summary["error"] = describe(error)
     _write_json(out_dir / "summary.json", summary)
@@ -574,7 +576,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("preprocess", cmd_preprocess, "build the FFT feature cache for a dataset")
-    p.add_argument("--dataset", default="mnist", help=" | ".join(data_mod.DATASET_NAMES))
+    p.add_argument("--dataset", type=_option_type(str, data_mod.check_dataset_name),
+                   default="mnist", help=" | ".join(data_mod.DATASETS))
     p.add_argument("--k-coeffs", type=_int_option("k_coeffs", 1), default=data_mod.DEFAULT_K,
                    help="coefficients to keep")
     p.add_argument("--seed", type=_parse_seed, default=0, help="split permutation seed")

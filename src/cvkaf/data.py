@@ -29,7 +29,8 @@ each positive and together the rows of the block (checked on construction,
 and a cache that breaks this is a :class:`DataFormatError`), so the split
 accessors return read-only slices of that block, not copies.
 
-One dataset is built in and needs no files: ``glyphs``, seeded
+One table, :data:`DATASETS`, maps each dataset name to the maker of its
+images from its directory, ``<data_dir>/<name>/``. ``glyphs`` reads none: seeded
 seven-segment digit images drawn by :func:`glyphs` with numpy alone.
 """
 
@@ -61,8 +62,8 @@ __all__ = [
     "load_cached",
     "load_named_dataset",
     "glyphs",
-    "DATASET_FILES",
-    "DATASET_NAMES",
+    "DATASETS",
+    "check_dataset_name",
 ]
 
 DEFAULT_K = 100  # complex coefficients kept per image
@@ -424,54 +425,48 @@ def load_cached(path) -> ComplexDataset:
                               "rebuild the cache") from exc
 
 
-# Conventional file names per dataset, resolved under <data_dir>/<dataset>/.
-# Gzipped variants (same name + .gz) are found automatically. The latin_ocr
-# corpus is not redistributable; the loader accepts any IDX pair placed
-# under its directory.
-DATASET_FILES: dict[str, tuple[str, str]] = {
-    "mnist": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "fashion_mnist": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-    "emnist_digits": (
-        "emnist-digits-train-images-idx3-ubyte",
-        "emnist-digits-train-labels-idx1-ubyte",
-    ),
-    "latin_ocr": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+def _idx_dataset(images: str, labels: str):
+    """The maker of an IDX dataset from its image and label file names, each
+    found in the dataset's directory as named or with ``.gz``."""
+    def make(base: Path) -> RawImageSet:
+        found = [next((p for p in (base / stem, base / (stem + ".gz")) if p.exists()), None)
+                 for stem in (images, labels)]
+        if None in found:
+            raise DataFormatError(f"dataset {base.name!r} not found: expected "
+                                  f"{base / images}[.gz] and {base / labels}[.gz]")
+        return load_idx(*found)
+    return make
+
+
+def _glyphs_dataset(base: Path) -> RawImageSet:
+    """The built-in desk-scale set, ``glyphs(1800, 0)``; it reads no directory."""
+    images, labels = glyphs(1800, 0)
+    return RawImageSet(images=images, labels=labels.astype(np.int64), class_count=_GLYPH_CLASSES)
+
+
+# The latin_ocr corpus is not redistributable; its name reads any IDX pair
+# placed in its directory.
+_MNIST_FILES = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
+DATASETS = {
+    "mnist": _idx_dataset(*_MNIST_FILES),
+    "fashion_mnist": _idx_dataset(*_MNIST_FILES),
+    "emnist_digits": _idx_dataset("emnist-digits-train-images-idx3-ubyte",
+                                  "emnist-digits-train-labels-idx1-ubyte"),
+    "latin_ocr": _idx_dataset(*_MNIST_FILES),
+    "glyphs": _glyphs_dataset,
 }
-DATASET_NAMES = (*DATASET_FILES, "glyphs")  # every name load_named_dataset accepts
-
-_GLYPHS_COUNT = 1800  # images in the built-in ``glyphs`` set
-_GLYPHS_SEED = 0  # its generator seed
 
 
-def _find_file(directory: Path, stem: str) -> Path | None:
-    for candidate in (directory / stem, directory / (stem + ".gz")):
-        if candidate.exists():
-            return candidate
-    return None
+def check_dataset_name(name: str) -> str:
+    """``name`` if :data:`DATASETS` holds it; the one place a dataset name is refused."""
+    if name not in DATASETS:
+        raise ParameterError(f"unknown dataset {name!r}; choose from {' | '.join(DATASETS)}")
+    return name
 
 
 def load_named_dataset(name: str, data_dir) -> RawImageSet:
-    """Load a benchmark dataset by name from a data directory.
-
-    ``glyphs`` is the built-in desk-scale set, ``glyphs(1800, 0)``, and needs
-    no files on disk; ``data_dir`` is not read for it.
-    """
-    if name == "glyphs":
-        images, labels = glyphs(_GLYPHS_COUNT, _GLYPHS_SEED)
-        return RawImageSet(images=images, labels=labels.astype(np.int64),
-                           class_count=_GLYPH_CLASSES)
-    if name not in DATASET_FILES:
-        raise ParameterError(f"unknown dataset {name!r}; choose from {DATASET_NAMES}")
-    base = Path(data_dir) / name
-    img_stem, lbl_stem = DATASET_FILES[name]
-    img = _find_file(base, img_stem)
-    lbl = _find_file(base, lbl_stem)
-    if img is None or lbl is None:
-        raise DataFormatError(
-            f"dataset {name!r} not found: expected {base / img_stem}[.gz] and "
-            f"{base / lbl_stem}[.gz]"
-        )
-    return load_idx(img, lbl)
+    """The images of the dataset ``name``, made from ``<data_dir>/<name>/``."""
+    return DATASETS[check_dataset_name(name)](Path(data_dir) / name)
 
 
 # -- the glyph renderer ------------------------------------------------------

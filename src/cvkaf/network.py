@@ -65,6 +65,7 @@ __all__ = [
     "parameter_count",
     "effective_parameter_count",
     "bandwidth_split",
+    "outside_grid_share",
     "MODEL_VARIANTS",
 ]
 
@@ -493,3 +494,23 @@ def bandwidth_split(model) -> list[dict[str, float]] | None:
               for _, _, hidden in model._layers[:-1]]
     # np.median would import numpy.ma on its first call, 0.5 MB more resident memory
     return [{"median": statistics.median(d), "max": max(d)} for d in splits]
+
+
+def outside_grid_share(model, x) -> list[float] | None:
+    """Per hidden layer of a KAF-family model, the share of its pre-activations on the
+    rows of ``x`` whose real or imaginary part lies outside the grid's axis range, where
+    every Gaussian is flat; None for every other model. The rows run in the blocks of
+    prediction, so memory is bounded by one block."""
+    if not isinstance(model.activation, act._KafBase):
+        return None
+    x, (lo, hi) = model._batch(x), model.dictionary.axis_range
+    hidden, rows = model._layers[:-1], model._predict_block_rows()
+    outside = [0] * len(hidden)
+    for start in range(0, x.shape[0], rows):
+        h = x[start:start + rows]
+        for i, (w, b, params) in enumerate(hidden):
+            z = complex_affine(w, h, b)
+            parts = components(z)  # (rows, width, 2): re, im
+            outside[i] += np.count_nonzero(((parts < lo) | (parts > hi)).any(axis=-1))
+            h = model.activation.forward(z, params, model.dictionary, cache=False)[0]
+    return [n / (x.shape[0] * w.shape[0]) for n, (w, _, _) in zip(outside, hidden)]

@@ -32,6 +32,7 @@ from cvkaf.network import (
     build_model,
     effective_parameter_count,
     load_model,
+    outside_grid_share,
     parameter_count,
     save_model,
 )
@@ -128,6 +129,21 @@ class TestPreprocess:
                    "--out", str(tmp_path / "x.cvkc")])
         assert rc == 3
 
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_unknown_dataset_exits_2_before_any_file(self, from_file, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setattr(data, "load_named_dataset",
+                            lambda *args: pytest.fail("a dataset was read"))
+        out, config = tmp_path / "bogus.cvkc", tmp_path / "c.txt"
+        config.write_text("dataset = bogus\n")
+        given = ["--config", str(config)] if from_file else ["--dataset", "bogus"]
+        assert main(["preprocess", *given, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "argument --dataset: unknown dataset 'bogus'; choose from " \
+            "mnist | fashion_mnist | emnist_digits | latin_ocr | glyphs" in err
+        assert (f"config file {config}: " in err) == from_file
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_all_artifacts(self, tiny_cache, tmp_path, capsys):
@@ -145,6 +161,9 @@ class TestTrain:
         assert summary["effective_parameter_count"] == effective_parameter_count(model)
         assert summary["bandwidth_split"] == bandwidth_split(model)
         assert len(summary["bandwidth_split"]) == len(model.config.hidden_widths)
+        ds = load_cached(tiny_cache)
+        assert summary["outside_grid_share"] == outside_grid_share(model, ds.val_xy()[0])
+        assert len(summary["outside_grid_share"]) == len(model.config.hidden_widths)
         assert "test acc" in capsys.readouterr().out
 
     @pytest.mark.parametrize("option", ["train --model", "compare --models"])
@@ -152,7 +171,8 @@ class TestTrain:
                                                         capsys):
         out = tmp_path / "out"
         # a colon alone does not make a case 2 spelling, nor does a listed name before it
-        for name in ("bogus", "bogus:1", "real_nn:1", "split_tanh:1", "kaf_independent:0.5"):
+        for name in ("bogus", "bogus:1", "real_nn:1", "split_tanh:1", "kaf_independent:0.5",
+                     "wlkaf_case2:"):
             argv = [*option.split(), name, "--cache", str(tiny_cache), "--out", str(out)]
             assert main([*argv, *TRAIN_FLAGS]) == 2
             err = " ".join(capsys.readouterr().err.split())
@@ -1078,7 +1098,7 @@ class TestGradcheckCommand:
 
     def test_unknown_variant(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradcheck_variant", lambda *args: pytest.fail("a check ran"))
-        for name in ("bogus", "bogus:1", "all:2", "real_nn:1", "split_tanh:1"):
+        for name in ("bogus", "bogus:1", "all:2", "real_nn:1", "split_tanh:1", "wlkaf_case2:"):
             assert main(["gradcheck", "--model", name]) == 2
             err = " ".join(capsys.readouterr().err.split())
             assert unknown_model_message(name, "all") in err
@@ -1668,7 +1688,7 @@ class TestParser:
         for name in [*models, "wlkaf_case2:0.7:0.2"]:  # each one builds
             build_model(name, 2, 2, seed=0, hidden_widths=(2,), dictionary=build_dictionary(2))
         assert sorted(listed("gradcheck")) == sorted(["all", *models, CASE2_FORM])
-        assert sorted(listed("preprocess")) == sorted([*data.DATASET_FILES, "glyphs"])
+        assert listed("preprocess") == list(data.DATASETS)
 
     def test_compare_sweeps_the_baseline_and_every_kernel_family_layer(self):
         kernel_family = [name for name, layer in ACTIVATION_VARIANTS.items()

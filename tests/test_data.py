@@ -533,6 +533,12 @@ class TestNamedDatasets:
         with pytest.raises(ParameterError, match="unknown dataset"):
             load_named_dataset("imagenet", data_dir=".")
 
+    def test_unknown_name_lists_every_name(self):
+        with pytest.raises(ParameterError) as info:
+            load_named_dataset("imagenet", data_dir=".")
+        assert str(info.value) == ("unknown dataset 'imagenet'; choose from "
+                                   "mnist | fashion_mnist | emnist_digits | latin_ocr | glyphs")
+
     def test_missing_files_name_expectations(self, tmp_path):
         with pytest.raises(DataFormatError, match="train-images-idx3-ubyte"):
             load_named_dataset("mnist", data_dir=tmp_path)

@@ -33,6 +33,7 @@ from cvkaf.network import (
     complex_softmax,
     effective_parameter_count,
     load_model,
+    outside_grid_share,
     parameter_count,
     regularize,
     save_model,
@@ -850,3 +851,37 @@ class TestRunFigures:
     @pytest.mark.parametrize("variant", ["real_nn", "kaf_real_gaussian", "wlkaf_case2"])
     def test_bandwidth_split_is_none_for_other_models(self, variant):
         assert bandwidth_split(build_model(variant, 3, 2, seed=0, hidden_widths=(4,))) is None
+
+    @pytest.mark.parametrize("variant", ["kaf_independent", "wlkaf_case1"])
+    def test_outside_grid_share_is_a_hand_count(self, variant):
+        model = build_model(variant, 1, 2, seed=0, hidden_widths=(2,),
+                            dictionary=build_dictionary(4))  # axes [-2, 2]
+        params = model.parameters()
+        params["layer0.W"][...] = [[1], [1j]]
+        params["layer0.b"][...] = [0, 0.5]
+        # pre-activations (x, 0.5 + ix): 0 and 2 lie inside, a part at 2 is on the grid;
+        # 2.5 and -1+3j have both outside, 1-2j only the second (2.5+1j), 0.5j neither
+        x = np.array([[0], [2], [2.5], [-1 + 3j], [1 - 2j], [0.5j]])
+        assert outside_grid_share(model, x) == [5 / 12]
+        # three prediction blocks of 6400 rows give the same share
+        assert model._predict_block_rows() == 6400
+        assert outside_grid_share(model, np.tile(x, (2200, 1))) == [5 / 12]
+
+    def test_outside_grid_share_reads_each_layer_after_the_activation(self, rng):
+        grid = build_dictionary(4)
+        model = build_model("wlkaf_case1", 3, 2, seed=1, hidden_widths=(5, 6), dictionary=grid)
+        # layer 1's pre-activations are the logits of a network cut after its affine map
+        head = build_model("wlkaf_case1", 3, 6, seed=1, hidden_widths=(5,), dictionary=grid)
+        head.set_parameters({name: arr for name, arr in model.parameters().items()
+                             if name in head.parameters()})
+        x = 3 * random_complex(rng, (200, 3))
+        params = model.parameters()
+        pre = [complex_affine(params["layer0.W"], x, params["layer0.b"]), head.forward(x)[0]]
+        expected = [float(np.mean((np.abs(z.real) > 2) | (np.abs(z.imag) > 2))) for z in pre]
+        assert 0 < min(expected) and max(expected) < 1
+        assert outside_grid_share(model, x) == expected
+
+    @pytest.mark.parametrize("variant", ["real_nn", "split_tanh", "phase_amplitude"])
+    def test_outside_grid_share_is_none_for_models_without_a_grid(self, variant):
+        model = build_model(variant, 3, 2, seed=0, hidden_widths=(4,))
+        assert outside_grid_share(model, np.zeros((5, 3), complex)) is None
