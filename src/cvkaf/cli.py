@@ -16,9 +16,9 @@ line starting with '#') becomes the command's defaults in :func:`parse_command`
 once the flags alone parse, so flags win; the command's one check of its
 settings together, which reads no file, runs there too. So a settings error
 exits 2 before any file is read or written, naming the config file if a value
-from it, or that check, failed. Each training run writes a directory: the
-config snapshot, model, trace CSV and summary, byte-reproducible under a fixed
-seed, and the sidecar ``run.log``, the only artifact with wall-clock times.
+from it, or that check, failed. Each training run writes a directory (config
+snapshot, model, trace CSV, summary, timestamped ``run.log``), byte-reproducible
+under a fixed seed except ``run.log`` and the trace's ``elapsed_seconds`` column.
 
 Exit codes: 0 success, 2 parameter errors (only the batch and split sizes are
 checked against the data, once read), 3 data errors (an unreadable cache or
@@ -173,10 +173,10 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _apply_config_file(command: argparse.ArgumentParser, path) -> None:
-    """Make the config file's values the defaults of ``command``'s options;
+    """Make the config file's values the defaults of ``command``'s options but ``--config``;
     argparse reads each string with the option's type unless a flag is given."""
     file_values = read_config_file(path)
-    options = {a.dest for a in command._actions if a.option_strings} - {"help"}
+    options = {a.dest for a in command._actions if a.option_strings} - {"help", "config"}
     unknown = set(file_values) - options
     if unknown:
         raise ParameterError(f"config file {path}: unknown config keys: {sorted(unknown)}")
@@ -269,17 +269,17 @@ def _shared_settings(args) -> dict:
             "dict_range": _range_text(args.dict_range), "hidden": _list_text(args.hidden)}
 
 
-def _train_one(ds, model_name, seed, c, lr, args, settings, out_dir: Path):
+def _train_one(ds, model_name, seed, c, lr, args, out_dir: Path):
     """Shared train-and-save routine for ``train`` and ``compare``; returns
     the run's summary, as written to ``summary.json``.
 
     ``ds`` is the dataset loaded from ``args.cache``, whose path is recorded
-    in the run's log and config snapshot, and ``settings`` is ``args.settings``
-    (:func:`_check_runs`). A run that diverges still writes its
-    artifacts, from the best checkpoint, and then raises its
+    in the run's log and config snapshot; ``args.settings`` holds the training
+    config and the dictionary (:func:`_check_runs`). A run that diverges still
+    writes its artifacts, from the best checkpoint, and then raises its
     :class:`NumericError`.
     """
-    config, dictionary = settings
+    config, dictionary = args.settings
     config = dataclasses.replace(config, seed=seed, lr=lr)
     model = build_model(model_name, ds.feature_dim, ds.class_count, seed,
                         hidden_widths=args.hidden, dictionary=dictionary)
@@ -322,7 +322,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out or f"run_{args.model}_seed{args.seed}")
     ds = data_mod.load_cached(args.cache)
     optim.check_batch_size(args.settings[0], ds.split_sizes[0])
-    summary = _train_one(ds, args.model, args.seed, args.c, args.lr, args, args.settings, out_dir)
+    summary = _train_one(ds, args.model, args.seed, args.c, args.lr, args, out_dir)
     print(f"model:      {args.model} (seed {args.seed}, C {args.c})")
     print(f"iterations: {summary['total_iterations']} ({summary['stop_reason']})")
     print(f"val acc:    {summary['val_accuracy']:.4f}")
@@ -358,7 +358,7 @@ def cmd_compare(args) -> int:
 
     # every (C, lr) cell on the first seed, then the other seeds at each model's best cell;
     # the runs of a stage are independent, so they spread over the usable CPUs
-    attempt = functools.partial(_attempt, ds, args, args.settings, out_dir)
+    attempt = functools.partial(_attempt, ds, args, out_dir)
     deal(attempt, [(m, seeds[0], *cell) for m in models for cell in cells],
          usable_cpus(), "compare")
     best = {m: _best_cell(out_dir, m, seeds[0], cells)[0] for m in models}
@@ -368,14 +368,14 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _attempt(ds, args, settings, out_dir: Path, run) -> None:
+def _attempt(ds, args, out_dir: Path, run) -> None:
     """One ``compare`` run. A run that fails before it writes ``summary.json``
     gets one holding its model, seed, C, lr and error, for :func:`write_report`."""
     model_name, seed, c, lr = run
     run_dir = _run_dir(out_dir, model_name, seed, c, lr)
     (run_dir / "summary.json").unlink(missing_ok=True)  # an earlier compare's must not stand in
     try:
-        _train_one(ds, model_name, seed, c, lr, args, settings, run_dir)
+        _train_one(ds, model_name, seed, c, lr, args, run_dir)
     except CvkafError as exc:
         if not (run_dir / "summary.json").exists():
             run_dir.mkdir(parents=True, exist_ok=True)

@@ -214,13 +214,12 @@ class _Network:
                                  if kind is ComplexNetwork else
                                  f"'real_nn' is the real baseline, not a {type(self).__name__}")
         self.config, self.activation, self._version = config, activation(), 0
-        self.dictionary = None if self.activation is _RELU else config.dictionary  # ReLU reads none
         draw = values is None
         rng = np.random.default_rng(config.seed) if draw else None
         # drawing makes one neuron and repeats it to each layer's width, as every neuron starts
         # alike; loading reads each activation parameter's name, trailing shape and dtype from
         # a zero-width layer, which fits nothing
-        neuron = self.activation.init_params(1 if draw else 0, self.dictionary)
+        neuron = self.activation.init_params(1 if draw else 0, config.dictionary)
         widths = [self._input_features * config.input_dim, *config.hidden_widths,
                   config.class_count]
         self._layers = []
@@ -290,7 +289,7 @@ class _Network:
             h = complex_affine(w, h, b)
             if hidden is not None:
                 h, entry["act_cache"] = self.activation.forward(
-                    h, hidden, self.dictionary, cache=cache)
+                    h, hidden, self.config.dictionary, cache=cache)
             if cache:
                 layers.append(entry)
         return h, {"version": self._version, "layers": layers} if cache else None
@@ -317,7 +316,7 @@ class _Network:
     def _predict_block_rows(self) -> int:
         """Rows per forward block in :meth:`predict_proba`."""
         # only the kernel activations make (rows, width, points_per_axis) temporaries
-        m = self.dictionary.points_per_axis if isinstance(self.activation, act._KafBase) else 1
+        m = self.config.dict_points if isinstance(self.activation, act._KafBase) else 1
         return max(1, _PREDICT_BLOCK_ELEMENTS // (max(self.config.hidden_widths, default=1) * m))
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -381,7 +380,7 @@ class ComplexNetwork(_Network):
 
 
 class _Relu:
-    """The real baseline's hidden activation ``max(z, 0)``; it has no parameters."""
+    """The real baseline's hidden activation ``max(z, 0)``; no parameters, the grid ignored."""
 
     def init_params(self, width, dictionary):
         return {}
@@ -479,7 +478,7 @@ def effective_parameter_count(model) -> int:
     count, layer = parameter_count(model), model.activation
     if not isinstance(layer, act._KafBase):
         return count
-    d = model.dictionary
+    d = model.config.dictionary
     design = act.alpha_design(layer, d, layer.start_bandwidths(d), d.points)
     unreached = 2 * d.size - int(np.linalg.matrix_rank(design))
     return count - unreached * sum(model.config.hidden_widths)
@@ -503,7 +502,7 @@ def outside_grid_share(model, x) -> list[float] | None:
     prediction, so memory is bounded by one block."""
     if not isinstance(model.activation, act._KafBase):
         return None
-    x, (lo, hi) = model._batch(x), model.dictionary.axis_range
+    x, (lo, hi) = model._batch(x), model.config.dictionary.axis_range
     hidden, rows = model._layers[:-1], model._predict_block_rows()
     outside = [0] * len(hidden)
     for start in range(0, x.shape[0], rows):
@@ -512,5 +511,5 @@ def outside_grid_share(model, x) -> list[float] | None:
             z = complex_affine(w, h, b)
             parts = components(z)  # (rows, width, 2): re, im
             outside[i] += np.count_nonzero(((parts < lo) | (parts > hi)).any(axis=-1))
-            h = model.activation.forward(z, params, model.dictionary, cache=False)[0]
+            h = model.activation.forward(z, params, model.config.dictionary, cache=False)[0]
     return [n / (x.shape[0] * w.shape[0]) for n, (w, _, _) in zip(outside, hidden)]

@@ -1573,6 +1573,19 @@ class TestConfigFile:
         assert (f"parameter error: config file {cfg}: unknown config keys: ['no_such_key']"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("argv", [
+        ["preprocess"], ["train", "--cache", "c.cvkc"],
+        ["evaluate", "--model-file", "m.cvkm", "--cache", "c.cvkc"],
+        ["compare", "--cache", "c.cvkc"], ["gradcheck"],
+    ])
+    def test_a_file_naming_config_is_refused(self, argv, tmp_path):
+        """A file names no other file: ``config`` is the one option a file may not name."""
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"config = {tmp_path / 'other.cfg'}\n")
+        with pytest.raises(ParameterError) as exc:
+            cli.parse_command([*argv, "--config", str(cfg)])
+        assert str(exc.value) == f"config file {cfg}: unknown config keys: ['config']"
+
     def test_preprocess_config_supplies_defaults_and_flags_win(self, idx_dir, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(

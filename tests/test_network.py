@@ -177,16 +177,26 @@ class TestNetworkForward:
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
 
-    @pytest.mark.parametrize("variant", ["split_tanh", "wlkaf_case2:0.7:0.2", "real_nn"])
-    def test_the_dictionary_is_the_configs(self, variant):
+    @pytest.mark.parametrize("variant", [*ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2",
+                                         "real_nn"])
+    def test_the_dictionary_is_the_configs(self, variant, rng, monkeypatch):
+        """The config owns the grid: the model holds no copy, and every hidden layer's
+        activation, the baseline's ReLU too, receives ``config.dictionary``."""
         grid = build_dictionary(5, (-1.0, 3.0))
-        net = build_model(variant, 3, 2, seed=0, hidden_widths=(4,), dictionary=grid)
+        net = build_model(variant, 3, 2, seed=0, hidden_widths=(4, 4), dictionary=grid)
         assert (net.config.dict_points, net.config.dict_range) == (5, (-1.0, 3.0))
-        if variant == "real_nn":
-            assert net.dictionary is None
-        else:
-            assert net.dictionary.points.tobytes() == grid.points.tobytes()
-            assert net.dictionary.axis_range == grid.axis_range
+        assert net.config.dictionary.points.tobytes() == grid.points.tobytes()
+        assert net.config.dictionary.axis_range == grid.axis_range
+        assert not hasattr(net, "dictionary")
+        received, cls = [], type(net.activation)
+        forward = cls.forward
+        monkeypatch.setattr(cls, "forward", lambda self, z, params, dictionary, cache=True: (
+            received.append(dictionary) or forward(self, z, params, dictionary, cache=cache)))
+        x = random_complex(rng, (3, 3))
+        net.forward(x)
+        net.predict(x)
+        assert len(received) == 4
+        assert all(d is net.config.dictionary for d in received)
 
 
 class TestBlockedPredict:
@@ -366,9 +376,10 @@ class TestForwardWithoutCache:
         if name != "real_nn":
             z = random_complex(rng, (6, 30))
             params = net._layers[0][2]
-            out, acache = net.activation.forward(z, params, net.dictionary, cache=False)
+            out, acache = net.activation.forward(z, params, net.config.dictionary, cache=False)
             assert acache is None
-            np.testing.assert_array_equal(out, net.activation.forward(z, params, net.dictionary)[0])
+            np.testing.assert_array_equal(
+                out, net.activation.forward(z, params, net.config.dictionary)[0])
 
     @pytest.mark.parametrize("variant", ["kaf_independent", "wlkaf_case1", "wlkaf_case2"])
     def test_prediction_keeps_no_per_layer_cache(self, variant, rng):
@@ -398,7 +409,7 @@ class TestIdentityFitPerBuild:
         net = _network(name)
         assert len(calls) == 1
         for i, width in enumerate(net.config.hidden_widths):
-            own = net.activation.init_params(width, net.dictionary)
+            own = net.activation.init_params(width, net.config.dictionary)
             for pname, arr in own.items():
                 shared = net.parameters()[f"layer{i}.{pname}"]
                 assert shared.dtype == arr.dtype and shared.shape == arr.shape
