@@ -45,10 +45,11 @@ parses back: a registry key, or case 2 at other mixing weights such as
 Every ``forward(z, params, dictionary, cache=True)`` returns ``(out,
 cache)``, where the cache holds what ``backward(g_out, cache, params)``
 reads. Callers that only need ``out`` (prediction, the objective alone,
-:func:`fit_alpha`) pass ``cache=False`` and get ``(out, None)``: the KAF
-engine then computes each part's squares in place of its offsets and
-keeps no ``A @ R`` product, with the same arithmetic in the same order, so
-``out`` is bit-identical to the cached pass.
+:func:`fit_alpha`) pass ``cache=False`` and get ``(out, None)``, bit-identical.
+A KAF cache keeps what is costly to recompute, the Gaussian factors, with
+an owned copy of ``z`` (the caller may overwrite ``z``), the alpha grids
+and the closed form's ``w``; backward rebuilds the grid offsets and each
+term's ``A @ E`` with the forward's own operations, so its bits are unchanged.
 """
 
 from __future__ import annotations
@@ -229,6 +230,7 @@ class _Term:
     out: str
     scale: float = 1.0
     col: int | None = None
+    factor_keys = property(lambda t: ((t.gamma, t.col, "imag"), (t.gamma, t.col, "real")))
 
 
 def _kernel_terms(gamma, col=None, scale=1.0, cross=False):
@@ -254,13 +256,25 @@ def _accumulate(sums: dict, key, value: np.ndarray) -> None:
         sums[key] = value
 
 
+def _grid_offsets(zt: np.ndarray, axis: np.ndarray) -> dict[str, np.ndarray]:
+    """Each part of the (H, B) ``zt`` less the (m, 1) grid ``axis``, (H, m, B):
+    a repeat, then the tiled grid subtracted, gives the broadcast's values
+    without numpy's inner loop running once per B-element row."""
+    grid = np.repeat(axis, zt.shape[1], axis=1)
+    offsets = {p: np.repeat(getattr(zt, p)[:, None, :], axis.shape[0], axis=1) for p in _PARTS}
+    for o in offsets.values():
+        o -= grid
+    return offsets
+
+
 class _KafBase:
     """Forward and backward of a sum of :class:`_Term` over a square grid, plus,
     on the log-bandwidth ``closed_form`` names, ``h(Re z) - i*h(Im z)`` with
     ``h(x) = w^T e(x)`` and ``w = c(alpha) + i*r(alpha)`` (grid column and row sums).
 
     Subclasses provide ``terms``, and ``closed_form`` if any. Arrays are laid
-    out (H, m, B): neuron, grid axis, batch row.
+    out (H, m, B): neuron, grid axis, batch row. The cache holds one such
+    array per factor key, its Gaussian; backward rebuilds the rest.
     """
 
     terms: tuple[_Term, ...]
@@ -278,23 +292,16 @@ class _KafBase:
         """The factor keys ``(gamma, col, part)`` in first-use order, and the
         last key that reads each part: that factor overwrites the part's
         squares, which are dead once it is formed."""
-        keys = [(t.gamma, t.col, p) for t in self.terms for p in ("imag", "real")]
-        keys = tuple(dict.fromkeys(keys + [(self.closed_form, None, p) for p in _PARTS
-                                           if self.closed_form]))
+        closed = [(self.closed_form, None, p) for p in _PARTS] if self.closed_form else []
+        keys = tuple(dict.fromkeys([key for t in self.terms for key in t.factor_keys] + closed))
         return keys, {key[2]: key for key in keys}
 
     def forward(self, z, params, dictionary, cache=True):
         m = dictionary.points_per_axis
         axis = dictionary.points.real[:m, None]
-        zt = np.ascontiguousarray(z.T)
-        # repeat, then subtract the tiled grid: the broadcast subtraction's
-        # values, without numpy's inner loop running once per B-element row
-        grid = np.repeat(axis, zt.shape[1], axis=1)
-        offsets = {p: np.repeat(getattr(zt, p)[:, None, :], m, axis=1) for p in _PARTS}
-        for o in offsets.values():
-            o -= grid
-        # only backward reads the offsets: without a cache the squares replace them
-        squares = {p: np.multiply(o, o, out=None if cache else o) for p, o in offsets.items()}
+        zt = z.T.copy()  # owned: the caller may overwrite z before backward
+        # the squares replace the offsets, which backward rebuilds from zt
+        squares = {p: np.multiply(o, o, out=o) for p, o in _grid_offsets(zt, axis).items()}
         grids = {p: np.ascontiguousarray(getattr(params["alpha"], p)).reshape(-1, m, m)
                  for p in _PARTS}
         keys, last = self._plan
@@ -306,13 +313,10 @@ class _KafBase:
             factors[key] = (gamma, np.exp(e, out=e))
 
         out = {p: np.zeros(zt.shape) for p in _PARTS}
-        bilinear = []  # (term, Ei key, Er key, A @ Er)
         for t in self.terms:
-            left, right = (t.gamma, t.col, "imag"), (t.gamma, t.col, "real")
+            left, right = t.factor_keys
             ar = grids[t.coef] @ factors[right][1]
             out[t.out] += t.scale * np.einsum("hib,hib->hb", factors[left][1], ar)
-            if cache:
-                bilinear.append((t, left, right, ar))
         w = None
         if self.closed_form:  # c, r: column and row sums of each part's grid
             c, r = ({p: np.einsum(s, a) for p, a in grids.items()} for s in ("hij->hj", "hij->hi"))
@@ -325,19 +329,20 @@ class _KafBase:
         result = _complex_assemble(out["real"].T, out["imag"].T)
         if not cache:
             return result, None
-        return result, {"offsets": offsets, "grids": grids, "factors": factors,
-                        "bilinear": bilinear, "w": w}
+        return result, {"z": zt, "axis": axis, "grids": grids, "factors": factors, "w": w}
 
     def backward(self, g_out, cache, params):
-        offsets, grids, factors = cache["offsets"], cache["grids"], cache["factors"]
+        grids, factors = cache["grids"], cache["factors"]
         g_t = np.ascontiguousarray(g_out.T)
         weights = {}  # factor key -> dJ/dE, (H, m, B)
         g_grid = {p: np.zeros_like(a) for p, a in grids.items()}
-        for t, left, right, ar in cache["bilinear"]:
+        for t in self.terms:
+            left, right = t.factor_keys
             gs = t.scale * getattr(g_t, t.out)[:, None, :]
             ge = gs * factors[left][1]
             g_grid[t.coef] += ge @ factors[right][1].transpose(0, 2, 1)
-            _accumulate(weights, left, gs * ar)
+            ar = grids[t.coef] @ factors[right][1]  # the forward's A @ Er, rebuilt
+            _accumulate(weights, left, np.multiply(gs, ar, out=ar))
             _accumulate(weights, right, grids[t.coef].transpose(0, 2, 1) @ ge)
         if self.closed_form:
             (w_re, w_im), g_re, g_im = cache["w"], g_t.real, g_t.imag
@@ -355,20 +360,15 @@ class _KafBase:
         # E = exp(-gamma*o^2): dE/dx = -2*gamma*o*E, dE/dlog(gamma) = -gamma*o^2*E
         g_z = {p: np.zeros(g_t.shape) for p in _PARTS}
         grads = {name: np.zeros_like(params[name]) for name, _, _ in factors}
+        offsets = _grid_offsets(cache["z"], cache["axis"])
         for (name, col, part), (gamma, e) in factors.items():
-            o = offsets[part]
-            w = weights[name, col, part]
+            w, o = weights[name, col, part], offsets[part]
             w *= e
             w *= o
             g_z[part] -= 2.0 * gamma[:, :, 0] * np.einsum("hib->hb", w)
             g_log_gamma = -gamma[:, 0, 0] * np.einsum("hib,hib->h", w, o)
-            if col is None:
-                grads[name] += g_log_gamma
-            else:
-                grads[name][:, col] += g_log_gamma
-        h = g_t.shape[0]
-        grads["alpha"] = _complex_assemble(g_grid["real"].reshape(h, -1),
-                                           g_grid["imag"].reshape(h, -1))
+            (grads[name] if col is None else grads[name][:, col])[...] += g_log_gamma
+        grads["alpha"] = _complex_assemble(*(g_grid[p].reshape(len(g_t), -1) for p in _PARTS))
         return _complex_assemble(g_z["real"].T, g_z["imag"].T), grads
 
     def start_bandwidths(self, dictionary) -> dict[str, np.ndarray]:

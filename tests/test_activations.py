@@ -451,6 +451,56 @@ class TestLayerBackwardAgainstFiniteDifferences:
             assert not g.any()
 
 
+KAF_LAYERS = ["kaf_independent", "kaf_real_gaussian", "wlkaf_case1", "wlkaf_case2",
+              "wlkaf_case2:0.7:0.2"]
+
+
+def _reachable_arrays(obj):
+    """Every array in ``obj``'s dicts, lists and tuples, and each one's bases."""
+    found, stack = {}, [obj]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, (list, tuple)):
+            stack.extend(x)
+        elif isinstance(x, np.ndarray) and id(x) not in found:
+            found[id(x)] = x
+            stack.append(x.base)
+    return found.values()
+
+
+@pytest.mark.parametrize("variant", KAF_LAYERS)
+class TestLeanForwardCache:
+    """A KAF forward cache keeps one (width, m, batch) array per factor, the
+    Gaussian, and its own copy of the input."""
+
+    def test_one_activation_sized_array_per_factor(self, variant, dict4, rng):
+        layer = act.activation_named(variant)
+        params = _random_start(layer, 3, dict4, rng)
+        _, cache = layer.forward(random_complex(rng, (5, 3)), params, dict4)
+        big = [a for a in _reachable_arrays(cache) if a.shape == (3, 4, 5)]
+        assert len(big) == len(layer._plan[0])
+
+    @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (7, 5)])
+    def test_input_overwritten_before_backward_leaves_cogradients(self, variant, shape,
+                                                                  dict4, rng):
+        layer = act.activation_named(variant)
+        params = _random_start(layer, shape[1], dict4, rng)
+        z = random_complex(rng, shape)
+        g_out = random_complex(rng, shape)
+        _, cache = layer.forward(z.copy(), params, dict4)
+        untouched = layer.backward(g_out, cache, params)
+        overwritten = z.copy()
+        _, cache = layer.forward(overwritten, params, dict4)
+        overwritten[...] = random_complex(rng, shape)
+        gz, grads = layer.backward(g_out, cache, params)
+        assert gz.tobytes() == untouched[0].tobytes()
+        assert set(grads) == set(untouched[1])
+        for name, g in grads.items():
+            assert g.tobytes() == untouched[1][name].tobytes(), name
+
+
 class TestBoundedKernelFiniteness:
     @pytest.mark.parametrize(
         "variant", ["kaf_real_gaussian", "kaf_independent", "wlkaf_case1", "wlkaf_case2"]
