@@ -42,14 +42,14 @@ A descriptor's ``name`` is its one spelling, which :func:`activation_named`
 parses back: a registry key, or case 2 at other mixing weights such as
 ``wlkaf_case2:0.7:0.2``. Model configs and files carry only the name.
 
-Every ``forward(z, params, dictionary, cache=True)`` returns ``(out,
-cache)``, where the cache holds what ``backward(g_out, cache, params)``
-reads. Callers that only need ``out`` (prediction, the objective alone,
-:func:`fit_alpha`) pass ``cache=False`` and get ``(out, None)``, bit-identical.
-A KAF cache keeps what is costly to recompute, the Gaussian factors, with
-an owned copy of ``z`` (the caller may overwrite ``z``), the alpha grids
-and the closed form's ``w``; backward rebuilds the grid offsets and each
-term's ``A @ E`` with the forward's own operations, so its bits are unchanged.
+Every ``forward(z, params, dictionary)`` does the same work in training and
+prediction and returns ``(out, cache)``, the cache holding what ``backward(g_out,
+cache, params)`` reads; it owns what it holds, so the caller may overwrite ``z``.
+Split tanh keeps its output, phase-amplitude a copy of ``z`` and ``|z|``. A KAF
+cache keeps what is costly to recompute, the Gaussian factors, with its own copy
+of ``z``, the alpha grids and the closed form's ``w``; backward rebuilds the grid
+offsets and each term's ``A @ E`` with the forward's own operations, so its bits
+are unchanged.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def alpha_design(layer, dictionary: Dictionary, bandwidths: dict, points) -> np.
               for name, v in bandwidths.items()}
     params["alpha"] = np.concatenate([np.eye(d), 1j * np.eye(d)])
     g, _ = layer.forward(np.broadcast_to(points[:, None], (points.shape[0], 2 * d)),
-                         params, dictionary, cache=False)
+                         params, dictionary)
     return np.concatenate([g.real, g.imag])
 
 
@@ -160,10 +160,9 @@ def _pseudo_tanh_factor(r: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Layer-level activations: (batch, width) inputs with per-neuron parameters.
 # Each class is a stateless descriptor; parameters live in a plain dict of
-# numpy arrays owned by the network layer. forward() returns (out, cache),
-# or (out, None) with cache=False; backward() consumes the cache and returns
-# (cograd_z, {name: cograd}). A descriptor's ``name`` is its one spelling
-# (see :func:`activation_named`).
+# numpy arrays owned by the network layer. forward() returns (out, cache);
+# backward() consumes the cache and returns (cograd_z, {name: cograd}). A
+# descriptor's ``name`` is its one spelling (see :func:`activation_named`).
 # ---------------------------------------------------------------------------
 
 
@@ -176,13 +175,13 @@ class SplitActivation:
     def init_params(self, width, dictionary):
         return {}
 
-    def forward(self, z, params, dictionary, cache=True):
-        re, im = np.tanh(z.real), np.tanh(z.imag)
-        return re + 1j * im, {"d_re": 1.0 - re**2, "d_im": 1.0 - im**2} if cache else None
+    def forward(self, z, params, dictionary):
+        out = np.tanh(z.real) + 1j * np.tanh(z.imag)
+        return out, {"out": out}
 
     def backward(self, g_out, cache, params):
-        gz = g_out.real * cache["d_re"] + 1j * (g_out.imag * cache["d_im"])
-        return gz, {}
+        out = cache["out"]  # its parts are the tanh values, bit for bit
+        return g_out.real * (1.0 - out.real**2) + 1j * (g_out.imag * (1.0 - out.imag**2)), {}
 
 
 @dataclass(frozen=True)
@@ -192,10 +191,9 @@ class PhaseAmplitudeActivation:
     def init_params(self, width, dictionary):
         return {}
 
-    def forward(self, z, params, dictionary, cache=True):
+    def forward(self, z, params, dictionary):
         r = np.abs(z)
-        out = z * _tanh_over_r(r)
-        return out, {"z": z, "r": r} if cache else None
+        return z * _tanh_over_r(r), {"z": z.copy(), "r": r}
 
     def backward(self, g_out, cache, params):
         z, r = cache["z"], cache["r"]
@@ -296,7 +294,7 @@ class _KafBase:
         keys = tuple(dict.fromkeys([key for t in self.terms for key in t.factor_keys] + closed))
         return keys, {key[2]: key for key in keys}
 
-    def forward(self, z, params, dictionary, cache=True):
+    def forward(self, z, params, dictionary):
         m = dictionary.points_per_axis
         axis = dictionary.points.real[:m, None]
         zt = z.T.copy()  # owned: the caller may overwrite z before backward
@@ -326,10 +324,8 @@ class _KafBase:
             out["imag"] += (w[1][:, None] @ e_re)[:, 0]
             out["real"] += (w[1][:, None] @ e_im)[:, 0]
             out["imag"] -= (w[0][:, None] @ e_im)[:, 0]
-        result = _complex_assemble(out["real"].T, out["imag"].T)
-        if not cache:
-            return result, None
-        return result, {"z": zt, "axis": axis, "grids": grids, "factors": factors, "w": w}
+        return (_complex_assemble(out["real"].T, out["imag"].T),
+                {"z": zt, "axis": axis, "grids": grids, "factors": factors, "w": w})
 
     def backward(self, g_out, cache, params):
         grids, factors = cache["grids"], cache["factors"]

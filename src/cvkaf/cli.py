@@ -56,8 +56,8 @@ from .errors import (
 from .gradcheck import ALL_MODELS, DEFAULT_TOLERANCE, gradcheck_variant
 from .kernels import DEFAULT_AXIS_RANGE, DEFAULT_POINTS_PER_AXIS
 from .network import (MODEL_VARIANTS, NetworkConfig, TrainObjective, bandwidth_split,
-                      build_model, effective_parameter_count, load_model, outside_grid_share,
-                      parameter_count, save_model)
+                      build_model, effective_parameter_count, load_model, parameter_count,
+                      pre_activation_statistics, save_model)
 from .optim import TrainConfig
 from .pool import deal, usable_cpus
 
@@ -309,7 +309,7 @@ def _train_one(ds, model_name, seed, c, lr, args, out_dir: Path):
                "parameter_count": parameter_count(model),
                "effective_parameter_count": effective_parameter_count(model),
                "bandwidth_split": bandwidth_split(model),
-               "outside_grid_share": outside_grid_share(model, ds.val_xy()[0])}
+               **pre_activation_statistics(model, ds.val_xy()[0])}
     if error is not None:
         summary["error"] = describe(error)
     _write_json(out_dir / "summary.json", summary)

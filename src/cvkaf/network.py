@@ -21,8 +21,9 @@ hiddens that reads [Re x, Im x] and scores its logits.
 
 Forward caches are tied to a parameter version counter so a backward pass
 against a mutated network fails loudly instead of silently using stale
-intermediates. Prediction and :meth:`objective` run ``forward(x,
-cache=False)``, which returns no cache and keeps no per-layer entry.
+intermediates. ``forward(x, cache)`` alone decides what is kept; a kept cache owns
+a copy of ``x``. Prediction and :meth:`objective` run ``forward(x, cache=False)``,
+which drops each layer's activation cache before the next layer runs.
 
 Every entry point takes only a complex (rows, ``config.input_dim``) batch,
 one sample being a one-row batch; any other shape, a 1-D vector included,
@@ -65,7 +66,7 @@ __all__ = [
     "parameter_count",
     "effective_parameter_count",
     "bandwidth_split",
-    "outside_grid_share",
+    "pre_activation_statistics",
     "MODEL_VARIANTS",
 ]
 
@@ -282,14 +283,14 @@ class _Network:
     def forward(self, x: np.ndarray, cache: bool = True) -> tuple[np.ndarray, dict | None]:
         """Map inputs to logits and the cache of every intermediate that
         :meth:`backward` reads, or None with ``cache=False``."""
-        h = self._input(self._batch(x))
-        layers = []
+        x = self._batch(x)
+        h, layers = self._input(x.copy() if cache else x), []  # the caller may overwrite x
         for w, b, hidden in self._layers:
-            entry = {"x": h}
+            entry = {"x": h}  # rebinding it drops the last layer's cache before this one runs
             h = complex_affine(w, h, b)
             if hidden is not None:
-                h, entry["act_cache"] = self.activation.forward(
-                    h, hidden, self.config.dictionary, cache=cache)
+                h, entry["act_cache"] = self.activation.forward(h, hidden,
+                                                                self.config.dictionary)
             if cache:
                 layers.append(entry)
         return h, {"version": self._version, "layers": layers} if cache else None
@@ -385,11 +386,12 @@ class _Relu:
     def init_params(self, width, dictionary):
         return {}
 
-    def forward(self, z, params, dictionary, cache=True):
-        return np.maximum(z, 0.0), {"active": z > 0} if cache else None
+    def forward(self, z, params, dictionary):
+        out = np.maximum(z, 0.0)
+        return out, {"out": out}
 
     def backward(self, g_out, cache, params):
-        return g_out * cache["active"], {}
+        return g_out * (cache["out"] > 0), {}  # out > 0 is the mask z > 0
 
 
 _RELU = _Relu()
@@ -495,21 +497,37 @@ def bandwidth_split(model) -> list[dict[str, float]] | None:
     return [{"median": statistics.median(d), "max": max(d)} for d in splits]
 
 
-def outside_grid_share(model, x) -> list[float] | None:
-    """Per hidden layer of a KAF-family model, the share of its pre-activations on the
-    rows of ``x`` whose real or imaginary part lies outside the grid's axis range, where
-    every Gaussian is flat; None for every other model. The rows run in the blocks of
-    prediction, so memory is bounded by one block."""
+def pre_activation_statistics(model, x) -> dict[str, list[float] | None]:
+    """Two figures per hidden layer of a KAF-family model, read from its pre-activations
+    z on the rows of ``x``; both are None for every other model. The rows run in the
+    blocks of prediction, so memory is bounded by one block, and one pass gives both:
+
+    * ``outside_grid_share``, the share of z whose real or imaginary part lies outside
+      the grid's axis range, where every Gaussian is flat;
+    * ``pre_activation_circularity``, the median over neurons of the circularity
+      coefficient rho = |E[zc^2]| / E[|zc|^2] of the centred zc = z - E[z], from per-neuron
+      sums of z, z^2 and |z|^2: 0 for proper z, 1 for z on a line, real z among them. A
+      neuron of zero variance, the same z on every row, has no spread to measure: rho 0.
+    """
     if not isinstance(model.activation, act._KafBase):
-        return None
+        return {"outside_grid_share": None, "pre_activation_circularity": None}
     x, (lo, hi) = model._batch(x), model.config.dictionary.axis_range
     hidden, rows = model._layers[:-1], model._predict_block_rows()
-    outside = [0] * len(hidden)
+    outside, sums = [0] * len(hidden), [[0j, 0j, 0.0] for _ in hidden]
     for start in range(0, x.shape[0], rows):
         h = x[start:start + rows]
         for i, (w, b, params) in enumerate(hidden):
             z = complex_affine(w, h, b)
             parts = components(z)  # (rows, width, 2): re, im
             outside[i] += np.count_nonzero(((parts < lo) | (parts > hi)).any(axis=-1))
-            h = model.activation.forward(z, params, model.config.dictionary, cache=False)[0]
-    return [n / (x.shape[0] * w.shape[0]) for n, (w, _, _) in zip(outside, hidden)]
+            for k, v in enumerate((z, z * z, _squared_magnitudes(z))):
+                sums[i][k] += v.sum(axis=0)
+            h = model.activation.forward(z, params, model.config.dictionary)[0]
+    n, circularity = x.shape[0], []
+    for s_z, s_zz, s_power in sums:  # n^2 times E[zc^2] and E[|zc|^2]
+        pseudo, variance = np.abs(n * s_zz - s_z * s_z), n * s_power - _squared_magnitudes(s_z)
+        rho = np.divide(pseudo, variance, out=np.zeros(variance.shape), where=variance > 0)
+        # np.median would import numpy.ma on its first call, 0.5 MB more resident memory
+        circularity.append(statistics.median(rho.tolist()))
+    return {"outside_grid_share": [k / (n * w.shape[0]) for k, (w, _, _) in zip(outside, hidden)],
+            "pre_activation_circularity": circularity}

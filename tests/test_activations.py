@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cvkaf import activations as act
+from cvkaf import network
 from cvkaf.cnum import finite_diff_cogradient
 from cvkaf.errors import ParameterError
 from cvkaf.kernels import build_dictionary
@@ -470,11 +471,11 @@ def _reachable_arrays(obj):
     return found.values()
 
 
-@pytest.mark.parametrize("variant", KAF_LAYERS)
 class TestLeanForwardCache:
-    """A KAF forward cache keeps one (width, m, batch) array per factor, the
-    Gaussian, and its own copy of the input."""
+    """A forward cache owns what it holds; a KAF cache keeps one (width, m,
+    batch) array per factor, the Gaussian, and its own copy of the input."""
 
+    @pytest.mark.parametrize("variant", KAF_LAYERS)
     def test_one_activation_sized_array_per_factor(self, variant, dict4, rng):
         layer = act.activation_named(variant)
         params = _random_start(layer, 3, dict4, rng)
@@ -482,18 +483,24 @@ class TestLeanForwardCache:
         big = [a for a in _reachable_arrays(cache) if a.shape == (3, 4, 5)]
         assert len(big) == len(layer._plan[0])
 
+    # every registry variant, case 2 at Q = 2 and the real baseline's ReLU
+    @pytest.mark.parametrize("variant", [*act.ACTIVATION_VARIANTS, "wlkaf_case2:0.7:0.2", "relu"])
     @pytest.mark.parametrize("shape", [(1, 3), (4, 1), (7, 5)])
     def test_input_overwritten_before_backward_leaves_cogradients(self, variant, shape,
                                                                   dict4, rng):
-        layer = act.activation_named(variant)
+        layer = network._RELU if variant == "relu" else act.activation_named(variant)
         params = _random_start(layer, shape[1], dict4, rng)
-        z = random_complex(rng, shape)
-        g_out = random_complex(rng, shape)
+
+        def draw():  # the ReLU reads real values
+            z = random_complex(rng, shape)
+            return z.real.copy() if variant == "relu" else z
+
+        z, g_out = draw(), draw()
         _, cache = layer.forward(z.copy(), params, dict4)
         untouched = layer.backward(g_out, cache, params)
         overwritten = z.copy()
         _, cache = layer.forward(overwritten, params, dict4)
-        overwritten[...] = random_complex(rng, shape)
+        overwritten[...] = draw()
         gz, grads = layer.backward(g_out, cache, params)
         assert gz.tobytes() == untouched[0].tobytes()
         assert set(grads) == set(untouched[1])

@@ -32,8 +32,8 @@ from cvkaf.network import (
     build_model,
     effective_parameter_count,
     load_model,
-    outside_grid_share,
     parameter_count,
+    pre_activation_statistics,
     save_model,
 )
 from cvkaf.optim import TrainConfig, evaluate, read_trace_csv
@@ -162,8 +162,11 @@ class TestTrain:
         assert summary["bandwidth_split"] == bandwidth_split(model)
         assert len(summary["bandwidth_split"]) == len(model.config.hidden_widths)
         ds = load_cached(tiny_cache)
-        assert summary["outside_grid_share"] == outside_grid_share(model, ds.val_xy()[0])
-        assert len(summary["outside_grid_share"]) == len(model.config.hidden_widths)
+        stats = pre_activation_statistics(model, ds.val_xy()[0])
+        assert set(stats) == {"outside_grid_share", "pre_activation_circularity"}
+        for key, value in stats.items():
+            assert summary[key] == value, key
+            assert len(value) == len(model.config.hidden_widths), key
         assert "test acc" in capsys.readouterr().out
 
     @pytest.mark.parametrize("option", ["train --model", "compare --models"])

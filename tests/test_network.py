@@ -1,5 +1,6 @@
 """Network assembly, softmax over squared magnitudes, the cross-entropy rule, serialization."""
 
+import inspect
 import re
 import tracemalloc
 
@@ -33,8 +34,8 @@ from cvkaf.network import (
     complex_softmax,
     effective_parameter_count,
     load_model,
-    outside_grid_share,
     parameter_count,
+    pre_activation_statistics,
     regularize,
     save_model,
     softmax_cross_entropy,
@@ -190,8 +191,8 @@ class TestNetworkForward:
         assert not hasattr(net, "dictionary")
         received, cls = [], type(net.activation)
         forward = cls.forward
-        monkeypatch.setattr(cls, "forward", lambda self, z, params, dictionary, cache=True: (
-            received.append(dictionary) or forward(self, z, params, dictionary, cache=cache)))
+        monkeypatch.setattr(cls, "forward", lambda self, z, params, dictionary: (
+            received.append(dictionary) or forward(self, z, params, dictionary)))
         x = random_complex(rng, (3, 3))
         net.forward(x)
         net.predict(x)
@@ -373,13 +374,9 @@ class TestForwardWithoutCache:
         np.testing.assert_array_equal(logits, net.forward(x)[0])
         with pytest.raises(StateError):
             net.backward(np.zeros_like(logits), None)
-        if name != "real_nn":
-            z = random_complex(rng, (6, 30))
-            params = net._layers[0][2]
-            out, acache = net.activation.forward(z, params, net.config.dictionary, cache=False)
-            assert acache is None
-            np.testing.assert_array_equal(
-                out, net.activation.forward(z, params, net.config.dictionary)[0])
+        # the network alone decides what is kept: no activation takes the switch
+        assert list(inspect.signature(net.activation.forward).parameters) == [
+            "z", "params", "dictionary"]
 
     @pytest.mark.parametrize("variant", ["kaf_independent", "wlkaf_case1", "wlkaf_case2"])
     def test_prediction_keeps_no_per_layer_cache(self, variant, rng):
@@ -397,6 +394,21 @@ class TestForwardWithoutCache:
 
         cached = peak(lambda: net.forward(block))
         assert peak(lambda: net.predict_proba(x)) <= cached / 2
+
+    @pytest.mark.parametrize("name", [*ACTIVATION_VARIANTS, "case2_q2", "real_nn"])
+    def test_input_overwritten_before_backward_leaves_gradients(self, name, rng):
+        """A kept cache owns its copy of the input."""
+        net = _network(name)
+        x = random_complex(rng, (6, 5))
+        g = random_complex(rng, (6, 4)).real if name == "real_nn" else random_complex(rng, (6, 4))
+        untouched = net.backward(g, net.forward(x.copy())[1])
+        overwritten = x.copy()
+        _, cache = net.forward(overwritten)
+        overwritten[...] = 0
+        grads = net.backward(g, cache)
+        assert set(grads) == set(untouched)
+        for key, arr in grads.items():
+            assert arr.tobytes() == untouched[key].tobytes(), key
 
 
 class TestIdentityFitPerBuild:
@@ -873,10 +885,11 @@ class TestRunFigures:
         # pre-activations (x, 0.5 + ix): 0 and 2 lie inside, a part at 2 is on the grid;
         # 2.5 and -1+3j have both outside, 1-2j only the second (2.5+1j), 0.5j neither
         x = np.array([[0], [2], [2.5], [-1 + 3j], [1 - 2j], [0.5j]])
-        assert outside_grid_share(model, x) == [5 / 12]
+        assert pre_activation_statistics(model, x)["outside_grid_share"] == [5 / 12]
         # three prediction blocks of 6400 rows give the same share
         assert model._predict_block_rows() == 6400
-        assert outside_grid_share(model, np.tile(x, (2200, 1))) == [5 / 12]
+        tiled = np.tile(x, (2200, 1))
+        assert pre_activation_statistics(model, tiled)["outside_grid_share"] == [5 / 12]
 
     def test_outside_grid_share_reads_each_layer_after_the_activation(self, rng):
         grid = build_dictionary(4)
@@ -890,9 +903,41 @@ class TestRunFigures:
         pre = [complex_affine(params["layer0.W"], x, params["layer0.b"]), head.forward(x)[0]]
         expected = [float(np.mean((np.abs(z.real) > 2) | (np.abs(z.imag) > 2))) for z in pre]
         assert 0 < min(expected) and max(expected) < 1
-        assert outside_grid_share(model, x) == expected
+        assert pre_activation_statistics(model, x)["outside_grid_share"] == expected
 
     @pytest.mark.parametrize("variant", ["real_nn", "split_tanh", "phase_amplitude"])
     def test_outside_grid_share_is_none_for_models_without_a_grid(self, variant):
         model = build_model(variant, 3, 2, seed=0, hidden_widths=(4,))
-        assert outside_grid_share(model, np.zeros((5, 3), complex)) is None
+        assert pre_activation_statistics(model, np.zeros((5, 3), complex)) == {
+            "outside_grid_share": None, "pre_activation_circularity": None}
+
+    @pytest.mark.parametrize("variant", ["kaf_independent", "wlkaf_case1"])
+    def test_pre_activation_circularity_is_a_hand_value(self, variant):
+        model = build_model(variant, 2, 2, seed=0, hidden_widths=(3,))
+        params = model.parameters()
+        params["layer0.W"][...] = [[1, 0], [1, 1j], [0, 0]]
+        params["layer0.b"][...] = [0, 0, 0.5 + 0.25j]
+        # z0 = x1 is real: rho 1; z1 = x1 + i*x2 has E[zc^2] = 0.5 - 2 and E[|zc|^2] =
+        # 0.5 + 2: rho 0.6; z2 is the same on every row: rho 0 by the zero-variance rule
+        x = np.array([[1, 0], [-1, 0], [0, 2], [0, -2]], complex)
+        assert pre_activation_statistics(model, x)["pre_activation_circularity"] == [0.6]
+        params["layer0.W"][...] = [[1, 0], [0, 1], [0.5, 2]]  # every neuron fed real values
+        for rows in (x, np.tile(x[:, ::-1] * [1, 3], (3000, 1))):  # 6 prediction blocks
+            assert pre_activation_statistics(model, rows)["pre_activation_circularity"] == [1.0]
+
+    def test_pre_activation_circularity_reads_each_layer_after_the_activation(self, rng):
+        grid = build_dictionary(4)
+        model = build_model("wlkaf_case2", 3, 2, seed=1, hidden_widths=(5, 6), dictionary=grid)
+        head = build_model("wlkaf_case2", 3, 6, seed=1, hidden_widths=(5,), dictionary=grid)
+        head.set_parameters({name: arr for name, arr in model.parameters().items()
+                             if name in head.parameters()})
+        x = random_complex(rng, (200, 3)) * [1, 2, 0.5] + [0.3, 0, 1j]
+        params = model.parameters()
+        expected = []
+        for z in (complex_affine(params["layer0.W"], x, params["layer0.b"]), head.forward(x)[0]):
+            zc = z - z.mean(axis=0)
+            rho = np.abs(np.mean(zc * zc, axis=0)) / np.mean(np.abs(zc) ** 2, axis=0)
+            expected.append(float(np.median(rho)))
+        got = pre_activation_statistics(model, x)["pre_activation_circularity"]
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+        assert 0.05 < min(got) and max(got) < 0.95
